@@ -1,6 +1,8 @@
 #include "common/blob.hh"
 
 #include <array>
+#include <cstdio>
+#include <fstream>
 
 namespace csprint {
 
@@ -119,13 +121,7 @@ BlobContainer::open(const std::vector<std::uint8_t> &blob,
             "checkpoint has trailing bytes past the CRC footer");
 
     const std::uint32_t storedCrc =
-        static_cast<std::uint32_t>(blob[headerBytes + payloadLen]) |
-        static_cast<std::uint32_t>(blob[headerBytes + payloadLen + 1])
-            << 8 |
-        static_cast<std::uint32_t>(blob[headerBytes + payloadLen + 2])
-            << 16 |
-        static_cast<std::uint32_t>(blob[headerBytes + payloadLen + 3])
-            << 24;
+        BlobReader(blob.data() + headerBytes + payloadLen, kCrcBytes).u32();
     const std::uint32_t actualCrc =
         crc32(blob.data() + headerBytes,
               static_cast<std::size_t>(payloadLen));
@@ -136,6 +132,44 @@ BlobContainer::open(const std::vector<std::uint8_t> &blob,
 
     return BlobReader(blob.data() + headerBytes,
                       static_cast<std::size_t>(payloadLen));
+}
+
+bool
+readFileBytes(const std::string &path, std::vector<std::uint8_t> &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    in.seekg(0, std::ios::end);
+    const std::streamoff len = in.tellg();
+    if (len < 0)
+        return false;
+    in.seekg(0, std::ios::beg);
+    out.resize(static_cast<std::size_t>(len));
+    if (len > 0)
+        in.read(reinterpret_cast<char *>(out.data()), len);
+    return static_cast<bool>(in);
+}
+
+void
+writeFileAtomic(const std::string &path, const void *data, std::size_t n)
+{
+    const auto ioError = [](const std::string &what) {
+        return CheckpointError(CheckpointError::Kind::Io, what);
+    };
+    const std::string tmp = path + ".tmp";
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out)
+            throw ioError("cannot open " + tmp + " for writing");
+        out.write(static_cast<const char *>(data),
+                  static_cast<std::streamsize>(n));
+        out.flush();
+        if (!out)
+            throw ioError("short write to " + tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        throw ioError("cannot rename " + tmp + " to " + path);
 }
 
 } // namespace csprint

@@ -265,6 +265,21 @@ class BlobReader
     std::size_t pos_ = 0;
 };
 
+/**
+ * Read the whole file at @p path into @p out. Returns false (never
+ * throws) when the file cannot be opened or read.
+ */
+bool readFileBytes(const std::string &path, std::vector<std::uint8_t> &out);
+
+/**
+ * Publish @p n bytes as @p path: write `path.tmp`, then rename(2) it
+ * over @p path, so a reader sees the old contents or the new ones,
+ * never a torn file. Nothing is fsynced, so this survives process
+ * death but not power loss. Throws CheckpointError with Kind::Io.
+ */
+void writeFileAtomic(const std::string &path, const void *data,
+                     std::size_t n);
+
 /** Container framing shared by every checkpoint blob. */
 struct BlobContainer
 {

@@ -1,12 +1,14 @@
 #include "sprint/checkpoint.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
@@ -1482,49 +1484,47 @@ validateCheckpoint(const ScenarioConfig &cfg,
 
 namespace {
 
-namespace fs = std::filesystem;
-
 [[noreturn]] void
 ioError(const std::string &what)
 {
     throw CheckpointError(CheckpointError::Kind::Io, what);
 }
 
-/** Read a whole file; empty optional-style flag on failure. */
+/** The sequence number of checkpoint file name @p name (`<seq>.ck`). */
 bool
-readFileBytes(const std::string &path, std::vector<std::uint8_t> &out)
+seqOfName(const std::string &name, std::uint64_t &seq)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    if (name.size() <= 3)
         return false;
-    in.seekg(0, std::ios::end);
-    const std::streamoff len = in.tellg();
-    if (len < 0)
+    const std::size_t digits = name.size() - 3;
+    if (name.compare(digits, 3, ".ck") != 0)
         return false;
-    in.seekg(0, std::ios::beg);
-    out.resize(static_cast<std::size_t>(len));
-    if (len > 0)
-        in.read(reinterpret_cast<char *>(out.data()), len);
-    return static_cast<bool>(in);
+    seq = 0;
+    for (std::size_t i = 0; i < digits; ++i) {
+        if (name[i] < '0' || name[i] > '9')
+            return false;
+        seq = seq * 10 + static_cast<std::uint64_t>(name[i] - '0');
+    }
+    return true;
 }
 
-void
-writeFileAtomic(const std::string &path, const void *data,
-                std::size_t n)
+/** The checkpoint files in @p shard_dir as (seq, path), newest first. */
+std::vector<std::pair<std::uint64_t, std::string>>
+listCheckpoints(const std::string &shard_dir)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            ioError("cannot open " + tmp + " for writing");
-        out.write(static_cast<const char *>(data),
-                  static_cast<std::streamsize>(n));
-        out.flush();
-        if (!out)
-            ioError("short write to " + tmp);
+    std::vector<std::pair<std::uint64_t, std::string>> files;
+    DIR *d = ::opendir(shard_dir.c_str());
+    if (!d)
+        return files;
+    while (const dirent *e = ::readdir(d)) {
+        std::uint64_t seq = 0;
+        if (seqOfName(e->d_name, seq))
+            files.emplace_back(seq, shard_dir + "/" + e->d_name);
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        ioError("cannot rename " + tmp + " to " + path);
+    ::closedir(d);
+    std::sort(files.begin(), files.end(),
+              [](const auto &a, const auto &b) { return a.first > b.first; });
+    return files;
 }
 
 } // namespace
@@ -1540,61 +1540,73 @@ CheckpointStore::~CheckpointStore()
 }
 
 std::string
-CheckpointStore::lockPath(int shard) const
+CheckpointStore::shardDir(int shard) const
 {
     char name[32];
-    std::snprintf(name, sizeof(name), "shard%04d.lock", shard);
-    return dir_ + "/" + name;
+    std::snprintf(name, sizeof(name), "/shard%04d", shard);
+    return dir_ + name;
+}
+
+std::string
+CheckpointStore::lockPath(int shard) const
+{
+    return shardDir(shard) + "/lock";
+}
+
+std::string
+CheckpointStore::checkpointPath(int shard, std::uint64_t seq) const
+{
+    char name[32];
+    std::snprintf(name, sizeof(name), "/%012llu.ck",
+                  static_cast<unsigned long long>(seq));
+    return shardDir(shard) + name;
+}
+
+std::string
+CheckpointStore::manifestPath(int shard) const
+{
+    return shardDir(shard) + "/manifest";
 }
 
 void
 CheckpointStore::lockShardWriter(int shard)
 {
-    for (const auto &lock : writer_locks_) {
-        if (lock.first == shard)
-            return; // already ours for this store's lifetime
-    }
+    if (writer_locks_.count(shard))
+        return; // already ours until released
+    std::error_code ec;
+    std::filesystem::create_directories(shardDir(shard), ec);
+    if (ec)
+        ioError("cannot create checkpoint directory " + shardDir(shard) +
+                ": " + ec.message());
     const std::string path = lockPath(shard);
     const int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
                           0644);
     if (fd < 0)
-        ioError("cannot open writer lock " + path);
+        ioError("cannot open writer lock " + path + ": " +
+                std::strerror(errno));
     if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
         ::close(fd);
         ioError("another live writer holds shard " +
                 std::to_string(shard) + "'s checkpoint lock (" + path +
                 "); refusing to publish or prune its files");
     }
-    writer_locks_.emplace_back(shard, fd);
+    writer_locks_.emplace(shard, fd);
 }
 
-std::string
-CheckpointStore::checkpointPath(int shard, std::uint64_t seq) const
+void
+CheckpointStore::releaseShard(int shard)
 {
-    char name[64];
-    std::snprintf(name, sizeof(name), "shard%04d-%012llu.ck", shard,
-                  static_cast<unsigned long long>(seq));
-    return dir_ + "/" + name;
-}
-
-std::string
-CheckpointStore::manifestPath(int shard) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard%04d.manifest", shard);
-    return dir_ + "/" + name;
+    const auto it = writer_locks_.find(shard);
+    if (it == writer_locks_.end())
+        return;
+    ::close(it->second);
+    writer_locks_.erase(it);
 }
 
 void
 CheckpointStore::save(int shard, std::uint64_t seq,
                       const std::vector<std::uint8_t> &blob)
 {
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec)
-        ioError("cannot create checkpoint directory " + dir_ + ": " +
-                ec.message());
-
     // Single-writer enforcement: hold this shard's advisory lock
     // before publishing or pruning anything (see the class comment).
     lockShardWriter(shard);
@@ -1605,31 +1617,23 @@ CheckpointStore::save(int shard, std::uint64_t seq,
     const std::string path = checkpointPath(shard, seq);
     writeFileAtomic(path, blob.data(), blob.size());
     const std::string manifest_body =
-        fs::path(path).filename().string() + "\n";
+        path.substr(path.find_last_of('/') + 1) + "\n";
     writeFileAtomic(manifestPath(shard), manifest_body.data(),
                     manifest_body.size());
 
-    // Prune to the two newest checkpoints of this shard (the
-    // manifest target plus one fallback).
-    char prefix[32];
-    std::snprintf(prefix, sizeof(prefix), "shard%04d-", shard);
-    std::vector<std::pair<std::uint64_t, fs::path>> kept;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        const std::string fname = entry.path().filename().string();
-        unsigned long long s = 0;
-        if (fname.rfind(prefix, 0) != 0 ||
-            fname.size() <= std::strlen(prefix) + 3 ||
-            fname.substr(fname.size() - 3) != ".ck")
+    // Keep the published checkpoint and its predecessor. Anything
+    // numbered above seq predates a restart from an earlier state and
+    // must go, or it would outrank the file just published.
+    bool kept_predecessor = false;
+    for (const auto &file : listCheckpoints(shardDir(shard))) {
+        if (file.first == seq)
             continue;
-        if (std::sscanf(fname.c_str() + std::strlen(prefix), "%llu",
-                        &s) != 1)
+        if (file.first < seq && !kept_predecessor) {
+            kept_predecessor = true;
             continue;
-        kept.emplace_back(static_cast<std::uint64_t>(s), entry.path());
+        }
+        ::unlink(file.second.c_str()); // best effort
     }
-    std::sort(kept.begin(), kept.end(),
-              [](const auto &a, const auto &b) { return a.first > b.first; });
-    for (std::size_t i = 2; i < kept.size(); ++i)
-        fs::remove(kept[i].second, ec); // best effort
 }
 
 std::vector<CheckpointStore::Candidate>
@@ -1647,22 +1651,6 @@ CheckpointStore::loadCandidates(int shard) const
             out.push_back(std::move(c));
     };
 
-    char prefix[32];
-    std::snprintf(prefix, sizeof(prefix), "shard%04d-", shard);
-    auto seqOf = [&](const std::string &fname,
-                     std::uint64_t &seq) -> bool {
-        unsigned long long s = 0;
-        if (fname.rfind(prefix, 0) != 0 ||
-            fname.size() <= std::strlen(prefix) + 3 ||
-            fname.substr(fname.size() - 3) != ".ck")
-            return false;
-        if (std::sscanf(fname.c_str() + std::strlen(prefix), "%llu",
-                        &s) != 1)
-            return false;
-        seq = static_cast<std::uint64_t>(s);
-        return true;
-    };
-
     // The manifest-named checkpoint is the preferred candidate.
     std::vector<std::uint8_t> manifest;
     if (readFileBytes(manifestPath(shard), manifest)) {
@@ -1671,23 +1659,13 @@ CheckpointStore::loadCandidates(int shard) const
         if (nl != std::string::npos)
             fname.resize(nl);
         std::uint64_t seq = 0;
-        if (seqOf(fname, seq))
-            addFile(dir_ + "/" + fname, seq);
+        if (seqOfName(fname, seq))
+            addFile(shardDir(shard) + "/" + fname, seq);
     }
 
     // Any other retained checkpoint of this shard, newest first.
-    std::error_code ec;
-    std::vector<std::pair<std::uint64_t, std::string>> extra;
-    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
-        const std::string fname = entry.path().filename().string();
-        std::uint64_t seq = 0;
-        if (seqOf(fname, seq))
-            extra.emplace_back(seq, entry.path().string());
-    }
-    std::sort(extra.begin(), extra.end(),
-              [](const auto &a, const auto &b) { return a.first > b.first; });
-    for (const auto &e : extra)
-        addFile(e.second, e.first);
+    for (const auto &file : listCheckpoints(shardDir(shard)))
+        addFile(file.second, file.first);
     return out;
 }
 

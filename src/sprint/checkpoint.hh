@@ -15,11 +15,11 @@
  * captured (a custom OpStream subclass, a machine not parked at a
  * sample boundary) fails the save with Kind::Unsupported.
  *
- * CheckpointStore adds crash-safe persistence: checkpoints are
- * written to a temporary file and atomically renamed, with a manifest
- * naming the last complete checkpoint and the previous one retained
- * as a fallback, so a crash mid-write never corrupts the last good
- * state.
+ * CheckpointStore adds persistence that survives process crashes:
+ * checkpoints are written to a temporary file and atomically renamed,
+ * with a manifest naming the last complete checkpoint and the previous
+ * one retained as a fallback, so a crash mid-write never corrupts the
+ * last good state.
  */
 
 #ifndef CSPRINT_SPRINT_CHECKPOINT_HH
@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/blob.hh"
@@ -88,23 +89,30 @@ void validateCheckpoint(const ScenarioConfig &cfg,
                         const ScenarioCheckpoint &ck);
 
 /**
- * Atomic checkpoint persistence for one scenario batch: one directory
- * holding per-shard checkpoint files plus a manifest per shard naming
- * the newest complete file. save() writes to a temporary name, fsyncs
- * nothing exotic — atomicity comes from rename(2) — then publishes
- * the manifest the same way and prunes all but the two newest
- * checkpoints, so a torn write can never shadow the last good state.
+ * Atomic checkpoint persistence for one scenario batch. Each shard
+ * owns a subdirectory, `dir/shardNNNN/`, holding its checkpoint files
+ * (`<seq>.ck`, at most two after a save), a `manifest` naming the
+ * newest complete one, and its writer `lock`. save() and
+ * loadCandidates() list only that subdirectory, so their cost does
+ * not grow with the number of shards in the store.
+ *
+ * save() writes the checkpoint to a temporary name and rename(2)s it
+ * into place, publishes the manifest the same way, then prunes the
+ * shard to the published checkpoint and its predecessor. A crash at
+ * any instant leaves the last good state readable. Nothing is
+ * fsynced: the store survives process death, not power loss.
  *
  * Single-writer contract: save() prunes, and pruning assumes no other
  * live writer is publishing the same shard — a respawned worker
  * racing a stalled-but-alive predecessor could otherwise prune the
  * other's newest checkpoint and then shadow it with older state. The
  * store ENFORCES the contract with a per-shard advisory lockfile
- * (flock, held from a shard's first save() until the store is
- * destroyed or the owning process dies — including by SIGKILL, which
- * releases kernel flocks): a save() on a shard whose lock another
- * live store holds throws CheckpointError with Kind::Io instead of
- * touching the shard's files. Readers (loadCandidates) never lock.
+ * (flock, held from a shard's first save() until releaseShard(), the
+ * store's destruction, or the owning process's death — including by
+ * SIGKILL, which releases kernel flocks): a save() on a shard whose
+ * lock another live store holds throws CheckpointError with Kind::Io
+ * instead of touching the shard's files. Readers (loadCandidates)
+ * never lock.
  */
 class CheckpointStore
 {
@@ -120,12 +128,21 @@ class CheckpointStore
     CheckpointStore &operator=(const CheckpointStore &) = delete;
 
     /**
-     * Persist @p blob as shard @p shard's checkpoint number @p seq
-     * (monotone per shard). Throws CheckpointError with Kind::Io on
-     * filesystem failure.
+     * Persist @p blob as shard @p shard's checkpoint number @p seq,
+     * then keep only it and the newest older checkpoint. Files
+     * numbered above @p seq are stale state from before a restart and
+     * are removed. Throws CheckpointError with Kind::Io on filesystem
+     * failure.
      */
     void save(int shard, std::uint64_t seq,
               const std::vector<std::uint8_t> &blob);
+
+    /**
+     * Drop shard @p shard's writer lock (a no-op when not held). For a
+     * writer that is done with the shard, so a store that works
+     * through many shards holds a bounded number of descriptors.
+     */
+    void releaseShard(int shard);
 
     /** One recoverable checkpoint file's contents. */
     struct Candidate
@@ -159,15 +176,18 @@ class CheckpointStore
     std::string lockPath(int shard) const;
 
   private:
+    /** Shard @p shard's subdirectory. */
+    std::string shardDir(int shard) const;
+
     /**
-     * Take (or verify we already hold) shard @p shard's writer lock.
-     * Throws CheckpointError with Kind::Io when another live writer
-     * holds it.
+     * Take (or verify we already hold) shard @p shard's writer lock,
+     * creating the shard's subdirectory on first use. Throws
+     * CheckpointError with Kind::Io when another live writer holds it.
      */
     void lockShardWriter(int shard);
 
     std::string dir_;
-    std::vector<std::pair<int, int>> writer_locks_; ///< (shard, fd)
+    std::unordered_map<int, int> writer_locks_; ///< shard -> lock fd
 };
 
 } // namespace csprint

@@ -8,10 +8,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <map>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -38,52 +37,11 @@ constexpr std::uint32_t kFleetAggVersion = 1;
 constexpr std::uint32_t kFleetFileDigest = 0x464c5401u;
 
 // --- Pipe frame protocol --------------------------------------------
-//
-// Every worker->parent message is one frame:
-//
-//   u32 magic ("CSFR")  u32 type  u64 payload length
-//   ...payload...       u32 CRC32 over the payload
-//
-// all little-endian, so a torn or garbage frame is rejected by magic
-// or CRC instead of desynchronizing the stream.
 
 constexpr std::uint32_t kFrameMagic = 0x52465343u; // "CSFR"
 constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
-
-enum FrameType : std::uint32_t
-{
-    kFrameHello = 1,      ///< worker up: begin, end, attempt
-    kFrameBeat = 2,       ///< heartbeat: device index
-    kFrameFaultFired = 3, ///< one-shot fault index just fired
-    kFrameDeviceDone = 4, ///< device index + final checkpoint blob
-    kFrameRangeDone = 5,  ///< sealed FleetAggregates of the range
-    kFrameError = 6,      ///< human-readable failure message
-};
-
-std::uint32_t
-readLe32(const std::uint8_t *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-readLe64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-void
-writeLe64(std::uint8_t *p, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        p[i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
+constexpr std::size_t kFrameHeader = 16; ///< magic, type, length
+constexpr std::size_t kFrameCrc = 4;
 
 [[noreturn]] void
 throwIo(const std::string &what)
@@ -93,34 +51,6 @@ throwIo(const std::string &what)
                                       ? std::string(": ") +
                                             std::strerror(errno)
                                       : std::string()));
-}
-
-std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throwIo("cannot open " + path);
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (in.bad())
-        throwIo("cannot read " + path);
-    return bytes;
-}
-
-void
-writeFileBytes(const std::string &path,
-               const std::vector<std::uint8_t> &bytes)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throwIo("cannot create " + path);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out)
-        throwIo("cannot write " + path);
 }
 
 /** Worker-side: write @p n bytes fully; the parent's death ends us. */
@@ -141,60 +71,22 @@ writeAll(int fd, const void *data, std::size_t n)
 }
 
 void
-sendFrame(int fd, std::uint32_t type,
+sendFrame(int fd, FleetFrameType type,
           const std::vector<std::uint8_t> &payload)
 {
-    BlobWriter w;
-    w.u32(kFrameMagic);
-    w.u32(type);
-    w.u64(payload.size());
-    w.bytes(payload.data(), payload.size());
-    w.u32(crc32(payload.data(), payload.size()));
-    const auto &buf = w.buffer();
-    writeAll(fd, buf.data(), buf.size());
+    const std::vector<std::uint8_t> frame =
+        encodeFleetFrame(type, payload.data(), payload.size());
+    writeAll(fd, frame.data(), frame.size());
 }
 
 void
-sendFrameU64s(int fd, std::uint32_t type,
+sendFrameU64s(int fd, FleetFrameType type,
               std::initializer_list<std::uint64_t> words)
 {
     BlobWriter w;
     for (std::uint64_t v : words)
         w.u64(v);
     sendFrame(fd, type, w.buffer());
-}
-
-struct ParsedFrame
-{
-    std::uint32_t type = 0;
-    std::vector<std::uint8_t> payload;
-};
-
-/** 1 = frame extracted, 0 = need more bytes, -1 = corrupt stream. */
-int
-tryParseFrame(std::vector<std::uint8_t> &buf, ParsedFrame &out)
-{
-    if (buf.size() < 16)
-        return 0;
-    const std::uint32_t magic = readLe32(buf.data());
-    const std::uint32_t type = readLe32(buf.data() + 4);
-    const std::uint64_t len = readLe64(buf.data() + 8);
-    if (magic != kFrameMagic)
-        return -1;
-    if (type < kFrameHello || type > kFrameError)
-        return -1;
-    if (len > kMaxFramePayload)
-        return -1;
-    if (buf.size() < 16 + len + 4)
-        return 0;
-    const std::uint32_t want = readLe32(buf.data() + 16 + len);
-    if (crc32(buf.data() + 16, static_cast<std::size_t>(len)) != want)
-        return -1;
-    out.type = type;
-    out.payload.assign(buf.begin() + 16,
-                       buf.begin() + 16 + static_cast<long>(len));
-    buf.erase(buf.begin(), buf.begin() + 16 + static_cast<long>(len) + 4);
-    return 1;
 }
 
 // --- Spec payload ---------------------------------------------------
@@ -471,6 +363,69 @@ deserializeFleetSpec(const std::vector<std::uint8_t> &blob,
     if (opts.checkpoint_every_tasks == 0)
         throw CheckpointError(CheckpointError::Kind::Corrupt,
                               "fleet spec: checkpoint cadence is zero");
+}
+
+// --- Pipe frames ----------------------------------------------------
+
+std::vector<std::uint8_t>
+encodeFleetFrame(FleetFrameType type, const std::uint8_t *payload,
+                 std::size_t size)
+{
+    BlobWriter w;
+    w.u32(kFrameMagic);
+    w.u32(static_cast<std::uint32_t>(type));
+    w.u64(size);
+    w.bytes(payload, size);
+    w.u32(crc32(w.buffer().data() + 4, kFrameHeader - 4 + size));
+    return w.take();
+}
+
+void
+FleetFrameReader::append(const std::uint8_t *bytes, std::size_t n)
+{
+    if (off_ > 0) {
+        buf_.erase(buf_.begin(),
+                   buf_.begin() + static_cast<std::ptrdiff_t>(off_));
+        off_ = 0;
+    }
+    buf_.insert(buf_.end(), bytes, bytes + n);
+}
+
+FleetFrameReader::Status
+FleetFrameReader::next(Frame &out)
+{
+    const std::size_t avail = buf_.size() - off_;
+    if (avail < kFrameHeader)
+        return Status::NeedMore;
+    const std::uint8_t *head = buf_.data() + off_;
+    BlobReader r(head, kFrameHeader);
+    const std::uint32_t magic = r.u32();
+    const std::uint32_t type = r.u32();
+    const std::uint64_t len = r.u64();
+    if (magic != kFrameMagic ||
+        type < static_cast<std::uint32_t>(FleetFrameType::Hello) ||
+        type > static_cast<std::uint32_t>(FleetFrameType::Error) ||
+        len > kMaxFramePayload)
+        return Status::Corrupt;
+    const std::size_t body = static_cast<std::size_t>(len);
+    if (avail < kFrameHeader + body + kFrameCrc)
+        return Status::NeedMore;
+    const std::uint32_t want =
+        BlobReader(head + kFrameHeader + body, kFrameCrc).u32();
+    if (crc32(head + 4, kFrameHeader - 4 + body) != want)
+        return Status::Corrupt;
+    out.type = static_cast<FleetFrameType>(type);
+    out.payload = head + kFrameHeader;
+    out.size = body;
+    off_ += kFrameHeader + body + kFrameCrc;
+    return Status::Ready;
+}
+
+void
+FleetFrameReader::clear()
+{
+    buf_.clear();
+    off_ = 0;
 }
 
 std::vector<std::pair<int, int>>
@@ -811,15 +766,17 @@ fleetWorkerMain(int argc, char **argv)
         FleetSpec spec;
         FaultPlan plan;
         FleetOptions wopts;
-        deserializeFleetSpec(readFileBytes(spec_path), spec, plan,
-                             wopts);
+        std::vector<std::uint8_t> spec_blob;
+        if (!readFileBytes(spec_path, spec_blob))
+            throwIo("cannot read " + spec_path);
+        deserializeFleetSpec(spec_blob, spec, plan, wopts);
         if (end > spec.num_devices)
             throw std::invalid_argument(
                 "fleet worker: range exceeds the device count");
         std::vector<char> fired =
             parseFiredList(args.get("fired", ""), plan.faults.size());
 
-        sendFrameU64s(out_fd, kFrameHello,
+        sendFrameU64s(out_fd, FleetFrameType::Hello,
                       {static_cast<std::uint64_t>(begin),
                        static_cast<std::uint64_t>(end), attempt});
 
@@ -848,7 +805,7 @@ fleetWorkerMain(int argc, char **argv)
             };
 
             const ShardBeatFn beat = [&] {
-                sendFrameU64s(out_fd, kFrameBeat,
+                sendFrameU64s(out_fd, FleetFrameType::Beat,
                               {static_cast<std::uint64_t>(device)});
             };
             const ShardPersistHook beforePersist =
@@ -856,7 +813,7 @@ fleetWorkerMain(int argc, char **argv)
                     const int i = dueFault(seq, true);
                     if (i < 0)
                         return;
-                    sendFrameU64s(out_fd, kFrameFaultFired,
+                    sendFrameU64s(out_fd, FleetFrameType::FaultFired,
                                   {static_cast<std::uint64_t>(i)});
                     ::_exit(12); // died before the checkpoint landed
                 };
@@ -865,7 +822,7 @@ fleetWorkerMain(int argc, char **argv)
                     const int i = dueFault(seq, false);
                     if (i < 0)
                         return;
-                    sendFrameU64s(out_fd, kFrameFaultFired,
+                    sendFrameU64s(out_fd, FleetFrameType::FaultFired,
                                   {static_cast<std::uint64_t>(i)});
                     switch (plan.faults[static_cast<std::size_t>(i)]
                                 .kind) {
@@ -880,7 +837,7 @@ fleetWorkerMain(int argc, char **argv)
                     case FaultKind::WorkerException: {
                         const std::string msg =
                             "injected worker exception";
-                        sendFrame(out_fd, kFrameError,
+                        sendFrame(out_fd, FleetFrameType::Error,
                                   {msg.begin(), msg.end()});
                         ::_exit(14);
                     }
@@ -907,22 +864,20 @@ fleetWorkerMain(int argc, char **argv)
                 wopts.paranoia, beat, beforePersist, afterPersist,
                 progress, &final_blob);
 
-            std::vector<std::uint8_t> payload(8 + final_blob.size());
-            writeLe64(payload.data(),
-                      static_cast<std::uint64_t>(device));
-            std::memcpy(payload.data() + 8, final_blob.data(),
-                        final_blob.size());
-            sendFrame(out_fd, kFrameDeviceDone, payload);
+            BlobWriter payload;
+            payload.u64(static_cast<std::uint64_t>(device));
+            payload.bytes(final_blob.data(), final_blob.size());
+            sendFrame(out_fd, FleetFrameType::DeviceDone, payload.buffer());
 
             agg.foldDevice(result, limit);
         }
 
-        sendFrame(out_fd, kFrameRangeDone,
+        sendFrame(out_fd, FleetFrameType::RangeDone,
                   serializeFleetAggregates(agg, digest));
         return 0;
     } catch (const std::exception &e) {
         const std::string msg = e.what();
-        sendFrame(out_fd, kFrameError, {msg.begin(), msg.end()});
+        sendFrame(out_fd, FleetFrameType::Error, {msg.begin(), msg.end()});
         return 3;
     }
 }
@@ -933,13 +888,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** A decoded final result the range cannot fold yet (see `ahead`). */
+struct DeviceResult
+{
+    ScenarioResult result;
+    Celsius limit = 0.0;
+};
+
 struct WorkerProc
 {
     int begin = 0;
     int end = 0;
     pid_t pid = -1;
     int fd = -1;
-    std::vector<std::uint8_t> buf;
+    FleetFrameReader frames;
     Clock::time_point last_frame;
     int respawns = 0;
     bool active = false;
@@ -948,6 +910,13 @@ struct WorkerProc
     bool got_range_done = false;
     std::vector<std::uint8_t> range_agg;
     std::string last_error;
+
+    // The range's devices folded as they arrive, for when it degrades:
+    // [begin, next_fold) in device order, plus any device decoded past
+    // a gap (an unreadable final checkpoint), held until its turn.
+    FleetAggregates folded;
+    int next_fold = 0;
+    std::map<int, DeviceResult> ahead;
 };
 
 } // namespace
@@ -977,20 +946,67 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                               "cannot create store directory " +
                                   opts.store_dir + ": " + ec.message());
     const std::string spec_path = opts.store_dir + "/fleet.spec";
-    writeFileBytes(spec_path, serializeFleetSpec(spec, plan, opts));
+    const std::vector<std::uint8_t> spec_blob =
+        serializeFleetSpec(spec, plan, opts);
+    writeFileAtomic(spec_path, spec_blob.data(), spec_blob.size());
 
     const std::uint32_t digest = fleetSpecDigest(spec);
     const auto ranges =
         fleetShardRanges(spec.num_devices, opts.num_workers);
 
     std::vector<char> fired(plan.faults.size(), 0);
-    std::unordered_map<int, std::vector<std::uint8_t>> device_blobs;
+    FleetResult res;
+    res.devices.resize(static_cast<std::size_t>(spec.num_devices));
 
     std::vector<WorkerProc> procs(ranges.size());
     for (std::size_t i = 0; i < ranges.size(); ++i) {
         procs[i].begin = ranges[i].first;
         procs[i].end = ranges[i].second;
+        procs[i].next_fold = ranges[i].first;
     }
+
+    const auto foldInOrder = [&](WorkerProc &p, DeviceResult got) {
+        p.folded.foldDevice(got.result, got.limit);
+        if (opts.keep_device_results)
+            res.devices[static_cast<std::size_t>(p.next_fold)].result =
+                std::move(got.result);
+        ++p.next_fold;
+    };
+
+    // Finish a device's final checkpoint the moment it arrives. A
+    // respawned worker re-sends the devices it already finished; only
+    // the first readable copy counts.
+    const auto receiveDevice = [&](WorkerProc &p, int d,
+                                   const std::uint8_t *bytes,
+                                   std::size_t size) {
+        FleetDeviceOutcome &out = res.devices[static_cast<std::size_t>(d)];
+        if (out.completed)
+            return;
+        const std::vector<std::uint8_t> blob(bytes, bytes + size);
+        const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
+        DeviceResult got;
+        try {
+            ScenarioCheckpoint ck = deserializeCheckpoint(cfg, blob);
+            if (!ck.done)
+                return;
+            got.result = finishScenario(cfg, std::move(ck));
+        } catch (const CheckpointError &) {
+            return; // an unreadable blob is treated as never received
+        }
+        got.limit = fleetDeviceThermalLimit(spec, cfg);
+        out.completed = true;
+        out.checkpoint_digest = crc32(blob.data(), blob.size());
+        if (d != p.next_fold) {
+            p.ahead.emplace(d, std::move(got));
+            return;
+        }
+        foldInOrder(p, std::move(got));
+        for (auto it = p.ahead.find(p.next_fold); it != p.ahead.end();
+             it = p.ahead.find(p.next_fold)) {
+            foldInOrder(p, std::move(it->second));
+            p.ahead.erase(it);
+        }
+    };
 
     const auto firedCsv = [&]() {
         std::string csv;
@@ -1054,7 +1070,7 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         ::fcntl(fds[0], F_SETFD, FD_CLOEXEC);
         p.pid = pid;
         p.fd = fds[0];
-        p.buf.clear();
+        p.frames.clear();
         p.got_range_done = false;
         p.range_agg.clear();
         p.active = true;
@@ -1094,48 +1110,48 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
 
     // Returns false when the frame stream is corrupt.
     const auto processFrames = [&](WorkerProc &p) -> bool {
-        ParsedFrame f;
+        FleetFrameReader::Frame f;
         for (;;) {
-            const int rc = tryParseFrame(p.buf, f);
-            if (rc == 0)
+            switch (p.frames.next(f)) {
+            case FleetFrameReader::Status::NeedMore:
                 return true;
-            if (rc < 0)
+            case FleetFrameReader::Status::Corrupt:
                 return false;
-            p.last_frame = Clock::now();
-            switch (f.type) {
-            case kFrameHello:
-            case kFrameBeat:
+            case FleetFrameReader::Status::Ready:
                 break;
-            case kFrameFaultFired: {
-                if (f.payload.size() != 8)
+            }
+            p.last_frame = Clock::now();
+            BlobReader r(f.payload, f.size);
+            switch (f.type) {
+            case FleetFrameType::Hello:
+            case FleetFrameType::Beat:
+                break;
+            case FleetFrameType::FaultFired: {
+                if (f.size != 8)
                     return false;
-                const std::uint64_t idx = readLe64(f.payload.data());
+                const std::uint64_t idx = r.u64();
                 if (idx < fired.size())
                     fired[static_cast<std::size_t>(idx)] = 1;
                 break;
             }
-            case kFrameDeviceDone: {
-                if (f.payload.size() < 8)
+            case FleetFrameType::DeviceDone: {
+                if (f.size < 8)
                     return false;
-                const std::uint64_t device =
-                    readLe64(f.payload.data());
+                const std::uint64_t device = r.u64();
                 if (device < static_cast<std::uint64_t>(p.begin) ||
                     device >= static_cast<std::uint64_t>(p.end))
                     return false;
-                device_blobs[static_cast<int>(device)].assign(
-                    f.payload.begin() + 8, f.payload.end());
+                receiveDevice(p, static_cast<int>(device), f.payload + 8,
+                              f.size - 8);
                 break;
             }
-            case kFrameRangeDone:
-                p.range_agg = f.payload;
+            case FleetFrameType::RangeDone:
+                p.range_agg.assign(f.payload, f.payload + f.size);
                 p.got_range_done = true;
                 break;
-            case kFrameError:
-                p.last_error.assign(f.payload.begin(),
-                                    f.payload.end());
+            case FleetFrameType::Error:
+                p.last_error.assign(f.payload, f.payload + f.size);
                 break;
-            default:
-                return false;
             }
         }
     };
@@ -1167,7 +1183,7 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                 std::uint8_t tmp[65536];
                 const ssize_t n = ::read(p.fd, tmp, sizeof(tmp));
                 if (n > 0) {
-                    p.buf.insert(p.buf.end(), tmp, tmp + n);
+                    p.frames.append(tmp, static_cast<std::size_t>(n));
                     continue;
                 }
                 if (n == 0) {
@@ -1226,38 +1242,6 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
 
     // --- Assemble the result ----------------------------------------
 
-    // Finish every received final checkpoint once; reused for both
-    // outcomes and degraded-range reconstruction.
-    std::unordered_map<int, ScenarioResult> finished;
-    std::vector<ScenarioConfig> cfgs(
-        static_cast<std::size_t>(spec.num_devices));
-    std::vector<char> have_cfg(
-        static_cast<std::size_t>(spec.num_devices), 0);
-    const auto configOf = [&](int d) -> const ScenarioConfig & {
-        if (!have_cfg[static_cast<std::size_t>(d)]) {
-            cfgs[static_cast<std::size_t>(d)] =
-                fleetDeviceConfig(spec, d);
-            have_cfg[static_cast<std::size_t>(d)] = 1;
-        }
-        return cfgs[static_cast<std::size_t>(d)];
-    };
-    for (auto &entry : device_blobs) {
-        try {
-            ScenarioCheckpoint ck =
-                deserializeCheckpoint(configOf(entry.first),
-                                      entry.second);
-            if (!ck.done)
-                continue;
-            finished.emplace(entry.first,
-                             finishScenario(configOf(entry.first),
-                                            std::move(ck)));
-        } catch (const CheckpointError &) {
-            // An unreadable blob is treated as never received.
-        }
-    }
-
-    FleetResult res;
-    res.devices.resize(static_cast<std::size_t>(spec.num_devices));
     for (WorkerProc &p : procs) {
         FleetAggregates ra;
         FleetWorkerStats ws;
@@ -1270,32 +1254,21 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             ra = deserializeFleetAggregates(p.range_agg, digest);
         } else {
             // Degraded range: devices whose final checkpoints were
-            // received still count; the rest degrade, not drop.
-            for (int d = p.begin; d < p.end; ++d) {
-                const auto it = finished.find(d);
-                if (it == finished.end()) {
-                    ra.foldDegradedDevice();
-                    continue;
-                }
-                ra.foldDevice(it->second,
-                              fleetDeviceThermalLimit(spec,
-                                                      configOf(d)));
-            }
+            // received still count, in device order; the rest degrade,
+            // not drop.
+            ra = std::move(p.folded);
+            for (const auto &entry : p.ahead)
+                ra.foldDevice(entry.second.result, entry.second.limit);
+            for (int d = p.next_fold + static_cast<int>(p.ahead.size());
+                 d < p.end; ++d)
+                ra.foldDegradedDevice();
         }
+        if (opts.keep_device_results)
+            for (auto &entry : p.ahead)
+                res.devices[static_cast<std::size_t>(entry.first)].result =
+                    std::move(entry.second.result);
         res.aggregates.merge(ra);
         res.workers.push_back(std::move(ws));
-    }
-    for (auto &entry : device_blobs) {
-        const auto it = finished.find(entry.first);
-        if (it == finished.end())
-            continue;
-        FleetDeviceOutcome &out =
-            res.devices[static_cast<std::size_t>(entry.first)];
-        out.completed = true;
-        out.checkpoint_digest =
-            crc32(entry.second.data(), entry.second.size());
-        if (opts.keep_device_results)
-            out.result = std::move(it->second);
     }
     return res;
 }

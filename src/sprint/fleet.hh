@@ -20,10 +20,12 @@
  *    supervised by a parent-side watchdog: a worker that dies (or is
  *    SIGKILLed, stalls, or corrupts its pipe) is reaped and respawned
  *    with bounded exponential backoff, resuming every device in its
- *    range from the newest valid persisted checkpoint. A range that
- *    exhausts its retries is degraded, not dropped: devices whose
- *    final checkpoints were already received still count, the rest
- *    are tallied as degraded devices.
+ *    range from the newest valid persisted checkpoint. The parent
+ *    finishes each device's final checkpoint as its frame arrives and
+ *    keeps its digest (and its result, when asked), never the blob.
+ *    A range that exhausts its retries is degraded, not dropped:
+ *    devices whose final checkpoints were already received still
+ *    count, the rest are tallied as degraded devices.
  *
  * Determinism gates (tests/fleet_fault_test.cc, bench/fleet_report.cc):
  * the multi-process run equals the in-process run bit-for-bit on
@@ -324,6 +326,62 @@ std::vector<std::uint8_t> serializeFleetSpec(const FleetSpec &spec,
 void deserializeFleetSpec(const std::vector<std::uint8_t> &blob,
                           FleetSpec &spec, FaultPlan &plan,
                           FleetOptions &opts);
+
+/** What a worker->parent pipe frame carries. */
+enum class FleetFrameType : std::uint32_t
+{
+    Hello = 1,      ///< worker up: begin, end, attempt
+    Beat = 2,       ///< heartbeat: device index
+    FaultFired = 3, ///< one-shot fault index just fired
+    DeviceDone = 4, ///< device index + final checkpoint blob
+    RangeDone = 5,  ///< sealed FleetAggregates of the range
+    Error = 6,      ///< human-readable failure message
+};
+
+/**
+ * One worker->parent frame, all little-endian:
+ *
+ *   u32 magic ("CSFR")  u32 type  u64 payload length
+ *   ...payload...       u32 CRC32 over type, length and payload
+ *
+ * The CRC covers the header too, so a torn or flipped frame is
+ * rejected instead of desynchronizing the stream or changing type.
+ */
+std::vector<std::uint8_t> encodeFleetFrame(FleetFrameType type,
+                                           const std::uint8_t *payload,
+                                           std::size_t size);
+
+/**
+ * Incremental decoder of a worker's frame stream. append() the bytes
+ * of each read, then call next() until it stops returning Ready. The
+ * consumed prefix is dropped once per append(), not once per frame.
+ */
+class FleetFrameReader
+{
+  public:
+    enum class Status
+    {
+        Ready,    ///< a whole, checksummed frame was decoded
+        NeedMore, ///< the buffer ends inside a frame
+        Corrupt,  ///< bad magic, type, length or CRC: drop the stream
+    };
+
+    /** A decoded frame; its payload lives until the next append(). */
+    struct Frame
+    {
+        FleetFrameType type = FleetFrameType::Hello;
+        const std::uint8_t *payload = nullptr;
+        std::size_t size = 0;
+    };
+
+    void append(const std::uint8_t *bytes, std::size_t n);
+    Status next(Frame &out);
+    void clear();
+
+  private:
+    std::vector<std::uint8_t> buf_;
+    std::size_t off_ = 0; ///< bytes of buf_ already consumed
+};
 
 } // namespace csprint
 

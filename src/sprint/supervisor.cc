@@ -216,6 +216,9 @@ runShardToCompletion(const ScenarioConfig &cfg, int shard,
         if (afterPersist)
             afterPersist(seq);
     }
+    // The shard is final and this writer never touches it again; its
+    // lock fd would otherwise stay open for the store's lifetime.
+    store.releaseShard(shard);
     if (final_blob)
         *final_blob = std::move(last_blob);
     return finishScenario(cfg, std::move(ck));

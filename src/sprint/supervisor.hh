@@ -263,11 +263,13 @@ using ShardPersistHook = std::function<void(std::uint64_t seq)>;
  * recover-or-begin, advance in @p checkpoint_every_tasks slices,
  * persist each boundary into @p store, finish. @p beat is called
  * around every slice; @p beforePersist / @p afterPersist bracket
- * every store publish (either may be null). When @p final_blob is
- * non-null it receives the bytes of the final persisted checkpoint —
- * the exact bytes a parent process reaps over the wire, so per-shard
- * digests agree between transports. Throws on hook-injected faults,
- * violated monotonicity invariants, or genuine engine errors.
+ * every store publish (either may be null). On completion it releases
+ * the shard's writer lock, so one store can run any number of shards.
+ * When @p final_blob is non-null it receives the bytes of the final
+ * persisted checkpoint — the exact bytes a parent process reaps over
+ * the wire, so per-shard digests agree between transports. Throws on
+ * hook-injected faults, violated monotonicity invariants, or genuine
+ * engine errors.
  */
 ScenarioResult runShardToCompletion(
     const ScenarioConfig &cfg, int shard, CheckpointStore &store,

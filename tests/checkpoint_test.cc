@@ -9,20 +9,26 @@
  * truncation prefix and sampled bit flip fails with a typed
  * CheckpointError (never UB); the deserialized Poisson arrival cursor
  * continues the exact stream; and CheckpointStore survives a corrupt
- * newest checkpoint via its retained predecessor.
+ * newest checkpoint via its retained predecessor, keeps each shard in
+ * its own subdirectory, and holds a bounded number of lock fds.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
 #include "sprint/scenario.hh"
+#include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
 
 namespace csprint {
@@ -540,6 +546,125 @@ TEST(CheckpointStoreTest, LockReleasedOnDestructionAdmitsNewWriter)
     const auto cands = next.loadCandidates(2);
     ASSERT_EQ(cands.size(), 2u);
     EXPECT_EQ(cands[0].seq, 2u);
+}
+
+TEST(CheckpointStoreTest, RestartAtLowerSeqKeepsThePublishedCheckpoint)
+{
+    // Regression: a shard whose candidates all failed to decode
+    // restarts at seq 0, but its stale higher-seq files stay on disk.
+    // Pruning to the two newest then deleted the seq just published.
+    const std::string dir = freshDir("restart");
+    CheckpointStore store(dir);
+    store.save(0, 5, {5});
+    store.save(0, 6, {6});
+    store.save(0, 1, {1});
+
+    const auto cands = store.loadCandidates(0);
+    ASSERT_EQ(cands.size(), 1u);
+    EXPECT_EQ(cands[0].seq, 1u);
+    EXPECT_EQ(cands[0].blob, (std::vector<std::uint8_t>{1}));
+    EXPECT_FALSE(std::filesystem::exists(store.checkpointPath(0, 5)));
+    EXPECT_FALSE(std::filesystem::exists(store.checkpointPath(0, 6)));
+
+    store.save(0, 2, {2});
+    const auto next = store.loadCandidates(0);
+    ASSERT_EQ(next.size(), 2u);
+    EXPECT_EQ(next[0].seq, 2u);
+    EXPECT_EQ(next[1].seq, 1u);
+}
+
+TEST(CheckpointStoreTest, ShardsStayInTheirOwnSubdirectory)
+{
+    const auto fill = [](CheckpointStore &store, int shard) {
+        for (std::uint64_t seq = 1; seq <= 3; ++seq)
+            store.save(shard, seq,
+                       {static_cast<std::uint8_t>(shard),
+                        static_cast<std::uint8_t>(seq)});
+        store.releaseShard(shard);
+    };
+    constexpr int kShard = 7;
+
+    CheckpointStore alone(freshDir("alone"));
+    fill(alone, kShard);
+
+    CheckpointStore crowded(freshDir("crowded"));
+    for (int shard = 0; shard <= 1000; ++shard)
+        fill(crowded, shard);
+
+    const auto a = alone.loadCandidates(kShard);
+    const auto b = crowded.loadCandidates(kShard);
+    ASSERT_EQ(a.size(), 2u);
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(b[i].seq, a[i].seq);
+        EXPECT_EQ(b[i].blob, a[i].blob);
+    }
+
+    // The store root holds only shard subdirectories, and each holds
+    // only its own manifest, lock, and two checkpoints.
+    namespace fs = std::filesystem;
+    std::size_t shard_dirs = 0;
+    for (const auto &entry : fs::directory_iterator(crowded.dir())) {
+        ASSERT_TRUE(entry.is_directory()) << entry.path();
+        ++shard_dirs;
+    }
+    EXPECT_EQ(shard_dirs, 1001u);
+    for (int shard : {0, kShard, 1000}) {
+        const fs::path home = fs::path(crowded.manifestPath(shard))
+                                  .parent_path();
+        EXPECT_EQ(fs::path(crowded.lockPath(shard)).parent_path(), home);
+        EXPECT_EQ(fs::path(crowded.checkpointPath(shard, 3)).parent_path(),
+                  home);
+        std::vector<std::string> names;
+        for (const auto &entry : fs::directory_iterator(home))
+            names.push_back(entry.path().filename().string());
+        std::sort(names.begin(), names.end());
+        EXPECT_EQ(names,
+                  (std::vector<std::string>{
+                      fs::path(crowded.checkpointPath(shard, 2))
+                          .filename()
+                          .string(),
+                      fs::path(crowded.checkpointPath(shard, 3))
+                          .filename()
+                          .string(),
+                      "lock", "manifest"}));
+    }
+    fs::remove_all(crowded.dir());
+}
+
+TEST(CheckpointStoreTest, ManyShardsThroughOneStoreStayUnderTheFdLimit)
+{
+    // Regression: the store kept every shard's lock fd open for its
+    // whole lifetime, so a worker with more devices than RLIMIT_NOFILE
+    // failed with Kind::Io. runShardToCompletion now releases a shard
+    // after its final save.
+    ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
+                                      ArrivalPattern::Periodic, 2);
+    cfg.platform = SprintConfig::parallelSprint(2, kSmallPcm);
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = 64;
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+    CheckpointStore store(freshDir("fds"));
+    std::string failure;
+    for (int shard = 0; shard < 256 && failure.empty(); ++shard) {
+        ShardProgress progress;
+        try {
+            const ScenarioResult r = runShardToCompletion(
+                cfg, shard, store, 1, false, nullptr, nullptr, nullptr,
+                progress);
+            if (r.tasks_completed != 2u)
+                failure = "shard " + std::to_string(shard) + " incomplete";
+        } catch (const std::exception &e) {
+            failure = "shard " + std::to_string(shard) + ": " + e.what();
+        }
+    }
+    ::setrlimit(RLIMIT_NOFILE, &saved);
+    EXPECT_EQ(failure, "");
+    EXPECT_EQ(store.loadCandidates(255).size(), 2u);
 }
 
 TEST(CheckpointUnsupported, ForeignStreamTypeFailsTheSave)

@@ -15,7 +15,8 @@
  *  - a seed-randomized multi-shard process plan stays bit-exact;
  *
  *  - a range that exhausts its respawns degrades instead of dropping:
- *    devices whose final checkpoints were already reaped still count.
+ *    devices whose final checkpoints were already reaped still count,
+ *    each once, even when a respawned worker re-sent them.
  *
  * The thread supervisor must reject process-level kinds (its
  * transport cannot recover from them).
@@ -259,6 +260,39 @@ TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
     EXPECT_EQ(rerun.aggregates.degraded_devices, 0u);
     EXPECT_EQ(rerun.devices[0].checkpoint_digest,
               res.devices[0].checkpoint_digest);
+}
+
+TEST(FleetFault, RespawnedThenDegradedRangeFoldsEachDeviceOnce)
+{
+    const FleetSpec spec = faultFleet(33);
+
+    FleetOptions opts = fleetOptions("refold");
+    opts.num_workers = 1;
+    opts.max_retries = 1;
+
+    // Device 1's kill costs the one respawn, which re-sends device 0's
+    // final checkpoint; device 2's kill then degrades the range.
+    FaultPlan plan;
+    plan.faults.push_back({1, FaultKind::KillWorker, 1});
+    plan.faults.push_back({2, FaultKind::KillWorker, 1});
+
+    const FleetResult res = runFleetMultiProcess(spec, opts, plan);
+    ASSERT_EQ(res.workers.size(), 1u);
+    EXPECT_TRUE(res.workers[0].degraded);
+    EXPECT_EQ(res.workers[0].respawns, 1);
+    ASSERT_TRUE(res.devices[0].completed);
+    ASSERT_TRUE(res.devices[1].completed);
+    EXPECT_FALSE(res.devices[2].completed);
+    EXPECT_FALSE(res.devices[3].completed);
+
+    FleetAggregates expect;
+    for (int d : {0, 1})
+        expect.foldDevice(res.devices[static_cast<std::size_t>(d)].result,
+                          fleetDeviceThermalLimit(
+                              spec, fleetDeviceConfig(spec, d)));
+    expect.foldDegradedDevice();
+    expect.foldDegradedDevice();
+    expectAggregatesBitEqual(expect, res.aggregates);
 }
 
 TEST(FleetFault, ThreadTransportRejectsProcessKinds)

@@ -5,7 +5,9 @@
  * (seed, device index) alone, shard-range construction, mergeable
  * aggregates (exact counters, deterministic P² quantile merge that is
  * order-insensitive within an estimator tolerance), wire round-trips,
- * and a small in-process fleet sanity run. The cross-process parity
+ * every-truncation and bit-flip sweeps over the pipe frame decoder, a
+ * small in-process fleet sanity run, and multi-process parity with
+ * and without retained device results. The fault-recovery parity
  * gates live in tests/fleet_fault_test.cc and
  * tests/differential_test.cc.
  */
@@ -420,6 +422,147 @@ TEST(FleetInProcess, SmallFleetAggregatesSensibly)
     for (std::size_t d = 0; d < res.devices.size(); ++d)
         EXPECT_EQ(res1.devices[d].checkpoint_digest,
                   res.devices[d].checkpoint_digest);
+}
+
+/** A valid frame stream and where each of its frames ends. */
+struct FrameStream
+{
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::size_t> ends;
+    std::vector<std::vector<std::uint8_t>> payloads;
+};
+
+FrameStream
+sampleFrameStream()
+{
+    FrameStream s;
+    const auto add = [&s](FleetFrameType type,
+                          std::vector<std::uint8_t> payload) {
+        const auto frame =
+            encodeFleetFrame(type, payload.data(), payload.size());
+        s.bytes.insert(s.bytes.end(), frame.begin(), frame.end());
+        s.ends.push_back(s.bytes.size());
+        s.payloads.push_back(std::move(payload));
+    };
+    Rng rng(11);
+    std::vector<std::uint8_t> blob(96);
+    for (std::uint8_t &b : blob)
+        b = static_cast<std::uint8_t>(rng.uniformInt(256));
+    add(FleetFrameType::Hello, std::vector<std::uint8_t>(24, 1));
+    add(FleetFrameType::Beat, std::vector<std::uint8_t>(8, 2));
+    add(FleetFrameType::DeviceDone, blob);
+    add(FleetFrameType::Error, {});
+    add(FleetFrameType::RangeDone, std::vector<std::uint8_t>(40, 3));
+    return s;
+}
+
+/**
+ * Feed @p bytes to a fresh reader in @p chunk-byte appends, decoding
+ * after each; returns the payloads decoded before the first non-Frame
+ * status after the last append, which lands in @p last.
+ */
+std::vector<std::vector<std::uint8_t>>
+decodeAll(const std::vector<std::uint8_t> &bytes, std::size_t chunk,
+          FleetFrameReader::Status &last)
+{
+    FleetFrameReader reader;
+    std::vector<std::vector<std::uint8_t>> got;
+    FleetFrameReader::Frame f;
+    last = FleetFrameReader::Status::NeedMore;
+    for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+        reader.append(bytes.data() + at,
+                      std::min(chunk, bytes.size() - at));
+        while ((last = reader.next(f)) == FleetFrameReader::Status::Ready)
+            got.emplace_back(f.payload, f.payload + f.size);
+        if (last == FleetFrameReader::Status::Corrupt)
+            break;
+    }
+    return got;
+}
+
+TEST(FleetFrames, CleanStreamDecodesInAnyChunking)
+{
+    const FrameStream s = sampleFrameStream();
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                              s.bytes.size()}) {
+        FleetFrameReader::Status last;
+        EXPECT_EQ(decodeAll(s.bytes, chunk, last), s.payloads)
+            << "chunk " << chunk;
+        EXPECT_EQ(last, FleetFrameReader::Status::NeedMore);
+    }
+}
+
+TEST(FleetFrames, EveryTruncationNeedsMoreBytes)
+{
+    const FrameStream s = sampleFrameStream();
+    for (std::size_t len = 0; len < s.bytes.size(); ++len) {
+        const std::vector<std::uint8_t> prefix(s.bytes.begin(),
+                                               s.bytes.begin() + len);
+        FleetFrameReader::Status last;
+        const auto got = decodeAll(prefix, prefix.size() + 1, last);
+        EXPECT_EQ(last, FleetFrameReader::Status::NeedMore) << "len " << len;
+        const std::size_t whole = static_cast<std::size_t>(
+            std::upper_bound(s.ends.begin(), s.ends.end(), len) -
+            s.ends.begin());
+        ASSERT_EQ(got.size(), whole) << "len " << len;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], s.payloads[i]);
+    }
+}
+
+TEST(FleetFrames, EveryBitFlipIsRejectedOrIncomplete)
+{
+    // The CRC covers type, length and payload, so no single flipped
+    // bit decodes as a valid frame: the stream stops at the damaged
+    // frame, either corrupt or (a grown length) waiting for bytes.
+    const FrameStream s = sampleFrameStream();
+    for (std::size_t bit = 0; bit < 8 * s.bytes.size(); ++bit) {
+        std::vector<std::uint8_t> bytes = s.bytes;
+        bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        const std::size_t damaged = static_cast<std::size_t>(
+            std::upper_bound(s.ends.begin(), s.ends.end(), bit / 8) -
+            s.ends.begin());
+        FleetFrameReader::Status last;
+        const auto got = decodeAll(bytes, bytes.size(), last);
+        EXPECT_NE(last, FleetFrameReader::Status::Ready);
+        ASSERT_EQ(got.size(), damaged) << "bit " << bit;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], s.payloads[i]);
+    }
+}
+
+TEST(FleetMultiProcess, MatchesInProcessWithAndWithoutDeviceResults)
+{
+    const FleetSpec spec = smallFleet(29, 6);
+    for (bool keep : {true, false}) {
+        SCOPED_TRACE(keep ? "keep_device_results" : "digests only");
+        FleetOptions opts;
+        opts.num_workers = 2;
+        opts.checkpoint_every_tasks = 2;
+        opts.keep_device_results = keep;
+        opts.store_dir = freshDir("fleet-par-ip");
+        const FleetResult ip = runFleetInProcess(spec, opts);
+        opts.store_dir = freshDir("fleet-par-mp");
+        const FleetResult mp = runFleetMultiProcess(spec, opts);
+        ASSERT_TRUE(ip.allOk());
+        ASSERT_TRUE(mp.allOk());
+
+        // The sealed wire form covers every aggregate field bit-exactly.
+        EXPECT_EQ(serializeFleetAggregates(ip.aggregates, 0),
+                  serializeFleetAggregates(mp.aggregates, 0));
+        ASSERT_EQ(mp.devices.size(), ip.devices.size());
+        for (std::size_t d = 0; d < ip.devices.size(); ++d) {
+            const FleetDeviceOutcome &a = ip.devices[d];
+            const FleetDeviceOutcome &b = mp.devices[d];
+            EXPECT_TRUE(b.completed);
+            EXPECT_EQ(a.checkpoint_digest, b.checkpoint_digest);
+            EXPECT_EQ(a.result.tasks_completed, b.result.tasks_completed);
+            EXPECT_EQ(a.result.total_energy, b.result.total_energy);
+            EXPECT_EQ(a.result.peak_junction, b.result.peak_junction);
+            EXPECT_EQ(a.result.tasks.size(), b.result.tasks.size());
+            EXPECT_EQ(b.result.tasks.empty(), !keep);
+        }
+    }
 }
 
 } // namespace
