@@ -140,6 +140,13 @@ class Cache
         counters.hits += n;
     }
 
+    /**
+     * Count @p n hits that repeat the latest accessIfPresent() hit
+     * with the same line and access type. That hit left its way MRU,
+     * so a repeat changes nothing but the hit counter.
+     */
+    void countHits(std::uint64_t n) { counters.hits += n; }
+
     /** True when @p line is present and dirty. */
     bool isDirty(std::uint64_t line) const;
 

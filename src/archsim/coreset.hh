@@ -64,6 +64,9 @@ class CoreSet
     /** Largest id the set can hold members below. */
     int capacity() const { return n; }
 
+    /** Backing word @p w: core c is bit c % 64 of word c / 64. */
+    std::uint64_t word(std::size_t w) const { return words[w]; }
+
     /** Invoke @p fn(core_id) for each member in ascending id order. */
     template <typename Fn>
     void forEach(Fn &&fn) const

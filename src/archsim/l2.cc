@@ -257,21 +257,67 @@ SharedL2::writebackFromL1(std::uint64_t line, int from, Cycles now)
 }
 
 void
-SharedL2::dropCore(int core, std::vector<Cache> &l1s)
+SharedL2::dropCores(const CoreSet &drop, std::vector<Cache> &l1s)
 {
+    SPRINT_ASSERT(drop.capacity() == num_cores,
+                  "drop set does not match the directory width");
+    if (drop.empty())
+        return;
+    // A sorted inline list entirely outside [lo, hi] holds no dropped
+    // sharer.
+    int lo = -1;
+    int hi = -1;
+    drop.forEach([&](int c) {
+        if (lo < 0)
+            lo = c;
+        hi = c;
+    });
+    const auto dropSharer = [&](DirEntry &entry, std::uint64_t line,
+                                int c) {
+        if (l1s[static_cast<std::size_t>(c)].invalidate(line))
+            entry.l2_dirty = true;
+        l1_mutations.add(c);
+        if (entry.dirty_owner == c)
+            entry.dirty_owner = -1;
+    };
     for (std::size_t slot = 0; slot < dir.size(); ++slot) {
         DirEntry &entry = dir[slot];
-        if (!tags.validAt(slot) || !hasSharer(entry, core))
+        if (!entry.overflow) {
+            if (entry.nptr == 0 || entry.ptr[entry.nptr - 1] < lo ||
+                entry.ptr[0] > hi || !tags.validAt(slot))
+                continue;
+            const std::uint64_t line = tags.lineAt(slot);
+            int kept = 0;
+            for (int i = 0; i < entry.nptr; ++i) {
+                const int c = entry.ptr[i];
+                if (drop.contains(c))
+                    dropSharer(entry, line, c);
+                else
+                    entry.ptr[kept++] = entry.ptr[i];
+            }
+            entry.nptr = static_cast<std::uint8_t>(kept);
             continue;
-        if (l1s[static_cast<std::size_t>(core)].invalidate(
-                tags.lineAt(slot)))
-            entry.l2_dirty = true;
-        l1_mutations.add(core);
-        removeSharer(entry, core);
-        if (entry.dirty_owner == core)
-            entry.dirty_owner = -1;
+        }
+        std::uint64_t *words =
+            &pool[static_cast<std::size_t>(entry.ovf) * words_per_block];
+        std::uint64_t any = 0;
+        for (std::size_t w = 0; w < words_per_block; ++w)
+            any |= words[w] & drop.word(w);
+        if (any == 0 || !tags.validAt(slot))
+            continue;
+        const std::uint64_t line = tags.lineAt(slot);
+        for (std::size_t w = 0; w < words_per_block; ++w) {
+            std::uint64_t hit = words[w] & drop.word(w);
+            words[w] &= ~hit;
+            while (hit) {
+                dropSharer(entry, line,
+                           static_cast<int>(w * 64) + __builtin_ctzll(hit));
+                hit &= hit - 1;
+            }
+        }
     }
-    l1s[static_cast<std::size_t>(core)].flush();
+    drop.forEach(
+        [&](int c) { l1s[static_cast<std::size_t>(c)].flush(); });
 }
 
 int

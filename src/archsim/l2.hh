@@ -26,6 +26,12 @@
  * entry onto the bitset path and serves as the differential baseline
  * for the spill machinery (tests/differential_test.cc holds the two
  * representations bit-identical).
+ *
+ * Deactivating cores (sprint-exhaustion consolidation, a narrowing
+ * warm start) costs one walk of the directory for the whole set of
+ * dropped cores, not one per core: an entry with no dropped sharer is
+ * passed over after one check — a range test on the sorted inline
+ * list, or an AND of the overflow block with the dropped set.
  */
 
 #ifndef CSPRINT_ARCHSIM_L2_HH
@@ -99,8 +105,16 @@ class SharedL2
      */
     void writebackFromL1(std::uint64_t line, int from, Cycles now);
 
-    /** Drop core @p core from all sharer sets (core deactivated). */
-    void dropCore(int core, std::vector<Cache> &l1s);
+    /**
+     * Deactivate every core in @p drop (capacity numCores()) in one
+     * directory pass: each dropped core's L1 copies are invalidated
+     * (a dirty copy marks the L2 line dirty), the core leaves every
+     * sharer set and dirty-owner field, it is recorded as an L1
+     * mutation, and its L1 is flushed. Effects of different cores on
+     * one entry commute, so the result equals dropping the members
+     * one at a time in any order.
+     */
+    void dropCores(const CoreSet &drop, std::vector<Cache> &l1s);
 
     /**
      * Fill @p out with the cores whose L1s an access(line, write,
@@ -117,7 +131,7 @@ class SharedL2
 
     /**
      * Fill @p out with the cores whose L1 contents this L2 has
-     * mutated (invalidations, downgrades, inclusion recalls, dropCore)
+     * mutated (invalidations, downgrades, inclusion recalls, dropCores)
      * since the last call, then clear the pending set. The machine's
      * event loop uses it to invalidate cached stride probes precisely.
      */

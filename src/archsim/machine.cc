@@ -8,6 +8,21 @@
 
 namespace csprint {
 
+namespace {
+
+/**
+ * tryBatch's register tally: kBatchKinds per-kind op counts of
+ * kBatchCountBits each, packed in one 64-bit word and flushed at
+ * least every kBatchMaxRun ops (the largest count a field holds).
+ */
+constexpr std::size_t kBatchKinds = 5;
+constexpr unsigned kBatchCountBits = 12;
+constexpr std::uint64_t kBatchMaxRun = (1u << kBatchCountBits) - 1;
+static_assert(kBatchKinds * kBatchCountBits <= 64,
+              "packed batch tally exceeds one word");
+
+} // namespace
+
 MachineConfig
 MachineConfig::paper16(int threads)
 {
@@ -391,6 +406,13 @@ Cycles
 Machine::tryBatch(Core &core, Thread &thread, Cycles limit,
                   bool allow_mem)
 {
+    // Op kinds a batch can retire: IntAlu..Branch, indices 0..4.
+    static_assert(opKindIndex(OpKind::IntAlu) < kBatchKinds &&
+                      opKindIndex(OpKind::FpAlu) < kBatchKinds &&
+                      opKindIndex(OpKind::Load) < kBatchKinds &&
+                      opKindIndex(OpKind::Store) < kBatchKinds &&
+                      opKindIndex(OpKind::Branch) < kBatchKinds,
+                  "batchable op kinds must fit the packed tally");
     Cache &l1 = l1s[core.id];
     const MicroOp *ops = thread.buf.data();
     const std::size_t start = thread.buf_pos;
@@ -398,25 +420,46 @@ Machine::tryBatch(Core &core, Thread &thread, Cycles limit,
     const std::size_t end =
         std::min<std::size_t>(thread.buf_len,
                               start + static_cast<std::size_t>(limit));
+    // (line << 1 | store) of the last memory op, which hit: that hit
+    // left its way MRU (and a store found it dirty), so an immediate
+    // repeat changes nothing in the L1 but its hit counter.
+    std::uint64_t memo = ~std::uint64_t(0);
+    std::uint64_t memo_hits = 0;
     while (i < end) {
-        const MicroOp &op = ops[i];
-        if (isComputeOp(op.kind())) {
-            chargeOp(op.kind());
-            ++i;
-            continue;
+        // Per-kind op counts live in one register, kBatchCountBits per
+        // kind, flushed before any field can overflow.
+        const std::size_t stop =
+            std::min<std::size_t>(end, i + kBatchMaxRun);
+        std::uint64_t counts = 0;
+        for (; i < stop; ++i) {
+            const MicroOp op = ops[i];
+            const OpKind kind = op.kind();
+            if (!isComputeOp(kind)) {
+                // Memory hits reach this point only when no other core
+                // can interleave a coherence action inside the batch
+                // window: exactly one active core.
+                if (!allow_mem || !isMemoryOp(kind))
+                    break;
+                const bool store = kind == OpKind::Store;
+                const std::uint64_t line = op.addr() >> line_shift;
+                const std::uint64_t key = (line << 1) | store;
+                if (key == memo)
+                    ++memo_hits;
+                else if (l1.accessIfPresent(line, store))
+                    memo = key;
+                else
+                    break;
+            }
+            counts += std::uint64_t(1)
+                      << (kBatchCountBits * opKindIndex(kind));
         }
-        // Memory hits reach this point only when no other core can
-        // interleave a coherence action inside the batch window:
-        // exactly one active core, or a stride-verified commit.
-        if (isMemoryOp(op.kind()) && allow_mem &&
-            l1.accessIfPresent(op.addr() >> line_shift,
-                               op.kind() == OpKind::Store)) {
-            chargeOp(op.kind());
-            ++i;
-            continue;
-        }
-        break;
+        for (std::size_t k = 0; k < kBatchKinds; ++k)
+            tally.ops[k] += (counts >> (kBatchCountBits * k)) &
+                            kBatchMaxRun;
+        if (i < stop)
+            break;
     }
+    l1.countHits(memo_hits);
     thread.buf_pos = i;
     return static_cast<Cycles>(i - start);
 }
@@ -1061,10 +1104,14 @@ Machine::warmStartFrom(Machine &prev)
     // Narrowing re-activation: cores this machine does not have lose
     // their L1 contents. Dropping them from the predecessor's
     // directory first keeps the adopted directory consistent with the
-    // adopted L1 set (dropCore recalls dirty lines into the L2, so no
+    // adopted L1 set (dropCores recalls dirty lines into the L2, so no
     // data is lost to the model).
-    for (int c = cfg.num_cores; c < prev.cfg.num_cores; ++c)
-        prev.l2->dropCore(c, prev.l1s);
+    if (prev.cfg.num_cores > cfg.num_cores) {
+        CoreSet gone(prev.cfg.num_cores);
+        for (int c = cfg.num_cores; c < prev.cfg.num_cores; ++c)
+            gone.add(c);
+        prev.l2->dropCores(gone, prev.l1s);
+    }
     const int shared = std::min(cfg.num_cores, prev.cfg.num_cores);
     for (int c = 0; c < shared; ++c) {
         l1s[c] = std::move(prev.l1s[c]);
@@ -1083,6 +1130,7 @@ Machine::consolidateToSingleCore()
     if (active_cores == 1)
         return;
     std::vector<std::size_t> all_threads;
+    CoreSet gone(cfg.num_cores);
     for (auto &core : cores) {
         for (std::size_t t : core.run_queue)
             all_threads.push_back(t);
@@ -1091,9 +1139,10 @@ Machine::consolidateToSingleCore()
         core.idle_repeat = false;
         if (core.id != 0) {
             core.active = false;
-            l2->dropCore(core.id, l1s);
+            gone.add(core.id);
         }
     }
+    l2->dropCores(gone, l1s);
     std::sort(all_threads.begin(), all_threads.end());
     cores[0].run_queue = std::move(all_threads);
     cores[0].rr = 0;

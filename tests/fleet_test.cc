@@ -169,16 +169,45 @@ TEST(FleetSampling, DigestTracksSpecContent)
     EXPECT_EQ(fleetSpecDigest(base), fleetSpecDigest(smallFleet(1, 8)));
 }
 
-TEST(FleetSampling, CorruptSpecBlobIsRejected)
+/** A sealed spec blob with a fault plan, as workers receive it. */
+std::vector<std::uint8_t>
+sampleSpecBlob()
 {
-    const FleetSpec spec = smallFleet(3, 4);
-    auto blob = serializeFleetSpec(spec, {}, {});
-    blob[blob.size() / 2] ^= 0x40;
-    FleetSpec out;
     FaultPlan plan;
+    plan.faults.push_back({1, FaultKind::KillWorker, 2});
     FleetOptions opts;
-    EXPECT_THROW(deserializeFleetSpec(blob, out, plan, opts),
-                 CheckpointError);
+    opts.checkpoint_every_tasks = 3;
+    return serializeFleetSpec(smallFleet(3, 4), plan, opts);
+}
+
+TEST(FleetSampling, EverySpecTruncationIsRejected)
+{
+    const std::vector<std::uint8_t> blob = sampleSpecBlob();
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+        const std::vector<std::uint8_t> prefix(blob.begin(),
+                                               blob.begin() + len);
+        FleetSpec out;
+        FaultPlan plan;
+        FleetOptions opts;
+        EXPECT_THROW(deserializeFleetSpec(prefix, out, plan, opts),
+                     CheckpointError)
+            << "prefix of " << len << " bytes";
+    }
+}
+
+TEST(FleetSampling, EverySpecBitFlipIsRejected)
+{
+    const std::vector<std::uint8_t> blob = sampleSpecBlob();
+    for (std::size_t bit = 0; bit < 8 * blob.size(); ++bit) {
+        std::vector<std::uint8_t> bad = blob;
+        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        FleetSpec out;
+        FaultPlan plan;
+        FleetOptions opts;
+        EXPECT_THROW(deserializeFleetSpec(bad, out, plan, opts),
+                     CheckpointError)
+            << "flipped bit " << bit;
+    }
 }
 
 TEST(FleetRanges, CoverContiguousAndBalanced)

@@ -32,6 +32,7 @@ struct RunCapture
     MachineStats machine;
     L2Stats l2;
     MemoryStats memory;
+    int active_cores = 0;
     std::vector<std::pair<Seconds, Joules>> samples;
 };
 
@@ -61,6 +62,7 @@ expectIdentical(const RunCapture &ref, const RunCapture &ev)
     EXPECT_EQ(ref.memory.reads, ev.memory.reads);
     EXPECT_EQ(ref.memory.writebacks, ev.memory.writebacks);
     EXPECT_EQ(ref.memory.queued_cycles, ev.memory.queued_cycles);
+    EXPECT_EQ(ref.active_cores, ev.active_cores);
 
     ASSERT_EQ(ref.samples.size(), ev.samples.size());
     for (std::size_t i = 0; i < ref.samples.size(); ++i) {
@@ -97,10 +99,12 @@ runOnce(MachineLoop loop, const std::function<ParallelProgram()> &make,
     capture.machine = machine.stats();
     capture.l2 = machine.l2Stats();
     capture.memory = machine.memoryStats();
+    capture.active_cores = machine.activeCores();
     return capture;
 }
 
-void
+/** Run both loops, compare them, and return the event-driven run. */
+RunCapture
 expectLoopsAgree(const std::function<ParallelProgram()> &make,
                  const MachineConfig &cfg,
                  const HookFactory &hook_factory = nullptr)
@@ -110,6 +114,24 @@ expectLoopsAgree(const std::function<ParallelProgram()> &make,
     const RunCapture ev =
         runOnce(MachineLoop::EventDriven, make, cfg, hook_factory);
     expectIdentical(ref, ev);
+    return ev;
+}
+
+/** Record every sample and consolidate once simTime() passes @p at. */
+HookFactory
+consolidatingHook(Seconds at)
+{
+    return [at](RunCapture &capture) {
+        auto consolidated = std::make_shared<bool>(false);
+        return [&capture, consolidated, at](Machine &m, Seconds dt,
+                                            Joules e) {
+            capture.samples.emplace_back(dt, e);
+            if (!*consolidated && m.simTime() > at) {
+                *consolidated = true;
+                m.consolidateToSingleCore();
+            }
+        };
+    };
 }
 
 MachineConfig
@@ -326,18 +348,116 @@ TEST(MachineDeterminism, ConsolidateToSingleCoreMidRun)
         prog.addPhase(aluPhase(PhaseKind::ParallelStatic, 16, 40000));
         return prog;
     };
-    HookFactory hook = [](RunCapture &capture) {
-        auto consolidated = std::make_shared<bool>(false);
-        return [&capture, consolidated](Machine &m, Seconds dt,
-                                        Joules e) {
-            capture.samples.emplace_back(dt, e);
-            if (!*consolidated && m.simTime() > 20e-6) {
-                *consolidated = true;
-                m.consolidateToSingleCore();
-            }
+    expectLoopsAgree(make, cfgOf(16, 16), consolidatingHook(20e-6));
+}
+
+TEST(MachineDeterminism, SingleCoreSameLineRunsBatchExactly)
+{
+    // The single-core batch path skips the L1 lookup of a memory op
+    // that repeats the last hit's (line, store) pair. Long same-line
+    // load and store runs exercise the skip; a store to a line just
+    // loaded clean needs an S->M upgrade and must still end the batch.
+    // Without a hook, batches run unclamped over whole chunks, whose
+    // 6000 FP ops overflow one field of the packed per-kind tally
+    // unless it is flushed every 4095 ops.
+    auto make = [] {
+        ParallelProgram prog("same_line");
+        Phase p;
+        p.kind = PhaseKind::Serial;
+        p.num_tasks = 2;
+        p.make_task = [](std::size_t t) -> std::unique_ptr<OpStream> {
+            return std::make_unique<ChunkedOpStream>(
+                6, [t](std::size_t chunk, std::vector<MicroOp> &ops) {
+                    ops.clear();
+                    const std::uint64_t line =
+                        0x10000 + 64 * ((t * 6 + chunk) * 7 % 300);
+                    for (int i = 0; i < 1500; ++i)
+                        ops.push_back(MicroOp::load(line + 8 * (i % 8)));
+                    ops.push_back(MicroOp::store(line));  // S -> M
+                    for (int i = 0; i < 1500; ++i) {
+                        ops.push_back(MicroOp::store(line + 8 * (i % 8)));
+                        if (i % 100 == 0)
+                            ops.push_back(MicroOp::intAlu());
+                    }
+                    for (int i = 0; i < 600; ++i) {
+                        ops.push_back(MicroOp::load(line));
+                        ops.push_back(MicroOp::store(line + 8));
+                    }
+                    for (int i = 0; i < 9000; ++i)
+                        ops.push_back(i % 3 ? MicroOp::fpAlu()
+                                            : MicroOp::branch());
+                    ops.push_back(MicroOp::load(line + 64 * 512));
+                });
         };
+        prog.addPhase(std::move(p));
+        return prog;
     };
-    expectLoopsAgree(make, cfgOf(16, 16), hook);
+    expectLoopsAgree(make, cfgOf(1, 1), recordingHook);
+    const RunCapture ev = expectLoopsAgree(make, cfgOf(1, 1));
+    EXPECT_GT(ev.machine.l1_hits, 2u * 6u * 4000u);
+}
+
+/**
+ * Threads that share a read-only table and own a private stripe: every
+ * table line gains many sharers, and stores hit dirty private lines.
+ */
+ParallelProgram
+sharedTableProgram(const char *name, std::size_t threads, int iters)
+{
+    ParallelProgram prog(name);
+    Phase p;
+    p.kind = PhaseKind::ParallelStatic;
+    p.num_tasks = threads;
+    p.make_task = [iters](std::size_t t) -> std::unique_ptr<OpStream> {
+        std::vector<MicroOp> ops;
+        for (int i = 0; i < iters; ++i) {
+            const std::uint64_t table = 0x2000 + 64 * (i % 41);
+            for (int k = 0; k < 4; ++k)
+                ops.push_back(MicroOp::load(table + 8 * k));
+            ops.push_back(MicroOp::intAlu());
+            const std::uint64_t mine =
+                0x400000 + t * 0x10000 + 64 * (i % 90);
+            for (int k = 0; k < 3; ++k)
+                ops.push_back(MicroOp::store(mine + 8 * k));
+            ops.push_back(MicroOp::load(mine));
+        }
+        return std::make_unique<VectorOpStream>(std::move(ops));
+    };
+    prog.addPhase(std::move(p));
+    return prog;
+}
+
+TEST(MachineDeterminism, ConsolidatedMemoryThreadsMultiplexOnCoreZero)
+{
+    // Sixteen memory-heavy threads consolidate mid-run and then
+    // multiplex on core 0 under quantum preemption, running the
+    // single-core batch path across context switches.
+    auto make = [] { return sharedTableProgram("mux_mem", 16, 1500); };
+    MachineConfig cfg = cfgOf(16, 16);
+    cfg.thread_quantum = 6000;
+    const RunCapture ev =
+        expectLoopsAgree(make, cfg, consolidatingHook(15e-6));
+    EXPECT_EQ(ev.active_cores, 1);
+}
+
+TEST(MachineDeterminism, ManyCoreConsolidationOverSpilledEntries)
+{
+    // 128 cores put well over kInlineSharers sharers on every table
+    // line, so the consolidation's single directory pass drops 127
+    // cores from spilled overflow blocks (and from full-map bitsets).
+    auto make = [] { return sharedTableProgram("wide_mux", 128, 120); };
+    for (DirectoryKind kind :
+         {DirectoryKind::Sparse, DirectoryKind::FullMap}) {
+        SCOPED_TRACE(kind == DirectoryKind::Sparse ? "sparse" : "full map");
+        MachineConfig cfg = cfgOf(128, 128);
+        cfg.l2.directory = kind;
+        const RunCapture ev =
+            expectLoopsAgree(make, cfg, consolidatingHook(1e-6));
+        EXPECT_EQ(ev.active_cores, 1);
+        if (kind == DirectoryKind::Sparse) {
+            EXPECT_GT(ev.l2.directory_spills, 0u);
+        }
+    }
 }
 
 TEST(MachineDeterminism, FrequencyThrottleAndEnergySwapMidRun)
