@@ -4,7 +4,7 @@
  * BENCH_manycore.json (schema documented in PERF.md, "Many-core
  * machine").
  *
- * Four sections, each an acceptance gate the tool enforces itself
+ * Two sections, each an acceptance gate the tool enforces itself
  * (non-zero exit on failure):
  *
  *  1. fig10_manycore — the Figure 10 core-count sweep extended past
@@ -18,23 +18,12 @@
  *     FullMap, bit-for-bit across stats, energy, and the junction
  *     trace.
  *
- *  3. dispatch_parity — a 16-core coupled sprint with 1/2/8 host
- *     dispatch threads, bit-for-bit against the serial loop.
- *
- *  4. dispatch_speedup — wall-clock of the raw machine event loop
- *     with 8 dispatch threads vs 1 on a probe-heavy 16-core run. The
- *     >= 2x gate is enforced only when the host exposes >= 8 hardware
- *     threads (CI containers with 1 CPU cannot speed anything up);
- *     bit parity between the timed runs is enforced unconditionally.
- *
  *   ./manycore_report [--out BENCH_manycore.json]
  */
 
-#include <chrono>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/args.hh"
@@ -45,14 +34,6 @@
 using namespace csprint;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-elapsedMs(Clock::time_point a, Clock::time_point b)
-{
-    return std::chrono::duration<double, std::milli>(b - a).count();
-}
 
 /** Bit-for-bit equality of two coupled runs, traces included. */
 bool
@@ -94,28 +75,6 @@ exactSameRun(const RunResult &a, const RunResult &b, std::string &why)
             return fail("junction_trace");
     }
     return true;
-}
-
-/** One timed raw-machine run (no thermal coupling). */
-struct MachineRun
-{
-    double ms = 0.0;
-    MachineStats stats;
-};
-
-MachineRun
-timedMachineRun(const ParallelProgram &prog, SprintConfig cfg,
-                int dispatch_threads)
-{
-    cfg.machine.dispatch_threads = dispatch_threads;
-    std::unique_ptr<Machine> machine = prepareMachine(prog, cfg);
-    const auto t0 = Clock::now();
-    machine->run();
-    const auto t1 = Clock::now();
-    MachineRun r;
-    r.ms = elapsedMs(t0, t1);
-    r.stats = machine->stats();
-    return r;
 }
 
 } // namespace
@@ -172,69 +131,6 @@ main(int argc, char **argv)
                   << "\n";
     }
 
-    // --- Gate 3: parallel dispatch == serial, 1/2/8 threads. --------
-    bool dispatch_ok = true;
-    std::string dispatch_why;
-    {
-        ExperimentSpec spec;
-        spec.kernel = KernelId::Sobel;
-        spec.size = InputSize::A;
-        spec.cores = 16;
-        const RunResult serial = runParallelSprintExperiment(spec);
-        for (int threads : {2, 8}) {
-            ExperimentSpec par = spec;
-            par.dispatch_threads = threads;
-            const RunResult run = runParallelSprintExperiment(par);
-            std::string why;
-            if (!exactSameRun(serial, run, why)) {
-                dispatch_ok = false;
-                dispatch_why =
-                    std::to_string(threads) + " threads: " + why;
-                std::cerr << "dispatch parity MISMATCH ("
-                          << dispatch_why << ")\n";
-            }
-        }
-        std::cout << "dispatch parity (16 cores, 1/2/8 threads): "
-                  << (dispatch_ok ? "exact" : "MISMATCH") << "\n";
-    }
-
-    // --- Gate 4: event-loop wall-clock with 8 dispatch lanes. -------
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool speedup_gated = hw >= 8;
-    bool speedup_ok = true;
-    double serial_ms = 0.0;
-    double parallel_ms = 0.0;
-    double dispatch_speedup = 0.0;
-    {
-        const ParallelProgram prog =
-            buildKernelProgram(KernelId::Sobel, InputSize::C, 42);
-        const SprintConfig cfg =
-            SprintConfig::parallelSprint(16, kFullPcm, 1e-2);
-        timedMachineRun(prog, cfg, 1);  // warm the page cache / JIT-ish
-        const MachineRun serial = timedMachineRun(prog, cfg, 1);
-        const MachineRun parallel = timedMachineRun(prog, cfg, 8);
-        serial_ms = serial.ms;
-        parallel_ms = parallel.ms;
-        dispatch_speedup = serial.ms / parallel.ms;
-        // Parity between the timed runs is unconditional.
-        if (serial.stats.cycles != parallel.stats.cycles ||
-            serial.stats.ops_retired != parallel.stats.ops_retired ||
-            serial.stats.dynamic_energy !=
-                parallel.stats.dynamic_energy) {
-            dispatch_ok = false;
-            dispatch_why = "timed-run stats diverged";
-            std::cerr << "dispatch parity MISMATCH (timed runs)\n";
-        }
-        if (speedup_gated && dispatch_speedup < 2.0)
-            speedup_ok = false;
-        std::cout << "dispatch speedup (16 cores, sobel-C): serial "
-                  << serial_ms << " ms, 8 lanes " << parallel_ms
-                  << " ms, " << dispatch_speedup << "x ("
-                  << hw << " hw threads, gate "
-                  << (speedup_gated ? "enforced" : "advisory") << ")"
-                  << (speedup_ok ? "" : "  FAIL (< 2x)") << "\n";
-    }
-
     // --- Emit the report. -------------------------------------------
     std::ofstream out(out_path);
     if (!out) {
@@ -244,7 +140,7 @@ main(int argc, char **argv)
     }
     out.precision(6);
     out << "{\n"
-        << "  \"schema\": \"csprint-manycore-bench-v1\",\n"
+        << "  \"schema\": \"csprint-manycore-bench-v2\",\n"
         << "  \"fig10_manycore\": {\n"
         << "    \"config\": \"sobel-B, time scale 1e-2, parallel "
            "sprint vs 1-core baseline\",\n"
@@ -263,26 +159,7 @@ main(int argc, char **argv)
         << "    \"exact\": " << (sparse_ok ? "true" : "false");
     if (!sparse_ok)
         out << ",\n    \"first_mismatch\": \"" << sparse_why << "\"";
-    out << "\n  },\n"
-        << "  \"dispatch_parity\": {\n"
-        << "    \"config\": \"16-core sobel-A coupled sprint, 1/2/8 "
-           "dispatch threads + timed raw runs\",\n"
-        << "    \"exact\": " << (dispatch_ok ? "true" : "false");
-    if (!dispatch_ok)
-        out << ",\n    \"first_mismatch\": \"" << dispatch_why << "\"";
-    out << "\n  },\n"
-        << "  \"dispatch_speedup\": {\n"
-        << "    \"config\": \"raw 16-core sobel-C event loop, 8 "
-           "dispatch lanes vs serial\",\n"
-        << "    \"serial_ms\": " << serial_ms << ",\n"
-        << "    \"parallel_ms\": " << parallel_ms << ",\n"
-        << "    \"speedup\": " << dispatch_speedup << ",\n"
-        << "    \"budget_speedup\": 2.0,\n"
-        << "    \"hardware_threads\": " << hw << ",\n"
-        << "    \"gate_enforced\": "
-        << (speedup_gated ? "true" : "false") << ",\n"
-        << "    \"pass\": " << (speedup_ok ? "true" : "false") << "\n"
-        << "  }\n"
+    out << "\n  }\n"
         << "}\n";
     std::cout << "wrote " << out_path << "\n";
 
@@ -292,14 +169,6 @@ main(int argc, char **argv)
     }
     if (!sparse_ok) {
         std::cerr << "FAIL: sparse directory diverged from full map\n";
-        return 1;
-    }
-    if (!dispatch_ok) {
-        std::cerr << "FAIL: parallel dispatch diverged from serial\n";
-        return 1;
-    }
-    if (!speedup_ok) {
-        std::cerr << "FAIL: dispatch speedup below 2x\n";
         return 1;
     }
     return 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/gang.hh"
 #include "common/logging.hh"
 
 namespace csprint {
@@ -76,8 +75,6 @@ Machine::Machine(const MachineConfig &config,
 
     enterPhase(0);
 }
-
-Machine::~Machine() = default;
 
 void
 Machine::setSampleHook(SampleHook new_hook, Cycles quantum)
@@ -792,16 +789,12 @@ Machine::runReference()
 }
 
 void
-Machine::commitRunInto(Core &core, Cycles from, Cycles k,
-                       EnergyTally &et)
+Machine::commitRun(Core &core, Cycles from, Cycles k)
 {
     // Replay @p k stride-verified local ops of the core's current
     // thread, occupying cycles [from, from + k). The probe guarantees
     // each replays as a one-cycle local op, and recorded the hit way
-    // of every memory op, so no lookup happens here. Ops are charged
-    // to @p et — the shared tally in serial contexts, a per-lane
-    // scratch under parallel dispatch (everything else touched here
-    // is owned by @p core).
+    // of every memory op, so no lookup happens here.
     SPRINT_ASSERT(k <= core.probe_local,
                   "stride commit exceeds its probe");
     Thread &thread = threads[core.current];
@@ -811,7 +804,7 @@ Machine::commitRunInto(Core &core, Cycles from, Cycles k,
         // blocker): apply the aggregated counts and replay the packed
         // hit list without touching the op array.
         for (std::size_t kd = 0; kd < kNumOpKinds; ++kd) {
-            et.ops[kd] += core.probe_counts[kd];
+            tally.ops[kd] += core.probe_counts[kd];
             core.probe_counts[kd] = 0;
         }
         l1.commitHits(core.probe_mem.data() + core.probe_mem_pos,
@@ -829,7 +822,7 @@ Machine::commitRunInto(Core &core, Cycles from, Cycles k,
         std::uint32_t mem_n = 0;
         for (; i != end; ++i) {
             const std::size_t kd = opKindIndex(ops[i].kind());
-            ++et.ops[kd];
+            ++tally.ops[kd];
             --core.probe_counts[kd];
             mem_n += isMemoryOp(ops[i].kind());
         }
@@ -843,122 +836,12 @@ Machine::commitRunInto(Core &core, Cycles from, Cycles k,
     next_event[core.id] = from + k;
 }
 
-WorkerGang *
-Machine::dispatchGang()
-{
-    if (cfg.dispatch_gang)
-        return cfg.dispatch_gang->lanes() > 1 ? cfg.dispatch_gang
-                                              : nullptr;
-    if (cfg.dispatch_threads <= 1 || cfg.num_cores <= 1)
-        return nullptr;
-    if (!own_gang) {
-        own_gang = std::make_unique<WorkerGang>(
-            std::min(cfg.dispatch_threads, cfg.num_cores));
-    }
-    return own_gang.get();
-}
-
-void
-Machine::prewarmProbes(WorkerGang &gang)
-{
-    // Serial pre-pass: collect every core the horizon scan below could
-    // ask for a probe extension. Using next_sample_at as the cap makes
-    // this a superset of the serial scan's probe set (its horizon only
-    // shrinks from there), and over-probing is pure lookahead: probes
-    // never touch machine state, so extending one further than the
-    // serial loop would cannot change the scan's outcome.
-    probe_need.clear();
-    const std::size_t ncores = cores.size();
-    const Cycles *ne = next_event.data();
-    const Cycles *re = reach.data();
-    const Cycles *qe = qend.data();
-    for (std::size_t c = 0; c < ncores; ++c) {
-        const Cycles t = ne[c];
-        if (t >= next_sample_at)
-            continue;
-        const Cycles r = std::min(re[c], qe[c]);
-        if (r >= next_sample_at)
-            continue;
-        Core &core = cores[c];
-        if (r <= t && !streamCapable(core, t))
-            continue;  // plain scheduler event: no probe involved
-        Cycles cap = next_sample_at - t;
-        if (qe[c] - t < cap)
-            cap = qe[c] - t;
-        if (!core.probe_blocked && core.probe_local < cap)
-            probe_need.push_back(static_cast<std::uint32_t>(c));
-    }
-    // Below the fanout threshold the fork/join handoff costs more
-    // than the probes; leave them to the serial scan.
-    if (probe_need.size() < 4)
-        return;
-    const int nl = gang.lanes();
-    gang.run([&](int lane) {
-        for (std::size_t i = static_cast<std::size_t>(lane);
-             i < probe_need.size();
-             i += static_cast<std::size_t>(nl)) {
-            const std::size_t c = probe_need[i];
-            Core &core = cores[c];
-            const Cycles t = next_event[c];
-            Cycles cap = next_sample_at - t;
-            if (qend[c] - t < cap)
-                cap = qend[c] - t;
-            probeLocalRun(core, threads[core.current], cap);
-            reach[c] = t + core.probe_local;
-        }
-    });
-}
-
-void
-Machine::mergeTally(EnergyTally &from)
-{
-    for (std::size_t k = 0; k < kNumOpKinds; ++k) {
-        tally.ops[k] += from.ops[k];
-        from.ops[k] = 0;
-    }
-    tally.idle_ticks += from.idle_ticks;
-    tally.l2_accesses += from.l2_accesses;
-    tally.dram_accesses += from.dram_accesses;
-    from.idle_ticks = 0;
-    from.l2_accesses = 0;
-    from.dram_accesses = 0;
-}
-
-void
-Machine::parallelBoundaryCommit(WorkerGang &gang, Cycles horizon)
-{
-    // Commit every deferred local run up to the sample boundary, each
-    // lane taking a strided share of the cores. A commit touches only
-    // its core's state, its thread's cursor, and its own L1; op
-    // charges land in per-lane tallies merged below (integer adds, so
-    // the merged totals match the serial loop's bit-for-bit).
-    const std::size_t ncores = cores.size();
-    const Cycles *ne = next_event.data();
-    const int nl = gang.lanes();
-    if (lane_tallies.size() < static_cast<std::size_t>(nl))
-        lane_tallies.resize(static_cast<std::size_t>(nl));
-    gang.run([&](int lane) {
-        EnergyTally &et = lane_tallies[static_cast<std::size_t>(lane)];
-        for (std::size_t c = static_cast<std::size_t>(lane); c < ncores;
-             c += static_cast<std::size_t>(nl)) {
-            const Cycles t = ne[c];
-            if (t < horizon)
-                commitRunInto(cores[c], t, horizon - t, et);
-        }
-    });
-    for (int l = 0; l < nl; ++l)
-        mergeTally(lane_tallies[static_cast<std::size_t>(l)]);
-}
-
 void
 Machine::runEventLoop()
 {
     constexpr Cycles kMaxCycles = 200ULL * 1000 * 1000 * 1000;
     const std::size_t ncores = cores.size();
-    WorkerGang *const gang = dispatchGang();
     while (!finished() && !aborted && !suspend_pending) {
-        if (gang && !mem_batch_ok)
-            prewarmProbes(*gang);
         // Find the earliest cycle at which anything non-local can
         // happen: a core's first op that is not a verified one-cycle
         // local op (L2-reaching access, lock, PAUSE, refill), a
@@ -1020,14 +903,10 @@ Machine::runEventLoop()
         if (pick < 0) {
             // Nothing due before the sample boundary: commit every
             // deferred local run up to it and fire the hook.
-            if (gang && !mem_batch_ok) {
-                parallelBoundaryCommit(*gang, horizon);
-            } else {
-                for (std::size_t c = 0; c < ncores; ++c) {
-                    const Cycles t = ne[c];
-                    if (t < horizon)
-                        commitRun(cores[c], t, horizon - t);
-                }
+            for (std::size_t c = 0; c < ncores; ++c) {
+                const Cycles t = ne[c];
+                if (t < horizon)
+                    commitRun(cores[c], t, horizon - t);
             }
             cycle = horizon;
             fireSampleHook();

@@ -43,8 +43,6 @@
 
 namespace csprint {
 
-class WorkerGang;
-
 /** Which scheduler loop Machine::run() executes. */
 enum class MachineLoop : unsigned char
 {
@@ -79,28 +77,6 @@ struct MachineConfig
 
     MachineLoop loop = MachineLoop::EventDriven;
 
-    /**
-     * Host threads for the event-driven loop's dispatch work: stride
-     * probes are extended and sample-boundary commits replayed on a
-     * fork/join gang, partitioned by core id. Results are bit-identical
-     * for every value (see PERF.md, "Many-core machine"): the horizon
-     * scan's (cycle, core) outcome is canonical regardless of probe
-     * depth, and commit effects are per-core state plus integer energy
-     * tallies that merge order-independently. 1 = fully serial
-     * (default); ignored by the reference loop and in single-active-
-     * core mode.
-     */
-    int dispatch_threads = 1;
-
-    /**
-     * Optional externally owned gang for the dispatch work, reused
-     * across machines (e.g. one per ExperimentRunner worker thread).
-     * When null and dispatch_threads > 1 the machine lazily spawns a
-     * private gang. The gang must not be forked concurrently by two
-     * machines.
-     */
-    WorkerGang *dispatch_gang = nullptr;
-
     InstructionEnergyModel energy;
 
     /** Sixteen-core sprint chip of the paper's evaluation. */
@@ -129,7 +105,6 @@ class Machine
 {
   public:
     Machine(const MachineConfig &cfg, const ParallelProgram &program);
-    ~Machine();
 
     /**
      * Observer invoked every sampling quantum with the wall-clock
@@ -316,14 +291,14 @@ class Machine
                     bool allow_mem);
     Cycles batchLimit(const Core &core, Cycles now) const;
     bool streamCapable(const Core &core, Cycles now) const;
-    void probeLocalRun(Core &core, const Thread &thread, Cycles cap);
+    // Out of line on purpose: most dispatch scans are served by the
+    // cached reach, and with the probe inlined into the scan loop
+    // (its only caller) csbench's sprint-train ran ~6% slower (GCC 12
+    // -O3 + LTO, 4-thread Xeon).
+    [[gnu::noinline]] void probeLocalRun(Core &core, const Thread &thread,
+                                         Cycles cap);
     void resetProbe(Core &core);
-    void commitRun(Core &core, Cycles from, Cycles k)
-    {
-        commitRunInto(core, from, k, tally);
-    }
-    void commitRunInto(Core &core, Cycles from, Cycles k,
-                       EnergyTally &et);
+    void commitRun(Core &core, Cycles from, Cycles k);
     void precommitL1Targets(std::uint64_t line, bool write,
                             int requester, Cycles now);
     Cycles coreWake(const Core &core, Cycles now) const;
@@ -346,10 +321,6 @@ class Machine
     void runEventLoop();
     void runReference();
     void finishRun();
-    WorkerGang *dispatchGang();
-    void prewarmProbes(WorkerGang &gang);
-    void parallelBoundaryCommit(WorkerGang &gang, Cycles horizon);
-    void mergeTally(EnergyTally &from);
 
     MachineConfig cfg;
     const ParallelProgram &program;
@@ -365,14 +336,6 @@ class Machine
     // num_cores so the hot path never allocates).
     CoreSet peek_targets;
     CoreSet l1_mutated;
-
-    // Parallel dispatch (see MachineConfig::dispatch_threads): the
-    // lazily spawned private gang, per-lane energy scratch tallies,
-    // and the per-iteration list of cores whose probes the horizon
-    // scan could extend.
-    std::unique_ptr<WorkerGang> own_gang;
-    std::vector<EnergyTally> lane_tallies;
-    std::vector<std::uint32_t> probe_need;
 
     std::size_t phase_idx = 0;
     std::size_t serial_next_task = 0;   ///< serial-phase task cursor

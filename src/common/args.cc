@@ -1,11 +1,29 @@
 #include "common/args.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/logging.hh"
 
 namespace csprint {
+
+namespace {
+
+/**
+ * Reject a numeric flag value that strto* did not consume whole: an
+ * empty value, trailing characters, or an out-of-range number is the
+ * user's error.
+ */
+void
+requireWholeNumber(const std::string &name, const std::string &text,
+                   const char *end)
+{
+    if (text.empty() || *end != '\0' || errno == ERANGE)
+        SPRINT_FATAL("bad value for --", name, ": '", text, "'");
+}
+
+} // namespace
 
 ArgParser::ArgParser(int argc, const char *const *argv,
                      const std::vector<std::string> &known)
@@ -54,17 +72,26 @@ double
 ArgParser::getDouble(const std::string &name, double fallback) const
 {
     auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::strtod(it->second.c_str(),
-                                                      nullptr);
+    if (it == flags.end())
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    const double value = std::strtod(it->second.c_str(), &end);
+    requireWholeNumber(name, it->second, end);
+    return value;
 }
 
 long long
 ArgParser::getInt(const std::string &name, long long fallback) const
 {
     auto it = flags.find(name);
-    return it == flags.end()
-               ? fallback
-               : std::strtoll(it->second.c_str(), nullptr, 10);
+    if (it == flags.end())
+        return fallback;
+    char *end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(it->second.c_str(), &end, 10);
+    requireWholeNumber(name, it->second, end);
+    return value;
 }
 
 } // namespace csprint

@@ -3,8 +3,9 @@
  * Minimal command-line flag parsing for the example programs.
  *
  * Supports --name=value and --name value forms plus boolean switches.
- * Unknown flags are fatal (per the fatal/panic convention these are the
- * user's fault, not the library's).
+ * Unknown flags and numeric flags whose value is not wholly a number
+ * are fatal (per the fatal/panic convention these are the user's
+ * fault, not the library's).
  */
 
 #ifndef CSPRINT_COMMON_ARGS_HH
@@ -31,10 +32,17 @@ class ArgParser
     std::string get(const std::string &name,
                     const std::string &fallback) const;
 
-    /** Numeric value for --name, or @p fallback when absent. */
+    /**
+     * Numeric value for --name, or @p fallback when absent. A value
+     * that is empty, has trailing characters, or is out of range is
+     * fatal.
+     */
     double getDouble(const std::string &name, double fallback) const;
 
-    /** Integer value for --name, or @p fallback when absent. */
+    /**
+     * Integer value for --name, or @p fallback when absent; malformed
+     * values are fatal as for getDouble().
+     */
     long long getInt(const std::string &name, long long fallback) const;
 
     /** Positional (non-flag) arguments in order. */

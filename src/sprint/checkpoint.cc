@@ -1308,9 +1308,6 @@ struct CheckpointIO
         d.u64(m.migration_cycles);
         d.i64(m.spin_tries_before_pause);
         d.i64(static_cast<int>(m.loop));
-        // dispatch_threads / dispatch_gang are excluded: results are
-        // bit-identical for every value (gated differentially), so a
-        // checkpoint may move to a host with a different core count.
         const TechParams &tech = m.energy.tech();
         d.i64(tech.node_nm);
         d.f64(tech.vdd);

@@ -43,10 +43,9 @@ namespace csprint {
  * produced it. Callback members (program_factory, task_tuner,
  * policy_factory) contribute presence only: the engine requires them
  * to be pure functions, so equal configs with equal callbacks replay
- * identically. Debug/host knobs that provably do not alter the
- * trajectory (validate_checkpoints, dispatch_threads/dispatch_gang)
- * are excluded, so a checkpoint can move to a host with a different
- * core count or paranoia setting.
+ * identically. The debug knob validate_checkpoints provably does not
+ * alter the trajectory and is excluded, so a checkpoint can move to a
+ * run with a different paranoia setting.
  */
 std::uint32_t scenarioConfigDigest(const ScenarioConfig &cfg);
 

@@ -18,8 +18,6 @@ void
 applyMachineKnobs(MachineConfig &machine, const ExperimentSpec &spec)
 {
     machine.loop = spec.loop;
-    machine.dispatch_threads = spec.dispatch_threads;
-    machine.dispatch_gang = spec.dispatch_gang;
     applyBandwidth(machine, spec.bandwidth_mult);
 }
 

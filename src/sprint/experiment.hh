@@ -48,19 +48,6 @@ struct ExperimentSpec
      * machine-determinism tests hold the two bit-identical).
      */
     MachineLoop loop = MachineLoop::EventDriven;
-    /**
-     * Host threads sharding the event loop's boundary work
-     * (MachineConfig::dispatch_threads); results are bit-identical
-     * for every value. 1 keeps the serial pump.
-     */
-    int dispatch_threads = 1;
-    /**
-     * Reusable fork/join gang for the dispatch shards
-     * (MachineConfig::dispatch_gang); the ExperimentRunner wires one
-     * per pool worker so batched runs don't spawn threads per
-     * machine. Null with dispatch_threads > 1 spawns per machine.
-     */
-    WorkerGang *dispatch_gang = nullptr;
 };
 
 /** Single-core non-sprint baseline for @p spec's kernel and input. */

@@ -1,41 +1,21 @@
 #include "sprint/runner.hh"
 
 #include <algorithm>
-#include <memory>
 
-#include "common/gang.hh"
 #include "common/logging.hh"
 
 namespace csprint {
 
-WorkerGang *
-threadDispatchGang(int lanes)
-{
-    thread_local std::unique_ptr<WorkerGang> gang;
-    thread_local int gang_lanes = 0;
-    if (lanes < 2)
-        return nullptr;
-    if (!gang || gang_lanes != lanes) {
-        gang = std::make_unique<WorkerGang>(lanes);
-        gang_lanes = lanes;
-    }
-    return gang.get();
-}
-
 RunResult
 runExperiment(const ExperimentRun &run)
 {
-    ExperimentRun r = run;
-    if (r.spec.dispatch_threads > 1 && !r.spec.dispatch_gang)
-        r.spec.dispatch_gang =
-            threadDispatchGang(r.spec.dispatch_threads);
-    switch (r.mode) {
+    switch (run.mode) {
       case ExperimentMode::Baseline:
-        return runBaselineExperiment(r.spec);
+        return runBaselineExperiment(run.spec);
       case ExperimentMode::ParallelSprint:
-        return runParallelSprintExperiment(r.spec);
+        return runParallelSprintExperiment(run.spec);
       case ExperimentMode::DvfsSprint:
-        return runDvfsSprintExperiment(r.spec);
+        return runDvfsSprintExperiment(run.spec);
     }
     SPRINT_PANIC("unknown experiment mode");
 }

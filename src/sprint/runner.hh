@@ -73,16 +73,6 @@ struct Checked
 };
 
 /**
- * The calling thread's reusable dispatch gang, lazily spawned (and
- * re-spawned when @p lanes changes) and kept for the thread's
- * lifetime; null when @p lanes < 2. runExperiment() wires it into
- * specs that ask for dispatch_threads > 1 without naming a gang, so
- * a batch of multi-thread pumps on one ExperimentRunner worker
- * reuses one set of host threads instead of spawning per machine.
- */
-WorkerGang *threadDispatchGang(int lanes);
-
-/**
  * A persistent pool of worker threads for embarrassingly parallel
  * experiment batches.
  *

@@ -312,6 +312,20 @@ TEST(ArgParser, FlagsAndPositionals)
     EXPECT_FALSE(args.has("missing"));
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "input.png");
+
+    // A numeric value must be wholly a number, in range.
+    const char *bad_argv[] = {"prog", "--fd", "x", "--begin", "12abc",
+                              "--empty=", "--big=99999999999999999999",
+                              "--huge=1e999", "--rate", "0.5s"};
+    ArgParser bad(10, bad_argv, {"fd", "begin", "empty", "big", "huge",
+                                 "rate"});
+    EXPECT_DEATH(bad.getInt("fd", 3), "bad value for --fd");
+    EXPECT_DEATH(bad.getInt("begin", 0), "bad value for --begin");
+    EXPECT_DEATH(bad.getInt("empty", 0), "bad value for --empty");
+    EXPECT_DEATH(bad.getDouble("empty", 0.0), "bad value for --empty");
+    EXPECT_DEATH(bad.getInt("big", 0), "bad value for --big");
+    EXPECT_DEATH(bad.getDouble("huge", 0.0), "bad value for --huge");
+    EXPECT_DEATH(bad.getDouble("rate", 0.0), "bad value for --rate");
 }
 
 } // namespace

@@ -265,25 +265,6 @@ TEST(Differential, SparseDirectoryMatchesFullMap)
     }
 }
 
-TEST(Differential, ParallelDispatchMatchesSerial)
-{
-    // Partitioned event-loop dispatch must be bit-identical to the
-    // serial loop for every host thread count.
-    Rng rng(diffSeed() ^ 0x90a11e70ULL);
-    for (int i = 0; i < 3; ++i) {
-        ScenarioConfig cfg = randomScenario(rng);
-        SCOPED_TRACE(describe(cfg, i));
-        const ScenarioResult serial = runScenario(cfg);
-        for (int threads : {2, 8}) {
-            SCOPED_TRACE("dispatch_threads=" +
-                         std::to_string(threads));
-            ScenarioConfig par = cfg;
-            par.platform.machine.dispatch_threads = threads;
-            expectSameScenario(serial, runScenario(par));
-        }
-    }
-}
-
 TEST(Differential, HeapDispatchMatchesGenericScan)
 {
     // The ready queue's Urgency heap against the retained

@@ -515,44 +515,6 @@ TEST(MachineDeterminism, KernelProgramsMatchOnAllKernels)
     }
 }
 
-TEST(MachineDeterminism, ParallelDispatchThreadCountInvariant)
-{
-    // dispatch_threads partitions the skip-ahead probe across host
-    // threads; the committed schedule must be bit-identical to the
-    // serial loop (and, transitively, to the reference loop) for
-    // every lane count.
-    auto make = [] {
-        ParallelProgram prog("par_dispatch");
-        Phase p;
-        p.kind = PhaseKind::ParallelStatic;
-        p.num_tasks = 16;
-        p.make_task = [](std::size_t t) -> std::unique_ptr<OpStream> {
-            std::vector<MicroOp> ops;
-            for (int i = 0; i < 2000; ++i) {
-                ops.push_back(MicroOp::load(0x2000 + 64 * (i % 97)));
-                ops.push_back(MicroOp::intAlu());
-                ops.push_back(MicroOp::store(
-                    0x200000 + t * 0x10000 + 64 * (i % 120)));
-                if (i % 31 == 30)
-                    ops.push_back(MicroOp::store(0x3000));
-            }
-            return std::make_unique<VectorOpStream>(std::move(ops));
-        };
-        prog.addPhase(std::move(p));
-        return prog;
-    };
-    const RunCapture serial = runOnce(MachineLoop::EventDriven, make,
-                                      cfgOf(16, 16), recordingHook);
-    for (int threads : {2, 8}) {
-        SCOPED_TRACE(threads);
-        MachineConfig par = cfgOf(16, 16);
-        par.dispatch_threads = threads;
-        const RunCapture parallel = runOnce(MachineLoop::EventDriven,
-                                            make, par, recordingHook);
-        expectIdentical(serial, parallel);
-    }
-}
-
 TEST(MachineDeterminism, ManyCoreSparseMatchesFullMap)
 {
     // 256 cores reading one shared table puts >64 sharers on each
@@ -594,7 +556,7 @@ TEST(MachineDeterminism, ManyCoreSparseMatchesFullMap)
 TEST(MachineDeterminism, RunsAt1024Cores)
 {
     // The former 64-core ceiling: a 1024-core machine must construct,
-    // run to completion, and stay thread-count invariant.
+    // run to completion, and match the reference loop bit-for-bit.
     auto make = [] {
         ParallelProgram prog("kilocored");
         Phase p;
@@ -611,14 +573,12 @@ TEST(MachineDeterminism, RunsAt1024Cores)
         prog.addPhase(std::move(p));
         return prog;
     };
-    const RunCapture serial = runOnce(MachineLoop::EventDriven, make,
-                                      cfgOf(1024, 1024), recordingHook);
-    EXPECT_EQ(serial.machine.ops_retired, 1024u * 200u);
-    MachineConfig par = cfgOf(1024, 1024);
-    par.dispatch_threads = 8;
-    const RunCapture parallel = runOnce(MachineLoop::EventDriven, make,
-                                        par, recordingHook);
-    expectIdentical(serial, parallel);
+    const RunCapture ref = runOnce(MachineLoop::Reference, make,
+                                   cfgOf(1024, 1024), recordingHook);
+    const RunCapture ev = runOnce(MachineLoop::EventDriven, make,
+                                  cfgOf(1024, 1024), recordingHook);
+    EXPECT_EQ(ev.machine.ops_retired, 1024u * 200u);
+    expectIdentical(ref, ev);
 }
 
 TEST(MachineDeterminism, CoupledJunctionTraceIdentical)
