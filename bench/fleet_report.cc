@@ -23,17 +23,28 @@
  *     protocol, and checkpoint reaping are bounded overheads); the
  *     speedup field itself is advisory.
  *
+ *  5. parent_memory — the multi-process parent's peak RSS is flat in
+ *     the device count: fleets of 64 and 512 devices each run in a
+ *     fresh re-exec of this binary (--probe-devices N), which reports
+ *     its own RUSAGE_SELF peak, and the growth between them stays
+ *     within 8 KB per device.
+ *
  *   ./fleet_report [--out BENCH_fleet.json] [--devices N]
  *                  [--workers W] [--seed S]
  */
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include "common/args.hh"
 #include "common/stats.hh"
@@ -190,12 +201,59 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
+/** Fleet sizes of the parent-memory probe, and its growth bound. */
+constexpr int kProbeSmall = 64;
+constexpr int kProbeLarge = 512;
+constexpr double kProbeBoundKbPerDevice = 8.0;
+
+/**
+ * Probe child: run one multi-process fleet of @p devices and print
+ * this process's peak RSS in KB (the workers are other processes and
+ * do not count).
+ */
+int
+probeParentMemory(std::uint64_t seed, int devices, int workers)
+{
+    const FleetOptions opts = fleetOptions("probe", workers);
+    const FleetResult res =
+        runFleetMultiProcess(benchFleet(seed, devices), opts);
+    std::error_code ec;
+    std::filesystem::remove_all(opts.store_dir, ec);
+    rusage ru{};
+    ::getrusage(RUSAGE_SELF, &ru);
+    std::cout << "peak_rss_kb " << ru.ru_maxrss << "\n";
+    return res.allOk() ? 0 : 1;
+}
+
+/** Re-exec this binary as a probe child; its peak RSS in KB, or -1. */
+long
+probeChildPeakKb(std::uint64_t seed, int devices, int workers)
+{
+    char exe[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+    if (n <= 0)
+        return -1;
+    exe[n] = '\0';
+    const std::string cmd = "'" + std::string(exe) + "' --probe-devices " +
+                            std::to_string(devices) + " --workers " +
+                            std::to_string(workers) + " --seed " +
+                            std::to_string(seed);
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe)
+        return -1;
+    long kb = -1;
+    if (std::fscanf(pipe, "peak_rss_kb %ld", &kb) != 1)
+        kb = -1;
+    return ::pclose(pipe) == 0 ? kb : -1;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    ArgParser args(argc, argv, {"out", "devices", "workers", "seed"});
+    ArgParser args(argc, argv,
+                   {"out", "devices", "workers", "seed", "probe-devices"});
     const std::string out_path = args.get("out", "BENCH_fleet.json");
     const int devices = static_cast<int>(args.getInt("devices", 64));
     const int workers = static_cast<int>(args.getInt("workers", 4));
@@ -208,6 +266,10 @@ main(int argc, char **argv)
         seed = std::strtoull(env, nullptr, 10);
     seed = static_cast<std::uint64_t>(
         args.getInt("seed", static_cast<long long>(seed)));
+    if (args.has("probe-devices"))
+        return probeParentMemory(
+            seed, static_cast<int>(args.getInt("probe-devices", 0)),
+            workers);
     std::cout << "[ diff-seed ] CSPRINT_DIFF_SEED=" << seed << "\n";
 
     const FleetSpec spec = benchFleet(seed, devices);
@@ -285,6 +347,22 @@ main(int argc, char **argv)
               << (tput_ok ? "" : " — BELOW 0.9x") << ")\n";
     all_ok = all_ok && tput_ok;
 
+    // --- Gate 5: parent memory flat in the device count. -----------
+    const long small_kb = probeChildPeakKb(seed, kProbeSmall, workers);
+    const long large_kb = probeChildPeakKb(seed, kProbeLarge, workers);
+    const double kb_per_device =
+        static_cast<double>(large_kb - small_kb) /
+        (kProbeLarge - kProbeSmall);
+    const bool mem_ok = small_kb > 0 && large_kb > 0 &&
+                        kb_per_device <= kProbeBoundKbPerDevice;
+    std::cout << "parent memory: peak RSS " << small_kb / 1024.0
+              << " MB at " << kProbeSmall << " devices, "
+              << large_kb / 1024.0 << " MB at " << kProbeLarge
+              << " devices (" << kb_per_device << " KB/device"
+              << (mem_ok ? "" : " — OVER BOUND OR PROBE FAILED")
+              << ")\n";
+    all_ok = all_ok && mem_ok;
+
     std::ofstream out(out_path);
     if (!out) {
         std::cerr << "FAIL: cannot open " << out_path
@@ -293,7 +371,7 @@ main(int argc, char **argv)
     }
     out.precision(6);
     out << "{\n"
-        << "  \"schema\": \"csprint-fleet-bench-v1\",\n"
+        << "  \"schema\": \"csprint-fleet-bench-v2\",\n"
         << "  \"diff_seed\": " << seed << ",\n"
         << "  \"fleet\": {\"devices\": " << spec.num_devices
         << ", \"classes\": " << spec.classes.size()
@@ -310,6 +388,12 @@ main(int argc, char **argv)
         << ", \"mp_devices_per_s\": " << mp_rate
         << ", \"mp_speedup_vs_inproc\": " << ratio
         << ", \"pass\": " << (tput_ok ? "true" : "false") << "},\n"
+        << "  \"parent_memory\": {\"devices\": [" << kProbeSmall << ", "
+        << kProbeLarge << "], \"peak_rss_mb\": [" << small_kb / 1024.0
+        << ", " << large_kb / 1024.0
+        << "], \"kb_per_device\": " << kb_per_device
+        << ", \"bound_kb_per_device\": " << kProbeBoundKbPerDevice
+        << ", \"pass\": " << (mem_ok ? "true" : "false") << "},\n"
         << "  \"aggregates\": {\"tasks_completed\": "
         << mp.aggregates.tasks_completed
         << ", \"deadline_slo\": " << mp.aggregates.deadlineSlo()

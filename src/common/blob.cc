@@ -34,17 +34,28 @@ CheckpointError::kindName(Kind kind)
 
 namespace {
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables for the reflected CRC-32 polynomial 0xedb88320:
+ * t[0] is the classic bytewise table and t[k][i] is the CRC of byte i
+ * followed by k zero bytes, so eight input bytes fold in with eight
+ * independent lookups.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
         std::uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
 }
 
 } // namespace
@@ -52,11 +63,21 @@ makeCrcTable()
 std::uint32_t
 crc32(const void *data, std::size_t n, std::uint32_t seed)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; n >= 8; n -= 8, p += 8) {
+        // Little-endian assembly, independent of host byte order.
+        const std::uint32_t lo = c ^ (std::uint32_t(p[0]) |
+                                      std::uint32_t(p[1]) << 8 |
+                                      std::uint32_t(p[2]) << 16 |
+                                      std::uint32_t(p[3]) << 24);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+            t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; n > 0; --n, ++p)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

@@ -123,8 +123,10 @@ class BlobWriter
   private:
     void putLe(std::uint64_t v, int nbytes)
     {
+        std::uint8_t le[8];
         for (int i = 0; i < nbytes; ++i)
-            buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+            le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        buf_.insert(buf_.end(), le, le + nbytes);
     }
 
     std::vector<std::uint8_t> buf_;

@@ -634,13 +634,27 @@ defaultFleetWorkerPath()
 
 // --- In-process transport -------------------------------------------
 
-FleetResult
-runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
-                  const FaultPlan &plan)
+namespace {
+
+/** Reject a run either transport cannot make progress on. */
+void
+validateFleetRun(const FleetSpec &spec, const FleetOptions &opts)
 {
     validateFleetSpec(spec);
     if (opts.store_dir.empty())
         throw std::invalid_argument("FleetOptions::store_dir is required");
+    if (opts.checkpoint_every_tasks == 0)
+        throw std::invalid_argument(
+            "FleetOptions::checkpoint_every_tasks must be >= 1");
+}
+
+} // namespace
+
+FleetResult
+runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
+                  const FaultPlan &plan)
+{
+    validateFleetRun(spec, opts);
 
     std::vector<ScenarioConfig> cfgs;
     std::vector<Celsius> limits;
@@ -698,13 +712,31 @@ runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
                 out.checkpoint_digest =
                     crc32(cands.front().blob.data(),
                           cands.front().blob.size());
-            if (opts.keep_device_results)
-                out.result = std::move(o.result);
         }
         res.aggregates.merge(ra);
         res.workers.push_back(std::move(ws));
     }
     return res;
+}
+
+ScenarioResult
+loadFleetDeviceResult(const FleetSpec &spec, const std::string &store_dir,
+                      int device)
+{
+    const auto cands = CheckpointStore(store_dir).loadCandidates(device);
+    if (cands.empty())
+        throw CheckpointError(CheckpointError::Kind::Io,
+                              "no checkpoint persisted for fleet device " +
+                                  std::to_string(device) + " in " +
+                                  store_dir);
+    const ScenarioConfig cfg = fleetDeviceConfig(spec, device);
+    ScenarioCheckpoint ck = deserializeCheckpoint(cfg, cands.front().blob);
+    if (!ck.done)
+        throw CheckpointError(CheckpointError::Kind::Io,
+                              "fleet device " + std::to_string(device) +
+                                  " has no final checkpoint in " +
+                                  store_dir);
+    return finishScenario(cfg, std::move(ck));
 }
 
 // --- Worker process (csprint-fleet-worker) --------------------------
@@ -925,9 +957,7 @@ FleetResult
 runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                      const FaultPlan &plan)
 {
-    validateFleetSpec(spec);
-    if (opts.store_dir.empty())
-        throw std::invalid_argument("FleetOptions::store_dir is required");
+    validateFleetRun(spec, opts);
 
     const std::string worker_path = opts.worker_path.empty()
                                         ? defaultFleetWorkerPath()
@@ -965,11 +995,9 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         procs[i].next_fold = ranges[i].first;
     }
 
-    const auto foldInOrder = [&](WorkerProc &p, DeviceResult got) {
+    // A folded device's result is dropped: only its digest stays.
+    const auto foldInOrder = [](WorkerProc &p, const DeviceResult &got) {
         p.folded.foldDevice(got.result, got.limit);
-        if (opts.keep_device_results)
-            res.devices[static_cast<std::size_t>(p.next_fold)].result =
-                std::move(got.result);
         ++p.next_fold;
     };
 
@@ -1000,10 +1028,10 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             p.ahead.emplace(d, std::move(got));
             return;
         }
-        foldInOrder(p, std::move(got));
+        foldInOrder(p, got);
         for (auto it = p.ahead.find(p.next_fold); it != p.ahead.end();
              it = p.ahead.find(p.next_fold)) {
-            foldInOrder(p, std::move(it->second));
+            foldInOrder(p, it->second);
             p.ahead.erase(it);
         }
     };
@@ -1263,10 +1291,6 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                  d < p.end; ++d)
                 ra.foldDegradedDevice();
         }
-        if (opts.keep_device_results)
-            for (auto &entry : p.ahead)
-                res.devices[static_cast<std::size_t>(entry.first)].result =
-                    std::move(entry.second.result);
         res.aggregates.merge(ra);
         res.workers.push_back(std::move(ws));
     }

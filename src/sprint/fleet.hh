@@ -21,8 +21,8 @@
  *    SIGKILLed, stalls, or corrupts its pipe) is reaped and respawned
  *    with bounded exponential backoff, resuming every device in its
  *    range from the newest valid persisted checkpoint. The parent
- *    finishes each device's final checkpoint as its frame arrives and
- *    keeps its digest (and its result, when asked), never the blob.
+ *    finishes and folds each device's final checkpoint as its frame
+ *    arrives and keeps only its digest, never the blob or the result.
  *    A range that exhausts its retries is degraded, not dropped:
  *    devices whose final checkpoints were already received still
  *    count, the rest are tallied as degraded devices.
@@ -32,6 +32,11 @@
  * every shared aggregate field and per-device checkpoint digest, and
  * a run SIGKILLed at a random checkpoint equals the uninterrupted run
  * bit-for-bit after recovery — both under a rotating seed.
+ *
+ * The parent's per-device state is O(1) in both transports: a
+ * FleetDeviceOutcome is a completion flag and a digest. A device's
+ * full ScenarioResult stays in the checkpoint store as its final
+ * checkpoint; loadFleetDeviceResult() reads it back on demand.
  *
  * Aggregates are mergeable: each worker folds its range into a
  * FleetAggregates (counters, maxima, and streaming P² response
@@ -207,7 +212,10 @@ struct FleetOptions
     /** Worker processes / shard ranges (clamped to the device count). */
     int num_workers = 2;
 
-    /** Persist a checkpoint after every this many completed tasks. */
+    /**
+     * Persist a checkpoint after every this many completed tasks;
+     * must be >= 1 (both transports throw std::invalid_argument on 0).
+     */
     std::uint64_t checkpoint_every_tasks = 4;
 
     /** Respawns allowed per worker before its range degrades. */
@@ -231,12 +239,13 @@ struct FleetOptions
 
     /** validateCheckpoint() every checkpoint before persisting. */
     bool paranoia = false;
-
-    /** Retain per-device ScenarioResults in the FleetResult. */
-    bool keep_device_results = true;
 };
 
-/** What became of one device of a fleet run. */
+/**
+ * What became of one device of a fleet run: a flag and a digest, so
+ * the parent's memory does not grow with the device's traces. The
+ * device's result lives in the store (loadFleetDeviceResult).
+ */
 struct FleetDeviceOutcome
 {
     /** Final checkpoint received (directly or via the store). */
@@ -244,10 +253,9 @@ struct FleetDeviceOutcome
 
     /** CRC32 of the final persisted checkpoint blob; 0 when absent. */
     std::uint32_t checkpoint_digest = 0;
-
-    /** Final result; meaningful when completed && keep_device_results. */
-    ScenarioResult result;
 };
+static_assert(sizeof(FleetDeviceOutcome) <= 16,
+              "a fleet device outcome must stay O(1) in the parent");
 
 /** Per-worker (per shard range) supervision tallies. */
 struct FleetWorkerStats
@@ -259,6 +267,10 @@ struct FleetWorkerStats
     std::string last_error; ///< last failure reason, for diagnosis
 };
 
+/**
+ * A fleet run: merged aggregates, one O(1) outcome per device (index
+ * = device), and per-range supervision tallies.
+ */
 struct FleetResult
 {
     FleetAggregates aggregates;
@@ -292,6 +304,18 @@ FleetResult runFleetInProcess(const FleetSpec &spec,
 FleetResult runFleetMultiProcess(const FleetSpec &spec,
                                  const FleetOptions &opts,
                                  const FaultPlan &plan = {});
+
+/**
+ * Device @p device's final ScenarioResult, read back from the fleet
+ * store @p store_dir a run of @p spec wrote: its newest persisted
+ * checkpoint, decoded under fleetDeviceConfig(spec, device) and
+ * finished. Throws CheckpointError: the decoder's kind when that
+ * checkpoint is unreadable, Kind::Io when the store holds none or
+ * only a non-final one (the device never completed).
+ */
+ScenarioResult loadFleetDeviceResult(const FleetSpec &spec,
+                                     const std::string &store_dir,
+                                     int device);
 
 /**
  * Entry point of the csprint-fleet-worker binary (tools/

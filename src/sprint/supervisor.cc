@@ -6,6 +6,7 @@
 #include <fstream>
 #include <thread>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "sprint/checkpoint.hh"
 
@@ -147,6 +148,8 @@ runShardToCompletion(const ScenarioConfig &cfg, int shard,
                      ShardProgress &progress,
                      std::vector<std::uint8_t> *final_blob)
 {
+    SPRINT_ASSERT(checkpoint_every_tasks > 0,
+                  "a zero checkpoint cadence never advances shard ", shard);
     // Recover from the newest checkpoint that deserializes cleanly;
     // corrupt or truncated candidates are rejected by their CRC /
     // structure checks and the retained predecessor is used instead.
@@ -354,6 +357,9 @@ runSupervisedScenarioBatch(const std::vector<ScenarioConfig> &shards,
                            const SupervisorOptions &opts,
                            const FaultPlan &plan)
 {
+    if (opts.checkpoint_every_tasks == 0)
+        throw std::invalid_argument(
+            "SupervisorOptions::checkpoint_every_tasks must be >= 1");
     if (opts.store_dir.empty())
         throw CheckpointError(CheckpointError::Kind::Io,
                               "supervisor requires a checkpoint "

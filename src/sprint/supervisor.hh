@@ -161,7 +161,8 @@ struct SupervisorOptions
     /**
      * Persist a checkpoint after every this many completed tasks.
      * Also the slice length handed to advanceScenario, so it bounds
-     * both the work lost to a crash and the heartbeat period.
+     * both the work lost to a crash and the heartbeat period. Must
+     * be >= 1: a zero slice makes no progress.
      */
     std::uint64_t checkpoint_every_tasks = 4;
 
@@ -297,7 +298,8 @@ void faultTruncateFile(const std::string &path);
  * its own thread so the watchdog can observe it.
  *
  * Pre-existing checkpoints in the store are honoured: a batch that
- * was killed externally resumes where its shards left off.
+ * was killed externally resumes where its shards left off. Throws
+ * std::invalid_argument when opts.checkpoint_every_tasks is 0.
  */
 SupervisedBatchResult
 runSupervisedScenarioBatch(const std::vector<ScenarioConfig> &shards,

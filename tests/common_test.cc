@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the common infrastructure: statistics, time series,
- * tables, RNG, and argument parsing.
+ * tables, RNG, argument parsing, and the blob codec's CRC32.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/args.hh"
+#include "common/blob.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -326,6 +329,57 @@ TEST(ArgParser, FlagsAndPositionals)
     EXPECT_DEATH(bad.getInt("big", 0), "bad value for --big");
     EXPECT_DEATH(bad.getDouble("huge", 0.0), "bad value for --huge");
     EXPECT_DEATH(bad.getDouble("rate", 0.0), "bad value for --rate");
+}
+
+/** Bitwise reflected CRC-32 (poly 0xedb88320): the reference. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *p, std::size_t n, std::uint32_t seed)
+{
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, CheckValue)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(check, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReference)
+{
+    Rng rng(7);
+    std::vector<std::uint8_t> buf(256);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+
+    // Every length 0..64 from every misaligned start 0..7, chaining
+    // each result in as the next call's seed.
+    std::uint32_t fast = 0;
+    std::uint32_t ref = 0;
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            const std::uint8_t *p = buf.data() + start;
+            EXPECT_EQ(crc32(p, len), referenceCrc32(p, len, 0))
+                << "start " << start << " len " << len;
+            fast = crc32(p, len, fast);
+            ref = referenceCrc32(p, len, ref);
+            ASSERT_EQ(fast, ref) << "start " << start << " len " << len;
+        }
+    }
+
+    // Split anywhere, a chained CRC equals the one-shot CRC.
+    const std::uint32_t whole = crc32(buf.data(), buf.size());
+    EXPECT_EQ(whole, referenceCrc32(buf.data(), buf.size(), 0));
+    for (std::size_t cut = 0; cut <= buf.size(); cut += 13)
+        EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut,
+                        crc32(buf.data(), cut)),
+                  whole);
 }
 
 } // namespace

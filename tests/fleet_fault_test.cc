@@ -253,6 +253,19 @@ TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
     EXPECT_FALSE(res.devices[2].completed);
     EXPECT_FALSE(res.devices[3].completed);
 
+    // Completed devices read back from the store; the degraded device
+    // has no final checkpoint there, and says so with a typed error.
+    for (int d : {0, 1})
+        EXPECT_GT(loadFleetDeviceResult(spec, opts.store_dir, d)
+                      .tasks_completed,
+                  0u);
+    try {
+        loadFleetDeviceResult(spec, opts.store_dir, 2);
+        FAIL() << "degraded device read back as a final result";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::Io);
+    }
+
     // A later clean run over the same store resumes the persisted
     // devices instead of starting over, and completes the fleet.
     const FleetResult rerun = runFleetMultiProcess(spec, opts);
@@ -287,7 +300,7 @@ TEST(FleetFault, RespawnedThenDegradedRangeFoldsEachDeviceOnce)
 
     FleetAggregates expect;
     for (int d : {0, 1})
-        expect.foldDevice(res.devices[static_cast<std::size_t>(d)].result,
+        expect.foldDevice(loadFleetDeviceResult(spec, opts.store_dir, d),
                           fleetDeviceThermalLimit(
                               spec, fleetDeviceConfig(spec, d)));
     expect.foldDegradedDevice();

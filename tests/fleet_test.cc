@@ -6,8 +6,9 @@
  * aggregates (exact counters, deterministic P² quantile merge that is
  * order-insensitive within an estimator tolerance), wire round-trips,
  * every-truncation and bit-flip sweeps over the pipe frame decoder, a
- * small in-process fleet sanity run, and multi-process parity with
- * and without retained device results. The fault-recovery parity
+ * small in-process fleet sanity run, multi-process parity of the
+ * per-device results read back from each transport's store, and
+ * rejection of a zero checkpoint cadence. The fault-recovery parity
  * gates live in tests/fleet_fault_test.cc and
  * tests/differential_test.cc.
  */
@@ -17,8 +18,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -26,6 +30,7 @@
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
+#include "sprint/supervisor.hh"
 
 namespace csprint {
 namespace {
@@ -560,38 +565,73 @@ TEST(FleetFrames, EveryBitFlipIsRejectedOrIncomplete)
     }
 }
 
-TEST(FleetMultiProcess, MatchesInProcessWithAndWithoutDeviceResults)
+TEST(FleetMultiProcess, StoredDeviceResultsMatchInProcess)
 {
     const FleetSpec spec = smallFleet(29, 6);
-    for (bool keep : {true, false}) {
-        SCOPED_TRACE(keep ? "keep_device_results" : "digests only");
-        FleetOptions opts;
-        opts.num_workers = 2;
-        opts.checkpoint_every_tasks = 2;
-        opts.keep_device_results = keep;
-        opts.store_dir = freshDir("fleet-par-ip");
-        const FleetResult ip = runFleetInProcess(spec, opts);
-        opts.store_dir = freshDir("fleet-par-mp");
-        const FleetResult mp = runFleetMultiProcess(spec, opts);
-        ASSERT_TRUE(ip.allOk());
-        ASSERT_TRUE(mp.allOk());
+    FleetOptions opts;
+    opts.num_workers = 2;
+    opts.checkpoint_every_tasks = 2;
+    const std::string ip_dir = freshDir("fleet-par-ip");
+    const std::string mp_dir = freshDir("fleet-par-mp");
+    opts.store_dir = ip_dir;
+    const FleetResult ip = runFleetInProcess(spec, opts);
+    opts.store_dir = mp_dir;
+    const FleetResult mp = runFleetMultiProcess(spec, opts);
+    ASSERT_TRUE(ip.allOk());
+    ASSERT_TRUE(mp.allOk());
 
-        // The sealed wire form covers every aggregate field bit-exactly.
-        EXPECT_EQ(serializeFleetAggregates(ip.aggregates, 0),
-                  serializeFleetAggregates(mp.aggregates, 0));
-        ASSERT_EQ(mp.devices.size(), ip.devices.size());
-        for (std::size_t d = 0; d < ip.devices.size(); ++d) {
-            const FleetDeviceOutcome &a = ip.devices[d];
-            const FleetDeviceOutcome &b = mp.devices[d];
-            EXPECT_TRUE(b.completed);
-            EXPECT_EQ(a.checkpoint_digest, b.checkpoint_digest);
-            EXPECT_EQ(a.result.tasks_completed, b.result.tasks_completed);
-            EXPECT_EQ(a.result.total_energy, b.result.total_energy);
-            EXPECT_EQ(a.result.peak_junction, b.result.peak_junction);
-            EXPECT_EQ(a.result.tasks.size(), b.result.tasks.size());
-            EXPECT_EQ(b.result.tasks.empty(), !keep);
+    // The sealed wire form covers every aggregate field bit-exactly.
+    EXPECT_EQ(serializeFleetAggregates(ip.aggregates, 0),
+              serializeFleetAggregates(mp.aggregates, 0));
+    ASSERT_EQ(mp.devices.size(), ip.devices.size());
+    for (std::size_t d = 0; d < ip.devices.size(); ++d) {
+        SCOPED_TRACE("device " + std::to_string(d));
+        const int dev = static_cast<int>(d);
+        EXPECT_TRUE(mp.devices[d].completed);
+        EXPECT_EQ(ip.devices[d].checkpoint_digest,
+                  mp.devices[d].checkpoint_digest);
+
+        // Each store's newest blob is the one the outcome digests.
+        for (const auto &[dir, res] :
+             {std::pair{&ip_dir, &ip}, std::pair{&mp_dir, &mp}}) {
+            const auto cands = CheckpointStore(*dir).loadCandidates(dev);
+            ASSERT_FALSE(cands.empty());
+            EXPECT_EQ(crc32(cands.front().blob.data(),
+                            cands.front().blob.size()),
+                      res->devices[d].checkpoint_digest);
         }
+
+        // Full results live in the store and read back bit-equal.
+        const ScenarioResult a = loadFleetDeviceResult(spec, ip_dir, dev);
+        const ScenarioResult b = loadFleetDeviceResult(spec, mp_dir, dev);
+        EXPECT_GT(a.tasks_completed, 0u);
+        EXPECT_EQ(a.tasks_completed, b.tasks_completed);
+        EXPECT_EQ(a.total_energy, b.total_energy);
+        EXPECT_EQ(a.peak_junction, b.peak_junction);
+        EXPECT_EQ(a.tasks.size(), b.tasks.size());
     }
+}
+
+TEST(FleetOptionsCheck, ZeroCheckpointCadenceIsRejected)
+{
+    // A zero slice never advances a device; every entry point must
+    // refuse it up front instead of spinning forever.
+    const FleetSpec spec = smallFleet(3, 2);
+    FleetOptions opts;
+    opts.checkpoint_every_tasks = 0;
+    opts.store_dir = freshDir("fleet-zero");
+    EXPECT_THROW(runFleetInProcess(spec, opts), std::invalid_argument);
+    EXPECT_THROW(runFleetMultiProcess(spec, opts), std::invalid_argument);
+    // Rejected before the spec file is written or a worker spawned.
+    EXPECT_FALSE(std::filesystem::exists(opts.store_dir + "/fleet.spec"));
+
+    SupervisorOptions sopts;
+    sopts.checkpoint_every_tasks = 0;
+    sopts.store_dir = opts.store_dir;
+    EXPECT_THROW(runSupervisedScenarioBatch({fleetDeviceConfig(spec, 0)},
+                                            sopts),
+                 std::invalid_argument);
+    EXPECT_TRUE(std::filesystem::is_empty(opts.store_dir));
 }
 
 } // namespace
