@@ -26,8 +26,9 @@
  *  5. parent_memory — the multi-process parent's peak RSS is flat in
  *     the device count: fleets of 64 and 512 devices each run in a
  *     fresh re-exec of this binary (--probe-devices N), which reports
- *     its own RUSAGE_SELF peak, and the growth between them stays
- *     within 8 KB per device.
+ *     its own VmHWM peak (bench/peak_rss.hh: unlike RUSAGE_SELF, it
+ *     does not inherit this launcher's RSS across exec), and the
+ *     growth between them stays within 8 KB per device.
  *
  *   ./fleet_report [--out BENCH_fleet.json] [--devices N]
  *                  [--workers W] [--seed S]
@@ -43,11 +44,11 @@
 #include <string>
 #include <vector>
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/args.hh"
 #include "common/stats.hh"
+#include "peak_rss.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/supervisor.hh"
@@ -219,9 +220,7 @@ probeParentMemory(std::uint64_t seed, int devices, int workers)
         runFleetMultiProcess(benchFleet(seed, devices), opts);
     std::error_code ec;
     std::filesystem::remove_all(opts.store_dir, ec);
-    rusage ru{};
-    ::getrusage(RUSAGE_SELF, &ru);
-    std::cout << "peak_rss_kb " << ru.ru_maxrss << "\n";
+    std::cout << "peak_rss_kb " << peakRssKb() << "\n";
     return res.allOk() ? 0 : 1;
 }
 

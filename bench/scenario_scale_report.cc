@@ -20,9 +20,10 @@
  *
  *  3. million_task — a 1,000,000-task back-to-back scenario (micro
  *     per-task programs via the program factory, small machine
- *     template) must complete in the bounded-memory trace mode:
- *     traces within the configured capacity, no per-task results
- *     retained, streaming quantiles for the response distribution.
+ *     template) must complete in bounded memory: traces within the
+ *     configured capacity, no per-task results retained, streaming
+ *     quantiles for the response distribution, and peak RSS (VmHWM)
+ *     growing by at most 1 MB over the run.
  *
  *  4. shard_parity — replaying a timeline as a chain of checkpointed
  *     shards (runScenarioSharded) must reproduce the unsharded run
@@ -43,6 +44,7 @@
 
 #include "archsim/opstream.hh"
 #include "common/args.hh"
+#include "peak_rss.hh"
 #include "sprint/experiment.hh"
 #include "sprint/scenario.hh"
 #include "thermal/validation.hh"
@@ -60,22 +62,8 @@ elapsedMs(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/** Peak resident set size in MB from /proc (-1 when unavailable). */
-double
-peakRssMb()
-{
-    std::ifstream status("/proc/self/status");
-    std::string key;
-    while (status >> key) {
-        if (key == "VmHWM:") {
-            double kb = 0.0;
-            status >> kb;
-            return kb / 1024.0;
-        }
-        status.ignore(4096, '\n');
-    }
-    return -1.0;
-}
+/** Gate 3's bound on the million-task run's peak-RSS growth. */
+constexpr double kRssGrowthBoundMb = 1.0;
 
 /** The gap-dominated periodic timeline of gate 1. */
 ScenarioConfig
@@ -257,11 +245,12 @@ main(int argc, char **argv)
 
     // VmHWM is a process-wide high-water mark, so record the baseline
     // set by the earlier gates too: the million-task run is bounded
-    // iff the *growth* over that baseline stays small.
+    // iff the *growth* over that baseline stays small (a missing
+    // /proc reads negative and fails the gate).
     // Setup (validation, cursor seeding, the first package build) is
     // timed apart from the steady-state task loop so tasks/s measures
     // the per-task engine cost, not one-time construction.
-    const double rss_before_mb = peakRssMb();
+    const double rss_before_mb = peakRssKb() / 1024.0;
     const auto m0 = Clock::now();
     ScenarioCheckpoint mck = beginScenario(mcfg);
     const auto m1 = Clock::now();
@@ -276,11 +265,13 @@ main(int argc, char **argv)
     const double million_s = elapsedMs(m0, m3) / 1000.0;
     const double tasks_per_sec =
         static_cast<double>(million.tasks_completed) / steady_s;
-    const double rss_mb = peakRssMb();
+    const double rss_mb = peakRssKb() / 1024.0;
+    const double rss_growth_mb = rss_mb - rss_before_mb;
     const bool million_ok =
         million.tasks_completed ==
             static_cast<std::uint64_t>(million_tasks) &&
-        million.tasks.empty() &&
+        million.tasks.empty() && rss_before_mb > 0.0 &&
+        rss_growth_mb <= kRssGrowthBoundMb &&
         million.junction_trace.size() <= mcfg.trace_capacity &&
         million.power_trace.size() <= mcfg.trace_capacity &&
         million.melt_trace.size() <= mcfg.trace_capacity;
@@ -289,7 +280,7 @@ main(int argc, char **argv)
               << " ms, steady " << steady_s << " s, " << tasks_per_sec
               << " tasks/s), traces "
               << million.junction_trace.size() << " samples, peak RSS "
-              << rss_mb << " MB"
+              << rss_mb << " MB (+" << rss_growth_mb << " MB)"
               << (million_ok ? "" : "  FAIL (unbounded)") << "\n";
 
     // --- Gate 4: sharded replay == unsharded, bit for bit. ----------
@@ -390,6 +381,9 @@ main(int argc, char **argv)
         << ",\n"
         << "    \"rss_before_mb\": " << rss_before_mb << ",\n"
         << "    \"peak_rss_mb\": " << rss_mb << ",\n"
+        << "    \"rss_growth_mb\": " << rss_growth_mb << ",\n"
+        << "    \"budget_rss_growth_mb\": " << kRssGrowthBoundMb
+        << ",\n"
         << "    \"p50_response_s\": " << million.p50_response << ",\n"
         << "    \"p95_response_s\": " << million.p95_response << ",\n"
         << "    \"utilization\": " << million.utilization << ",\n"

@@ -403,17 +403,24 @@ makeExecution(const ScenarioTask &task)
 }
 
 /**
- * The engine's ready queue: insertion-ordered slots (a null marks a
- * dispatched entry) plus, for policies with a declared static
- * dispatch order, a binary heap over per-task dispatch keys so a
- * large simultaneous arrival set dispatches in O(log n) instead of
- * materializing a TaskSnapshot per queued task on every dispatch.
- * The heap realizes exactly the generic scan's pick: the key orders
- * by (priority desc, absolute deadline asc, arrival asc) with the
+ * The engine's ready queue. Policies with the declared Urgency order
+ * keep their entries in a binary heap over per-task dispatch keys, so
+ * a large simultaneous arrival set dispatches in O(log n) instead of
+ * materializing a TaskSnapshot per queued task on every dispatch. The
+ * heap realizes exactly the generic scan's pick: the key orders by
+ * (priority desc, absolute deadline asc, arrival asc) with the
  * insertion sequence as the final tie-break — the stable-first
- * semantics of the preemptive policies' pickUrgent — and Fifo is the
- * insertion sequence alone. Custom policies keep the generic
+ * semantics of the preemptive policies' pickUrgent. Fifo and Custom
+ * policies keep insertion-ordered slots; a dispatch nulls its slot,
+ * Fifo takes the first live one, and Custom keeps the generic
  * pickNext path over the live entries in insertion order.
+ *
+ * Storage follows the live entries, not the train length: the heap
+ * holds exactly the live set, and the slots are compacted in order
+ * once dispatched ones outnumber live ones (at most 2 x live +
+ * kCompactMin slots, amortized O(1) per dispatch). Neither changes a
+ * pick: compaction keeps insertion order, and the heap's sequence
+ * numbers are never renumbered.
  */
 class ReadyQueue
 {
@@ -422,7 +429,10 @@ class ReadyQueue
                std::vector<std::unique_ptr<ScenarioTaskExecution>> from)
         : order_(order)
     {
-        slots_.reserve(from.size());
+        if (order_ == DispatchOrder::Urgency)
+            heap_.reserve(from.size());
+        else
+            slots_.reserve(from.size());
         for (auto &ex : from)
             push(std::move(ex));
     }
@@ -435,11 +445,12 @@ class ReadyQueue
     {
         if (order_ == DispatchOrder::Urgency) {
             const TaskSnapshot s = snapshotOfTask(ex->task);
-            heap_.push_back(HeapKey{s.deadline, s.arrival, s.priority,
-                                    slots_.size()});
+            heap_.push_back(HeapEntry{s.deadline, s.arrival, s.priority,
+                                      next_seq_++, std::move(ex)});
             std::push_heap(heap_.begin(), heap_.end(), dispatchesAfter);
+        } else {
+            slots_.push_back(std::move(ex));
         }
-        slots_.push_back(std::move(ex));
         ++live_;
     }
 
@@ -449,27 +460,26 @@ class ReadyQueue
     {
         if (live_ == 0 || order_ == DispatchOrder::Custom)
             return nullptr;
-        return slots_[order_ == DispatchOrder::Urgency
-                          ? heap_.front().slot
-                          : firstLive()]
-            .get();
+        return order_ == DispatchOrder::Urgency
+                   ? heap_.front().ex.get()
+                   : slots_[firstLive()].get();
     }
 
     /** Dispatch under the declared static order (Fifo or Urgency). */
     std::unique_ptr<ScenarioTaskExecution>
     popOrdered()
     {
-        std::size_t slot;
+        --live_;
         if (order_ == DispatchOrder::Urgency) {
             std::pop_heap(heap_.begin(), heap_.end(), dispatchesAfter);
-            slot = heap_.back().slot;
+            std::unique_ptr<ScenarioTaskExecution> ex =
+                std::move(heap_.back().ex);
             heap_.pop_back();
-        } else {
-            slot = firstLive();
-            head_ = slot + 1;
+            return ex;
         }
-        --live_;
-        return std::move(slots_[slot]);
+        const std::size_t slot = firstLive();
+        head_ = slot + 1;
+        return takeSlot(slot);
     }
 
     /** Live entries, insertion order (the generic pickNext view). */
@@ -477,9 +487,9 @@ class ReadyQueue
     void
     forEachLive(Fn &&fn) const
     {
-        for (const auto &ex : slots_) {
-            if (ex)
-                fn(*ex);
+        for (std::size_t slot = head_; slot < slots_.size(); ++slot) {
+            if (slots_[slot])
+                fn(*slots_[slot]);
         }
     }
 
@@ -488,12 +498,12 @@ class ReadyQueue
     popAt(std::size_t index)
     {
         SPRINT_ASSERT(index < live_, "pickNext index out of range");
-        for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+        for (std::size_t slot = head_; slot < slots_.size(); ++slot) {
             if (!slots_[slot])
                 continue;
             if (index-- == 0) {
                 --live_;
-                return std::move(slots_[slot]);
+                return takeSlot(slot);
             }
         }
         SPRINT_PANIC("ready queue live count out of sync");
@@ -505,9 +515,15 @@ class ReadyQueue
     {
         std::vector<std::unique_ptr<ScenarioTaskExecution>> out;
         out.reserve(live_);
-        for (auto &ex : slots_) {
-            if (ex)
-                out.push_back(std::move(ex));
+        std::sort(heap_.begin(), heap_.end(),
+                  [](const HeapEntry &a, const HeapEntry &b) {
+                      return a.seq < b.seq;
+                  });
+        for (auto &e : heap_)
+            out.push_back(std::move(e.ex));
+        for (std::size_t slot = head_; slot < slots_.size(); ++slot) {
+            if (slots_[slot])
+                out.push_back(std::move(slots_[slot]));
         }
         slots_.clear();
         heap_.clear();
@@ -517,22 +533,26 @@ class ReadyQueue
     }
 
   private:
-    struct HeapKey
+    /** Dispatched slots tolerated before compaction is considered. */
+    static constexpr std::size_t kCompactMin = 64;
+
+    struct HeapEntry
     {
         Seconds deadline;
         Seconds arrival;
         int priority;
-        std::size_t slot; ///< insertion sequence (unique)
+        std::uint64_t seq; ///< insertion sequence (unique)
+        std::unique_ptr<ScenarioTaskExecution> ex;
     };
 
     /**
      * Strict "a dispatches after b": std::push_heap keeps the
      * maximum at the front, so the front is the earliest dispatch.
-     * Slots are unique, making the order total — the heap's pick is
-     * deterministic and equals the stable scan's.
+     * Sequence numbers are unique, making the order total — the
+     * heap's pick is deterministic and equals the stable scan's.
      */
     static bool
-    dispatchesAfter(const HeapKey &a, const HeapKey &b)
+    dispatchesAfter(const HeapEntry &a, const HeapEntry &b)
     {
         if (a.priority != b.priority)
             return a.priority < b.priority;
@@ -540,7 +560,7 @@ class ReadyQueue
             return a.deadline > b.deadline;
         if (a.arrival != b.arrival)
             return a.arrival > b.arrival;
-        return a.slot > b.slot;
+        return a.seq > b.seq;
     }
 
     /** First live slot (Fifo head, skipping dispatched entries). */
@@ -553,11 +573,36 @@ class ReadyQueue
         return slot;
     }
 
+    /**
+     * Empty @p slot (live_ already decremented) and, once dispatched
+     * slots outnumber live ones, slide the live entries down in
+     * insertion order. Slots below head_ are all dispatched.
+     */
+    std::unique_ptr<ScenarioTaskExecution>
+    takeSlot(std::size_t slot)
+    {
+        std::unique_ptr<ScenarioTaskExecution> ex =
+            std::move(slots_[slot]);
+        const std::size_t dispatched = slots_.size() - live_;
+        if (dispatched >= kCompactMin && dispatched > live_) {
+            std::size_t next = 0;
+            for (std::size_t s = head_; s < slots_.size(); ++s) {
+                if (slots_[s])
+                    slots_[next++] = std::move(slots_[s]);
+            }
+            slots_.resize(next);
+            head_ = 0;
+        }
+        return ex;
+    }
+
     DispatchOrder order_;
+    /// Fifo/Custom only
     std::vector<std::unique_ptr<ScenarioTaskExecution>> slots_;
-    std::vector<HeapKey> heap_; ///< Urgency only
+    std::vector<HeapEntry> heap_; ///< Urgency only
     std::size_t live_ = 0;
-    mutable std::size_t head_ = 0; ///< Fifo scan resume point
+    std::uint64_t next_seq_ = 0; ///< Urgency insertion sequence
+    std::size_t head_ = 0;       ///< slots below are all dispatched
 };
 
 /** The serial program build the engine has always performed. */
@@ -789,9 +834,9 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
         policy->restoreState(ck.policy_state);
     const SprintConfig denied_cfg = consolidatedPlatform(cfg.platform);
     // Queue-only policies keep the classic lazy flow: one arrival
-    // materialized per dispatch, no mid-task delivery — so saturating
-    // million-task timelines never build a queue (see
-    // SprintPolicy::preemptive).
+    // materialized per dispatch, no mid-task delivery — so a
+    // saturating back-to-back train holds at most one queued task
+    // (see SprintPolicy::preemptive).
     const bool preemptive = policy->preemptive();
     // Admissibility contract (PERF.md, "Surrogate fidelity tier"):
     // preemption cuts tasks at sample boundaries a bypassed pump does

@@ -12,6 +12,8 @@
  *  - streaming aggregates (keep_task_results = false, traces off) vs
  *    the full-trace engine;
  *  - the streaming arrival cursor vs the materialized timeline;
+ *  - the ready queue's declared dispatch order vs the generic scan,
+ *    on trains long enough to compact the queue;
  *
  * plus a tolerance-gated differential for the Heun thermal integrator
  * against the retained ReferenceEuler.
@@ -459,6 +461,82 @@ TEST(Differential, AuditDemotionDeterminism)
     EXPECT_GT(first.surrogate_demotions, 0);
     expectSameScenario(first, runScenario(cfg));
     expectSameScenario(first, runScenarioSharded(cfg, 13));
+}
+
+/**
+ * A long micro-program train whose tasks differ in length, so a pick
+ * that swaps two tied entries moves the timeline.
+ */
+ScenarioConfig
+compactionTrainScenario(std::uint64_t seed)
+{
+    ScenarioConfig cfg = surrogateTrainScenario(2000, seed);
+    cfg.program_factory = [](const ScenarioTask &task) {
+        return surrogateMicroProgram(
+            task, 512 + 256 * static_cast<int>(task.seed % 5));
+    };
+    return cfg;
+}
+
+/**
+ * Ready-queue compaction parity for one long micro-program train: the
+ * declared dispatch order against the generic pickNext scan, and
+ * shard chains whose checkpoint cuts land after compactions.
+ */
+void
+expectCompactionParity(const ScenarioConfig &cfg)
+{
+    const ScenarioResult declared = runScenario(cfg);
+    ASSERT_EQ(declared.tasks_completed,
+              static_cast<std::uint64_t>(cfg.num_tasks));
+    ScenarioConfig generic = cfg;
+    generic.generic_dispatch = true;
+    {
+        SCOPED_TRACE("generic dispatch");
+        expectSameScenario(declared, runScenario(generic));
+    }
+    for (std::uint64_t shard : {7u, 97u}) {
+        SCOPED_TRACE("shard=" + std::to_string(shard));
+        expectSameScenario(declared, runScenarioSharded(cfg, shard));
+    }
+}
+
+TEST(Differential, QueueCompactionUrgencyBacklog)
+{
+    // A preemptive Qos train arriving faster than it is served keeps
+    // a standing, reordered backlog: urgency picks leave holes
+    // mid-queue, so the generic scan's slots compact around live
+    // entries many times over the train. The Poisson train has
+    // distinct arrivals; the bursty one delivers simultaneous
+    // arrivals whose picks fall to the insertion-order tie-break.
+    Rng rng(diffSeed() ^ 0xc0a1e5ceULL);
+    for (ArrivalPattern pattern :
+         {ArrivalPattern::Poisson, ArrivalPattern::Bursty}) {
+        ScenarioConfig cfg = compactionTrainScenario(rng.next());
+        cfg.policy.kind = SprintPolicyKind::Qos;
+        cfg.pattern = pattern;
+        cfg.period = rng.uniform(1.2e-6, 1.6e-6);
+        cfg.burst_size = 6;
+        cfg.burst_spacing = 0.0;
+        if (pattern == ArrivalPattern::Bursty)
+            cfg.period *= cfg.burst_size;
+        cfg.hi_priority_fraction = 0.5;
+        cfg.deadline_hi = rng.uniform(5e-6, 2e-5);
+        cfg.deadline_lo = rng.uniform() < 0.5 ? 0.0 : 2e-4;
+        SCOPED_TRACE(describe(cfg, 0));
+        expectCompactionParity(cfg);
+    }
+}
+
+TEST(Differential, QueueCompactionFifoTrain)
+{
+    // The saturating one-in, one-out Fifo train: every dispatch
+    // empties the queue, so dispatched slots compact every 64 tasks.
+    Rng rng(diffSeed() ^ 0xf1f0c0deULL);
+    ScenarioConfig cfg = compactionTrainScenario(rng.next());
+    cfg.warm_caches = rng.uniform() < 0.5;
+    SCOPED_TRACE(describe(cfg, 0));
+    expectCompactionParity(cfg);
 }
 
 /** Draw one random fleet population for the transport differential. */
