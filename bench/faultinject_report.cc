@@ -62,59 +62,6 @@ shardScenario(std::uint64_t seed, int tasks)
     return cfg;
 }
 
-/** Bit-exact comparison of two scenario results (incl. traces). */
-bool
-exactSame(const ScenarioResult &a, const ScenarioResult &b,
-          std::string &why)
-{
-    auto fail = [&why](const char *what) {
-        why = what;
-        return false;
-    };
-    if (a.tasks_completed != b.tasks_completed)
-        return fail("tasks_completed");
-    if (a.sprints_granted != b.sprints_granted)
-        return fail("sprints_granted");
-    if (a.sprints_denied != b.sprints_denied)
-        return fail("sprints_denied");
-    if (a.makespan != b.makespan)
-        return fail("makespan");
-    if (a.utilization != b.utilization)
-        return fail("utilization");
-    if (a.p50_response != b.p50_response)
-        return fail("p50_response");
-    if (a.p95_response != b.p95_response)
-        return fail("p95_response");
-    if (a.peak_junction != b.peak_junction)
-        return fail("peak_junction");
-    if (a.total_energy != b.total_energy)
-        return fail("total_energy");
-    if (a.total_sprint_time != b.total_sprint_time)
-        return fail("total_sprint_time");
-    if (a.total_sprint_energy != b.total_sprint_energy)
-        return fail("total_sprint_energy");
-    if (a.peak_melt_fraction != b.peak_melt_fraction)
-        return fail("peak_melt_fraction");
-    if (a.sprint_rest_cycles != b.sprint_rest_cycles)
-        return fail("sprint_rest_cycles");
-    const TimeSeries *ta[] = {&a.junction_trace, &a.power_trace,
-                              &a.melt_trace};
-    const TimeSeries *tb[] = {&b.junction_trace, &b.power_trace,
-                              &b.melt_trace};
-    const char *names[] = {"junction_trace", "power_trace",
-                           "melt_trace"};
-    for (int k = 0; k < 3; ++k) {
-        if (ta[k]->size() != tb[k]->size())
-            return fail(names[k]);
-        for (std::size_t i = 0; i < ta[k]->size(); ++i) {
-            if (ta[k]->timeAt(i) != tb[k]->timeAt(i) ||
-                ta[k]->valueAt(i) != tb[k]->valueAt(i))
-                return fail(names[k]);
-        }
-    }
-    return true;
-}
-
 std::string
 freshDir(const char *tag)
 {
@@ -189,12 +136,13 @@ main(int argc, char **argv)
         const ShardOutcome &shard = batch.shards[0];
         row.retries = shard.retries;
         row.recoveries = shard.recoveries;
-        row.exact = !shard.degraded && shard.retries >= 1 &&
-                    exactSame(direct, shard.result, row.why);
         if (shard.degraded)
             row.why = "shard degraded";
         else if (shard.retries < 1)
             row.why = "fault never fired";
+        else
+            row.why = firstDifference(direct, shard.result);
+        row.exact = row.why.empty();
         std::cout << "recovery parity [" << row.name << "]: "
                   << (row.exact ? "exact" : "MISMATCH");
         if (!row.exact)
@@ -220,10 +168,11 @@ main(int argc, char **argv)
     bool batch_ok = batch.allOk();
     std::string batch_why = batch_ok ? "" : "degraded shard";
     for (std::size_t i = 0; batch_ok && i < shards.size(); ++i) {
-        batch_ok = exactSame(runScenario(shards[i]),
-                             batch.shards[i].result, batch_why);
+        const std::string why =
+            firstDifference(runScenario(shards[i]), batch.shards[i].result);
+        batch_ok = why.empty();
         if (!batch_ok)
-            batch_why = "shard " + std::to_string(i) + ": " + batch_why;
+            batch_why = "shard " + std::to_string(i) + ": " + why;
     }
     std::cout << "randomized batch parity (seed " << seed
               << "): " << (batch_ok ? "exact" : "MISMATCH");

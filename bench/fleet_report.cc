@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -131,67 +130,22 @@ fleetOptions(const char *tag, int workers)
     return opts;
 }
 
-/** Bit-exact comparison of two fleet runs (aggregates + digests). */
-bool
-exactSame(const FleetResult &a, const FleetResult &b, std::string &why)
+/** First difference of two fleet runs (aggregates, then digests). */
+std::string
+firstFleetDifference(const FleetResult &a, const FleetResult &b)
 {
-    auto fail = [&why](const std::string &what) {
-        why = what;
-        return false;
-    };
-    const FleetAggregates &x = a.aggregates;
-    const FleetAggregates &y = b.aggregates;
-    if (x.devices != y.devices)
-        return fail("devices");
-    if (x.degraded_devices != y.degraded_devices)
-        return fail("degraded_devices");
-    if (x.tasks_completed != y.tasks_completed)
-        return fail("tasks_completed");
-    if (x.tasks_dropped != y.tasks_dropped)
-        return fail("tasks_dropped");
-    if (x.deadlines_met != y.deadlines_met)
-        return fail("deadlines_met");
-    if (x.deadlines_missed != y.deadlines_missed)
-        return fail("deadlines_missed");
-    if (x.sprints_granted != y.sprints_granted)
-        return fail("sprints_granted");
-    if (x.sprints_denied != y.sprints_denied)
-        return fail("sprints_denied");
-    if (x.hardware_throttles != y.hardware_throttles)
-        return fail("hardware_throttles");
-    if (x.melt_cycles != y.melt_cycles)
-        return fail("melt_cycles");
-    if (x.thermal_violations != y.thermal_violations)
-        return fail("thermal_violations");
-    if (x.peak_junction != y.peak_junction)
-        return fail("peak_junction");
-    if (x.peak_melt != y.peak_melt)
-        return fail("peak_melt");
-    if (x.total_energy != y.total_energy)
-        return fail("total_energy");
-    if (x.total_sprint_time != y.total_sprint_time)
-        return fail("total_sprint_time");
-    if (x.total_sprint_energy != y.total_sprint_energy)
-        return fail("total_sprint_energy");
-    double sx[P2Quantile::kStateSize];
-    double sy[P2Quantile::kStateSize];
-    x.response_p50.save(sx);
-    y.response_p50.save(sy);
-    if (std::memcmp(sx, sy, sizeof(sx)) != 0)
-        return fail("response_p50 state");
-    x.response_p95.save(sx);
-    y.response_p95.save(sy);
-    if (std::memcmp(sx, sy, sizeof(sx)) != 0)
-        return fail("response_p95 state");
+    std::string why = firstDifference(a.aggregates, b.aggregates);
+    if (!why.empty())
+        return why;
     if (a.devices.size() != b.devices.size())
-        return fail("device count");
+        return "device count";
     for (std::size_t d = 0; d < a.devices.size(); ++d) {
         if (a.devices[d].completed != b.devices[d].completed ||
             a.devices[d].checkpoint_digest !=
                 b.devices[d].checkpoint_digest)
-            return fail("device " + std::to_string(d) + " digest");
+            return "device " + std::to_string(d) + " digest";
     }
-    return true;
+    return "";
 }
 
 double
@@ -294,12 +248,10 @@ main(int argc, char **argv)
         runFleetMultiProcess(spec, fleetOptions("mp", workers));
     const double mp_s = secondsSince(t_mp);
 
-    std::string parity_why;
-    bool parity_ok = ip.allOk() && mp.allOk();
-    if (!parity_ok)
-        parity_why = "degraded range";
-    else
-        parity_ok = exactSame(ip, mp, parity_why);
+    const std::string parity_why = ip.allOk() && mp.allOk()
+                                       ? firstFleetDifference(ip, mp)
+                                       : "degraded range";
+    const bool parity_ok = parity_why.empty();
     std::cout << "transport parity: "
               << (parity_ok ? "exact" : "MISMATCH");
     if (!parity_ok)
@@ -321,13 +273,13 @@ main(int argc, char **argv)
     for (const FleetWorkerStats &w : killed.workers)
         respawns += w.respawns;
     std::string kill_why;
-    bool kill_ok = killed.allOk();
-    if (!kill_ok)
+    if (!killed.allOk())
         kill_why = "degraded range";
     else if (respawns < 1)
-        kill_why = "fault never fired", kill_ok = false;
+        kill_why = "fault never fired";
     else
-        kill_ok = exactSame(mp, killed, kill_why);
+        kill_why = firstFleetDifference(mp, killed);
+    const bool kill_ok = kill_why.empty();
     std::cout << "kill-recovery parity (device " << victim << " seq "
               << at_seq << "): " << (kill_ok ? "exact" : "MISMATCH");
     if (!kill_ok)

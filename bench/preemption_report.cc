@@ -42,60 +42,6 @@ using namespace csprint;
 
 namespace {
 
-/** Exact (bit-for-bit) equality of two coupled-run results. */
-bool
-exactSameRun(const RunResult &a, const RunResult &b, std::string &why)
-{
-    auto fail = [&why](const char *what) {
-        why = what;
-        return false;
-    };
-    if (a.machine.cycles != b.machine.cycles)
-        return fail("machine.cycles");
-    if (a.machine.ops_retired != b.machine.ops_retired)
-        return fail("machine.ops_retired");
-    if (a.machine.ops_by_kind != b.machine.ops_by_kind)
-        return fail("machine.ops_by_kind");
-    if (a.machine.idle_cycles != b.machine.idle_cycles)
-        return fail("machine.idle_cycles");
-    if (a.machine.l1_hits != b.machine.l1_hits)
-        return fail("machine.l1_hits");
-    if (a.machine.l1_misses != b.machine.l1_misses)
-        return fail("machine.l1_misses");
-    if (a.machine.dynamic_energy != b.machine.dynamic_energy)
-        return fail("machine.dynamic_energy");
-    if (a.task_time != b.task_time)
-        return fail("task_time");
-    if (a.dynamic_energy != b.dynamic_energy)
-        return fail("dynamic_energy");
-    if (a.peak_junction != b.peak_junction)
-        return fail("peak_junction");
-    if (a.final_melt_fraction != b.final_melt_fraction)
-        return fail("final_melt_fraction");
-    if (a.sprint_duration != b.sprint_duration)
-        return fail("sprint_duration");
-    if (a.sprint_energy != b.sprint_energy)
-        return fail("sprint_energy");
-    if (a.cooldown_estimate != b.cooldown_estimate)
-        return fail("cooldown_estimate");
-    const TimeSeries *ta[] = {&a.junction_trace, &a.power_trace,
-                              &a.melt_trace};
-    const TimeSeries *tb[] = {&b.junction_trace, &b.power_trace,
-                              &b.melt_trace};
-    const char *names[] = {"junction_trace", "power_trace",
-                           "melt_trace"};
-    for (int k = 0; k < 3; ++k) {
-        if (ta[k]->size() != tb[k]->size())
-            return fail(names[k]);
-        for (std::size_t i = 0; i < ta[k]->size(); ++i) {
-            if (ta[k]->timeAt(i) != tb[k]->timeAt(i) ||
-                ta[k]->valueAt(i) != tb[k]->valueAt(i))
-                return fail(names[k]);
-        }
-    }
-    return true;
-}
-
 /** One pump run, optionally suspended/resumed every k samples. */
 RunResult
 pumpOnce(int suspend_every)
@@ -207,8 +153,8 @@ main(int argc, char **argv)
     std::string parity_why;
     for (int every : {5, 16, 63}) {
         const RunResult sliced = pumpOnce(every);
-        std::string why;
-        if (!exactSameRun(sliced, whole, why)) {
+        const std::string why = firstDifference(sliced, whole);
+        if (!why.empty()) {
             parity_ok = false;
             parity_why = "suspend every " + std::to_string(every) +
                          " samples: " + why;
@@ -235,21 +181,10 @@ main(int argc, char **argv)
     classic.policy.kind = SprintPolicyKind::GreedyActivity;
     const ScenarioResult rq = runScenario(quiet);
     const ScenarioResult rc = runScenario(classic);
-    bool engine_ok = rq.preemptions == 0 &&
-                     rq.makespan == rc.makespan &&
-                     rq.total_energy == rc.total_energy &&
-                     rq.peak_junction == rc.peak_junction &&
-                     rq.p95_response == rc.p95_response &&
-                     rq.junction_trace.size() == rc.junction_trace.size();
-    for (std::size_t i = 0;
-         engine_ok && i < rq.junction_trace.size(); ++i) {
-        engine_ok = rq.junction_trace.timeAt(i) ==
-                        rc.junction_trace.timeAt(i) &&
-                    rq.junction_trace.valueAt(i) ==
-                        rc.junction_trace.valueAt(i);
-    }
+    const std::string engine_why = firstDifference(rq, rc);
+    const bool engine_ok = rq.preemptions == 0 && engine_why.empty();
     std::cout << "no-preempt engine parity: "
-              << (engine_ok ? "exact" : "MISMATCH") << "\n";
+              << (engine_ok ? "exact" : "MISMATCH " + engine_why) << "\n";
 
     // --- Sweep: policy x pattern x deadline tightness.
     const Seconds tight = 4e-4;

@@ -42,73 +42,12 @@ using namespace csprint;
 
 namespace {
 
-/** Exact (bit-for-bit) equality of two coupled-run results. */
-bool
-exactSameRun(const RunResult &a, const RunResult &b, std::string &why)
-{
-    auto fail = [&why](const char *what) {
-        why = what;
-        return false;
-    };
-    if (a.machine.cycles != b.machine.cycles)
-        return fail("machine.cycles");
-    if (a.machine.ops_retired != b.machine.ops_retired)
-        return fail("machine.ops_retired");
-    if (a.machine.ops_by_kind != b.machine.ops_by_kind)
-        return fail("machine.ops_by_kind");
-    if (a.machine.idle_cycles != b.machine.idle_cycles)
-        return fail("machine.idle_cycles");
-    if (a.machine.sleep_cycles != b.machine.sleep_cycles)
-        return fail("machine.sleep_cycles");
-    if (a.machine.barrier_arrivals != b.machine.barrier_arrivals)
-        return fail("machine.barrier_arrivals");
-    if (a.machine.l1_hits != b.machine.l1_hits)
-        return fail("machine.l1_hits");
-    if (a.machine.l1_misses != b.machine.l1_misses)
-        return fail("machine.l1_misses");
-    if (a.machine.dynamic_energy != b.machine.dynamic_energy)
-        return fail("machine.dynamic_energy");
-    if (a.task_time != b.task_time)
-        return fail("task_time");
-    if (a.dynamic_energy != b.dynamic_energy)
-        return fail("dynamic_energy");
-    if (a.peak_junction != b.peak_junction)
-        return fail("peak_junction");
-    if (a.final_melt_fraction != b.final_melt_fraction)
-        return fail("final_melt_fraction");
-    if (a.sprint_exhausted != b.sprint_exhausted)
-        return fail("sprint_exhausted");
-    if (a.hardware_throttled != b.hardware_throttled)
-        return fail("hardware_throttled");
-    if (a.sprint_duration != b.sprint_duration)
-        return fail("sprint_duration");
-    if (a.sprint_energy != b.sprint_energy)
-        return fail("sprint_energy");
-    if (a.cooldown_estimate != b.cooldown_estimate)
-        return fail("cooldown_estimate");
-    if (a.avg_power != b.avg_power)
-        return fail("avg_power");
-    const TimeSeries *ta[] = {&a.junction_trace, &a.power_trace,
-                              &a.melt_trace};
-    const TimeSeries *tb[] = {&b.junction_trace, &b.power_trace,
-                              &b.melt_trace};
-    const char *names[] = {"junction_trace", "power_trace",
-                           "melt_trace"};
-    for (int k = 0; k < 3; ++k) {
-        if (ta[k]->size() != tb[k]->size())
-            return fail(names[k]);
-        for (std::size_t i = 0; i < ta[k]->size(); ++i) {
-            if (ta[k]->timeAt(i) != tb[k]->timeAt(i) ||
-                ta[k]->valueAt(i) != tb[k]->valueAt(i))
-                return fail(names[k]);
-        }
-    }
-    return true;
-}
-
-/** One parity point: greedy-through-scenario vs direct runSprint. */
-bool
-checkParityPoint(Grams pcm, std::string &why)
+/**
+ * One parity point: greedy-through-scenario vs direct runSprint; the
+ * first differing field, or empty.
+ */
+std::string
+parityPointDifference(Grams pcm)
 {
     ScenarioConfig scfg;
     scfg.platform = SprintConfig::parallelSprint(16, pcm);
@@ -124,7 +63,7 @@ checkParityPoint(Grams pcm, std::string &why)
         buildKernelProgram(KernelId::Sobel, InputSize::B, 42);
     const RunResult direct =
         runSprint(prog, SprintConfig::parallelSprint(16, pcm));
-    return exactSameRun(s.tasks.at(0).run, direct, why);
+    return firstDifference(s.tasks.at(0).run, direct);
 }
 
 /** The burst-train showcase: melt/refreeze cycles on a 15 mg point. */
@@ -183,8 +122,8 @@ main(int argc, char **argv)
     bool parity_ok = true;
     std::string parity_why;
     for (Grams pcm : {kSmallPcm, kFullPcm}) {
-        std::string why;
-        if (!checkParityPoint(pcm, why)) {
+        const std::string why = parityPointDifference(pcm);
+        if (!why.empty()) {
             parity_ok = false;
             parity_why = why;
             std::cerr << "parity MISMATCH at pcm " << pcm << " g: "

@@ -107,82 +107,6 @@ microProgram(const ScenarioTask &task)
     return prog;
 }
 
-/** Exact (bit-for-bit) equality of two scenario results. */
-bool
-exactSameScenario(const ScenarioResult &a, const ScenarioResult &b,
-                  std::string &why)
-{
-    auto fail = [&why](const char *what) {
-        why = what;
-        return false;
-    };
-    if (a.tasks_completed != b.tasks_completed)
-        return fail("tasks_completed");
-    if (a.sprints_granted != b.sprints_granted)
-        return fail("sprints_granted");
-    if (a.sprints_denied != b.sprints_denied)
-        return fail("sprints_denied");
-    if (a.sprints_exhausted != b.sprints_exhausted)
-        return fail("sprints_exhausted");
-    if (a.hardware_throttles != b.hardware_throttles)
-        return fail("hardware_throttles");
-    if (a.makespan != b.makespan)
-        return fail("makespan");
-    if (a.utilization != b.utilization)
-        return fail("utilization");
-    if (a.p50_response != b.p50_response)
-        return fail("p50_response");
-    if (a.p95_response != b.p95_response)
-        return fail("p95_response");
-    if (a.peak_junction != b.peak_junction)
-        return fail("peak_junction");
-    if (a.total_energy != b.total_energy)
-        return fail("total_energy");
-    if (a.total_sprint_time != b.total_sprint_time)
-        return fail("total_sprint_time");
-    if (a.total_sprint_energy != b.total_sprint_energy)
-        return fail("total_sprint_energy");
-    if (a.peak_melt_fraction != b.peak_melt_fraction)
-        return fail("peak_melt_fraction");
-    if (a.sprint_rest_cycles != b.sprint_rest_cycles)
-        return fail("sprint_rest_cycles");
-    if (a.tasks.size() != b.tasks.size())
-        return fail("tasks.size");
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        const ScenarioTaskResult &x = a.tasks[i];
-        const ScenarioTaskResult &y = b.tasks[i];
-        if (x.start != y.start || x.finish != y.finish ||
-            x.response != y.response ||
-            x.sprint_granted != y.sprint_granted ||
-            x.melt_at_start != y.melt_at_start ||
-            x.melt_at_end != y.melt_at_end)
-            return fail("task scalars");
-        if (x.run.machine.cycles != y.run.machine.cycles ||
-            x.run.machine.ops_retired != y.run.machine.ops_retired ||
-            x.run.machine.l1_hits != y.run.machine.l1_hits ||
-            x.run.machine.l1_misses != y.run.machine.l1_misses ||
-            x.run.dynamic_energy != y.run.dynamic_energy ||
-            x.run.task_time != y.run.task_time)
-            return fail("task machine stats");
-    }
-    const TimeSeries *ta[] = {&a.junction_trace, &a.power_trace,
-                              &a.melt_trace};
-    const TimeSeries *tb[] = {&b.junction_trace, &b.power_trace,
-                              &b.melt_trace};
-    const char *names[] = {"junction_trace", "power_trace",
-                           "melt_trace"};
-    for (int k = 0; k < 3; ++k) {
-        if (ta[k]->size() != tb[k]->size())
-            return fail(names[k]);
-        for (std::size_t i = 0; i < ta[k]->size(); ++i) {
-            if (ta[k]->timeAt(i) != tb[k]->timeAt(i) ||
-                ta[k]->valueAt(i) != tb[k]->valueAt(i))
-                return fail(names[k]);
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -303,8 +227,8 @@ main(int argc, char **argv)
         for (std::uint64_t shard : {1, 2, 4}) {
             const ScenarioResult sharded =
                 runScenarioSharded(pcfg, shard);
-            std::string why;
-            if (!exactSameScenario(unsharded, sharded, why)) {
+            const std::string why = firstDifference(unsharded, sharded);
+            if (!why.empty()) {
                 parity_ok = false;
                 parity_why = "exact engine, shard " +
                              std::to_string(shard) + ": " + why;
@@ -321,8 +245,8 @@ main(int argc, char **argv)
         fq.trace_capacity = 512;
         const ScenarioResult unsharded = runScenario(fq);
         const ScenarioResult sharded = runScenarioSharded(fq, 2);
-        std::string why;
-        if (!exactSameScenario(unsharded, sharded, why)) {
+        const std::string why = firstDifference(unsharded, sharded);
+        if (!why.empty()) {
             parity_ok = false;
             parity_why = "fast path, shard 2: " + why;
             std::cerr << "shard parity MISMATCH (" << parity_why

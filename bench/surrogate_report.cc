@@ -147,69 +147,6 @@ relDev(double fast, double exact)
     return std::abs(fast - exact) / std::max(std::abs(exact), 1e-300);
 }
 
-/** Exact (bit-for-bit) equality, surrogate tallies included. */
-bool
-exactSameScenario(const ScenarioResult &a, const ScenarioResult &b,
-                  std::string &why)
-{
-    auto fail = [&why](const char *what) {
-        why = what;
-        return false;
-    };
-    if (a.tasks_completed != b.tasks_completed)
-        return fail("tasks_completed");
-    if (a.surrogate_tasks != b.surrogate_tasks)
-        return fail("surrogate_tasks");
-    if (a.audit_tasks != b.audit_tasks)
-        return fail("audit_tasks");
-    if (a.surrogate_demotions != b.surrogate_demotions)
-        return fail("surrogate_demotions");
-    if (a.sprints_granted != b.sprints_granted)
-        return fail("sprints_granted");
-    if (a.sprints_denied != b.sprints_denied)
-        return fail("sprints_denied");
-    if (a.sprints_exhausted != b.sprints_exhausted)
-        return fail("sprints_exhausted");
-    if (a.hardware_throttles != b.hardware_throttles)
-        return fail("hardware_throttles");
-    if (a.makespan != b.makespan)
-        return fail("makespan");
-    if (a.utilization != b.utilization)
-        return fail("utilization");
-    if (a.p50_response != b.p50_response)
-        return fail("p50_response");
-    if (a.p95_response != b.p95_response)
-        return fail("p95_response");
-    if (a.peak_junction != b.peak_junction)
-        return fail("peak_junction");
-    if (a.total_energy != b.total_energy)
-        return fail("total_energy");
-    if (a.total_sprint_time != b.total_sprint_time)
-        return fail("total_sprint_time");
-    if (a.total_sprint_energy != b.total_sprint_energy)
-        return fail("total_sprint_energy");
-    if (a.peak_melt_fraction != b.peak_melt_fraction)
-        return fail("peak_melt_fraction");
-    if (a.sprint_rest_cycles != b.sprint_rest_cycles)
-        return fail("sprint_rest_cycles");
-    const TimeSeries *ta[] = {&a.junction_trace, &a.power_trace,
-                              &a.melt_trace};
-    const TimeSeries *tb[] = {&b.junction_trace, &b.power_trace,
-                              &b.melt_trace};
-    const char *names[] = {"junction_trace", "power_trace",
-                           "melt_trace"};
-    for (int k = 0; k < 3; ++k) {
-        if (ta[k]->size() != tb[k]->size())
-            return fail(names[k]);
-        for (std::size_t i = 0; i < ta[k]->size(); ++i) {
-            if (ta[k]->timeAt(i) != tb[k]->timeAt(i) ||
-                ta[k]->valueAt(i) != tb[k]->valueAt(i))
-                return fail(names[k]);
-        }
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -299,8 +236,8 @@ main(int argc, char **argv)
     const ScenarioResult unsharded = runScenario(pcfg);
     for (std::uint64_t shard : {5, 333}) {
         const ScenarioResult sharded = runScenarioSharded(pcfg, shard);
-        std::string why;
-        if (!exactSameScenario(unsharded, sharded, why)) {
+        const std::string why = firstDifference(unsharded, sharded);
+        if (!why.empty()) {
             parity_ok = false;
             parity_why =
                 "shard " + std::to_string(shard) + ": " + why;

@@ -1350,17 +1350,19 @@ struct CheckpointIO
         d.boolean(cfg.keep_task_results);
         d.i64(static_cast<int>(cfg.idle_model));
         d.f64(cfg.idle_tolerance);
-        d.boolean(cfg.generic_dispatch);
+        // Constant bytes stand where the format once hashed
+        // generic_dispatch and verify_pipeline_build (now in
+        // cfg.debug, which no digest covers), so stored checkpoints
+        // keep their digests.
+        d.boolean(false);
         d.boolean(cfg.pipeline_build);
-        d.boolean(cfg.verify_pipeline_build);
+        d.boolean(false);
         d.f64(cfg.policy.risk_quantile);
         d.i64(static_cast<int>(cfg.surrogate.tier));
         d.i64(cfg.surrogate.min_calibration);
         d.f64(cfg.surrogate.audit_period);
         d.f64(cfg.surrogate.tolerance);
         d.i64(cfg.surrogate.profile_samples);
-        // validate_checkpoints is excluded: paranoia does not alter
-        // the trajectory.
         return crc32(d.buffer().data(), d.size());
     }
 };
@@ -1382,19 +1384,7 @@ serializeCheckpoint(const ScenarioConfig &cfg,
     w.vecF64(ck.policy_state);
     w.f64(ck.now);
     w.f64(ck.busy);
-    w.u64(ck.tasks_completed);
-    w.i64(ck.sprints_granted);
-    w.i64(ck.sprints_denied);
-    w.i64(ck.sprints_exhausted);
-    w.i64(ck.hardware_throttles);
-    w.i64(ck.preemptions);
-    w.i64(ck.tasks_dropped);
-    w.i64(ck.deadlines_met);
-    w.i64(ck.deadlines_missed);
-    w.f64(ck.peak_junction);
-    w.f64(ck.total_energy);
-    w.f64(ck.total_sprint_time);
-    w.f64(ck.total_sprint_energy);
+    ck.encode(w);
     w.f64(ck.peak_melt);
     CheckpointIO::write(w, ck.p50);
     CheckpointIO::write(w, ck.p95);
@@ -1432,19 +1422,7 @@ deserializeCheckpoint(const ScenarioConfig &cfg,
     ck.policy_state = r.vecF64();
     ck.now = r.f64();
     ck.busy = r.f64();
-    ck.tasks_completed = r.u64();
-    ck.sprints_granted = static_cast<int>(r.i64());
-    ck.sprints_denied = static_cast<int>(r.i64());
-    ck.sprints_exhausted = static_cast<int>(r.i64());
-    ck.hardware_throttles = static_cast<int>(r.i64());
-    ck.preemptions = static_cast<int>(r.i64());
-    ck.tasks_dropped = static_cast<int>(r.i64());
-    ck.deadlines_met = static_cast<int>(r.i64());
-    ck.deadlines_missed = static_cast<int>(r.i64());
-    ck.peak_junction = r.f64();
-    ck.total_energy = r.f64();
-    ck.total_sprint_time = r.f64();
-    ck.total_sprint_energy = r.f64();
+    ck.decode(r);
     ck.peak_melt = r.f64();
     CheckpointIO::read(r, ck.p50);
     CheckpointIO::read(r, ck.p95);

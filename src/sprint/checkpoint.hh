@@ -43,9 +43,9 @@ namespace csprint {
  * produced it. Callback members (program_factory, task_tuner,
  * policy_factory) contribute presence only: the engine requires them
  * to be pure functions, so equal configs with equal callbacks replay
- * identically. The debug knob validate_checkpoints provably does not
- * alter the trajectory and is excluded, so a checkpoint can move to a
- * run with a different paranoia setting.
+ * identically. The test knobs in ScenarioConfig::debug do not alter
+ * the trajectory and are not covered, so a checkpoint can move to a
+ * run with different debug settings.
  */
 std::uint32_t scenarioConfigDigest(const ScenarioConfig &cfg);
 
@@ -75,7 +75,7 @@ deserializeCheckpoint(const ScenarioConfig &cfg,
                       const std::vector<std::uint8_t> &blob);
 
 /**
- * Paranoia-mode invariant sweep (ScenarioConfig::validate_checkpoints
+ * Paranoia-mode invariant sweep (ScenarioDebugKnobs::validate_checkpoints
  * runs it at every advanceScenario boundary): all temperatures finite
  * and within physical bounds, melt fractions in [0, 1], energy and
  * time tallies non-negative and mutually consistent, and — for every

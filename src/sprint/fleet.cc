@@ -27,7 +27,7 @@ namespace csprint {
 namespace {
 
 constexpr std::uint32_t kFleetSpecVersion = 1;
-constexpr std::uint32_t kFleetAggVersion = 1;
+constexpr std::uint32_t kFleetAggVersion = 2;
 
 /**
  * Digest slot of the sealed spec FILE: the spec cannot seal itself
@@ -453,22 +453,11 @@ void
 FleetAggregates::foldDevice(const ScenarioResult &r, Celsius limit)
 {
     devices += 1;
-    tasks_completed += r.tasks_completed;
-    tasks_dropped += static_cast<std::uint64_t>(r.tasks_dropped);
-    deadlines_met += static_cast<std::uint64_t>(r.deadlines_met);
-    deadlines_missed += static_cast<std::uint64_t>(r.deadlines_missed);
-    sprints_granted += static_cast<std::uint64_t>(r.sprints_granted);
-    sprints_denied += static_cast<std::uint64_t>(r.sprints_denied);
-    hardware_throttles +=
-        static_cast<std::uint64_t>(r.hardware_throttles);
+    add(r);
     melt_cycles += static_cast<std::uint64_t>(r.sprint_rest_cycles);
     if (r.peak_junction > limit)
         thermal_violations += 1;
-    peak_junction = std::max(peak_junction, r.peak_junction);
     peak_melt = std::max(peak_melt, r.peak_melt_fraction);
-    total_energy += r.total_energy;
-    total_sprint_time += r.total_sprint_time;
-    total_sprint_energy += r.total_sprint_energy;
     for (const ScenarioTaskResult &t : r.tasks) {
         response_p50.add(t.response);
         response_p95.add(t.response);
@@ -487,20 +476,10 @@ FleetAggregates::merge(const FleetAggregates &other)
 {
     devices += other.devices;
     degraded_devices += other.degraded_devices;
-    tasks_completed += other.tasks_completed;
-    tasks_dropped += other.tasks_dropped;
-    deadlines_met += other.deadlines_met;
-    deadlines_missed += other.deadlines_missed;
-    sprints_granted += other.sprints_granted;
-    sprints_denied += other.sprints_denied;
-    hardware_throttles += other.hardware_throttles;
+    add(other);
     melt_cycles += other.melt_cycles;
     thermal_violations += other.thermal_violations;
-    peak_junction = std::max(peak_junction, other.peak_junction);
     peak_melt = std::max(peak_melt, other.peak_melt);
-    total_energy += other.total_energy;
-    total_sprint_time += other.total_sprint_time;
-    total_sprint_energy += other.total_sprint_energy;
     response_p50.merge(other.response_p50);
     response_p95.merge(other.response_p95);
 }
@@ -524,6 +503,21 @@ FleetAggregates::thermalViolationRate() const
            static_cast<double>(devices);
 }
 
+std::string
+firstDifference(const FleetAggregates &a, const FleetAggregates &b)
+{
+    FieldDiff d;
+    d("devices", a.devices, b.devices);
+    d("degraded_devices", a.degraded_devices, b.degraded_devices);
+    a.compare(d, b);
+    d("melt_cycles", a.melt_cycles, b.melt_cycles);
+    d("thermal_violations", a.thermal_violations, b.thermal_violations);
+    d("peak_melt", a.peak_melt, b.peak_melt);
+    d("response_p50", a.response_p50, b.response_p50);
+    d("response_p95", a.response_p95, b.response_p95);
+    return d.first();
+}
+
 std::vector<std::uint8_t>
 serializeFleetAggregates(const FleetAggregates &agg,
                          std::uint32_t spec_digest)
@@ -532,20 +526,10 @@ serializeFleetAggregates(const FleetAggregates &agg,
     w.u32(kFleetAggVersion);
     w.u64(agg.devices);
     w.u64(agg.degraded_devices);
-    w.u64(agg.tasks_completed);
-    w.u64(agg.tasks_dropped);
-    w.u64(agg.deadlines_met);
-    w.u64(agg.deadlines_missed);
-    w.u64(agg.sprints_granted);
-    w.u64(agg.sprints_denied);
-    w.u64(agg.hardware_throttles);
+    agg.encode(w);
     w.u64(agg.melt_cycles);
     w.u64(agg.thermal_violations);
-    w.f64(agg.peak_junction);
     w.f64(agg.peak_melt);
-    w.f64(agg.total_energy);
-    w.f64(agg.total_sprint_time);
-    w.f64(agg.total_sprint_energy);
     double st[P2Quantile::kStateSize];
     agg.response_p50.save(st);
     for (double v : st)
@@ -570,20 +554,10 @@ deserializeFleetAggregates(const std::vector<std::uint8_t> &blob,
     FleetAggregates agg;
     agg.devices = r.u64();
     agg.degraded_devices = r.u64();
-    agg.tasks_completed = r.u64();
-    agg.tasks_dropped = r.u64();
-    agg.deadlines_met = r.u64();
-    agg.deadlines_missed = r.u64();
-    agg.sprints_granted = r.u64();
-    agg.sprints_denied = r.u64();
-    agg.hardware_throttles = r.u64();
+    agg.decode(r);
     agg.melt_cycles = r.u64();
     agg.thermal_violations = r.u64();
-    agg.peak_junction = r.f64();
     agg.peak_melt = r.f64();
-    agg.total_energy = r.f64();
-    agg.total_sprint_time = r.f64();
-    agg.total_sprint_energy = r.f64();
     const auto restoreP2 = [&r](P2Quantile &q, double expect) {
         double st[P2Quantile::kStateSize];
         for (double &v : st)

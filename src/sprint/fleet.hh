@@ -151,31 +151,21 @@ std::vector<std::pair<int, int>> fleetShardRanges(int num_devices,
                                                   int num_workers);
 
 /**
- * Mergeable fleet-level aggregates: exact counters and maxima plus
- * streaming P² response quantiles. fold* on one range, merge ranges
- * in range order; counters and maxima merge exactly, the quantile
- * merge is deterministic (equal inputs and order give bit-equal
- * state) and order-insensitive within an estimator tolerance.
+ * Mergeable fleet-level aggregates: the devices' summed task tallies
+ * (peak_junction is the fleet-wide maximum), fleet-only counters and
+ * maxima, and streaming P² response quantiles. fold* on one range,
+ * merge ranges in range order; counters and maxima merge exactly, the
+ * quantile merge is deterministic (equal inputs and order give
+ * bit-equal state) and order-insensitive within an estimator
+ * tolerance.
  */
-struct FleetAggregates
+struct FleetAggregates : TaskTallies<std::uint64_t>
 {
     std::uint64_t devices = 0;          ///< devices folded (any fate)
     std::uint64_t degraded_devices = 0; ///< retries exhausted, no result
-    std::uint64_t tasks_completed = 0;
-    std::uint64_t tasks_dropped = 0;
-    std::uint64_t deadlines_met = 0;
-    std::uint64_t deadlines_missed = 0;
-    std::uint64_t sprints_granted = 0;
-    std::uint64_t sprints_denied = 0;
-    std::uint64_t hardware_throttles = 0;
     std::uint64_t melt_cycles = 0;        ///< sprint/rest cycles summed
     std::uint64_t thermal_violations = 0; ///< devices over their limit
-
-    Celsius peak_junction = 0.0;   ///< hottest junction fleet-wide
     double peak_melt = 0.0;        ///< largest PCM melt fraction seen
-    Joules total_energy = 0.0;
-    Seconds total_sprint_time = 0.0;
-    Joules total_sprint_energy = 0.0;
 
     P2Quantile response_p50{0.50};
     P2Quantile response_p95{0.95};
@@ -195,6 +185,13 @@ struct FleetAggregates
     /** Devices over their thermal limit per device folded. */
     double thermalViolationRate() const;
 };
+
+/**
+ * The first field in which @p a and @p b differ, bit for bit
+ * (FieldDiff), P² state included; empty when identical.
+ */
+std::string firstDifference(const FleetAggregates &a,
+                            const FleetAggregates &b);
 
 /** Seal @p agg for the wire (digest = fleetSpecDigest of the fleet). */
 std::vector<std::uint8_t>

@@ -401,7 +401,7 @@ class SprintPolicy
      * Declared structure of pickNext()'s order. Must agree with
      * pickNext(): the generic scan stays the semantic definition and
      * the heap dispatch is differentially gated against it
-     * (ScenarioConfig::generic_dispatch). A subclass that overrides
+     * (ScenarioDebugKnobs::generic_dispatch). A subclass that overrides
      * pickNext() with anything but the stock orders must override
      * this too — Custom is always safe.
      */

@@ -868,7 +868,7 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
     // the generic pickNext view reproduces the classic engine; a
     // declared Fifo/Urgency order dispatches from the heap instead of
     // materializing a snapshot per entry (bit-identical pick).
-    const DispatchOrder order = cfg.generic_dispatch
+    const DispatchOrder order = cfg.debug.generic_dispatch
                                     ? DispatchOrder::Custom
                                     : policy->dispatchOrder();
     ReadyQueue ready(order, std::move(ck.ready));
@@ -949,7 +949,7 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
                 if (!current->program) {
                     current->program = std::make_unique<ParallelProgram>(
                         buildProgram(cfg, current->task));
-                } else if (cfg.verify_pipeline_build) {
+                } else if (cfg.debug.verify_pipeline_build) {
                     const ParallelProgram serial =
                         buildProgram(cfg, current->task);
                     SPRINT_ASSERT(
@@ -1145,7 +1145,7 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
     ck.done = !ck.have_peek && ck.ready.empty() &&
               ck.arrivals.index >=
                   static_cast<std::uint64_t>(cfg.num_tasks);
-    if (cfg.validate_checkpoints)
+    if (cfg.debug.validate_checkpoints)
         validateCheckpoint(cfg, ck);
     return ck.done;
 }
@@ -1166,19 +1166,7 @@ finishScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &&ck)
         ck.thermal = package.saveState();
     }
 
-    out.tasks_completed = ck.tasks_completed;
-    out.sprints_granted = ck.sprints_granted;
-    out.sprints_denied = ck.sprints_denied;
-    out.sprints_exhausted = ck.sprints_exhausted;
-    out.hardware_throttles = ck.hardware_throttles;
-    out.preemptions = ck.preemptions;
-    out.tasks_dropped = ck.tasks_dropped;
-    out.deadlines_met = ck.deadlines_met;
-    out.deadlines_missed = ck.deadlines_missed;
-    out.peak_junction = ck.peak_junction;
-    out.total_energy = ck.total_energy;
-    out.total_sprint_time = ck.total_sprint_time;
-    out.total_sprint_energy = ck.total_sprint_energy;
+    static_cast<TaskTallies<int> &>(out) = ck;
     out.peak_melt_fraction = ck.peak_melt;
     out.sprint_rest_cycles = ck.melt_cycles.cycles();
     out.surrogate_tasks = ck.surrogate.surrogateTasks();
@@ -1227,6 +1215,49 @@ runScenarioSharded(const ScenarioConfig &cfg, std::uint64_t shard_tasks)
     while (!advanceScenario(cfg, ck, shard_tasks)) {
     }
     return finishScenario(cfg, std::move(ck));
+}
+
+std::string
+firstDifference(const ScenarioResult &a, const ScenarioResult &b)
+{
+    FieldDiff d;
+    a.compare(d, b);
+    d("makespan", a.makespan, b.makespan);
+    d("utilization", a.utilization, b.utilization);
+    d("p50_response", a.p50_response, b.p50_response);
+    d("p95_response", a.p95_response, b.p95_response);
+    d("peak_melt_fraction", a.peak_melt_fraction, b.peak_melt_fraction);
+    d("sprint_rest_cycles", a.sprint_rest_cycles, b.sprint_rest_cycles);
+    d("surrogate_tasks", a.surrogate_tasks, b.surrogate_tasks);
+    d("audit_tasks", a.audit_tasks, b.audit_tasks);
+    d("surrogate_demotions", a.surrogate_demotions,
+      b.surrogate_demotions);
+    d("junction_trace", a.junction_trace, b.junction_trace);
+    d("power_trace", a.power_trace, b.power_trace);
+    d("melt_trace", a.melt_trace, b.melt_trace);
+    d("tasks.size", a.tasks.size(), b.tasks.size());
+    for (std::size_t i = 0; d.first().empty() && i < a.tasks.size();
+         ++i) {
+        const ScenarioTaskResult &x = a.tasks[i];
+        const ScenarioTaskResult &y = b.tasks[i];
+        FieldDiff task;
+        task("arrival", x.arrival, y.arrival);
+        task("start", x.start, y.start);
+        task("finish", x.finish, y.finish);
+        task("response", x.response, y.response);
+        task("sprint_granted", x.sprint_granted, y.sprint_granted);
+        task("melt_at_start", x.melt_at_start, y.melt_at_start);
+        task("melt_at_end", x.melt_at_end, y.melt_at_end);
+        task("priority", x.priority, y.priority);
+        task("deadline", x.deadline, y.deadline);
+        task("deadline_met", x.deadline_met, y.deadline_met);
+        task("preemptions", x.preemptions, y.preemptions);
+        const std::string run = firstDifference(x.run, y.run);
+        if (!task.first().empty() || !run.empty())
+            return "tasks[" + std::to_string(i) + "]." +
+                   (task.first().empty() ? "run." + run : task.first());
+    }
+    return d.first();
 }
 
 } // namespace csprint

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -46,6 +47,7 @@
 #include "sprint/policy.hh"
 #include "sprint/simulation.hh"
 #include "sprint/surrogate.hh"
+#include "sprint/tallies.hh"
 #include "workloads/workload.hh"
 
 namespace csprint {
@@ -89,6 +91,41 @@ struct ScenarioTask
     std::uint64_t seed = 42;
     int priority = 0;        ///< larger = more important (QoS class)
     Seconds deadline = 0.0;  ///< relative to arrival; 0 = none
+};
+
+/**
+ * The test and CI knobs of a scenario. None of them alters the
+ * trajectory, so scenarioConfigDigest (checkpoint.hh) covers none of
+ * them and a checkpoint resumes under any setting.
+ */
+struct ScenarioDebugKnobs
+{
+    /**
+     * Ignore the policy's declared dispatchOrder() and dispatch
+     * through the generic snapshot-materializing pickNext scan.
+     * Dispatch decisions are bit-identical either way (the ready-queue
+     * heap realizes the same order); the differential harness runs
+     * both.
+     */
+    bool generic_dispatch = false;
+
+    /**
+     * Determinism guard for pipeline_build: also build the program
+     * serially at dispatch and require the prebuilt one to be
+     * byte-identical (programDigest over every materialized op).
+     * Costs a second build per task.
+     */
+    bool verify_pipeline_build = false;
+
+    /**
+     * Paranoia mode: run validateCheckpoint() (checkpoint.hh) on the
+     * checkpoint at every advanceScenario boundary — finite
+     * temperatures in physical bounds, melt fractions in [0, 1],
+     * directory sharers consistent with L1 tag state, non-negative
+     * monotone energy tallies. Failure throws CheckpointError with
+     * Kind::Invariant and a precise message.
+     */
+    bool validate_checkpoints = false;
 };
 
 /** A complete scenario description. */
@@ -192,16 +229,7 @@ struct ScenarioConfig
     /** Endpoint tolerance of the quiescent idle path [°C]. */
     Celsius idle_tolerance = 0.01;
 
-    // --- Dispatch / build pipeline knobs (defaults = classic) ------
-
-    /**
-     * Testing knob: ignore the policy's declared dispatchOrder() and
-     * dispatch through the generic snapshot-materializing pickNext
-     * scan. Dispatch decisions are bit-identical either way (the
-     * ready-queue heap realizes the same order); the differential
-     * harness runs both.
-     */
-    bool generic_dispatch = false;
+    // --- Build pipeline knob (default = classic) --------------------
 
     /**
      * Build the next task's program on a helper thread while the
@@ -213,15 +241,6 @@ struct ScenarioConfig
      * mispredicted dispatch just falls back to the serial build.
      */
     bool pipeline_build = false;
-
-    /**
-     * Determinism guard for pipeline_build: also build the program
-     * serially at dispatch and require the prebuilt one to be
-     * byte-identical (programDigest over every materialized op).
-     * Costs a second build per task — a test/CI knob, not a fast
-     * path.
-     */
-    bool verify_pipeline_build = false;
 
     // --- Surrogate fidelity tier (default = cycle-accurate) --------
 
@@ -235,15 +254,8 @@ struct ScenarioConfig
      */
     SurrogateParams surrogate;
 
-    /**
-     * Paranoia mode: run validateCheckpoint() (checkpoint.hh) on the
-     * checkpoint at every advanceScenario boundary — finite
-     * temperatures in physical bounds, melt fractions in [0, 1],
-     * directory sharers consistent with L1 tag state, non-negative
-     * monotone energy tallies. Failure throws CheckpointError with
-     * Kind::Invariant and a precise message. A debugging/CI knob.
-     */
-    bool validate_checkpoints = false;
+    /** Test/CI knobs; outside the config digest. */
+    ScenarioDebugKnobs debug;
 };
 
 /**
@@ -339,8 +351,8 @@ struct ScenarioTaskResult
     RunResult run;          ///< the full coupled-run result
 };
 
-/** Aggregate outcome of one scenario. */
-struct ScenarioResult
+/** Aggregate outcome of one scenario (the tallies are inherited). */
+struct ScenarioResult : TaskTallies<int>
 {
     /**
      * Per-task results in completion order (identical to arrival
@@ -348,18 +360,6 @@ struct ScenarioResult
      * empty when keep_task_results is false.
      */
     std::vector<ScenarioTaskResult> tasks;
-
-    /** Tasks served (counts even when per-task results are dropped). */
-    std::uint64_t tasks_completed = 0;
-
-    int sprints_granted = 0;
-    int sprints_denied = 0;   ///< tasks the policy ran consolidated
-    int sprints_exhausted = 0; ///< granted sprints ended by the policy
-    int hardware_throttles = 0;
-    int preemptions = 0;      ///< mid-task suspensions performed
-    int tasks_dropped = 0;    ///< arrivals the policy rejected
-    int deadlines_met = 0;    ///< completed within their deadline
-    int deadlines_missed = 0; ///< overshot or dropped with a deadline
 
     Seconds makespan = 0.0;    ///< finish time of the last task
     double utilization = 0.0;  ///< machine-busy fraction of makespan
@@ -369,10 +369,6 @@ struct ScenarioResult
      */
     Seconds p50_response = 0.0;
     Seconds p95_response = 0.0;
-    Celsius peak_junction = 0.0;
-    Joules total_energy = 0.0;
-    Seconds total_sprint_time = 0.0; ///< sum of above-TDP time
-    Joules total_sprint_energy = 0.0; ///< sum of above-TDP energy
     /** Largest PCM melt fraction seen (tracked pre-decimation). */
     double peak_melt_fraction = 0.0;
     /**
@@ -392,6 +388,15 @@ struct ScenarioResult
     TimeSeries power_trace;    ///< full-timeline die power
     TimeSeries melt_trace;     ///< full-timeline PCM melt fraction
 };
+
+/**
+ * The first field in which @p a and @p b differ, bit for bit
+ * (FieldDiff): the tallies, every scalar, the traces, then each
+ * retained task ("tasks[3].run.machine.cycles"); empty when the two
+ * results are identical. The parity check of every bit-exact gate.
+ */
+std::string firstDifference(const ScenarioResult &a,
+                            const ScenarioResult &b);
 
 /**
  * The full-timeline trace recorder behind ScenarioConfig::trace_mode:
@@ -475,7 +480,7 @@ struct ScenarioTaskExecution
  * timeline through any shard sizes reproduces the unsharded run
  * bit-for-bit (gated in bench/scenario_scale_report.cc).
  */
-struct ScenarioCheckpoint
+struct ScenarioCheckpoint : TaskTallies<int>
 {
     bool done = false;            ///< every task has been dispatched
     ArrivalCursor arrivals;       ///< RNG cursor into the timeline
@@ -483,22 +488,9 @@ struct ScenarioCheckpoint
     ThermalNetworkState thermal;  ///< package snapshot at the boundary
     std::vector<double> policy_state; ///< SprintPolicy::saveState()
 
-    // --- Streaming aggregates (all value-semantic) -----------------
+    // --- Streaming aggregates beyond the tallies (value-semantic) ---
     Seconds now = 0.0;
     Seconds busy = 0.0;
-    std::uint64_t tasks_completed = 0;
-    int sprints_granted = 0;
-    int sprints_denied = 0;
-    int sprints_exhausted = 0;
-    int hardware_throttles = 0;
-    int preemptions = 0;
-    int tasks_dropped = 0;
-    int deadlines_met = 0;
-    int deadlines_missed = 0;
-    Celsius peak_junction = 0.0;
-    Joules total_energy = 0.0;
-    Seconds total_sprint_time = 0.0;
-    Joules total_sprint_energy = 0.0;
     double peak_melt = 0.0;
     P2Quantile p50{0.50};
     P2Quantile p95{0.95};

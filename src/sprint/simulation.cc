@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
+#include "sprint/tallies.hh"
 
 namespace csprint {
 
@@ -269,6 +270,44 @@ runSprint(const ParallelProgram &program, const SprintConfig &cfg)
     RunResult result = samplePump(*machine, cfg, package, *policy);
     result.program_name = program.name();
     return result;
+}
+
+std::string
+firstDifference(const RunResult &a, const RunResult &b)
+{
+    FieldDiff d;
+    d("program_name", a.program_name, b.program_name);
+    d("sprint_cores", a.sprint_cores, b.sprint_cores);
+    d("num_threads", a.num_threads, b.num_threads);
+    d("dvfs_boost", a.dvfs_boost, b.dvfs_boost);
+    d("task_time", a.task_time, b.task_time);
+    d("dynamic_energy", a.dynamic_energy, b.dynamic_energy);
+    d("peak_junction", a.peak_junction, b.peak_junction);
+    d("final_melt_fraction", a.final_melt_fraction, b.final_melt_fraction);
+    d("sprint_exhausted", a.sprint_exhausted, b.sprint_exhausted);
+    d("hardware_throttled", a.hardware_throttled, b.hardware_throttled);
+    d("sprint_duration", a.sprint_duration, b.sprint_duration);
+    d("sprint_energy", a.sprint_energy, b.sprint_energy);
+    d("cooldown_estimate", a.cooldown_estimate, b.cooldown_estimate);
+    d("avg_power", a.avg_power, b.avg_power);
+    d("sampled_time", a.sampled_time, b.sampled_time);
+    d("sampled_energy", a.sampled_energy, b.sampled_energy);
+    d("junction_trace", a.junction_trace, b.junction_trace);
+    d("power_trace", a.power_trace, b.power_trace);
+    d("melt_trace", a.melt_trace, b.melt_trace);
+    const MachineStats &m = a.machine;
+    const MachineStats &n = b.machine;
+    d("machine.cycles", m.cycles, n.cycles);
+    d("machine.seconds", m.seconds, n.seconds);
+    d("machine.ops_retired", m.ops_retired, n.ops_retired);
+    d("machine.ops_by_kind", m.ops_by_kind, n.ops_by_kind);
+    d("machine.l1_hits", m.l1_hits, n.l1_hits);
+    d("machine.l1_misses", m.l1_misses, n.l1_misses);
+    d("machine.idle_cycles", m.idle_cycles, n.idle_cycles);
+    d("machine.sleep_cycles", m.sleep_cycles, n.sleep_cycles);
+    d("machine.barrier_arrivals", m.barrier_arrivals, n.barrier_arrivals);
+    d("machine.dynamic_energy", m.dynamic_energy, n.dynamic_energy);
+    return d.first();
 }
 
 } // namespace csprint

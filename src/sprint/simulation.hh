@@ -125,6 +125,13 @@ struct RunResult
 };
 
 /**
+ * The first field in which two coupled-run results differ, bit for
+ * bit (FieldDiff, sprint/tallies.hh): "task_time",
+ * "machine.l1_misses", ...; empty when identical.
+ */
+std::string firstDifference(const RunResult &a, const RunResult &b);
+
+/**
  * Build the machine for @p cfg (validated via machineConfig()). The
  * machine starts with cold L1/L2 state; a Scenario-engine caller may
  * warm-start it from a predecessor via Machine::warmStartFrom().

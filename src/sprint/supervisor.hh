@@ -188,7 +188,7 @@ struct SupervisorOptions
 
     /**
      * Run validateCheckpoint() on every checkpoint before persisting
-     * it (in addition to whatever ScenarioConfig::validate_checkpoints
+     * it (in addition to whatever ScenarioDebugKnobs::validate_checkpoints
      * already does inside the engine).
      */
     bool paranoia = false;

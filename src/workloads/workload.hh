@@ -84,7 +84,7 @@ std::uint64_t countProgramOps(const ParallelProgram &program);
  * name, every phase's (name, kind, task count), and every op each
  * task materializes. Two programs digest equal iff the machine sees
  * byte-identical op streams — the determinism guard behind
- * ScenarioConfig::verify_pipeline_build. Materializes every stream,
+ * ScenarioDebugKnobs::verify_pipeline_build. Materializes every stream,
  * so it costs about as much as generating the program's full trace.
  */
 std::uint64_t programDigest(const ParallelProgram &program);

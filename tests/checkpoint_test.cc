@@ -7,20 +7,27 @@
  * a warm cache chain); a run resumed from bytes at every boundary
  * matches the uninterrupted run bit-for-bit; every single-byte
  * truncation prefix and sampled bit flip fails with a typed
- * CheckpointError (never UB); the deserialized Poisson arrival cursor
- * continues the exact stream; and CheckpointStore survives a corrupt
- * newest checkpoint via its retained predecessor, keeps each shard in
- * its own subdirectory, and holds a bounded number of lock fds.
+ * CheckpointError (never UB), and so does a re-sealed blob with an
+ * out-of-range counter; every tally round-trips and firstDifference
+ * names each one; the debug knobs leave the digest alone and a
+ * checkpoint resumes under either setting; the deserialized Poisson
+ * arrival cursor continues the exact stream; and CheckpointStore
+ * survives a corrupt newest checkpoint via its retained predecessor,
+ * keeps each shard in its own subdirectory, and holds a bounded
+ * number of lock fds.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -76,54 +83,6 @@ preemptiveScenario(int tasks)
     return cfg;
 }
 
-void
-expectResultsEqual(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.sprints_exhausted, b.sprints_exhausted);
-    EXPECT_EQ(a.hardware_throttles, b.hardware_throttles);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.p50_response, b.p50_response);
-    EXPECT_EQ(a.p95_response, b.p95_response);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    EXPECT_EQ(a.peak_melt_fraction, b.peak_melt_fraction);
-    EXPECT_EQ(a.sprint_rest_cycles, b.sprint_rest_cycles);
-    EXPECT_EQ(a.surrogate_tasks, b.surrogate_tasks);
-    EXPECT_EQ(a.audit_tasks, b.audit_tasks);
-    EXPECT_EQ(a.surrogate_demotions, b.surrogate_demotions);
-    EXPECT_EQ(a.junction_trace.timeData(), b.junction_trace.timeData());
-    EXPECT_EQ(a.junction_trace.valueData(), b.junction_trace.valueData());
-    EXPECT_EQ(a.power_trace.timeData(), b.power_trace.timeData());
-    EXPECT_EQ(a.power_trace.valueData(), b.power_trace.valueData());
-    EXPECT_EQ(a.melt_trace.timeData(), b.melt_trace.timeData());
-    EXPECT_EQ(a.melt_trace.valueData(), b.melt_trace.valueData());
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        EXPECT_EQ(a.tasks[i].arrival, b.tasks[i].arrival);
-        EXPECT_EQ(a.tasks[i].start, b.tasks[i].start);
-        EXPECT_EQ(a.tasks[i].finish, b.tasks[i].finish);
-        EXPECT_EQ(a.tasks[i].response, b.tasks[i].response);
-        EXPECT_EQ(a.tasks[i].sprint_granted, b.tasks[i].sprint_granted);
-        EXPECT_EQ(a.tasks[i].preemptions, b.tasks[i].preemptions);
-        EXPECT_EQ(a.tasks[i].deadline_met, b.tasks[i].deadline_met);
-        EXPECT_EQ(a.tasks[i].melt_at_end, b.tasks[i].melt_at_end);
-        EXPECT_EQ(a.tasks[i].run.dynamic_energy,
-                  b.tasks[i].run.dynamic_energy);
-        EXPECT_EQ(a.tasks[i].run.machine.cycles,
-                  b.tasks[i].run.machine.cycles);
-    }
-}
-
 /**
  * The core property: advance to a boundary, serialize, deserialize,
  * serialize again (bytes identical), then drive the original and the
@@ -151,8 +110,9 @@ roundTripAndFinish(const ScenarioConfig &cfg,
     }
     while (!advanceScenario(cfg, restored, 1)) {
     }
-    expectResultsEqual(finishScenario(cfg, std::move(ck)),
-                       finishScenario(cfg, std::move(restored)));
+    const ScenarioResult original = finishScenario(cfg, std::move(ck));
+    const ScenarioResult resumed = finishScenario(cfg, std::move(restored));
+    EXPECT_EQ(firstDifference(original, resumed), "");
 }
 
 TEST(CheckpointRoundTrip, GreedyPeriodic)
@@ -226,7 +186,7 @@ TEST(CheckpointRoundTrip, ResumeFromBytesAtEveryBoundary)
         done = advanceScenario(cfg, ck, 1);
         ck = deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
     }
-    expectResultsEqual(direct, finishScenario(cfg, std::move(ck)));
+    EXPECT_EQ(firstDifference(direct, finishScenario(cfg, std::move(ck))), "");
 }
 
 TEST(CheckpointArrivals, PoissonCursorContinuesExactStream)
@@ -370,13 +330,151 @@ TEST(CheckpointRoundTrip, SurrogateCalibrationMidStream)
     roundTripAndFinish(cfg, 10);
 }
 
+/** Each test knob of ScenarioConfig::debug, by name. */
+const std::pair<const char *, bool ScenarioDebugKnobs::*> kDebugKnobs[] = {
+    {"generic_dispatch", &ScenarioDebugKnobs::generic_dispatch},
+    {"verify_pipeline_build", &ScenarioDebugKnobs::verify_pipeline_build},
+    {"validate_checkpoints", &ScenarioDebugKnobs::validate_checkpoints},
+};
+
 TEST(CheckpointRejection, DebugKnobsDoNotChangeTheDigest)
 {
     ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
                                       ArrivalPattern::Periodic, 3);
-    ScenarioConfig tweaked = cfg;
-    tweaked.validate_checkpoints = !cfg.validate_checkpoints;
-    EXPECT_EQ(scenarioConfigDigest(cfg), scenarioConfigDigest(tweaked));
+    for (const auto &[name, knob] : kDebugKnobs) {
+        ScenarioConfig tweaked = cfg;
+        tweaked.debug.*knob = !(cfg.debug.*knob);
+        EXPECT_EQ(scenarioConfigDigest(cfg), scenarioConfigDigest(tweaked))
+            << name;
+    }
+}
+
+TEST(CheckpointRoundTrip, ResumesUnderFlippedDebugKnobs)
+{
+    // Cut the preemptive train with a task suspended mid-flight under
+    // one knob setting and finish it under the other, both ways: the
+    // result must equal the uninterrupted run bit for bit.
+    ScenarioConfig plain = preemptiveScenario(4);
+    plain.pipeline_build = true;
+    ScenarioConfig flipped = plain;
+    for (const auto &[name, knob] : kDebugKnobs)
+        flipped.debug.*knob = true;
+    const ScenarioResult whole = runScenario(plain);
+    for (const auto &[from, to] :
+         {std::pair{&plain, &flipped}, std::pair{&flipped, &plain}}) {
+        ScenarioCheckpoint ck = beginScenario(*from);
+        advanceScenario(*from, ck, 2);
+        ScenarioCheckpoint resumed =
+            deserializeCheckpoint(*to, serializeCheckpoint(*from, ck));
+        while (!advanceScenario(*to, resumed, 1)) {
+        }
+        EXPECT_EQ(firstDifference(whole,
+                                  finishScenario(*to, std::move(resumed))),
+                  "");
+    }
+}
+
+/** The type of the TaskTallies<int> field member pointer Field names. */
+template <typename Field>
+using FieldType = std::decay_t<decltype(std::declval<TaskTallies<int>>().*
+                                        std::declval<Field>())>;
+
+TEST(CheckpointTallies, DistinctTalliesRoundTripAndEveryFieldIsCompared)
+{
+    const ScenarioConfig cfg = baseScenario(
+        SprintPolicyKind::GreedyActivity, ArrivalPattern::Periodic, 2);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    while (!advanceScenario(cfg, ck, 2)) {
+    }
+    int next = 101;
+    TaskTallies<int>::forEachField(
+        [&](const char *, auto field) { ck.*field = next++; });
+    ScenarioCheckpoint back =
+        deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
+    const ScenarioResult a = finishScenario(cfg, std::move(ck));
+    EXPECT_EQ(firstDifference(a, finishScenario(cfg, std::move(back))), "");
+    EXPECT_EQ(a.deadlines_missed, 109);
+    ASSERT_EQ(a.tasks.size(), 2u);
+
+    // Each field perturbed on a copy is named, and only that field;
+    // doubles also differ on +0.0 vs -0.0 and on NaN against itself.
+    EXPECT_EQ(firstDifference(a, a), "");
+    TaskTallies<int>::forEachField([&](const char *name, auto field) {
+        ScenarioResult x = a, y = a;
+        y.*field += 1;
+        EXPECT_EQ(firstDifference(x, y), name);
+        if constexpr (std::is_same_v<FieldType<decltype(field)>, double>) {
+            x.*field = 0.0;
+            y.*field = -0.0;
+            EXPECT_EQ(firstDifference(x, y), name) << "+0.0 vs -0.0";
+            x.*field = y.*field = std::nan("");
+            EXPECT_EQ(firstDifference(x, y), name) << "NaN on both sides";
+        }
+    });
+    ScenarioResult b = a;
+    b.makespan = std::nextafter(a.makespan, 1e300);
+    EXPECT_EQ(firstDifference(a, b), "makespan");
+    b = a;
+    b.junction_trace.add(1e9, 25.0);
+    EXPECT_EQ(firstDifference(a, b), "junction_trace");
+    b = a;
+    b.tasks[1].run.machine.l1_misses += 1;
+    EXPECT_EQ(firstDifference(a, b), "tasks[1].run.machine.l1_misses");
+}
+
+/** The payload of sealed blob @p blob. */
+std::vector<std::uint8_t>
+payloadOf(const std::vector<std::uint8_t> &blob, std::uint32_t digest)
+{
+    BlobReader r = BlobContainer::open(blob, digest);
+    std::vector<std::uint8_t> payload(r.remaining());
+    r.bytes(payload.data(), payload.size());
+    return payload;
+}
+
+TEST(CheckpointRejection, OutOfRangeCountersAreCorrupt)
+{
+    // A forged counter in a correctly re-sealed blob passes the CRC;
+    // the tally decoder itself must refuse what an int cannot hold.
+    ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
+                                      ArrivalPattern::Periodic, 2);
+    cfg.trace_mode = TraceMode::Off;
+    cfg.keep_task_results = false;
+    const std::uint32_t digest = scenarioConfigDigest(cfg);
+    const int marker = 0x5ca1ab1e;
+    BlobWriter pattern;
+    pattern.i64(marker);
+    TaskTallies<int>::forEachField([&](const char *name, auto field) {
+        if constexpr (std::is_same_v<FieldType<decltype(field)>, int>) {
+            SCOPED_TRACE(name);
+            ScenarioCheckpoint ck = beginScenario(cfg);
+            advanceScenario(cfg, ck, 1);
+            ck.*field = marker;
+            const std::vector<std::uint8_t> payload =
+                payloadOf(serializeCheckpoint(cfg, ck), digest);
+            const auto at =
+                std::search(payload.begin(), payload.end(),
+                            pattern.buffer().begin(), pattern.buffer().end());
+            ASSERT_NE(at, payload.end());
+            EXPECT_NO_THROW(deserializeCheckpoint(
+                cfg, BlobContainer::seal(digest, payload)));
+            for (std::int64_t forged :
+                 {std::int64_t{-1}, std::int64_t{INT_MAX} + 1}) {
+                BlobWriter w;
+                w.i64(forged);
+                std::vector<std::uint8_t> bad = payload;
+                std::copy(w.buffer().begin(), w.buffer().end(),
+                          bad.begin() + (at - payload.begin()));
+                try {
+                    deserializeCheckpoint(cfg,
+                                          BlobContainer::seal(digest, bad));
+                    ADD_FAILURE() << "counter " << forged << " decoded";
+                } catch (const CheckpointError &e) {
+                    EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
+                }
+            }
+        }
+    });
 }
 
 TEST(CheckpointValidation, RejectsTamperedState)

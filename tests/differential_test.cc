@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -96,69 +95,6 @@ randomScenario(Rng &rng)
     return cfg;
 }
 
-/** Bit-exact comparison of two scenario results, traces included. */
-void
-expectSameScenario(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.sprints_exhausted, b.sprints_exhausted);
-    EXPECT_EQ(a.hardware_throttles, b.hardware_throttles);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.sprint_rest_cycles, b.sprint_rest_cycles);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.p50_response, b.p50_response);
-    EXPECT_EQ(a.p95_response, b.p95_response);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    EXPECT_EQ(a.peak_melt_fraction, b.peak_melt_fraction);
-    EXPECT_EQ(a.surrogate_tasks, b.surrogate_tasks);
-    EXPECT_EQ(a.audit_tasks, b.audit_tasks);
-    EXPECT_EQ(a.surrogate_demotions, b.surrogate_demotions);
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        const ScenarioTaskResult &ta = a.tasks[i];
-        const ScenarioTaskResult &tb = b.tasks[i];
-        ASSERT_EQ(ta.arrival, tb.arrival);
-        ASSERT_EQ(ta.start, tb.start);
-        ASSERT_EQ(ta.finish, tb.finish);
-        ASSERT_EQ(ta.response, tb.response);
-        ASSERT_EQ(ta.sprint_granted, tb.sprint_granted);
-        ASSERT_EQ(ta.preemptions, tb.preemptions);
-        ASSERT_EQ(ta.deadline_met, tb.deadline_met);
-        ASSERT_EQ(ta.run.machine.cycles, tb.run.machine.cycles);
-        ASSERT_EQ(ta.run.machine.ops_retired,
-                  tb.run.machine.ops_retired);
-        ASSERT_EQ(ta.run.machine.ops_by_kind,
-                  tb.run.machine.ops_by_kind);
-        ASSERT_EQ(ta.run.machine.idle_cycles,
-                  tb.run.machine.idle_cycles);
-        ASSERT_EQ(ta.run.machine.l1_hits, tb.run.machine.l1_hits);
-        ASSERT_EQ(ta.run.machine.l1_misses, tb.run.machine.l1_misses);
-        ASSERT_EQ(ta.run.dynamic_energy, tb.run.dynamic_energy);
-        ASSERT_EQ(ta.run.task_time, tb.run.task_time);
-        ASSERT_EQ(ta.run.sprint_energy, tb.run.sprint_energy);
-    }
-    const TimeSeries *sa[] = {&a.junction_trace, &a.power_trace,
-                              &a.melt_trace};
-    const TimeSeries *sb[] = {&b.junction_trace, &b.power_trace,
-                              &b.melt_trace};
-    for (int k = 0; k < 3; ++k) {
-        ASSERT_EQ(sa[k]->size(), sb[k]->size());
-        for (std::size_t i = 0; i < sa[k]->size(); ++i) {
-            ASSERT_EQ(sa[k]->timeAt(i), sb[k]->timeAt(i));
-            ASSERT_EQ(sa[k]->valueAt(i), sb[k]->valueAt(i));
-        }
-    }
-}
-
 /** Scenario descriptor for failure messages. */
 std::string
 describe(const ScenarioConfig &cfg, int index)
@@ -183,7 +119,7 @@ TEST(Differential, EventLoopMatchesReferenceLoop)
         ScenarioConfig ref = cfg;
         ref.platform.machine.loop = MachineLoop::Reference;
         const ScenarioResult slow = runScenario(ref);
-        expectSameScenario(fast, slow);
+        EXPECT_EQ(firstDifference(fast, slow), "");
     }
 }
 
@@ -197,7 +133,7 @@ TEST(Differential, ShardedMatchesUnsharded)
         for (std::uint64_t shard : {1u, 2u}) {
             const ScenarioResult sharded =
                 runScenarioSharded(cfg, shard);
-            expectSameScenario(whole, sharded);
+            EXPECT_EQ(firstDifference(whole, sharded), "");
         }
     }
 }
@@ -216,17 +152,12 @@ TEST(Differential, StreamingAggregatesMatchFullEngine)
         // Same physics sample for sample; only the storage and the
         // quantile estimator (exact vs P²) may differ.
         EXPECT_TRUE(lean.tasks.empty());
-        EXPECT_EQ(lean.tasks_completed, full.tasks_completed);
-        EXPECT_EQ(lean.sprints_granted, full.sprints_granted);
-        EXPECT_EQ(lean.preemptions, full.preemptions);
-        EXPECT_EQ(lean.tasks_dropped, full.tasks_dropped);
-        EXPECT_EQ(lean.deadlines_met, full.deadlines_met);
+        FieldDiff tallies;
+        lean.compare(tallies, full);
+        EXPECT_EQ(tallies.first(), "");
         EXPECT_EQ(lean.sprint_rest_cycles, full.sprint_rest_cycles);
         EXPECT_EQ(lean.makespan, full.makespan);
-        EXPECT_EQ(lean.total_energy, full.total_energy);
-        EXPECT_EQ(lean.peak_junction, full.peak_junction);
         EXPECT_EQ(lean.peak_melt_fraction, full.peak_melt_fraction);
-        EXPECT_EQ(lean.total_sprint_energy, full.total_sprint_energy);
     }
 }
 
@@ -263,7 +194,7 @@ TEST(Differential, SparseDirectoryMatchesFullMap)
         ScenarioConfig flat = cfg;
         flat.platform.machine.l2.directory = DirectoryKind::FullMap;
         const ScenarioResult full = runScenario(flat);
-        expectSameScenario(sparse, full);
+        EXPECT_EQ(firstDifference(sparse, full), "");
     }
 }
 
@@ -285,8 +216,8 @@ TEST(Differential, HeapDispatchMatchesGenericScan)
         SCOPED_TRACE(describe(cfg, i));
         const ScenarioResult heap = runScenario(cfg);
         ScenarioConfig generic = cfg;
-        generic.generic_dispatch = true;
-        expectSameScenario(heap, runScenario(generic));
+        generic.debug.generic_dispatch = true;
+        EXPECT_EQ(firstDifference(heap, runScenario(generic)), "");
     }
 }
 
@@ -302,8 +233,8 @@ TEST(Differential, PipelinedBuildMatchesSerial)
         const ScenarioResult serial = runScenario(cfg);
         ScenarioConfig piped = cfg;
         piped.pipeline_build = true;
-        piped.verify_pipeline_build = true;
-        expectSameScenario(serial, runScenario(piped));
+        piped.debug.verify_pipeline_build = true;
+        EXPECT_EQ(firstDifference(serial, runScenario(piped)), "");
     }
 }
 
@@ -435,7 +366,7 @@ TEST(Differential, AutoTierShardedBitExact)
     EXPECT_GT(whole.audit_tasks, 0u);
     for (std::uint64_t shard : {1u, 7u, 64u}) {
         SCOPED_TRACE("shard=" + std::to_string(shard));
-        expectSameScenario(whole, runScenarioSharded(cfg, shard));
+        EXPECT_EQ(firstDifference(whole, runScenarioSharded(cfg, shard)), "");
     }
 }
 
@@ -459,8 +390,8 @@ TEST(Differential, AuditDemotionDeterminism)
     SCOPED_TRACE(describe(cfg, 0));
     const ScenarioResult first = runScenario(cfg);
     EXPECT_GT(first.surrogate_demotions, 0);
-    expectSameScenario(first, runScenario(cfg));
-    expectSameScenario(first, runScenarioSharded(cfg, 13));
+    EXPECT_EQ(firstDifference(first, runScenario(cfg)), "");
+    EXPECT_EQ(firstDifference(first, runScenarioSharded(cfg, 13)), "");
 }
 
 /**
@@ -490,14 +421,16 @@ expectCompactionParity(const ScenarioConfig &cfg)
     ASSERT_EQ(declared.tasks_completed,
               static_cast<std::uint64_t>(cfg.num_tasks));
     ScenarioConfig generic = cfg;
-    generic.generic_dispatch = true;
+    generic.debug.generic_dispatch = true;
     {
         SCOPED_TRACE("generic dispatch");
-        expectSameScenario(declared, runScenario(generic));
+        EXPECT_EQ(firstDifference(declared, runScenario(generic)), "");
     }
     for (std::uint64_t shard : {7u, 97u}) {
         SCOPED_TRACE("shard=" + std::to_string(shard));
-        expectSameScenario(declared, runScenarioSharded(cfg, shard));
+        EXPECT_EQ(firstDifference(declared,
+                                  runScenarioSharded(cfg, shard)),
+                  "");
     }
 }
 
@@ -606,28 +539,7 @@ TEST(Differential, FleetMultiProcessMatchesInProcess)
         ASSERT_TRUE(ip.allOk());
         ASSERT_TRUE(mp.allOk());
 
-        EXPECT_EQ(ip.aggregates.tasks_completed,
-                  mp.aggregates.tasks_completed);
-        EXPECT_EQ(ip.aggregates.melt_cycles,
-                  mp.aggregates.melt_cycles);
-        EXPECT_EQ(ip.aggregates.deadlines_met,
-                  mp.aggregates.deadlines_met);
-        EXPECT_EQ(ip.aggregates.deadlines_missed,
-                  mp.aggregates.deadlines_missed);
-        EXPECT_EQ(ip.aggregates.thermal_violations,
-                  mp.aggregates.thermal_violations);
-        EXPECT_EQ(ip.aggregates.peak_junction,
-                  mp.aggregates.peak_junction);
-        EXPECT_EQ(ip.aggregates.total_energy,
-                  mp.aggregates.total_energy);
-        double sa[P2Quantile::kStateSize];
-        double sb[P2Quantile::kStateSize];
-        ip.aggregates.response_p50.save(sa);
-        mp.aggregates.response_p50.save(sb);
-        EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
-        ip.aggregates.response_p95.save(sa);
-        mp.aggregates.response_p95.save(sb);
-        EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
+        EXPECT_EQ(firstDifference(ip.aggregates, mp.aggregates), "");
 
         ASSERT_EQ(ip.devices.size(), mp.devices.size());
         for (std::size_t d = 0; d < ip.devices.size(); ++d) {

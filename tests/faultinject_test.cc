@@ -44,41 +44,6 @@ shardScenario(std::uint64_t seed)
     return cfg;
 }
 
-void
-expectResultsEqual(const ScenarioResult &a, const ScenarioResult &b)
-{
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.preemptions, b.preemptions);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.p50_response, b.p50_response);
-    EXPECT_EQ(a.p95_response, b.p95_response);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    EXPECT_EQ(a.peak_melt_fraction, b.peak_melt_fraction);
-    EXPECT_EQ(a.sprint_rest_cycles, b.sprint_rest_cycles);
-    EXPECT_EQ(a.junction_trace.timeData(), b.junction_trace.timeData());
-    EXPECT_EQ(a.junction_trace.valueData(),
-              b.junction_trace.valueData());
-    EXPECT_EQ(a.power_trace.timeData(), b.power_trace.timeData());
-    EXPECT_EQ(a.power_trace.valueData(), b.power_trace.valueData());
-    EXPECT_EQ(a.melt_trace.timeData(), b.melt_trace.timeData());
-    EXPECT_EQ(a.melt_trace.valueData(), b.melt_trace.valueData());
-    ASSERT_EQ(a.tasks.size(), b.tasks.size());
-    for (std::size_t i = 0; i < a.tasks.size(); ++i) {
-        EXPECT_EQ(a.tasks[i].finish, b.tasks[i].finish);
-        EXPECT_EQ(a.tasks[i].response, b.tasks[i].response);
-        EXPECT_EQ(a.tasks[i].run.dynamic_energy,
-                  b.tasks[i].run.dynamic_energy);
-    }
-}
-
 std::string
 freshDir(const char *tag)
 {
@@ -117,7 +82,7 @@ recoveryParity(FaultKind kind)
     EXPECT_GE(shard.retries, 1) << "the fault never fired";
     EXPECT_GE(shard.recoveries, 1u)
         << "recovery never resumed from a persisted checkpoint";
-    expectResultsEqual(direct, shard.result);
+    EXPECT_EQ(firstDifference(direct, shard.result), "");
 }
 
 TEST(FaultInjection, CrashAtCheckpointRecoversBitExact)
@@ -167,8 +132,9 @@ TEST(FaultInjection, MultiShardRandomizedPlanStaysBitExact)
         runSupervisedScenarioBatch(shards, opts, plan);
     ASSERT_TRUE(batch.allOk());
     for (std::size_t i = 0; i < shards.size(); ++i)
-        expectResultsEqual(runScenario(shards[i]),
-                           batch.shards[i].result);
+        EXPECT_EQ(firstDifference(runScenario(shards[i]),
+                                  batch.shards[i].result),
+                  "");
 }
 
 TEST(FaultInjection, ExhaustedRetriesReportDegradedNotDropped)
@@ -202,7 +168,9 @@ TEST(FaultInjection, ExhaustedRetriesReportDegradedNotDropped)
 
     // The healthy shard is unaffected by its neighbour's failure.
     EXPECT_FALSE(batch.shards[1].degraded);
-    expectResultsEqual(runScenario(shards[1]), batch.shards[1].result);
+    EXPECT_EQ(firstDifference(runScenario(shards[1]),
+                              batch.shards[1].result),
+              "");
 }
 
 TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
@@ -227,7 +195,7 @@ TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
         runSupervisedScenarioBatch({cfg}, opts, FaultPlan{});
     ASSERT_TRUE(second.allOk());
     EXPECT_GE(second.shards[0].recoveries, 1u);
-    expectResultsEqual(runScenario(cfg), second.shards[0].result);
+    EXPECT_EQ(firstDifference(runScenario(cfg), second.shards[0].result), "");
 }
 
 TEST(CheckedBatch, PerShardFailuresSurviveAndSurface)
@@ -249,7 +217,7 @@ TEST(CheckedBatch, PerShardFailuresSurviveAndSurface)
     EXPECT_FALSE(checked[0].ok());
     EXPECT_THROW(checked[0].get(), std::exception);
     ASSERT_TRUE(checked[1].ok());
-    expectResultsEqual(runScenario(batch[1]), checked[1].get());
+    EXPECT_EQ(firstDifference(runScenario(batch[1]), checked[1].get()), "");
 }
 
 } // namespace

@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -87,36 +86,6 @@ fleetOptions(const char *tag)
     return opts;
 }
 
-void
-expectAggregatesBitEqual(const FleetAggregates &a,
-                         const FleetAggregates &b)
-{
-    EXPECT_EQ(a.devices, b.devices);
-    EXPECT_EQ(a.degraded_devices, b.degraded_devices);
-    EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-    EXPECT_EQ(a.tasks_dropped, b.tasks_dropped);
-    EXPECT_EQ(a.deadlines_met, b.deadlines_met);
-    EXPECT_EQ(a.deadlines_missed, b.deadlines_missed);
-    EXPECT_EQ(a.sprints_granted, b.sprints_granted);
-    EXPECT_EQ(a.sprints_denied, b.sprints_denied);
-    EXPECT_EQ(a.hardware_throttles, b.hardware_throttles);
-    EXPECT_EQ(a.melt_cycles, b.melt_cycles);
-    EXPECT_EQ(a.thermal_violations, b.thermal_violations);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.peak_melt, b.peak_melt);
-    EXPECT_EQ(a.total_energy, b.total_energy);
-    EXPECT_EQ(a.total_sprint_time, b.total_sprint_time);
-    EXPECT_EQ(a.total_sprint_energy, b.total_sprint_energy);
-    double sa[P2Quantile::kStateSize];
-    double sb[P2Quantile::kStateSize];
-    a.response_p50.save(sa);
-    b.response_p50.save(sb);
-    EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
-    a.response_p95.save(sa);
-    b.response_p95.save(sb);
-    EXPECT_EQ(0, std::memcmp(sa, sb, sizeof(sa)));
-}
-
 std::string
 workerErrors(const FleetResult &res)
 {
@@ -133,7 +102,7 @@ workerErrors(const FleetResult &res)
 void
 expectFleetsBitEqual(const FleetResult &a, const FleetResult &b)
 {
-    expectAggregatesBitEqual(a.aggregates, b.aggregates);
+    EXPECT_EQ(firstDifference(a.aggregates, b.aggregates), "");
     ASSERT_EQ(a.devices.size(), b.devices.size());
     for (std::size_t d = 0; d < a.devices.size(); ++d) {
         EXPECT_EQ(a.devices[d].completed, b.devices[d].completed);
@@ -305,7 +274,7 @@ TEST(FleetFault, RespawnedThenDegradedRangeFoldsEachDeviceOnce)
                               spec, fleetDeviceConfig(spec, d)));
     expect.foldDegradedDevice();
     expect.foldDegradedDevice();
-    expectAggregatesBitEqual(expect, res.aggregates);
+    EXPECT_EQ(firstDifference(expect, res.aggregates), "");
 }
 
 TEST(FleetFault, ThreadTransportRejectsProcessKinds)

@@ -5,7 +5,8 @@
  * (seed, device index) alone, shard-range construction, mergeable
  * aggregates (exact counters, deterministic P² quantile merge that is
  * order-insensitive within an estimator tolerance), wire round-trips,
- * every-truncation and bit-flip sweeps over the pipe frame decoder, a
+ * firstDifference naming every aggregate field, every-truncation and
+ * bit-flip sweeps over the aggregates and pipe frame decoders, a
  * small in-process fleet sanity run, multi-process parity of the
  * per-device results read back from each transport's store, and
  * rejection of a zero checkpoint cadence. The fault-recovery parity
@@ -16,12 +17,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -242,90 +245,149 @@ TEST(FleetRanges, CoverContiguousAndBalanced)
 
 TEST(FleetAggregatesTest, CounterMergeIsExact)
 {
-    // Synthetic per-device results: folding all into one aggregate
-    // must equal folding halves and merging, exactly, for every
-    // counter and max.
-    std::vector<ScenarioResult> devices(7);
+    // Five synthetic devices with every tally set: one range folded
+    // whole must equal two ranges folded and merged, bit for bit.
+    // Five responses keep the P² estimators in their exact bootstrap,
+    // and integer-valued sums round alike in either grouping, so the
+    // whole aggregate — not just its counters — must match.
+    std::vector<ScenarioResult> devices(5);
     Rng rng(99);
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        ScenarioResult &r = devices[i];
-        r.tasks_completed = 1 + rng.uniformInt(9);
-        r.tasks_dropped = static_cast<int>(rng.uniformInt(3));
-        r.deadlines_met = static_cast<int>(rng.uniformInt(5));
-        r.deadlines_missed = static_cast<int>(rng.uniformInt(5));
-        r.sprints_granted = static_cast<int>(rng.uniformInt(5));
-        r.sprints_denied = static_cast<int>(rng.uniformInt(5));
-        r.hardware_throttles = static_cast<int>(rng.uniformInt(2));
+    std::uint64_t exhausted = 0, preempted = 0;
+    for (ScenarioResult &r : devices) {
+        TaskTallies<int>::forEachField([&](const char *, auto field) {
+            r.*field = 1 + static_cast<int>(rng.uniformInt(9));
+        });
         r.sprint_rest_cycles = static_cast<int>(rng.uniformInt(4));
-        r.peak_junction = rng.uniform(40.0, 80.0);
         r.peak_melt_fraction = rng.uniform();
-        r.total_energy = rng.uniform(0.0, 5.0);
-        r.total_sprint_time = rng.uniform(0.0, 1.0);
-        r.total_sprint_energy = rng.uniform(0.0, 2.0);
         ScenarioTaskResult t;
         t.response = rng.uniform(1e-4, 1e-2);
         r.tasks.push_back(t);
+        exhausted += static_cast<std::uint64_t>(r.sprints_exhausted);
+        preempted += static_cast<std::uint64_t>(r.preemptions);
     }
-    const Celsius limit = 70.0;
+    const Celsius limit = 5.0; // some of the peaks (1..9) violate it
 
-    FleetAggregates whole;
+    FleetAggregates one, whole;
     for (const ScenarioResult &r : devices)
-        whole.foldDevice(r, limit);
-    whole.foldDegradedDevice();
+        one.foldDevice(r, limit);
+    one.foldDegradedDevice();
+    whole.merge(one);
 
-    FleetAggregates left, right;
-    for (std::size_t i = 0; i < 4; ++i)
+    FleetAggregates left, right, merged;
+    for (std::size_t i = 0; i < 2; ++i)
         left.foldDevice(devices[i], limit);
-    for (std::size_t i = 4; i < devices.size(); ++i)
+    for (std::size_t i = 2; i < devices.size(); ++i)
         right.foldDevice(devices[i], limit);
     right.foldDegradedDevice();
-    left.merge(right);
+    merged.merge(left);
+    merged.merge(right);
 
-    EXPECT_EQ(whole.devices, left.devices);
-    EXPECT_EQ(whole.degraded_devices, left.degraded_devices);
-    EXPECT_EQ(whole.tasks_completed, left.tasks_completed);
-    EXPECT_EQ(whole.tasks_dropped, left.tasks_dropped);
-    EXPECT_EQ(whole.deadlines_met, left.deadlines_met);
-    EXPECT_EQ(whole.deadlines_missed, left.deadlines_missed);
-    EXPECT_EQ(whole.sprints_granted, left.sprints_granted);
-    EXPECT_EQ(whole.sprints_denied, left.sprints_denied);
-    EXPECT_EQ(whole.hardware_throttles, left.hardware_throttles);
-    EXPECT_EQ(whole.melt_cycles, left.melt_cycles);
-    EXPECT_EQ(whole.thermal_violations, left.thermal_violations);
-    EXPECT_EQ(whole.peak_junction, left.peak_junction);
-    EXPECT_EQ(whole.peak_melt, left.peak_melt);
-    EXPECT_EQ(whole.total_energy, left.total_energy);
+    EXPECT_EQ(firstDifference(whole, merged), "");
+    EXPECT_EQ(merged.sprints_exhausted, exhausted);
+    EXPECT_EQ(merged.preemptions, preempted);
+}
+
+/** The fleet-only integer and double fields, by name. */
+const std::pair<const char *, std::uint64_t FleetAggregates::*>
+    kFleetCounters[] = {
+        {"devices", &FleetAggregates::devices},
+        {"degraded_devices", &FleetAggregates::degraded_devices},
+        {"melt_cycles", &FleetAggregates::melt_cycles},
+        {"thermal_violations", &FleetAggregates::thermal_violations},
+};
+constexpr std::pair<const char *, double FleetAggregates::*> kPeakMelt = {
+    "peak_melt", &FleetAggregates::peak_melt};
+
+/** Aggregates whose every field holds a distinct value. */
+FleetAggregates
+distinctAggregates()
+{
+    FleetAggregates agg;
+    std::uint64_t next = (1ull << 40) + 1;
+    TaskTallies<std::uint64_t>::forEachField(
+        [&](const char *, auto field) { agg.*field = next++; });
+    for (const auto &[name, field] : kFleetCounters)
+        agg.*field = next++;
+    agg.peak_melt = 0.75;
+    Rng rng(5);
+    for (int i = 0; i < 40; ++i) {
+        const double response = rng.uniform(1e-4, 1e-2);
+        agg.response_p50.add(response);
+        agg.response_p95.add(response);
+    }
+    return agg;
 }
 
 TEST(FleetAggregatesTest, WireRoundTripIsBitExact)
 {
-    FleetAggregates agg;
-    Rng rng(5);
-    for (int i = 0; i < 40; ++i) {
-        ScenarioResult r;
-        r.tasks_completed = 2;
-        r.peak_junction = rng.uniform(40.0, 90.0);
-        ScenarioTaskResult t;
-        t.response = rng.uniform(1e-4, 1e-2);
-        r.tasks.push_back(t);
-        agg.foldDevice(r, 70.0);
-    }
-
+    const FleetAggregates agg = distinctAggregates();
     const std::uint32_t digest = 0xabad1deau;
     const auto blob = serializeFleetAggregates(agg, digest);
-    const FleetAggregates back =
-        deserializeFleetAggregates(blob, digest);
-    EXPECT_EQ(agg.devices, back.devices);
-    EXPECT_EQ(agg.tasks_completed, back.tasks_completed);
-    EXPECT_EQ(agg.thermal_violations, back.thermal_violations);
-    EXPECT_EQ(agg.peak_junction, back.peak_junction);
-    expectP2BitEqual(agg.response_p50, back.response_p50);
-    expectP2BitEqual(agg.response_p95, back.response_p95);
+    EXPECT_EQ(firstDifference(agg, deserializeFleetAggregates(blob, digest)),
+              "");
 
     // Sealed against the fleet digest: a different fleet's aggregates
     // cannot be folded in by mistake.
     EXPECT_THROW(deserializeFleetAggregates(blob, digest + 1),
                  CheckpointError);
+}
+
+TEST(FleetAggregatesTest, FirstDifferenceNamesEveryField)
+{
+    // Each field perturbed on a copy is named, and only that field;
+    // doubles also differ on +0.0 vs -0.0 and on NaN against itself.
+    const FleetAggregates agg = distinctAggregates();
+    EXPECT_EQ(firstDifference(agg, agg), "");
+    const auto expectNamed = [&agg](const char *name, auto field) {
+        FleetAggregates x = agg, y = agg;
+        y.*field += 1;
+        EXPECT_EQ(firstDifference(x, y), name);
+        if constexpr (std::is_same_v<std::decay_t<decltype(x.*field)>,
+                                     double>) {
+            x.*field = 0.0;
+            y.*field = -0.0;
+            EXPECT_EQ(firstDifference(x, y), name) << "+0.0 vs -0.0";
+            x.*field = y.*field = std::nan("");
+            EXPECT_EQ(firstDifference(x, y), name) << "NaN on both sides";
+        }
+    };
+    TaskTallies<std::uint64_t>::forEachField(expectNamed);
+    for (const auto &[name, field] : kFleetCounters)
+        expectNamed(name, field);
+    expectNamed(kPeakMelt.first, kPeakMelt.second);
+    for (const auto &[name, field] :
+         {std::pair{"response_p50", &FleetAggregates::response_p50},
+          std::pair{"response_p95", &FleetAggregates::response_p95}}) {
+        FleetAggregates other = agg;
+        (other.*field).add(5e-3);
+        EXPECT_EQ(firstDifference(agg, other), name);
+    }
+}
+
+TEST(FleetAggregatesTest, EveryAggregatesTruncationIsRejected)
+{
+    const std::uint32_t digest = 0xabad1deau;
+    const auto blob = serializeFleetAggregates(distinctAggregates(), digest);
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+        const std::vector<std::uint8_t> prefix(blob.begin(),
+                                               blob.begin() + len);
+        EXPECT_THROW(deserializeFleetAggregates(prefix, digest),
+                     CheckpointError)
+            << "prefix of " << len << " bytes";
+    }
+}
+
+TEST(FleetAggregatesTest, EveryAggregatesBitFlipIsRejected)
+{
+    const std::uint32_t digest = 0xabad1deau;
+    const auto blob = serializeFleetAggregates(distinctAggregates(), digest);
+    for (std::size_t bit = 0; bit < 8 * blob.size(); ++bit) {
+        std::vector<std::uint8_t> bad = blob;
+        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        EXPECT_THROW(deserializeFleetAggregates(bad, digest),
+                     CheckpointError)
+            << "flipped bit " << bit;
+    }
 }
 
 TEST(P2Merge, SmallMergesAreExact)
@@ -603,12 +665,10 @@ TEST(FleetMultiProcess, StoredDeviceResultsMatchInProcess)
 
         // Full results live in the store and read back bit-equal.
         const ScenarioResult a = loadFleetDeviceResult(spec, ip_dir, dev);
-        const ScenarioResult b = loadFleetDeviceResult(spec, mp_dir, dev);
         EXPECT_GT(a.tasks_completed, 0u);
-        EXPECT_EQ(a.tasks_completed, b.tasks_completed);
-        EXPECT_EQ(a.total_energy, b.total_energy);
-        EXPECT_EQ(a.peak_junction, b.peak_junction);
-        EXPECT_EQ(a.tasks.size(), b.tasks.size());
+        EXPECT_EQ(firstDifference(
+                      a, loadFleetDeviceResult(spec, mp_dir, dev)),
+                  "");
     }
 }
 

@@ -27,36 +27,6 @@
 namespace csprint {
 namespace {
 
-/** Exact comparison of two coupled-run results, traces included. */
-void
-expectSameRun(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.machine.cycles, b.machine.cycles);
-    EXPECT_EQ(a.machine.ops_retired, b.machine.ops_retired);
-    EXPECT_EQ(a.machine.ops_by_kind, b.machine.ops_by_kind);
-    EXPECT_EQ(a.machine.idle_cycles, b.machine.idle_cycles);
-    EXPECT_EQ(a.machine.l1_hits, b.machine.l1_hits);
-    EXPECT_EQ(a.machine.l1_misses, b.machine.l1_misses);
-    EXPECT_EQ(a.machine.dynamic_energy, b.machine.dynamic_energy);
-    EXPECT_EQ(a.task_time, b.task_time);
-    EXPECT_EQ(a.dynamic_energy, b.dynamic_energy);
-    EXPECT_EQ(a.peak_junction, b.peak_junction);
-    EXPECT_EQ(a.final_melt_fraction, b.final_melt_fraction);
-    EXPECT_EQ(a.sprint_exhausted, b.sprint_exhausted);
-    EXPECT_EQ(a.hardware_throttled, b.hardware_throttled);
-    EXPECT_EQ(a.sprint_duration, b.sprint_duration);
-    EXPECT_EQ(a.sprint_energy, b.sprint_energy);
-    EXPECT_EQ(a.cooldown_estimate, b.cooldown_estimate);
-    ASSERT_EQ(a.junction_trace.size(), b.junction_trace.size());
-    for (std::size_t i = 0; i < a.junction_trace.size(); ++i) {
-        ASSERT_EQ(a.junction_trace.timeAt(i), b.junction_trace.timeAt(i));
-        ASSERT_EQ(a.junction_trace.valueAt(i),
-                  b.junction_trace.valueAt(i));
-        ASSERT_EQ(a.power_trace.valueAt(i), b.power_trace.valueAt(i));
-        ASSERT_EQ(a.melt_trace.valueAt(i), b.melt_trace.valueAt(i));
-    }
-}
-
 /**
  * Run one fig07-style task through the pump, suspending the machine
  * every @p suspend_every samples (0 = classic uninterrupted run).
@@ -94,7 +64,7 @@ TEST(MachinePreemption, SuspendResumeConservesEverything)
          {MachineLoop::EventDriven, MachineLoop::Reference}) {
         const RunResult whole = pumpWithSuspends(loop, 0);
         const RunResult sliced = pumpWithSuspends(loop, 7);
-        expectSameRun(sliced, whole);
+        EXPECT_EQ(firstDifference(sliced, whole), "");
     }
 }
 
@@ -292,7 +262,8 @@ TEST(ScenarioPreemption, DroppedArrivalLeavesStateAsIfDenied)
         ASSERT_EQ(only.junction_trace.valueAt(i),
                   dropped.junction_trace.valueAt(i));
     }
-    expectSameRun(only.tasks.at(0).run, dropped.tasks.at(0).run);
+    EXPECT_EQ(
+        firstDifference(only.tasks.at(0).run, dropped.tasks.at(0).run), "");
 }
 
 TEST(ScenarioPreemption, ShardCutBetweenPreemptionAndResume)
@@ -308,28 +279,9 @@ TEST(ScenarioPreemption, ShardCutBetweenPreemptionAndResume)
     ASSERT_GE(whole.preemptions, 1);
 
     for (std::uint64_t shard : {1u, 2u}) {
-        const ScenarioResult sharded = runScenarioSharded(cfg, shard);
-        EXPECT_EQ(sharded.preemptions, whole.preemptions);
-        EXPECT_EQ(sharded.tasks_completed, whole.tasks_completed);
-        EXPECT_EQ(sharded.makespan, whole.makespan);
-        EXPECT_EQ(sharded.total_energy, whole.total_energy);
-        EXPECT_EQ(sharded.peak_junction, whole.peak_junction);
-        EXPECT_EQ(sharded.p95_response, whole.p95_response);
-        ASSERT_EQ(sharded.tasks.size(), whole.tasks.size());
-        for (std::size_t i = 0; i < whole.tasks.size(); ++i) {
-            ASSERT_EQ(sharded.tasks[i].response, whole.tasks[i].response);
-            ASSERT_EQ(sharded.tasks[i].preemptions,
-                      whole.tasks[i].preemptions);
-            expectSameRun(sharded.tasks[i].run, whole.tasks[i].run);
-        }
-        ASSERT_EQ(sharded.junction_trace.size(),
-                  whole.junction_trace.size());
-        for (std::size_t i = 0; i < whole.junction_trace.size(); ++i) {
-            ASSERT_EQ(sharded.junction_trace.timeAt(i),
-                      whole.junction_trace.timeAt(i));
-            ASSERT_EQ(sharded.junction_trace.valueAt(i),
-                      whole.junction_trace.valueAt(i));
-        }
+        EXPECT_EQ(firstDifference(whole, runScenarioSharded(cfg, shard)),
+                  "")
+            << "shard " << shard;
     }
 }
 
