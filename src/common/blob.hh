@@ -2,9 +2,20 @@
  * @file
  * Portable binary serialization for checkpoints: a little-endian,
  * versioned, CRC32-checksummed byte format with a typed error on
- * every malformed input. BlobWriter appends primitives and vectors to
- * a byte buffer; BlobReader consumes the same sequence, throwing
+ * every malformed input.
+ *
+ * Every record's byte layout is written once, as a transfer function
+ * templated on the archive: `template <typename Ar> void
+ * transfer(Ar &a, Io<Ar, T> x)` calls one verb per field in wire
+ * order (`a.u64(x.count)`, `a.f64(x.mean)`, ...). BlobWriter's verbs
+ * append the field; BlobReader's verbs overwrite it, throwing
  * CheckpointError (never invoking UB) on truncation or corruption.
+ * `Ar::kReading` lets read-side checks and rebuilds sit under
+ * `if constexpr`, so validation costs nothing when writing. Two verbs
+ * check as they read: narrowInt() carries an int as an i64 and
+ * rejects what an int cannot hold, and enumAs<Wire>() carries an enum
+ * as a Wire integer and rejects values past the enum's last
+ * enumerator.
  *
  * Container layout (all little-endian):
  *
@@ -22,10 +33,12 @@
 #ifndef CSPRINT_COMMON_BLOB_HH
 #define CSPRINT_COMMON_BLOB_HH
 
+#include <climits>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace csprint {
@@ -65,10 +78,23 @@ class CheckpointError : public std::runtime_error
 std::uint32_t crc32(const void *data, std::size_t n,
                     std::uint32_t seed = 0);
 
+/**
+ * The reference a transfer function takes its record by: const when
+ * the archive writes, mutable when it reads.
+ */
+template <typename Archive, typename T>
+using Io = std::conditional_t<Archive::kReading, T &, const T &>;
+
+// Transfer functions move size_t fields with the u64 verbs.
+static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+              "the checkpoint codec assumes a 64-bit size_t");
+
 /** Append-only little-endian byte sink. */
 class BlobWriter
 {
   public:
+    static constexpr bool kReading = false;
+
     void u8(std::uint8_t v) { buf_.push_back(v); }
     void u16(std::uint16_t v) { putLe(v, 2); }
     void u32(std::uint32_t v) { putLe(v, 4); }
@@ -77,6 +103,17 @@ class BlobWriter
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
     void boolean(bool v) { u8(v ? 1 : 0); }
     void sz(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
+
+    /** An int, as an i64 (BlobReader::narrowInt checks the range). */
+    void narrowInt(int v, const char *) { i64(v); }
+
+    /** Enum @p v as a Wire integer; @p last bounds it on the read side. */
+    template <typename Wire, typename E>
+    void enumAs(E v, E, const char *)
+    {
+        putLe(static_cast<std::uint64_t>(static_cast<Wire>(v)),
+              sizeof(Wire));
+    }
 
     void f64(double v)
     {
@@ -98,22 +135,23 @@ class BlobWriter
         buf_.insert(buf_.end(), p, p + n);
     }
 
+    /** Length-prefixed vector; @p one(*this, x) writes each element. */
     template <typename T, typename Fn>
-    void vec(const std::vector<T> &v, Fn &&writeOne)
+    void vec(const std::vector<T> &v, std::size_t, Fn &&one)
     {
         sz(v.size());
         for (const T &x : v)
-            writeOne(*this, x);
+            one(*this, x);
     }
 
     void vecU64(const std::vector<std::uint64_t> &v)
     {
-        vec(v, [](BlobWriter &w, std::uint64_t x) { w.u64(x); });
+        vec(v, 8, [](BlobWriter &w, std::uint64_t x) { w.u64(x); });
     }
 
     void vecF64(const std::vector<double> &v)
     {
-        vec(v, [](BlobWriter &w, double x) { w.f64(x); });
+        vec(v, 8, [](BlobWriter &w, double x) { w.f64(x); });
     }
 
     const std::vector<std::uint8_t> &buffer() const { return buf_; }
@@ -141,6 +179,8 @@ class BlobWriter
 class BlobReader
 {
   public:
+    static constexpr bool kReading = true;
+
     BlobReader(const std::uint8_t *data, std::size_t n)
         : data_(data), size_(n)
     {
@@ -191,33 +231,68 @@ class BlobReader
         pos_ += n;
     }
 
+    // Transfer verbs: overwrite the field with the next value.
+    void u8(std::uint8_t &v) { v = u8(); }
+    void u16(std::uint16_t &v) { v = u16(); }
+    void u32(std::uint32_t &v) { v = u32(); }
+    void u64(std::uint64_t &v) { v = u64(); }
+    void i16(std::int16_t &v) { v = i16(); }
+    void i64(std::int64_t &v) { v = i64(); }
+    void boolean(bool &v) { v = boolean(); }
+    void sz(std::size_t &v) { v = sz(); }
+    void f64(double &v) { v = f64(); }
+    void str(std::string &v) { v = str(); }
+
+    /** An int carried as an i64; Corrupt when an int cannot hold it. */
+    void narrowInt(int &v, const char *what)
+    {
+        const std::int64_t x = i64();
+        if (x < INT_MIN || x > INT_MAX)
+            corrupt(std::string(what) + " " + std::to_string(x) +
+                    " is outside the int range");
+        v = static_cast<int>(x);
+    }
+
+    /** Enum carried as a Wire integer; Corrupt past @p last. */
+    template <typename Wire, typename E>
+    void enumAs(E &v, E last, const char *what)
+    {
+        const auto x = static_cast<std::int64_t>(
+            static_cast<Wire>(getLe(sizeof(Wire))));
+        if (x < 0 || x > static_cast<std::int64_t>(last))
+            corrupt(std::string(what) + " value " + std::to_string(x) +
+                    " out of range");
+        v = static_cast<E>(x);
+    }
+
     /**
-     * Read a length-prefixed vector. @p elemBytes is the minimum
+     * Read a length-prefixed vector into @p v, calling
+     * @p one(*this, element) for each. @p elemBytes is the minimum
      * serialized footprint of one element, used to reject a length
      * field larger than the remaining input before reserving memory.
      */
     template <typename T, typename Fn>
-    std::vector<T> vec(std::size_t elemBytes, Fn &&readOne)
+    void vec(std::vector<T> &v, std::size_t elemBytes, Fn &&one)
     {
         const std::size_t n = sz();
         if (elemBytes > 0 && n > (size_ - pos_) / elemBytes)
             fail("vector length exceeds remaining bytes");
-        std::vector<T> v;
+        v.clear();
         v.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            v.push_back(readOne(*this));
-        return v;
+        for (std::size_t i = 0; i < n; ++i) {
+            v.emplace_back();
+            one(*this, v.back());
+        }
     }
 
-    std::vector<std::uint64_t> vecU64()
+    void vecU64(std::vector<std::uint64_t> &v)
     {
-        return vec<std::uint64_t>(8,
-                                  [](BlobReader &r) { return r.u64(); });
+        vec(v, 8, [](BlobReader &r, std::uint64_t &x) { r.u64(x); });
     }
 
-    std::vector<double> vecF64()
+    void vecF64(std::vector<double> &v)
     {
-        return vec<double>(8, [](BlobReader &r) { return r.f64(); });
+        vec(v, 8, [](BlobReader &r, double &x) { r.f64(x); });
     }
 
     std::size_t remaining() const { return size_ - pos_; }
@@ -243,6 +318,11 @@ class BlobReader
                 "checkpoint truncated: need " + std::to_string(n) +
                     " bytes at offset " + std::to_string(pos_) +
                     ", have " + std::to_string(size_ - pos_));
+    }
+
+    [[noreturn]] static void corrupt(const std::string &what)
+    {
+        throw CheckpointError(CheckpointError::Kind::Corrupt, what);
     }
 
     [[noreturn]] void fail(const char *msg) const

@@ -42,612 +42,497 @@ invariant(const std::string &what)
 } // namespace
 
 /**
- * The single friend of every serializable type: static write/read
- * pairs that dump and overwrite private state field for field. Reads
- * operate on objects already constructed from the ScenarioConfig (so
- * geometry and derived caches come from the config, not the blob) and
- * validate every index and mask that could otherwise be walked into
- * undefined behaviour.
+ * The single friend of every serializable type: one static transfer
+ * function per record, run by BlobWriter to dump private state and by
+ * BlobReader to overwrite it field for field (see common/blob.hh).
+ * Reads operate on objects already constructed from the
+ * ScenarioConfig (so geometry and derived caches come from the config,
+ * not the blob) and validate every index and mask that could otherwise
+ * be walked into undefined behaviour; those checks sit under
+ * `if constexpr (Ar::kReading)` and cost a save nothing.
  */
 struct CheckpointIO
 {
+    /**
+     * Transfer count @p n, the live object's: the writer records it,
+     * the reader rejects a blob that disagrees with the configuration.
+     */
+    template <typename Ar>
+    static void
+    count(Ar &a, std::size_t n, const char *what)
+    {
+        std::uint64_t v = n;
+        a.u64(v);
+        if constexpr (Ar::kReading) {
+            if (v != n)
+                corrupt(what);
+        }
+    }
+
     // ----- common/ ---------------------------------------------------
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const Rng &rng)
+    transfer(Ar &a, Io<Ar, Rng> rng)
     {
-        for (int i = 0; i < 4; ++i)
-            w.u64(rng.s[i]);
+        for (auto &word : rng.s)
+            a.u64(word);
     }
 
+    /**
+     * Reading rejects a tracked quantile other than the one @p q was
+     * constructed with: every owner builds its estimators with a fixed
+     * quantile, and value() converts q * n to an integer rank.
+     */
+    template <typename Ar>
     static void
-    read(BlobReader &r, Rng &rng)
+    transfer(Ar &a, Io<Ar, P2Quantile> q)
     {
-        for (int i = 0; i < 4; ++i)
-            rng.s[i] = r.u64();
+        double quantile = q.q_;
+        a.f64(quantile);
+        if constexpr (Ar::kReading) {
+            if (quantile != q.q_)
+                corrupt("quantile estimator tracks q = " +
+                        std::to_string(quantile) + ", expected " +
+                        std::to_string(q.q_));
+        }
+        a.u64(q.n);
+        for (auto &v : q.height)
+            a.f64(v);
+        for (auto &v : q.pos)
+            a.f64(v);
+        for (auto &v : q.desired)
+            a.f64(v);
+        for (auto &v : q.rate)
+            a.f64(v);
     }
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const P2Quantile &q)
+    transfer(Ar &a, Io<Ar, TimeSeries> ts)
     {
-        w.f64(q.q_);
-        w.u64(q.n);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.height[i]);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.pos[i]);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.desired[i]);
-        for (int i = 0; i < 5; ++i)
-            w.f64(q.rate[i]);
+        a.vecF64(ts.times);
+        a.vecF64(ts.values);
+        if constexpr (Ar::kReading) {
+            if (ts.times.size() != ts.values.size())
+                corrupt("time series with mismatched time/value lengths");
+        }
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, P2Quantile &q)
+    transfer(Ar &a, Io<Ar, DecimatingTrace> dt)
     {
-        q.q_ = r.f64();
-        q.n = static_cast<std::size_t>(r.u64());
-        for (int i = 0; i < 5; ++i)
-            q.height[i] = r.f64();
-        for (int i = 0; i < 5; ++i)
-            q.pos[i] = r.f64();
-        for (int i = 0; i < 5; ++i)
-            q.desired[i] = r.f64();
-        for (int i = 0; i < 5; ++i)
-            q.rate[i] = r.f64();
+        transfer(a, dt.ts);
+        a.u64(dt.cap);
+        a.u64(dt.stride_);
+        a.u64(dt.next_store_);
+        a.u64(dt.offered_);
+        if constexpr (Ar::kReading) {
+            if (dt.cap < 2 || dt.stride_ == 0)
+                corrupt("decimating trace with degenerate capacity/stride");
+        }
     }
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const TimeSeries &ts)
+    transfer(Ar &a, Io<Ar, MeltCycleCounter> mc)
     {
-        w.vecF64(ts.times);
-        w.vecF64(ts.values);
+        a.f64(mc.rise_);
+        a.f64(mc.fall_);
+        a.boolean(mc.molten_);
+        a.narrowInt(mc.cycles_, "melt cycle count");
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, TimeSeries &ts)
+    transfer(Ar &a, Io<Ar, ScenarioTraceSink> sink)
     {
-        ts.times = r.vecF64();
-        ts.values = r.vecF64();
-        if (ts.times.size() != ts.values.size())
-            corrupt("time series with mismatched time/value lengths");
-    }
-
-    static void
-    write(BlobWriter &w, const DecimatingTrace &dt)
-    {
-        write(w, dt.ts);
-        w.sz(dt.cap);
-        w.sz(dt.stride_);
-        w.sz(dt.next_store_);
-        w.sz(dt.offered_);
-    }
-
-    static void
-    read(BlobReader &r, DecimatingTrace &dt)
-    {
-        read(r, dt.ts);
-        dt.cap = static_cast<std::size_t>(r.u64());
-        dt.stride_ = static_cast<std::size_t>(r.u64());
-        dt.next_store_ = static_cast<std::size_t>(r.u64());
-        dt.offered_ = static_cast<std::size_t>(r.u64());
-        if (dt.cap < 2 || dt.stride_ == 0)
-            corrupt("decimating trace with degenerate capacity/stride");
-    }
-
-    static void
-    write(BlobWriter &w, const MeltCycleCounter &mc)
-    {
-        w.f64(mc.rise_);
-        w.f64(mc.fall_);
-        w.boolean(mc.molten_);
-        w.i64(mc.cycles_);
-    }
-
-    static void
-    read(BlobReader &r, MeltCycleCounter &mc)
-    {
-        mc.rise_ = r.f64();
-        mc.fall_ = r.f64();
-        mc.molten_ = r.boolean();
-        mc.cycles_ = static_cast<int>(r.i64());
-    }
-
-    static void
-    write(BlobWriter &w, const ScenarioTraceSink &sink)
-    {
-        w.u8(static_cast<std::uint8_t>(sink.mode_));
-        write(w, sink.junction_);
-        write(w, sink.power_);
-        write(w, sink.melt_);
-        write(w, sink.junction_ring_);
-        write(w, sink.power_ring_);
-        write(w, sink.melt_ring_);
-    }
-
-    static void
-    read(BlobReader &r, ScenarioTraceSink &sink)
-    {
-        const std::uint8_t mode = r.u8();
-        if (mode > static_cast<std::uint8_t>(TraceMode::Off))
-            corrupt("unknown trace-sink mode");
-        sink.mode_ = static_cast<TraceMode>(mode);
-        read(r, sink.junction_);
-        read(r, sink.power_);
-        read(r, sink.melt_);
-        read(r, sink.junction_ring_);
-        read(r, sink.power_ring_);
-        read(r, sink.melt_ring_);
+        a.template enumAs<std::uint8_t>(sink.mode_, TraceMode::Off,
+                                        "trace-sink mode");
+        transfer(a, sink.junction_);
+        transfer(a, sink.power_);
+        transfer(a, sink.melt_);
+        transfer(a, sink.junction_ring_);
+        transfer(a, sink.power_ring_);
+        transfer(a, sink.melt_ring_);
     }
 
     // ----- thermal / arrivals ---------------------------------------
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const ThermalNetworkState &st)
+    transfer(Ar &a, Io<Ar, ThermalNetworkState> st)
     {
-        w.vecF64(st.temps);
-        w.vecF64(st.melt_fractions);
-        w.vecF64(st.injected);
+        a.vecF64(st.temps);
+        a.vecF64(st.melt_fractions);
+        a.vecF64(st.injected);
+        if constexpr (Ar::kReading) {
+            if (st.melt_fractions.size() != st.temps.size() ||
+                st.injected.size() != st.temps.size())
+                corrupt("thermal snapshot with mismatched node counts");
+        }
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, ThermalNetworkState &st)
+    transfer(Ar &a, Io<Ar, ArrivalCursor> cur)
     {
-        st.temps = r.vecF64();
-        st.melt_fractions = r.vecF64();
-        st.injected = r.vecF64();
-        if (st.melt_fractions.size() != st.temps.size() ||
-            st.injected.size() != st.temps.size())
-            corrupt("thermal snapshot with mismatched node counts");
-    }
-
-    static void
-    write(BlobWriter &w, const ArrivalCursor &cur)
-    {
-        write(w, cur.rng);
-        w.f64(cur.poisson_clock);
-        w.u64(cur.index);
-    }
-
-    static void
-    read(BlobReader &r, ArrivalCursor &cur)
-    {
-        read(r, cur.rng);
-        cur.poisson_clock = r.f64();
-        cur.index = r.u64();
+        transfer(a, cur.rng);
+        a.f64(cur.poisson_clock);
+        a.u64(cur.index);
     }
 
     // ----- surrogate fidelity tier ----------------------------------
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const SurrogateClassModel &m)
+    transfer(Ar &a, Io<Ar, SurrogateClassModel> m)
     {
-        w.u64(m.n);
-        w.f64(m.service_mean);
-        w.f64(m.service_m2);
-        w.f64(m.energy_mean);
-        w.f64(m.energy_m2);
-        w.f64(m.ewma_service);
-        w.f64(m.ewma_energy);
-        w.f64(m.ewma_sprint_time);
-        w.f64(m.ewma_sprint_energy);
-        w.f64(m.ewma_heat_time);
-        w.f64(m.ewma_heat_energy);
-        w.f64(m.exhausted_ewma);
-        w.f64(m.throttled_ewma);
-        write(w, m.service_p95);
-        w.u64(m.surrogate_runs);
-        w.u64(m.audits);
-        w.boolean(m.demoted);
-        w.f64(m.worst_audit_error);
+        a.u64(m.n);
+        a.f64(m.service_mean);
+        a.f64(m.service_m2);
+        a.f64(m.energy_mean);
+        a.f64(m.energy_m2);
+        a.f64(m.ewma_service);
+        a.f64(m.ewma_energy);
+        a.f64(m.ewma_sprint_time);
+        a.f64(m.ewma_sprint_energy);
+        a.f64(m.ewma_heat_time);
+        a.f64(m.ewma_heat_energy);
+        a.f64(m.exhausted_ewma);
+        a.f64(m.throttled_ewma);
+        transfer(a, m.service_p95);
+        a.u64(m.surrogate_runs);
+        a.u64(m.audits);
+        a.boolean(m.demoted);
+        a.f64(m.worst_audit_error);
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, SurrogateClassModel &m)
+    transfer(Ar &a, Io<Ar, TaskSurrogate> s)
     {
-        m.n = r.u64();
-        m.service_mean = r.f64();
-        m.service_m2 = r.f64();
-        m.energy_mean = r.f64();
-        m.energy_m2 = r.f64();
-        m.ewma_service = r.f64();
-        m.ewma_energy = r.f64();
-        m.ewma_sprint_time = r.f64();
-        m.ewma_sprint_energy = r.f64();
-        m.ewma_heat_time = r.f64();
-        m.ewma_heat_energy = r.f64();
-        m.exhausted_ewma = r.f64();
-        m.throttled_ewma = r.f64();
-        read(r, m.service_p95);
-        m.surrogate_runs = r.u64();
-        m.audits = r.u64();
-        m.demoted = r.boolean();
-        m.worst_audit_error = r.f64();
-    }
-
-    static void
-    write(BlobWriter &w, const TaskSurrogate &s)
-    {
-        write(w, s.audit_rng_);
-        w.u64(s.surrogate_tasks_);
-        w.u64(s.audit_tasks_);
-        w.i64(s.demotions_);
-        w.sz(s.classes_.size());
-        for (const auto &entry : s.classes_) {
-            w.u32(entry.first);
-            write(w, entry.second);
-        }
-    }
-
-    static void
-    read(BlobReader &r, TaskSurrogate &s)
-    {
-        read(r, s.audit_rng_);
-        s.surrogate_tasks_ = r.u64();
-        s.audit_tasks_ = r.u64();
-        s.demotions_ = static_cast<int>(r.i64());
-        const std::size_t count = static_cast<std::size_t>(r.u64());
-        s.classes_.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-            const std::uint32_t key = r.u32();
-            // classKey packs (kernel << 8) | (size << 1) | sprinted.
-            if ((key >> 8) > static_cast<std::uint32_t>(
-                                 KernelId::Segment) ||
-                ((key >> 1) & 0x7fu) >
-                    static_cast<std::uint32_t>(InputSize::D))
-                corrupt("surrogate class key out of range");
-            if (s.classes_.count(key))
-                corrupt("duplicate surrogate class key");
-            read(r, s.classes_[key]);
+        transfer(a, s.audit_rng_);
+        a.u64(s.surrogate_tasks_);
+        a.u64(s.audit_tasks_);
+        a.narrowInt(s.demotions_, "surrogate demotion count");
+        std::uint64_t n = s.classes_.size();
+        a.u64(n);
+        if constexpr (Ar::kReading) {
+            s.classes_.clear();
+            for (std::uint64_t i = 0; i < n; ++i) {
+                std::uint32_t key = 0;
+                a.u32(key);
+                // classKey packs (kernel << 8) | (size << 1) | sprinted.
+                if ((key >> 8) > static_cast<std::uint32_t>(
+                                     KernelId::Segment) ||
+                    ((key >> 1) & 0x7fu) >
+                        static_cast<std::uint32_t>(InputSize::D))
+                    corrupt("surrogate class key out of range");
+                if (s.classes_.count(key))
+                    corrupt("duplicate surrogate class key");
+                transfer(a, s.classes_[key]);
+            }
+        } else {
+            for (const auto &entry : s.classes_) {
+                a.u32(entry.first);
+                transfer(a, entry.second);
+            }
         }
     }
 
     // ----- caches / memory / energy ---------------------------------
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const CacheStats &st)
+    transfer(Ar &a, Io<Ar, CacheStats> st)
     {
-        w.u64(st.hits);
-        w.u64(st.misses);
-        w.u64(st.evictions);
-        w.u64(st.dirty_evictions);
-        w.u64(st.invalidations);
+        a.u64(st.hits);
+        a.u64(st.misses);
+        a.u64(st.evictions);
+        a.u64(st.dirty_evictions);
+        a.u64(st.invalidations);
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, CacheStats &st)
+    transfer(Ar &a, Io<Ar, Cache> c)
     {
-        st.hits = r.u64();
-        st.misses = r.u64();
-        st.evictions = r.u64();
-        st.dirty_evictions = r.u64();
-        st.invalidations = r.u64();
-    }
-
-    static void
-    write(BlobWriter &w, const Cache &c)
-    {
-        w.sz(c.sets);
-        w.i64(c.ways);
-        w.vecU64(c.tags);
-        w.sz(c.meta.size());
-        for (const Cache::SetMeta &m : c.meta) {
-            w.u64(m.order);
-            w.u16(m.valid);
-            w.u16(m.dirty);
+        std::size_t sets = c.sets;
+        int ways = c.ways;
+        a.u64(sets);
+        a.narrowInt(ways, "cache ways");
+        if constexpr (Ar::kReading) {
+            if (sets != c.sets || ways != c.ways)
+                corrupt("cache geometry differs from the configuration");
         }
-        write(w, c.counters);
-    }
-
-    static void
-    read(BlobReader &r, Cache &c)
-    {
-        const std::size_t sets = static_cast<std::size_t>(r.u64());
-        const int ways = static_cast<int>(r.i64());
-        if (sets != c.sets || ways != c.ways)
-            corrupt("cache geometry differs from the configuration");
-        c.tags = r.vecU64();
-        if (c.tags.size() != sets * static_cast<std::size_t>(ways))
-            corrupt("cache tag array size mismatch");
-        const std::size_t nmeta = r.sz();
-        if (nmeta != sets)
-            corrupt("cache metadata size mismatch");
+        a.vecU64(c.tags);
+        if constexpr (Ar::kReading) {
+            if (c.tags.size() != sets * static_cast<std::size_t>(ways))
+                corrupt("cache tag array size mismatch");
+        }
+        std::size_t nmeta = c.meta.size();
+        a.sz(nmeta);
+        if constexpr (Ar::kReading) {
+            if (nmeta != sets)
+                corrupt("cache metadata size mismatch");
+        }
         const std::uint16_t way_mask = static_cast<std::uint16_t>(
             ways >= 16 ? 0xFFFFu : ((1u << ways) - 1u));
-        for (std::size_t s = 0; s < nmeta; ++s) {
-            Cache::SetMeta &m = c.meta[s];
-            m.order = r.u64();
-            m.valid = r.u16();
-            m.dirty = r.u16();
-            m.pad = 0;
-            if ((m.valid & ~way_mask) != 0 || (m.dirty & ~m.valid) != 0)
-                corrupt("cache set " + std::to_string(s) +
-                        " has invalid way masks");
-            // The recency word must hold each way id exactly once
-            // (touch() relies on it to terminate its nibble scan).
-            unsigned seen = 0;
-            for (int p = 0; p < 16; ++p)
-                seen |= 1u << ((m.order >> (4 * p)) & 0xF);
-            if (seen != 0xFFFFu)
-                corrupt("cache set " + std::to_string(s) +
-                        " has a non-permutation recency word");
+        for (std::size_t s = 0; s < c.meta.size(); ++s) {
+            auto &m = c.meta[s];
+            a.u64(m.order);
+            a.u16(m.valid);
+            a.u16(m.dirty);
+            if constexpr (Ar::kReading) {
+                m.pad = 0;
+                if ((m.valid & ~way_mask) != 0 || (m.dirty & ~m.valid) != 0)
+                    corrupt("cache set " + std::to_string(s) +
+                            " has invalid way masks");
+                // The recency word must hold each way id exactly once
+                // (touch() relies on it to terminate its nibble scan).
+                unsigned seen = 0;
+                for (int p = 0; p < 16; ++p)
+                    seen |= 1u << ((m.order >> (4 * p)) & 0xF);
+                if (seen != 0xFFFFu)
+                    corrupt("cache set " + std::to_string(s) +
+                            " has a non-permutation recency word");
+            }
         }
-        read(r, c.counters);
-        // The MRU shortcut is a pure hint; start it cold.
-        c.hint_set = 0;
-        c.hint_way = 0;
-        c.hint_line = ~std::uint64_t(0);
-    }
-
-    static void
-    writeCoreSet(BlobWriter &w, const CoreSet &s)
-    {
-        w.i64(s.capacity());
-        w.i64(s.count());
-        s.forEach([&w](int c) { w.i64(c); });
-    }
-
-    static void
-    readCoreSet(BlobReader &r, CoreSet &s, int expect_capacity)
-    {
-        const std::int64_t cap = r.i64();
-        const std::int64_t n = r.i64();
-        if (cap != expect_capacity)
-            corrupt("core-set capacity differs from the configuration");
-        if (n < 0 || n > cap)
-            corrupt("core-set member count out of range");
-        s.resize(expect_capacity);
-        std::int64_t prev = -1;
-        for (std::int64_t i = 0; i < n; ++i) {
-            const std::int64_t c = r.i64();
-            if (c <= prev || c >= cap)
-                corrupt("core-set members not strictly ascending in "
-                        "range");
-            s.add(static_cast<int>(c));
-            prev = c;
+        transfer(a, c.counters);
+        if constexpr (Ar::kReading) {
+            // The MRU shortcut is a pure hint; start it cold.
+            c.hint_set = 0;
+            c.hint_way = 0;
+            c.hint_line = ~std::uint64_t(0);
         }
     }
 
+    /** Reading rejects a capacity other than @p expect_capacity. */
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const L2Stats &st)
+    transfer(Ar &a, Io<Ar, CoreSet> s, int expect_capacity)
     {
-        w.u64(st.hits);
-        w.u64(st.misses);
-        w.u64(st.invalidations_sent);
-        w.u64(st.downgrades_sent);
-        w.u64(st.inclusion_recalls);
-        w.u64(st.writebacks_received);
-        w.u64(st.directory_spills);
-    }
-
-    static void
-    read(BlobReader &r, L2Stats &st)
-    {
-        st.hits = r.u64();
-        st.misses = r.u64();
-        st.invalidations_sent = r.u64();
-        st.downgrades_sent = r.u64();
-        st.inclusion_recalls = r.u64();
-        st.writebacks_received = r.u64();
-        st.directory_spills = r.u64();
-    }
-
-    static void
-    write(BlobWriter &w, const SharedL2 &l2)
-    {
-        write(w, l2.tags);
-        w.sz(l2.dir.size());
-        for (const SharedL2::DirEntry &e : l2.dir) {
-            for (int i = 0; i < SharedL2::kInlineSharers; ++i)
-                w.i16(e.ptr[i]);
-            w.i16(e.dirty_owner);
-            w.u8(e.nptr);
-            w.boolean(e.overflow);
-            w.boolean(e.l2_dirty);
-            w.u32(e.ovf);
+        std::int64_t cap = s.capacity();
+        std::int64_t n = s.count();
+        a.i64(cap);
+        a.i64(n);
+        if constexpr (Ar::kReading) {
+            if (cap != expect_capacity)
+                corrupt("core-set capacity differs from the configuration");
+            if (n < 0 || n > cap)
+                corrupt("core-set member count out of range");
+            s.resize(expect_capacity);
+            std::int64_t prev = -1;
+            for (std::int64_t i = 0; i < n; ++i) {
+                std::int64_t c = 0;
+                a.i64(c);
+                if (c <= prev || c >= cap)
+                    corrupt("core-set members not strictly ascending in "
+                            "range");
+                s.add(static_cast<int>(c));
+                prev = c;
+            }
+        } else {
+            s.forEach([&a](int c) { a.i64(c); });
         }
-        w.vecU64(l2.pool);
-        w.vec(l2.pool_free,
-              [](BlobWriter &w2, std::uint32_t v) { w2.u32(v); });
-        writeCoreSet(w, l2.l1_mutations);
-        write(w, l2.counters);
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, SharedL2 &l2)
+    transfer(Ar &a, Io<Ar, L2Stats> st)
     {
-        read(r, l2.tags);
-        const std::size_t nd = r.sz();
-        if (nd != l2.dir.size())
-            corrupt("directory size differs from the tag store");
-        for (SharedL2::DirEntry &e : l2.dir) {
-            for (int i = 0; i < SharedL2::kInlineSharers; ++i)
-                e.ptr[i] = r.i16();
-            e.dirty_owner = r.i16();
-            e.nptr = r.u8();
-            e.overflow = r.boolean();
-            e.l2_dirty = r.boolean();
-            e.ovf = r.u32();
-            if (e.nptr > SharedL2::kInlineSharers)
-                corrupt("directory entry with too many inline sharers");
-            if (e.dirty_owner < -1 || e.dirty_owner >= l2.num_cores)
-                corrupt("directory dirty owner out of range");
-            if (!e.overflow) {
-                for (int i = 0; i < e.nptr; ++i) {
-                    if (e.ptr[i] < 0 || e.ptr[i] >= l2.num_cores)
-                        corrupt("inline sharer id out of range");
+        a.u64(st.hits);
+        a.u64(st.misses);
+        a.u64(st.invalidations_sent);
+        a.u64(st.downgrades_sent);
+        a.u64(st.inclusion_recalls);
+        a.u64(st.writebacks_received);
+        a.u64(st.directory_spills);
+    }
+
+    template <typename Ar>
+    static void
+    transfer(Ar &a, Io<Ar, SharedL2> l2)
+    {
+        transfer(a, l2.tags);
+        std::size_t nd = l2.dir.size();
+        a.sz(nd);
+        if constexpr (Ar::kReading) {
+            if (nd != l2.dir.size())
+                corrupt("directory size differs from the tag store");
+        }
+        for (auto &e : l2.dir) {
+            for (auto &p : e.ptr)
+                a.i16(p);
+            a.i16(e.dirty_owner);
+            a.u8(e.nptr);
+            a.boolean(e.overflow);
+            a.boolean(e.l2_dirty);
+            a.u32(e.ovf);
+            if constexpr (Ar::kReading) {
+                if (e.nptr > SharedL2::kInlineSharers)
+                    corrupt("directory entry with too many inline "
+                            "sharers");
+                if (e.dirty_owner < -1 || e.dirty_owner >= l2.num_cores)
+                    corrupt("directory dirty owner out of range");
+                if (!e.overflow) {
+                    for (int i = 0; i < e.nptr; ++i) {
+                        if (e.ptr[i] < 0 || e.ptr[i] >= l2.num_cores)
+                            corrupt("inline sharer id out of range");
+                    }
                 }
             }
         }
-        l2.pool = r.vecU64();
+        a.vecU64(l2.pool);
         const std::size_t wpb = l2.words_per_block;
-        if (wpb == 0 ? !l2.pool.empty() : l2.pool.size() % wpb != 0)
-            corrupt("overflow pool size not a whole number of blocks");
         const std::size_t blocks = wpb ? l2.pool.size() / wpb : 0;
-        for (const SharedL2::DirEntry &e : l2.dir) {
-            if (!e.overflow)
-                continue;
-            if (e.ovf >= blocks)
-                corrupt("overflow block index out of range");
-            // Stray sharer bits at or beyond the core count would
-            // index past the L1 array during coherence actions.
-            const std::uint64_t *words =
-                &l2.pool[static_cast<std::size_t>(e.ovf) * wpb];
-            for (std::size_t wd = 0; wd < wpb; ++wd) {
-                const std::size_t base = wd * 64;
-                std::uint64_t mask = 0;
-                if (static_cast<std::size_t>(l2.num_cores) >= base + 64)
-                    mask = ~std::uint64_t(0);
-                else if (static_cast<std::size_t>(l2.num_cores) > base)
-                    mask = (std::uint64_t(1)
-                            << (l2.num_cores - base)) -
-                           1;
-                if ((words[wd] & ~mask) != 0)
-                    corrupt("overflow sharer bit beyond the core count");
+        if constexpr (Ar::kReading) {
+            if (wpb == 0 ? !l2.pool.empty() : l2.pool.size() % wpb != 0)
+                corrupt("overflow pool size not a whole number of blocks");
+            for (const SharedL2::DirEntry &e : l2.dir) {
+                if (!e.overflow)
+                    continue;
+                if (e.ovf >= blocks)
+                    corrupt("overflow block index out of range");
+                // Stray sharer bits at or beyond the core count would
+                // index past the L1 array during coherence actions.
+                const std::uint64_t *words =
+                    &l2.pool[static_cast<std::size_t>(e.ovf) * wpb];
+                for (std::size_t wd = 0; wd < wpb; ++wd) {
+                    const std::size_t base = wd * 64;
+                    std::uint64_t mask = 0;
+                    if (static_cast<std::size_t>(l2.num_cores) >= base + 64)
+                        mask = ~std::uint64_t(0);
+                    else if (static_cast<std::size_t>(l2.num_cores) > base)
+                        mask = (std::uint64_t(1)
+                                << (l2.num_cores - base)) -
+                               1;
+                    if ((words[wd] & ~mask) != 0)
+                        corrupt("overflow sharer bit beyond the core "
+                                "count");
+                }
             }
         }
-        l2.pool_free = r.vec<std::uint32_t>(
-            4, [](BlobReader &r2) { return r2.u32(); });
-        for (std::uint32_t b : l2.pool_free) {
-            if (b >= blocks)
-                corrupt("recycled overflow block index out of range");
+        a.vec(l2.pool_free, 4, [](Ar &a2, auto &b) { a2.u32(b); });
+        if constexpr (Ar::kReading) {
+            for (std::uint32_t b : l2.pool_free) {
+                if (b >= blocks)
+                    corrupt("recycled overflow block index out of range");
+            }
         }
-        readCoreSet(r, l2.l1_mutations, l2.num_cores);
-        read(r, l2.counters);
+        transfer(a, l2.l1_mutations, l2.num_cores);
+        transfer(a, l2.counters);
     }
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const MemorySystem &mem)
+    transfer(Ar &a, Io<Ar, MemorySystem> mem)
     {
-        w.f64(mem.mult);
-        w.vecF64(mem.next_free);
-        w.u64(mem.counters.reads);
-        w.u64(mem.counters.writebacks);
-        w.u64(mem.counters.queued_cycles);
+        a.f64(mem.mult);
+        if constexpr (Ar::kReading) {
+            if (!(mem.mult > 0.0) || !std::isfinite(mem.mult))
+                corrupt("memory frequency multiplier not positive");
+        }
+        a.vecF64(mem.next_free);
+        if constexpr (Ar::kReading) {
+            if (mem.next_free.size() !=
+                static_cast<std::size_t>(mem.cfg.channels))
+                corrupt("memory channel count differs from the "
+                        "configuration");
+        }
+        a.u64(mem.counters.reads);
+        a.u64(mem.counters.writebacks);
+        a.u64(mem.counters.queued_cycles);
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, MemorySystem &mem)
+    transfer(Ar &a, Io<Ar, InstructionEnergyModel> em)
     {
-        mem.mult = r.f64();
-        if (!(mem.mult > 0.0) || !std::isfinite(mem.mult))
-            corrupt("memory frequency multiplier not positive");
-        mem.next_free = r.vecF64();
-        if (mem.next_free.size() !=
-            static_cast<std::size_t>(mem.cfg.channels))
-            corrupt("memory channel count differs from the "
-                    "configuration");
-        mem.counters.reads = r.u64();
-        mem.counters.writebacks = r.u64();
-        mem.counters.queued_cycles = r.u64();
-    }
-
-    static void
-    write(BlobWriter &w, const InstructionEnergyModel &em)
-    {
-        w.i64(em.params.node_nm);
-        w.f64(em.params.vdd);
-        w.f64(em.params.clock);
-        w.f64(em.params.cap_scale);
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            w.f64(em.op_energy[i]);
-        w.f64(em.l2_energy);
-        w.f64(em.dram_energy);
-        w.f64(em.idle_energy);
-        w.f64(em.nominal_cycle);
-    }
-
-    static void
-    read(BlobReader &r, InstructionEnergyModel &em)
-    {
-        em.params.node_nm = static_cast<int>(r.i64());
-        em.params.vdd = r.f64();
-        em.params.clock = r.f64();
-        em.params.cap_scale = r.f64();
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            em.op_energy[i] = r.f64();
-        em.l2_energy = r.f64();
-        em.dram_energy = r.f64();
-        em.idle_energy = r.f64();
-        em.nominal_cycle = r.f64();
+        a.narrowInt(em.params.node_nm, "energy model node");
+        a.f64(em.params.vdd);
+        a.f64(em.params.clock);
+        a.f64(em.params.cap_scale);
+        for (auto &e : em.op_energy)
+            a.f64(e);
+        a.f64(em.l2_energy);
+        a.f64(em.dram_energy);
+        a.f64(em.idle_energy);
+        a.f64(em.nominal_cycle);
     }
 
     // ----- machine ---------------------------------------------------
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const MachineStats &st)
+    transfer(Ar &a, Io<Ar, MachineStats> st)
     {
-        w.u64(st.cycles);
-        w.f64(st.seconds);
-        w.u64(st.ops_retired);
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            w.u64(st.ops_by_kind[i]);
-        w.u64(st.l1_hits);
-        w.u64(st.l1_misses);
-        w.u64(st.idle_cycles);
-        w.u64(st.sleep_cycles);
-        w.u64(st.barrier_arrivals);
-        w.f64(st.dynamic_energy);
+        a.u64(st.cycles);
+        a.f64(st.seconds);
+        a.u64(st.ops_retired);
+        for (auto &n : st.ops_by_kind)
+            a.u64(n);
+        a.u64(st.l1_hits);
+        a.u64(st.l1_misses);
+        a.u64(st.idle_cycles);
+        a.u64(st.sleep_cycles);
+        a.u64(st.barrier_arrivals);
+        a.f64(st.dynamic_energy);
     }
 
+    /**
+     * A thread's op stream: a type tag and a cursor. Writing accepts
+     * only the two built-in stream types, a chunked one drained to a
+     * bulk-refill boundary. Reading rebuilds task @p task's stream
+     * from @p phase's factory and checks the tag against its type.
+     */
+    template <typename Ar>
     static void
-    read(BlobReader &r, MachineStats &st)
+    transfer(Ar &a, Io<Ar, std::unique_ptr<OpStream>> s,
+             const Phase *phase, std::size_t task)
     {
-        st.cycles = r.u64();
-        st.seconds = r.f64();
-        st.ops_retired = r.u64();
-        for (std::size_t i = 0; i < kNumOpKinds; ++i)
-            st.ops_by_kind[i] = r.u64();
-        st.l1_hits = r.u64();
-        st.l1_misses = r.u64();
-        st.idle_cycles = r.u64();
-        st.sleep_cycles = r.u64();
-        st.barrier_arrivals = r.u64();
-        st.dynamic_energy = r.f64();
-    }
-
-    static void
-    writeStream(BlobWriter &w, const OpStream &s)
-    {
-        if (const auto *v = dynamic_cast<const VectorOpStream *>(&s)) {
-            w.u8(0);
-            w.sz(v->pos);
-            return;
+        if constexpr (Ar::kReading) {
+            if (phase->make_task == nullptr || task >= phase->num_tasks)
+                corrupt("stream task index out of range for the phase");
+            s = phase->make_task(task);
         }
-        if (const auto *c = dynamic_cast<const ChunkedOpStream *>(&s)) {
-            if (c->pos < c->buffer.size())
+        auto *v = dynamic_cast<VectorOpStream *>(s.get());
+        auto *c = dynamic_cast<ChunkedOpStream *>(s.get());
+        std::uint8_t type = v ? 0 : 1;
+        if constexpr (!Ar::kReading) {
+            if (c && c->pos < c->buffer.size())
                 unsupported("chunked op stream holds an undrained "
                             "buffer (machine not at a bulk-refill "
                             "boundary)");
-            w.u8(1);
-            w.sz(c->next_chunk);
-            return;
+            if (!v && !c)
+                unsupported("custom OpStream type cannot be checkpointed");
         }
-        unsupported("custom OpStream type cannot be checkpointed");
-    }
-
-    static std::unique_ptr<OpStream>
-    readStream(BlobReader &r, const Phase &phase, std::size_t task)
-    {
-        if (phase.make_task == nullptr || task >= phase.num_tasks)
-            corrupt("stream task index out of range for the phase");
-        std::unique_ptr<OpStream> s = phase.make_task(task);
-        const std::uint8_t type = r.u8();
-        if (type == 0) {
-            auto *v = dynamic_cast<VectorOpStream *>(s.get());
-            if (!v)
+        a.u8(type);
+        if constexpr (Ar::kReading) {
+            if (type > 1)
+                corrupt("unknown op-stream type tag");
+            if (type == 0 && !v)
                 corrupt("blob says vector stream; factory built "
                         "another type");
-            const std::size_t pos = static_cast<std::size_t>(r.u64());
-            if (pos > v->ops.size())
-                corrupt("vector stream cursor past the end");
-            v->pos = pos;
-        } else if (type == 1) {
-            auto *c = dynamic_cast<ChunkedOpStream *>(s.get());
-            if (!c)
+            if (type == 1 && !c)
                 corrupt("blob says chunked stream; factory built "
                         "another type");
-            const std::size_t next = static_cast<std::size_t>(r.u64());
+        }
+        if (type == 0) {
+            std::size_t pos = v->pos;
+            a.u64(pos);
+            if constexpr (Ar::kReading) {
+                if (pos > v->ops.size())
+                    corrupt("vector stream cursor past the end");
+                v->pos = pos;
+            }
+            return;
+        }
+        std::size_t next = c->next_chunk;
+        a.u64(next);
+        if constexpr (Ar::kReading) {
             if (next > c->num_chunks)
                 corrupt("chunked stream cursor past the last chunk");
             // Replay the consumed chunks in order so stateful
@@ -659,10 +544,7 @@ struct CheckpointIO
             c->buffer.clear();
             c->pos = 0;
             c->next_chunk = next;
-        } else {
-            corrupt("unknown op-stream type tag");
         }
-        return s;
     }
 
     static void
@@ -680,185 +562,145 @@ struct CheckpointIO
             unsupported("machine holds unpriced energy tallies");
     }
 
+    /**
+     * A machine suspended at a priced sample boundary. Reading
+     * overwrites a machine built by prepareMachine() for @p program
+     * (unused when writing), then resets the derived state.
+     */
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const Machine &m)
+    transfer(Ar &a, Io<Ar, Machine> m, const ParallelProgram *program)
     {
-        requireSuspendedBoundary(m);
-        w.u64(m.cycle);
-        w.f64(m.freq_mult);
-        w.f64(m.time_base);
-        w.u64(m.cycle_base);
-        w.sz(m.phase_idx);
-        w.sz(m.serial_next_task);
-        w.sz(m.dynamic_next_task);
-        w.u64(m.dequeue_free_at);
-        w.sz(m.barrier_count);
-        w.i64(m.active_cores);
-        w.boolean(m.mem_batch_ok);
-        write(w, m.cfg.energy);
-        write(w, m.totals);
-        w.vec(m.locks, [](BlobWriter &w2, const Machine::LockState &l) {
-            w2.i64(l.holder);
+        if constexpr (!Ar::kReading)
+            requireSuspendedBoundary(m);
+        a.u64(m.cycle);
+        a.f64(m.freq_mult);
+        if constexpr (Ar::kReading) {
+            if (!(m.freq_mult > 0.0) || !std::isfinite(m.freq_mult))
+                corrupt("machine frequency multiplier not positive");
+        }
+        a.f64(m.time_base);
+        a.u64(m.cycle_base);
+        a.u64(m.phase_idx);
+        if constexpr (Ar::kReading) {
+            if (m.phase_idx > program->phases().size())
+                corrupt("phase index out of range");
+        }
+        a.u64(m.serial_next_task);
+        a.u64(m.dynamic_next_task);
+        a.u64(m.dequeue_free_at);
+        a.u64(m.barrier_count);
+        a.narrowInt(m.active_cores, "active core count");
+        if constexpr (Ar::kReading) {
+            if (m.active_cores < 0 ||
+                m.active_cores > static_cast<int>(m.cores.size()))
+                corrupt("active core count out of range");
+        }
+        a.boolean(m.mem_batch_ok);
+        transfer(a, m.cfg.energy);
+        transfer(a, m.totals);
+        const int nthreads = static_cast<int>(m.threads.size());
+        a.vec(m.locks, 8, [nthreads](Ar &a2, auto &l) {
+            a2.narrowInt(l.holder, "lock holder");
+            if constexpr (Ar::kReading) {
+                if (l.holder < -1 || l.holder >= nthreads)
+                    corrupt("lock holder out of range");
+            }
         });
-        w.sz(m.threads.size());
-        for (const Machine::Thread &t : m.threads) {
+        count(a, m.threads.size(),
+              "thread count differs from the configuration");
+        for (auto &t : m.threads) {
             // A thread parked at a barrier may still hold the stream
             // of its last task; enterPhase resets it before it is
             // ever read again, so canonicalize it away.
-            const bool has_stream =
-                t.stream != nullptr && !t.at_barrier;
-            w.boolean(has_stream);
+            bool has_stream = t.stream != nullptr && !t.at_barrier;
+            a.boolean(has_stream);
             if (has_stream) {
-                w.sz(t.current_task);
-                writeStream(w, *t.stream);
-            }
-            w.boolean(t.at_barrier);
-            w.u64(t.sleep_until);
-            w.i64(t.spin_failures);
-            w.sz(t.next_task);
-            w.sz(t.task_end);
-            // Only the pending window of the bulk op buffer matters.
-            w.sz(t.buf_len - t.buf_pos);
-            for (std::size_t i = t.buf_pos; i < t.buf_len; ++i)
-                w.u64(t.buf[i].bits);
-        }
-        w.sz(m.cores.size());
-        for (const Machine::Core &c : m.cores) {
-            w.boolean(c.active);
-            w.vec(c.run_queue,
-                  [](BlobWriter &w2, std::size_t v) { w2.sz(v); });
-            w.sz(c.rr);
-            w.i64(c.current);
-            w.u64(c.busy_until);
-            w.u64(c.quantum_end);
-            w.boolean(c.idle_repeat);
-            w.u64(c.idle_from);
-        }
-        w.sz(m.next_event.size());
-        for (Cycles ev : m.next_event)
-            w.u64(ev);
-        w.sz(m.l1s.size());
-        for (const Cache &c : m.l1s)
-            write(w, c);
-        write(w, *m.l2);
-        write(w, *m.memory);
-    }
-
-    static void
-    read(BlobReader &r, Machine &m, const ParallelProgram &program)
-    {
-        m.cycle = r.u64();
-        m.freq_mult = r.f64();
-        if (!(m.freq_mult > 0.0) || !std::isfinite(m.freq_mult))
-            corrupt("machine frequency multiplier not positive");
-        m.time_base = r.f64();
-        m.cycle_base = r.u64();
-        m.phase_idx = static_cast<std::size_t>(r.u64());
-        if (m.phase_idx > program.phases().size())
-            corrupt("phase index out of range");
-        m.serial_next_task = static_cast<std::size_t>(r.u64());
-        m.dynamic_next_task = static_cast<std::size_t>(r.u64());
-        m.dequeue_free_at = r.u64();
-        m.barrier_count = static_cast<std::size_t>(r.u64());
-        const std::int64_t active = r.i64();
-        if (active < 0 ||
-            active > static_cast<std::int64_t>(m.cores.size()))
-            corrupt("active core count out of range");
-        m.active_cores = static_cast<int>(active);
-        m.mem_batch_ok = r.boolean();
-        read(r, m.cfg.energy);
-        read(r, m.totals);
-        m.locks = r.vec<Machine::LockState>(8, [&m](BlobReader &r2) {
-            Machine::LockState l;
-            l.holder = static_cast<int>(r2.i64());
-            if (l.holder < -1 ||
-                l.holder >= static_cast<int>(m.threads.size()))
-                corrupt("lock holder out of range");
-            return l;
-        });
-        const std::size_t nt = r.u64();
-        if (nt != m.threads.size())
-            corrupt("thread count differs from the configuration");
-        for (Machine::Thread &t : m.threads) {
-            const bool has_stream = r.boolean();
-            if (has_stream) {
-                t.current_task = static_cast<std::size_t>(r.u64());
-                if (m.phase_idx >= program.phases().size())
-                    corrupt("live stream in a finished machine");
-                t.stream = readStream(
-                    r, program.phases()[m.phase_idx], t.current_task);
-            } else {
+                a.u64(t.current_task);
+                const Phase *phase = nullptr;
+                if constexpr (Ar::kReading) {
+                    if (m.phase_idx >= program->phases().size())
+                        corrupt("live stream in a finished machine");
+                    phase = &program->phases()[m.phase_idx];
+                }
+                transfer(a, t.stream, phase, t.current_task);
+            } else if constexpr (Ar::kReading) {
                 t.stream.reset();
                 t.current_task = 0;
             }
-            t.at_barrier = r.boolean();
-            t.sleep_until = r.u64();
-            t.spin_failures = static_cast<int>(r.i64());
-            t.next_task = static_cast<std::size_t>(r.u64());
-            t.task_end = static_cast<std::size_t>(r.u64());
-            // The window can exceed kOpBufferCap: a chunked stream's
-            // fillInto swaps whole chunks into the thread buffer.
-            // Bound it by the bytes actually present (8 per op).
-            const std::size_t n = static_cast<std::size_t>(r.u64());
-            if (n > r.remaining() / 8)
-                corrupt("op window larger than the remaining bytes");
-            if (t.buf.size() < n)
-                t.buf.resize(n);
-            for (std::size_t i = 0; i < n; ++i)
-                t.buf[i].bits = r.u64();
-            t.buf_pos = 0;
-            t.buf_len = n;
+            a.boolean(t.at_barrier);
+            a.u64(t.sleep_until);
+            a.narrowInt(t.spin_failures, "thread spin failures");
+            a.u64(t.next_task);
+            a.u64(t.task_end);
+            // Only the pending window of the bulk op buffer matters.
+            std::size_t n = t.buf_len - t.buf_pos;
+            a.u64(n);
+            if constexpr (Ar::kReading) {
+                // The window can exceed kOpBufferCap: a chunked
+                // stream's fillInto swaps whole chunks into the thread
+                // buffer. Bound it by the bytes actually present (8
+                // per op).
+                if (n > a.remaining() / 8)
+                    corrupt("op window larger than the remaining bytes");
+                if (t.buf.size() < n)
+                    t.buf.resize(n);
+                t.buf_pos = 0;
+                t.buf_len = n;
+            }
+            for (std::size_t i = t.buf_pos; i < t.buf_len; ++i)
+                a.u64(t.buf[i].bits);
         }
-        const std::size_t nc = r.u64();
-        if (nc != m.cores.size())
-            corrupt("core count differs from the configuration");
-        for (Machine::Core &c : m.cores) {
-            c.active = r.boolean();
-            c.run_queue = r.vec<std::size_t>(8, [&m](BlobReader &r2) {
-                const std::uint64_t v = r2.u64();
-                if (v >= m.threads.size())
-                    corrupt("run-queue thread id out of range");
-                return static_cast<std::size_t>(v);
+        count(a, m.cores.size(),
+              "core count differs from the configuration");
+        for (auto &c : m.cores) {
+            a.boolean(c.active);
+            a.vec(c.run_queue, 8, [nthreads](Ar &a2, auto &v) {
+                a2.u64(v);
+                if constexpr (Ar::kReading) {
+                    if (v >= static_cast<std::size_t>(nthreads))
+                        corrupt("run-queue thread id out of range");
+                }
             });
-            c.rr = static_cast<std::size_t>(r.u64());
-            if (!c.run_queue.empty() && c.rr >= c.run_queue.size())
-                corrupt("round-robin cursor out of range");
-            const std::int64_t cur = r.i64();
-            if (cur < -1 ||
-                cur >= static_cast<std::int64_t>(m.threads.size()))
-                corrupt("current thread id out of range");
-            c.current = static_cast<int>(cur);
-            c.busy_until = r.u64();
-            c.quantum_end = r.u64();
-            c.idle_repeat = r.boolean();
-            c.idle_from = r.u64();
+            a.u64(c.rr);
+            if constexpr (Ar::kReading) {
+                if (!c.run_queue.empty() && c.rr >= c.run_queue.size())
+                    corrupt("round-robin cursor out of range");
+            }
+            a.narrowInt(c.current, "current thread id");
+            if constexpr (Ar::kReading) {
+                if (c.current < -1 || c.current >= nthreads)
+                    corrupt("current thread id out of range");
+            }
+            a.u64(c.busy_until);
+            a.u64(c.quantum_end);
+            a.boolean(c.idle_repeat);
+            a.u64(c.idle_from);
         }
-        const std::size_t nev = r.u64();
-        if (nev != m.next_event.size())
-            corrupt("next-event array size mismatch");
-        for (std::size_t i = 0; i < nev; ++i)
-            m.next_event[i] = r.u64();
-        const std::size_t nl1 = r.u64();
-        if (nl1 != m.l1s.size())
-            corrupt("L1 count differs from the configuration");
-        for (Cache &c : m.l1s)
-            read(r, c);
-        read(r, *m.l2);
-        read(r, *m.memory);
+        count(a, m.next_event.size(), "next-event array size mismatch");
+        for (auto &ev : m.next_event)
+            a.u64(ev);
+        count(a, m.l1s.size(), "L1 count differs from the configuration");
+        for (auto &c : m.l1s)
+            transfer(a, c);
+        transfer(a, *m.l2);
+        transfer(a, *m.memory);
 
-        // Derived and transient state: stride probes are pure
-        // lookahead (outcome-invariant), so they restart cold; the
-        // scan cache re-derives from next_event with probes zeroed.
-        for (std::size_t c = 0; c < m.cores.size(); ++c) {
-            m.resetProbe(m.cores[c]);
-            m.refreshScanCache(c);
+        if constexpr (Ar::kReading) {
+            // Derived and transient state: stride probes are pure
+            // lookahead (outcome-invariant), so they restart cold; the
+            // scan cache re-derives from next_event with probes zeroed.
+            for (std::size_t c = 0; c < m.cores.size(); ++c) {
+                m.resetProbe(m.cores[c]);
+                m.refreshScanCache(c);
+            }
+            m.events_dirty = false;
+            m.aborted = false;
+            m.suspend_pending = false;
+            m.was_suspended = true;
+            m.tally = Machine::EnergyTally();
+            m.energy_at_last_sample = m.totals.dynamic_energy;
         }
-        m.events_dirty = false;
-        m.aborted = false;
-        m.suspend_pending = false;
-        m.was_suspended = true;
-        m.tally = Machine::EnergyTally();
-        m.energy_at_last_sample = m.totals.dynamic_energy;
     }
 
     // ----- warm re-activation husk ----------------------------------
@@ -867,242 +709,188 @@ struct CheckpointIO
      * The warm machine only ever feeds warmStartFrom(), which reads
      * the cache geometry, L1/L2/directory contents, the memory
      * channel residuals, and the cycle count — so the husk record
-     * skips thread/core scheduler state entirely and rebuilds the
-     * machine against an empty program.
+     * skips thread/core scheduler state entirely, and reading rebuilds
+     * the machine against an empty program.
      */
+    template <typename Ar>
     static void
-    writeWarmHusk(BlobWriter &w, const ScenarioConfig &cfg,
-                  const Machine &m)
+    transferWarmHusk(Ar &a, const ScenarioConfig &cfg,
+                     Io<Ar, ScenarioCheckpoint> ck)
     {
-        const bool granted = m.cfg.num_cores ==
-                             cfg.platform.machineConfig().num_cores;
-        w.boolean(granted);
-        w.u64(m.cycle);
-        w.sz(m.l1s.size());
-        for (const Cache &c : m.l1s)
-            write(w, c);
-        write(w, *m.l2);
-        write(w, *m.memory);
-    }
-
-    static void
-    readWarmHusk(BlobReader &r, const ScenarioConfig &cfg,
-                 ScenarioCheckpoint &ck)
-    {
-        const bool granted = r.boolean();
-        const SprintConfig run_cfg =
-            granted ? cfg.platform : consolidatedPlatform(cfg.platform);
-        ck.warm_program = std::make_unique<ParallelProgram>("warm-husk");
-        ck.warm_machine = prepareMachine(*ck.warm_program, run_cfg);
-        Machine &m = *ck.warm_machine;
-        m.cycle = r.u64();
-        const std::size_t nl1 = r.u64();
-        if (nl1 != m.l1s.size())
-            corrupt("warm husk L1 count differs from the "
-                    "configuration");
-        for (Cache &c : m.l1s)
-            read(r, c);
-        read(r, *m.l2);
-        read(r, *m.memory);
+        bool granted = false;
+        if constexpr (!Ar::kReading)
+            granted = ck.warm_machine->cfg.num_cores ==
+                      cfg.platform.machineConfig().num_cores;
+        a.boolean(granted);
+        if constexpr (Ar::kReading) {
+            const SprintConfig run_cfg =
+                granted ? cfg.platform : consolidatedPlatform(cfg.platform);
+            ck.warm_program =
+                std::make_unique<ParallelProgram>("warm-husk");
+            ck.warm_machine = prepareMachine(*ck.warm_program, run_cfg);
+        }
+        Io<Ar, Machine> m = *ck.warm_machine;
+        a.u64(m.cycle);
+        count(a, m.l1s.size(),
+              "warm husk L1 count differs from the configuration");
+        for (auto &c : m.l1s)
+            transfer(a, c);
+        transfer(a, *m.l2);
+        transfer(a, *m.memory);
     }
 
     // ----- scenario value records -----------------------------------
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const ScenarioTask &t)
+    transfer(Ar &a, Io<Ar, ScenarioTask> t)
     {
-        w.f64(t.arrival);
-        w.u8(static_cast<std::uint8_t>(t.kernel));
-        w.u8(static_cast<std::uint8_t>(t.size));
-        w.u64(t.seed);
-        w.i64(t.priority);
-        w.f64(t.deadline);
+        a.f64(t.arrival);
+        a.template enumAs<std::uint8_t>(t.kernel, KernelId::Segment,
+                                        "kernel id");
+        a.template enumAs<std::uint8_t>(t.size, InputSize::D,
+                                        "input size");
+        a.u64(t.seed);
+        a.narrowInt(t.priority, "task priority");
+        a.f64(t.deadline);
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, ScenarioTask &t)
+    transfer(Ar &a, Io<Ar, RunResult> rr)
     {
-        t.arrival = r.f64();
-        const std::uint8_t kernel = r.u8();
-        if (kernel > static_cast<std::uint8_t>(KernelId::Segment))
-            corrupt("unknown kernel id");
-        t.kernel = static_cast<KernelId>(kernel);
-        const std::uint8_t size = r.u8();
-        if (size > static_cast<std::uint8_t>(InputSize::D))
-            corrupt("unknown input size");
-        t.size = static_cast<InputSize>(size);
-        t.seed = r.u64();
-        t.priority = static_cast<int>(r.i64());
-        t.deadline = r.f64();
+        a.str(rr.program_name);
+        a.narrowInt(rr.sprint_cores, "run sprint cores");
+        a.narrowInt(rr.num_threads, "run thread count");
+        a.f64(rr.dvfs_boost);
+        a.f64(rr.task_time);
+        a.f64(rr.dynamic_energy);
+        a.f64(rr.peak_junction);
+        a.f64(rr.final_melt_fraction);
+        a.boolean(rr.sprint_exhausted);
+        a.boolean(rr.hardware_throttled);
+        a.f64(rr.sprint_duration);
+        a.f64(rr.sprint_energy);
+        a.f64(rr.cooldown_estimate);
+        a.f64(rr.avg_power);
+        a.f64(rr.sampled_time);
+        a.f64(rr.sampled_energy);
+        transfer(a, rr.junction_trace);
+        transfer(a, rr.power_trace);
+        transfer(a, rr.melt_trace);
+        transfer(a, rr.machine);
     }
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const RunResult &rr)
+    transfer(Ar &a, Io<Ar, ScenarioTaskResult> t)
     {
-        w.str(rr.program_name);
-        w.i64(rr.sprint_cores);
-        w.i64(rr.num_threads);
-        w.f64(rr.dvfs_boost);
-        w.f64(rr.task_time);
-        w.f64(rr.dynamic_energy);
-        w.f64(rr.peak_junction);
-        w.f64(rr.final_melt_fraction);
-        w.boolean(rr.sprint_exhausted);
-        w.boolean(rr.hardware_throttled);
-        w.f64(rr.sprint_duration);
-        w.f64(rr.sprint_energy);
-        w.f64(rr.cooldown_estimate);
-        w.f64(rr.avg_power);
-        w.f64(rr.sampled_time);
-        w.f64(rr.sampled_energy);
-        write(w, rr.junction_trace);
-        write(w, rr.power_trace);
-        write(w, rr.melt_trace);
-        write(w, rr.machine);
+        a.f64(t.arrival);
+        a.f64(t.start);
+        a.f64(t.finish);
+        a.f64(t.response);
+        a.boolean(t.sprint_granted);
+        a.f64(t.melt_at_start);
+        a.f64(t.melt_at_end);
+        a.narrowInt(t.priority, "task priority");
+        a.f64(t.deadline);
+        a.boolean(t.deadline_met);
+        a.narrowInt(t.preemptions, "task preemptions");
+        transfer(a, t.run);
     }
 
+    template <typename Ar>
     static void
-    read(BlobReader &r, RunResult &rr)
+    transfer(Ar &a, Io<Ar, PumpState> p)
     {
-        rr.program_name = r.str();
-        rr.sprint_cores = static_cast<int>(r.i64());
-        rr.num_threads = static_cast<int>(r.i64());
-        rr.dvfs_boost = r.f64();
-        rr.task_time = r.f64();
-        rr.dynamic_energy = r.f64();
-        rr.peak_junction = r.f64();
-        rr.final_melt_fraction = r.f64();
-        rr.sprint_exhausted = r.boolean();
-        rr.hardware_throttled = r.boolean();
-        rr.sprint_duration = r.f64();
-        rr.sprint_energy = r.f64();
-        rr.cooldown_estimate = r.f64();
-        rr.avg_power = r.f64();
-        rr.sampled_time = r.f64();
-        rr.sampled_energy = r.f64();
-        read(r, rr.junction_trace);
-        read(r, rr.power_trace);
-        read(r, rr.melt_trace);
-        read(r, rr.machine);
+        a.f64(p.elapsed);
+        a.f64(p.ramp_time);
+        a.f64(p.above_tdp_time);
+        a.f64(p.above_tdp_energy);
+        a.f64(p.sampled_time);
+        a.f64(p.sampled_energy);
+        a.f64(p.peak_junction);
+        a.boolean(p.sprint_exhausted);
+        a.boolean(p.hardware_throttled);
+        a.boolean(p.policy_throttled);
+        transfer(a, p.junction_trace);
+        transfer(a, p.power_trace);
+        transfer(a, p.melt_trace);
     }
 
+    template <typename Ar>
     static void
-    write(BlobWriter &w, const ScenarioTaskResult &t)
+    transfer(Ar &a, const ScenarioConfig &cfg,
+             Io<Ar, ScenarioTaskExecution> ex)
     {
-        w.f64(t.arrival);
-        w.f64(t.start);
-        w.f64(t.finish);
-        w.f64(t.response);
-        w.boolean(t.sprint_granted);
-        w.f64(t.melt_at_start);
-        w.f64(t.melt_at_end);
-        w.i64(t.priority);
-        w.f64(t.deadline);
-        w.boolean(t.deadline_met);
-        w.i64(t.preemptions);
-        write(w, t.run);
-    }
-
-    static void
-    read(BlobReader &r, ScenarioTaskResult &t)
-    {
-        t.arrival = r.f64();
-        t.start = r.f64();
-        t.finish = r.f64();
-        t.response = r.f64();
-        t.sprint_granted = r.boolean();
-        t.melt_at_start = r.f64();
-        t.melt_at_end = r.f64();
-        t.priority = static_cast<int>(r.i64());
-        t.deadline = r.f64();
-        t.deadline_met = r.boolean();
-        t.preemptions = static_cast<int>(r.i64());
-        read(r, t.run);
-    }
-
-    static void
-    write(BlobWriter &w, const PumpState &p)
-    {
-        w.f64(p.elapsed);
-        w.f64(p.ramp_time);
-        w.f64(p.above_tdp_time);
-        w.f64(p.above_tdp_energy);
-        w.f64(p.sampled_time);
-        w.f64(p.sampled_energy);
-        w.f64(p.peak_junction);
-        w.boolean(p.sprint_exhausted);
-        w.boolean(p.hardware_throttled);
-        w.boolean(p.policy_throttled);
-        write(w, p.junction_trace);
-        write(w, p.power_trace);
-        write(w, p.melt_trace);
-    }
-
-    static void
-    read(BlobReader &r, PumpState &p)
-    {
-        p.elapsed = r.f64();
-        p.ramp_time = r.f64();
-        p.above_tdp_time = r.f64();
-        p.above_tdp_energy = r.f64();
-        p.sampled_time = r.f64();
-        p.sampled_energy = r.f64();
-        p.peak_junction = r.f64();
-        p.sprint_exhausted = r.boolean();
-        p.hardware_throttled = r.boolean();
-        p.policy_throttled = r.boolean();
-        read(r, p.junction_trace);
-        read(r, p.power_trace);
-        read(r, p.melt_trace);
-    }
-
-    static void
-    writeExecution(BlobWriter &w, const ScenarioConfig &cfg,
-                   const ScenarioTaskExecution &ex)
-    {
-        write(w, ex.task);
-        w.boolean(ex.started);
-        w.boolean(ex.sprint_granted);
-        w.i64(ex.preemptions);
-        w.f64(ex.first_start);
-        w.f64(ex.melt_at_start);
-        write(w, ex.pump);
-        const bool has_machine = ex.machine != nullptr;
-        w.boolean(has_machine);
-        if (has_machine)
-            write(w, *ex.machine);
-        (void)cfg;
-    }
-
-    static std::unique_ptr<ScenarioTaskExecution>
-    readExecution(BlobReader &r, const ScenarioConfig &cfg)
-    {
-        auto ex = std::make_unique<ScenarioTaskExecution>();
-        read(r, ex->task);
-        ex->started = r.boolean();
-        ex->sprint_granted = r.boolean();
-        ex->preemptions = static_cast<int>(r.i64());
-        ex->first_start = r.f64();
-        ex->melt_at_start = r.f64();
-        read(r, ex->pump);
-        const bool has_machine = r.boolean();
-        if (has_machine) {
+        transfer(a, ex.task);
+        a.boolean(ex.started);
+        a.boolean(ex.sprint_granted);
+        a.narrowInt(ex.preemptions, "execution preemptions");
+        a.f64(ex.first_start);
+        a.f64(ex.melt_at_start);
+        transfer(a, ex.pump);
+        bool has_machine = ex.machine != nullptr;
+        a.boolean(has_machine);
+        if (!has_machine)
+            return;
+        if constexpr (Ar::kReading) {
             // A suspended execution rebuilds its program and machine
             // from the config's factories (the same three lines the
             // engine's dispatch path runs), then overwrites the
             // machine's architectural state from the blob.
-            ex->run_cfg = ex->sprint_granted
-                              ? cfg.platform
-                              : consolidatedPlatform(cfg.platform);
-            ex->program = std::make_unique<ParallelProgram>(
+            ex.run_cfg = ex.sprint_granted
+                             ? cfg.platform
+                             : consolidatedPlatform(cfg.platform);
+            ex.program = std::make_unique<ParallelProgram>(
                 cfg.program_factory
-                    ? cfg.program_factory(ex->task)
-                    : buildKernelProgram(ex->task.kernel, ex->task.size,
-                                         ex->task.seed));
-            ex->machine = prepareMachine(*ex->program, ex->run_cfg);
-            read(r, *ex->machine, *ex->program);
+                    ? cfg.program_factory(ex.task)
+                    : buildKernelProgram(ex.task.kernel, ex.task.size,
+                                         ex.task.seed));
+            ex.machine = prepareMachine(*ex.program, ex.run_cfg);
         }
-        return ex;
+        transfer(a, *ex.machine, ex.program.get());
+    }
+
+    /** The whole checkpoint payload, in wire order. */
+    template <typename Ar>
+    static void
+    transfer(Ar &a, const ScenarioConfig &cfg,
+             Io<Ar, ScenarioCheckpoint> ck)
+    {
+        a.boolean(ck.done);
+        transfer(a, ck.arrivals);
+        transfer(a, ck.thermal);
+        a.vecF64(ck.policy_state);
+        a.f64(ck.now);
+        a.f64(ck.busy);
+        TaskTallies<int>::transfer(a, ck);
+        a.f64(ck.peak_melt);
+        transfer(a, ck.p50);
+        transfer(a, ck.p95);
+        transfer(a, ck.melt_cycles);
+        transfer(a, ck.traces);
+        transfer(a, ck.surrogate);
+        a.vec(ck.tasks, 1, [](Ar &a2, auto &t) { transfer(a2, t); });
+        a.boolean(ck.have_peek);
+        if (ck.have_peek)
+            transfer(a, ck.peek);
+        std::size_t nready = ck.ready.size();
+        a.sz(nready);
+        if constexpr (Ar::kReading)
+            ck.ready.reserve(nready);
+        for (std::size_t i = 0; i < nready; ++i) {
+            if constexpr (Ar::kReading)
+                ck.ready.push_back(
+                    std::make_unique<ScenarioTaskExecution>());
+            if (ck.ready[i] == nullptr)
+                unsupported("null execution in the ready queue");
+            transfer(a, cfg, *ck.ready[i]);
+        }
+        bool has_warm = ck.warm_machine != nullptr;
+        a.boolean(has_warm);
+        if (has_warm)
+            transferWarmHusk(a, cfg, ck);
     }
 
     // ----- paranoia validation --------------------------------------
@@ -1378,35 +1166,7 @@ serializeCheckpoint(const ScenarioConfig &cfg,
                     const ScenarioCheckpoint &ck)
 {
     BlobWriter w;
-    w.boolean(ck.done);
-    CheckpointIO::write(w, ck.arrivals);
-    CheckpointIO::write(w, ck.thermal);
-    w.vecF64(ck.policy_state);
-    w.f64(ck.now);
-    w.f64(ck.busy);
-    ck.encode(w);
-    w.f64(ck.peak_melt);
-    CheckpointIO::write(w, ck.p50);
-    CheckpointIO::write(w, ck.p95);
-    CheckpointIO::write(w, ck.melt_cycles);
-    CheckpointIO::write(w, ck.traces);
-    CheckpointIO::write(w, ck.surrogate);
-    w.vec(ck.tasks, [](BlobWriter &w2, const ScenarioTaskResult &t) {
-        CheckpointIO::write(w2, t);
-    });
-    w.boolean(ck.have_peek);
-    if (ck.have_peek)
-        CheckpointIO::write(w, ck.peek);
-    w.sz(ck.ready.size());
-    for (const auto &ex : ck.ready) {
-        if (ex == nullptr)
-            unsupported("null execution in the ready queue");
-        CheckpointIO::writeExecution(w, cfg, *ex);
-    }
-    const bool has_warm = ck.warm_machine != nullptr;
-    w.boolean(has_warm);
-    if (has_warm)
-        CheckpointIO::writeWarmHusk(w, cfg, *ck.warm_machine);
+    CheckpointIO::transfer(w, cfg, ck);
     return BlobContainer::seal(scenarioConfigDigest(cfg), w.take());
 }
 
@@ -1416,37 +1176,20 @@ deserializeCheckpoint(const ScenarioConfig &cfg,
 {
     BlobReader r = BlobContainer::open(blob, scenarioConfigDigest(cfg));
     ScenarioCheckpoint ck;
-    ck.done = r.boolean();
-    CheckpointIO::read(r, ck.arrivals);
-    CheckpointIO::read(r, ck.thermal);
-    ck.policy_state = r.vecF64();
-    ck.now = r.f64();
-    ck.busy = r.f64();
-    ck.decode(r);
-    ck.peak_melt = r.f64();
-    CheckpointIO::read(r, ck.p50);
-    CheckpointIO::read(r, ck.p95);
-    CheckpointIO::read(r, ck.melt_cycles);
-    CheckpointIO::read(r, ck.traces);
-    CheckpointIO::read(r, ck.surrogate);
-    ck.tasks = r.vec<ScenarioTaskResult>(1, [](BlobReader &r2) {
-        ScenarioTaskResult t;
-        CheckpointIO::read(r2, t);
-        return t;
-    });
-    ck.have_peek = r.boolean();
-    if (ck.have_peek)
-        CheckpointIO::read(r, ck.peek);
-    const std::size_t nready = r.sz();
-    ck.ready.reserve(nready);
-    for (std::size_t i = 0; i < nready; ++i)
-        ck.ready.push_back(CheckpointIO::readExecution(r, cfg));
-    const bool has_warm = r.boolean();
-    if (has_warm)
-        CheckpointIO::readWarmHusk(r, cfg, ck);
+    CheckpointIO::transfer(r, cfg, ck);
     r.expectEnd();
     return ck;
 }
+
+template <typename Ar>
+void
+transferQuantile(Ar &a, Io<Ar, P2Quantile> q)
+{
+    CheckpointIO::transfer(a, q);
+}
+
+template void transferQuantile<BlobWriter>(BlobWriter &, const P2Quantile &);
+template void transferQuantile<BlobReader>(BlobReader &, P2Quantile &);
 
 void
 validateCheckpoint(const ScenarioConfig &cfg,

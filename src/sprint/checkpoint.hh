@@ -75,6 +75,15 @@ deserializeCheckpoint(const ScenarioConfig &cfg,
                       const std::vector<std::uint8_t> &blob);
 
 /**
+ * The one field list of a P² estimator's state (the checkpoint's and
+ * the fleet aggregates' layout: q as f64, n as u64, then the four
+ * marker arrays). Reading throws CheckpointError (Corrupt) when the
+ * blob's quantile differs from the one @p q was constructed with.
+ */
+template <typename Ar>
+void transferQuantile(Ar &a, Io<Ar, P2Quantile> q);
+
+/**
  * Paranoia-mode invariant sweep (ScenarioDebugKnobs::validate_checkpoints
  * runs it at every advanceScenario boundary): all temperatures finite
  * and within physical bounds, melt fractions in [0, 1], energy and

@@ -27,7 +27,7 @@ namespace csprint {
 namespace {
 
 constexpr std::uint32_t kFleetSpecVersion = 1;
-constexpr std::uint32_t kFleetAggVersion = 2;
+constexpr std::uint32_t kFleetAggVersion = 3;
 
 /**
  * Digest slot of the sealed spec FILE: the spec cannot seal itself
@@ -91,105 +91,109 @@ sendFrameU64s(int fd, FleetFrameType type,
 
 // --- Spec payload ---------------------------------------------------
 
-template <typename E>
-E
-decodeEnum(std::int64_t v, std::int64_t hi, const char *what)
+/** Transfer format version @p current; reading rejects any other. */
+template <typename Ar>
+void
+transferVersion(Ar &a, std::uint32_t current, const char *what)
 {
-    if (v < 0 || v > hi)
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              std::string("fleet spec: ") + what +
-                                  " value " + std::to_string(v) +
-                                  " out of range");
-    return static_cast<E>(v);
+    std::uint32_t version = current;
+    a.u32(version);
+    if constexpr (Ar::kReading) {
+        if (version != current)
+            throw CheckpointError(CheckpointError::Kind::BadVersion,
+                                  std::string(what) + " format version " +
+                                      std::to_string(version) +
+                                      " is not readable by this build");
+    }
 }
 
+/** The spec's fields in wire order: the bytes fleetSpecDigest hashes. */
+template <typename Ar>
 void
-writeSpecBody(BlobWriter &w, const FleetSpec &spec)
+transferSpecBody(Ar &a, Io<Ar, FleetSpec> spec)
 {
-    w.u64(spec.seed);
-    w.i64(spec.num_devices);
-    w.f64(spec.time_scale);
-    w.f64(spec.thermal_limit);
-    w.vec(spec.classes, [](BlobWriter &w, const FleetDeviceClass &c) {
-        w.f64(c.weight);
-        w.i64(c.cores);
-        w.f64(c.pcm_mass_lo);
-        w.f64(c.pcm_mass_hi);
-        w.f64(c.ambient_lo);
-        w.f64(c.ambient_hi);
-        w.i64(static_cast<std::int64_t>(c.policy));
-        w.f64(c.pacing_period);
-        w.f64(c.service_prior);
-        w.i64(static_cast<std::int64_t>(c.pattern));
-        w.i64(c.num_tasks);
-        w.f64(c.period);
-        w.i64(c.burst_size);
-        w.f64(c.burst_spacing);
-        w.vec(c.mix, [](BlobWriter &w, const WorkloadMixEntry &m) {
-            w.i64(static_cast<std::int64_t>(m.kernel));
-            w.i64(static_cast<std::int64_t>(m.size));
-            w.f64(m.weight);
+    a.u64(spec.seed);
+    a.narrowInt(spec.num_devices, "fleet spec: device count");
+    if constexpr (Ar::kReading) {
+        const int nd = spec.num_devices;
+        if (nd < 1 || nd > (1 << 20))
+            throw CheckpointError(CheckpointError::Kind::Corrupt,
+                                  "fleet spec: device count " +
+                                      std::to_string(nd) +
+                                      " outside [1, 2^20]");
+    }
+    a.f64(spec.time_scale);
+    a.f64(spec.thermal_limit);
+    a.vec(spec.classes, 8 * 20, [](Ar &a2, auto &c) {
+        a2.f64(c.weight);
+        a2.narrowInt(c.cores, "fleet spec: cores");
+        a2.f64(c.pcm_mass_lo);
+        a2.f64(c.pcm_mass_hi);
+        a2.f64(c.ambient_lo);
+        a2.f64(c.ambient_hi);
+        a2.template enumAs<std::int64_t>(c.policy,
+                                         SprintPolicyKind::ModelPredictive,
+                                         "fleet spec: policy kind");
+        a2.f64(c.pacing_period);
+        a2.f64(c.service_prior);
+        a2.template enumAs<std::int64_t>(c.pattern,
+                                         ArrivalPattern::BackToBack,
+                                         "fleet spec: arrival pattern");
+        a2.narrowInt(c.num_tasks, "fleet spec: task count");
+        a2.f64(c.period);
+        a2.narrowInt(c.burst_size, "fleet spec: burst size");
+        a2.f64(c.burst_spacing);
+        a2.vec(c.mix, 24, [](Ar &a3, auto &m) {
+            a3.template enumAs<std::int64_t>(m.kernel, KernelId::Segment,
+                                             "fleet spec: kernel");
+            a3.template enumAs<std::int64_t>(m.size, InputSize::D,
+                                             "fleet spec: size");
+            a3.f64(m.weight);
         });
-        w.i64(static_cast<std::int64_t>(c.kernel));
-        w.i64(static_cast<std::int64_t>(c.size));
-        w.boolean(c.warm_caches);
-        w.f64(c.hi_priority_fraction);
-        w.f64(c.deadline_hi);
-        w.f64(c.deadline_lo);
-        w.f64(c.tail_rest);
+        a2.template enumAs<std::int64_t>(c.kernel, KernelId::Segment,
+                                         "fleet spec: kernel");
+        a2.template enumAs<std::int64_t>(c.size, InputSize::D,
+                                         "fleet spec: size");
+        a2.boolean(c.warm_caches);
+        a2.f64(c.hi_priority_fraction);
+        a2.f64(c.deadline_hi);
+        a2.f64(c.deadline_lo);
+        a2.f64(c.tail_rest);
     });
 }
 
-FleetSpec
-readSpecBody(BlobReader &r)
+/** The spec file's payload: version, spec, fault plan, options. */
+template <typename Ar>
+void
+transferSpecFile(Ar &a, Io<Ar, FleetSpec> spec, Io<Ar, FaultPlan> plan,
+                 Io<Ar, FleetOptions> opts)
 {
-    FleetSpec spec;
-    spec.seed = r.u64();
-    const std::int64_t nd = r.i64();
-    if (nd < 1 || nd > (1 << 20))
-        throw CheckpointError(CheckpointError::Kind::Corrupt,
-                              "fleet spec: device count " +
-                                  std::to_string(nd) +
-                                  " outside [1, 2^20]");
-    spec.num_devices = static_cast<int>(nd);
-    spec.time_scale = r.f64();
-    spec.thermal_limit = r.f64();
-    spec.classes =
-        r.vec<FleetDeviceClass>(8 * 20, [](BlobReader &r) {
-            FleetDeviceClass c;
-            c.weight = r.f64();
-            c.cores = static_cast<int>(r.i64());
-            c.pcm_mass_lo = r.f64();
-            c.pcm_mass_hi = r.f64();
-            c.ambient_lo = r.f64();
-            c.ambient_hi = r.f64();
-            c.policy = decodeEnum<SprintPolicyKind>(r.i64(), 6,
-                                                    "policy kind");
-            c.pacing_period = r.f64();
-            c.service_prior = r.f64();
-            c.pattern = decodeEnum<ArrivalPattern>(r.i64(), 3,
-                                                   "arrival pattern");
-            c.num_tasks = static_cast<int>(r.i64());
-            c.period = r.f64();
-            c.burst_size = static_cast<int>(r.i64());
-            c.burst_spacing = r.f64();
-            c.mix = r.vec<WorkloadMixEntry>(24, [](BlobReader &r) {
-                WorkloadMixEntry m;
-                m.kernel = decodeEnum<KernelId>(r.i64(), 5, "kernel");
-                m.size = decodeEnum<InputSize>(r.i64(), 3, "size");
-                m.weight = r.f64();
-                return m;
-            });
-            c.kernel = decodeEnum<KernelId>(r.i64(), 5, "kernel");
-            c.size = decodeEnum<InputSize>(r.i64(), 3, "size");
-            c.warm_caches = r.boolean();
-            c.hi_priority_fraction = r.f64();
-            c.deadline_hi = r.f64();
-            c.deadline_lo = r.f64();
-            c.tail_rest = r.f64();
-            return c;
-        });
-    return spec;
+    transferVersion(a, kFleetSpecVersion, "fleet spec");
+    transferSpecBody(a, spec);
+    a.vec(plan.faults, 24, [](Ar &a2, auto &f) {
+        a2.narrowInt(f.shard, "fleet spec: fault shard");
+        a2.template enumAs<std::int64_t>(f.kind, FaultKind::CorruptPipe,
+                                         "fleet spec: fault kind");
+        a2.u64(f.at_seq);
+    });
+    a.u64(opts.checkpoint_every_tasks);
+    a.boolean(opts.paranoia);
+}
+
+/** The aggregates' wire payload, version first. */
+template <typename Ar>
+void
+transferAggregates(Ar &a, Io<Ar, FleetAggregates> agg)
+{
+    transferVersion(a, kFleetAggVersion, "fleet aggregate");
+    a.u64(agg.devices);
+    a.u64(agg.degraded_devices);
+    TaskTallies<std::uint64_t>::transfer(a, agg);
+    a.u64(agg.melt_cycles);
+    a.u64(agg.thermal_violations);
+    a.f64(agg.peak_melt);
+    transferQuantile(a, agg.response_p50);
+    transferQuantile(a, agg.response_p95);
 }
 
 } // namespace
@@ -315,7 +319,7 @@ std::uint32_t
 fleetSpecDigest(const FleetSpec &spec)
 {
     BlobWriter w;
-    writeSpecBody(w, spec);
+    transferSpecBody(w, spec);
     return crc32(w.buffer().data(), w.buffer().size());
 }
 
@@ -324,15 +328,7 @@ serializeFleetSpec(const FleetSpec &spec, const FaultPlan &plan,
                    const FleetOptions &opts)
 {
     BlobWriter w;
-    w.u32(kFleetSpecVersion);
-    writeSpecBody(w, spec);
-    w.vec(plan.faults, [](BlobWriter &w, const FaultSpec &f) {
-        w.i64(f.shard);
-        w.i64(static_cast<std::int64_t>(f.kind));
-        w.u64(f.at_seq);
-    });
-    w.u64(opts.checkpoint_every_tasks);
-    w.boolean(opts.paranoia);
+    transferSpecFile(w, spec, plan, opts);
     return BlobContainer::seal(kFleetFileDigest, w.take());
 }
 
@@ -342,22 +338,8 @@ deserializeFleetSpec(const std::vector<std::uint8_t> &blob,
                      FleetOptions &opts)
 {
     BlobReader r = BlobContainer::open(blob, kFleetFileDigest);
-    const std::uint32_t version = r.u32();
-    if (version != kFleetSpecVersion)
-        throw CheckpointError(CheckpointError::Kind::BadVersion,
-                              "fleet spec format version " +
-                                  std::to_string(version) +
-                                  " is not readable by this build");
-    spec = readSpecBody(r);
-    plan.faults = r.vec<FaultSpec>(24, [](BlobReader &r) {
-        FaultSpec f;
-        f.shard = static_cast<int>(r.i64());
-        f.kind = decodeEnum<FaultKind>(r.i64(), 7, "fault kind");
-        f.at_seq = r.u64();
-        return f;
-    });
-    opts.checkpoint_every_tasks = r.u64();
-    opts.paranoia = r.boolean();
+    spec = FleetSpec();
+    transferSpecFile(r, spec, plan, opts);
     r.expectEnd();
     validateFleetSpec(spec);
     if (opts.checkpoint_every_tasks == 0)
@@ -523,20 +505,7 @@ serializeFleetAggregates(const FleetAggregates &agg,
                          std::uint32_t spec_digest)
 {
     BlobWriter w;
-    w.u32(kFleetAggVersion);
-    w.u64(agg.devices);
-    w.u64(agg.degraded_devices);
-    agg.encode(w);
-    w.u64(agg.melt_cycles);
-    w.u64(agg.thermal_violations);
-    w.f64(agg.peak_melt);
-    double st[P2Quantile::kStateSize];
-    agg.response_p50.save(st);
-    for (double v : st)
-        w.f64(v);
-    agg.response_p95.save(st);
-    for (double v : st)
-        w.f64(v);
+    transferAggregates(w, agg);
     return BlobContainer::seal(spec_digest, w.take());
 }
 
@@ -545,32 +514,8 @@ deserializeFleetAggregates(const std::vector<std::uint8_t> &blob,
                            std::uint32_t spec_digest)
 {
     BlobReader r = BlobContainer::open(blob, spec_digest);
-    const std::uint32_t version = r.u32();
-    if (version != kFleetAggVersion)
-        throw CheckpointError(CheckpointError::Kind::BadVersion,
-                              "fleet aggregate format version " +
-                                  std::to_string(version) +
-                                  " is not readable by this build");
     FleetAggregates agg;
-    agg.devices = r.u64();
-    agg.degraded_devices = r.u64();
-    agg.decode(r);
-    agg.melt_cycles = r.u64();
-    agg.thermal_violations = r.u64();
-    agg.peak_melt = r.f64();
-    const auto restoreP2 = [&r](P2Quantile &q, double expect) {
-        double st[P2Quantile::kStateSize];
-        for (double &v : st)
-            v = r.f64();
-        if (st[0] != expect || !(st[1] >= 0.0) ||
-            !std::isfinite(st[1]))
-            throw CheckpointError(
-                CheckpointError::Kind::Corrupt,
-                "fleet aggregates: malformed quantile state");
-        q.restore(st);
-    };
-    restoreP2(agg.response_p50, 0.50);
-    restoreP2(agg.response_p95, 0.95);
+    transferAggregates(r, agg);
     r.expectEnd();
     return agg;
 }

@@ -1,9 +1,7 @@
 #include "sprint/tallies.hh"
 
-#include <climits>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 
 namespace csprint {
 
@@ -40,41 +38,6 @@ FieldDiff::same(const P2Quantile &a, const P2Quantile &b)
             return false;
     }
     return true;
-}
-
-template <typename Count>
-void
-TaskTallies<Count>::encode(BlobWriter &w) const
-{
-    forEachField([&](const char *, auto field) {
-        const auto &value = this->*field;
-        if constexpr (std::is_same_v<std::decay_t<decltype(value)>, double>)
-            w.f64(value);
-        else
-            w.i64(static_cast<std::int64_t>(value));
-    });
-}
-
-template <typename Count>
-void
-TaskTallies<Count>::decode(BlobReader &r)
-{
-    forEachField([&](const char *name, auto field) {
-        auto &value = this->*field;
-        using T = std::remove_reference_t<decltype(value)>;
-        if constexpr (std::is_same_v<T, double>) {
-            value = r.f64();
-        } else {
-            const std::uint64_t v = r.u64();
-            if (std::is_same_v<T, int> && v > INT_MAX)
-                throw CheckpointError(
-                    CheckpointError::Kind::Corrupt,
-                    std::string(name) + " " +
-                        std::to_string(static_cast<std::int64_t>(v)) +
-                        " is outside [0, INT_MAX]");
-            value = static_cast<T>(v);
-        }
-    });
 }
 
 template <typename Count>

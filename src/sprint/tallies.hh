@@ -3,7 +3,7 @@
  * The per-task sprint statistics every layer reports — tasks served,
  * sprints granted/denied/exhausted, throttles, preemptions, drops,
  * deadlines, peak junction, and energy/sprint-time sums — as one value
- * type with one fold (add), one codec (encode/decode), and one exact
+ * type with one fold (add), one codec (transfer), and one exact
  * comparison (compare). ScenarioCheckpoint and ScenarioResult derive
  * from TaskTallies<int>, FleetAggregates from TaskTallies<uint64_t>,
  * so adding a tally is a change to this file alone.
@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "common/blob.hh"
 #include "common/stats.hh"
@@ -110,7 +111,7 @@ struct TaskTallies
 
     /**
      * Call @p fn(name, member pointer) for every tally, in declaration
-     * order: the one field list behind encode, decode and compare.
+     * order: the one field list behind transfer and compare.
      */
     template <typename Fn>
     static void forEachField(Fn &&fn)
@@ -131,18 +132,34 @@ struct TaskTallies
     }
 
     /**
-     * Append the fields in declaration order, integers as 8 bytes and
-     * doubles as f64: one u64, 8×i64, 4×f64, the checkpoint layout.
-     */
-    void encode(BlobWriter &w) const;
-
-    /**
-     * Read what encode() wrote. Throws CheckpointError (Corrupt) for
-     * a counter that Count cannot hold (for int, outside
+     * Move the fields through archive @p a in declaration order,
+     * integers as 8 bytes and doubles as f64: one u64, 8×i64, 4×f64,
+     * the checkpoint layout. Reading throws CheckpointError (Corrupt)
+     * for a counter that Count cannot hold (for int, outside
      * [0, INT_MAX]), so a forged blob cannot smuggle in a negative
      * count.
      */
-    void decode(BlobReader &r);
+    template <typename Ar>
+    static void transfer(Ar &a, Io<Ar, TaskTallies> t)
+    {
+        forEachField([&](const char *name, auto field) {
+            auto &value = t.*field;
+            using T = std::decay_t<decltype(value)>;
+            if constexpr (std::is_same_v<T, double>) {
+                a.f64(value);
+            } else if constexpr (std::is_same_v<T, int>) {
+                a.narrowInt(value, name);
+                if constexpr (Ar::kReading) {
+                    if (value < 0)
+                        throw CheckpointError(
+                            CheckpointError::Kind::Corrupt,
+                            std::string(name) + " is negative");
+                }
+            } else {
+                a.u64(value);
+            }
+        });
+    }
 
     /** Feed every field pair of *this and @p o to @p diff, in order. */
     void compare(FieldDiff &diff, const TaskTallies &o) const;

@@ -8,8 +8,10 @@
  * matches the uninterrupted run bit-for-bit; every single-byte
  * truncation prefix and sampled bit flip fails with a typed
  * CheckpointError (never UB), and so does a re-sealed blob with an
- * out-of-range counter; every tally round-trips and firstDifference
- * names each one; the debug knobs leave the digest alone and a
+ * out-of-range counter or int field or a foreign P² quantile; fixed
+ * checkpoints and a fixed fleet spec serialize to pinned CRCs; every
+ * tally round-trips and firstDifference names each one; the debug
+ * knobs leave the digest alone and a
  * checkpoint resumes under either setting; the deserialized Poisson
  * arrival cursor continues the exact stream; and CheckpointStore
  * survives a corrupt newest checkpoint via its retained predecessor,
@@ -25,6 +27,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -34,6 +37,7 @@
 
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
+#include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
 #include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
@@ -477,6 +481,234 @@ TEST(CheckpointRejection, OutOfRangeCountersAreCorrupt)
     });
 }
 
+/** Offsets at which @p pattern's bytes occur in @p payload. */
+std::vector<std::size_t>
+offsetsOf(const std::vector<std::uint8_t> &payload, const BlobWriter &pattern)
+{
+    std::vector<std::size_t> at;
+    const auto &p = pattern.buffer();
+    for (auto it = std::search(payload.begin(), payload.end(), p.begin(),
+                               p.end());
+         it != payload.end();
+         it = std::search(it + 1, payload.end(), p.begin(), p.end()))
+        at.push_back(static_cast<std::size_t>(it - payload.begin()));
+    return at;
+}
+
+/**
+ * Overwrite @p payload at @p at with @p forged, re-seal it, and expect
+ * deserialization to fail with Kind::Corrupt.
+ */
+void
+expectForgeryCorrupt(const ScenarioConfig &cfg,
+                     std::vector<std::uint8_t> payload, std::size_t at,
+                     const BlobWriter &forged)
+{
+    std::copy(forged.buffer().begin(), forged.buffer().end(),
+              payload.begin() + static_cast<std::ptrdiff_t>(at));
+    try {
+        deserializeCheckpoint(
+            cfg, BlobContainer::seal(scenarioConfigDigest(cfg), payload));
+        ADD_FAILURE() << "forged field at offset " << at << " decoded";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
+    }
+}
+
+/** The leading (quantile, count) bytes of @p q's serialized state. */
+BlobWriter
+quantileHead(const P2Quantile &q)
+{
+    BlobWriter w;
+    w.f64(q.quantile());
+    w.u64(q.count());
+    return w;
+}
+
+TEST(CheckpointRejection, ForeignQuantileIsCorrupt)
+{
+    // A re-sealed blob whose P² state tracks NaN (value() would convert
+    // NaN to an integer rank) or another site's quantile must fail at
+    // every P² site: the p50 and p95 response estimators and a
+    // surrogate class model's service_p95.
+    ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
+                                      ArrivalPattern::BackToBack, 24);
+    cfg.surrogate.tier = FidelityTier::Auto;
+    cfg.surrogate.min_calibration = 4;
+    cfg.surrogate.audit_period = 4.0;
+    cfg.trace_mode = TraceMode::Off;
+    cfg.keep_task_results = false;
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 2);
+    ASSERT_EQ(ck.p50.count(), 2u);
+    ASSERT_FALSE(ck.surrogate.classes().empty());
+    const std::vector<std::uint8_t> payload = payloadOf(
+        serializeCheckpoint(cfg, ck), scenarioConfigDigest(cfg));
+    EXPECT_NO_THROW(deserializeCheckpoint(
+        cfg, BlobContainer::seal(scenarioConfigDigest(cfg), payload)));
+
+    // p95's state directly follows p50's; the class models come later.
+    const std::size_t state_bytes = 8 * P2Quantile::kStateSize;
+    const std::vector<std::size_t> p95s =
+        offsetsOf(payload, quantileHead(ck.p95));
+    std::size_t p50 = payload.size();
+    for (std::size_t at : offsetsOf(payload, quantileHead(ck.p50)))
+        if (std::count(p95s.begin(), p95s.end(), at + state_bytes))
+            p50 = at;
+    ASSERT_LT(p50, payload.size());
+    const P2Quantile &model_p95 =
+        ck.surrogate.classes().begin()->second.service_p95;
+    std::size_t model = payload.size();
+    for (std::size_t at : offsetsOf(payload, quantileHead(model_p95)))
+        if (at > p50 + state_bytes && model == payload.size())
+            model = at;
+    ASSERT_LT(model, payload.size());
+
+    const struct
+    {
+        const char *site;
+        std::size_t at;
+        double other;
+    } sites[] = {{"p50", p50, 0.95},
+                 {"p95", p50 + state_bytes, 0.5},
+                 {"service_p95", model, 0.5}};
+    for (const auto &site : sites) {
+        for (double forged : {std::nan(""), site.other}) {
+            SCOPED_TRACE(std::string(site.site) + " q = " +
+                         std::to_string(forged));
+            BlobWriter w;
+            w.f64(forged);
+            expectForgeryCorrupt(cfg, payload, site.at, w);
+        }
+    }
+}
+
+TEST(CheckpointRejection, OutOfRangeIntFieldsAreCorrupt)
+{
+    // int fields travel as i64: a forged value an int cannot hold must
+    // fail, not wrap. One per record kind: a retained task result and
+    // a suspended machine's energy model.
+    BlobWriter too_big;
+    too_big.i64(std::int64_t{INT_MAX} + 1);
+
+    ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
+                                      ArrivalPattern::Periodic, 3);
+    cfg.trace_mode = TraceMode::Off;
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 1);
+    ASSERT_EQ(ck.tasks.size(), 1u);
+    const int marker = 0x5ca1ab1e;
+    ck.tasks[0].preemptions = marker;
+    std::vector<std::uint8_t> payload = payloadOf(
+        serializeCheckpoint(cfg, ck), scenarioConfigDigest(cfg));
+    BlobWriter pattern;
+    pattern.i64(marker);
+    std::vector<std::size_t> at = offsetsOf(payload, pattern);
+    ASSERT_EQ(at.size(), 1u);
+    expectForgeryCorrupt(cfg, payload, at[0], too_big);
+
+    const ScenarioConfig preempt = preemptiveScenario(4);
+    ScenarioCheckpoint mid = beginScenario(preempt);
+    advanceScenario(preempt, mid, 2);
+    const Machine *machine = nullptr;
+    for (const auto &ex : mid.ready)
+        if (ex->machine)
+            machine = ex->machine.get();
+    ASSERT_NE(machine, nullptr);
+    const TechParams &tech = machine->config().energy.tech();
+    BlobWriter energy;
+    energy.i64(tech.node_nm);
+    energy.f64(tech.vdd);
+    energy.f64(tech.clock);
+    energy.f64(tech.cap_scale);
+    payload = payloadOf(serializeCheckpoint(preempt, mid),
+                        scenarioConfigDigest(preempt));
+    at = offsetsOf(payload, energy);
+    ASSERT_EQ(at.size(), 1u);
+    expectForgeryCorrupt(preempt, payload, at[0], too_big);
+}
+
+/** CRC32 of the whole sealed checkpoint of @p cfg after @p tasks. */
+std::uint32_t
+checkpointCrc(const ScenarioConfig &cfg, std::uint64_t tasks,
+              const std::function<void(const ScenarioCheckpoint &)> &check)
+{
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, tasks);
+    check(ck);
+    const std::vector<std::uint8_t> blob = serializeCheckpoint(cfg, ck);
+    return crc32(blob.data(), blob.size());
+}
+
+TEST(CheckpointFormat, PinnedBytes)
+{
+    // Byte-level pins of the checkpoint and fleet-spec formats: a
+    // reordered, resized or dropped field changes these CRCs. Any such
+    // change must bump BlobContainer::kVersion and re-record them.
+    ASSERT_EQ(BlobContainer::kVersion, 1u);
+
+    EXPECT_EQ(checkpointCrc(preemptiveScenario(4), 2,
+                            [](const ScenarioCheckpoint &ck) {
+                                bool suspended = false;
+                                for (const auto &ex : ck.ready)
+                                    suspended |= ex->machine != nullptr;
+                                EXPECT_TRUE(suspended);
+                            }),
+              0xef7cf469u)
+        << "preempted mid-flight";
+
+    ScenarioConfig warm = baseScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 5);
+    warm.warm_caches = true;
+    EXPECT_EQ(checkpointCrc(warm, 2,
+                            [](const ScenarioCheckpoint &ck) {
+                                EXPECT_NE(ck.warm_machine, nullptr);
+                            }),
+              0x420f388fu)
+        << "warm-cache husk";
+
+    ScenarioConfig surrogate = baseScenario(
+        SprintPolicyKind::GreedyActivity, ArrivalPattern::BackToBack, 24);
+    surrogate.surrogate.tier = FidelityTier::Auto;
+    surrogate.surrogate.min_calibration = 4;
+    surrogate.surrogate.audit_period = 4.0;
+    EXPECT_EQ(checkpointCrc(surrogate, 10,
+                            [](const ScenarioCheckpoint &ck) {
+                                EXPECT_GT(ck.surrogate.surrogateTasks(),
+                                          0u);
+                            }),
+              0x745433cdu)
+        << "calibrated surrogate";
+
+    FleetSpec spec;
+    spec.seed = 11;
+    spec.num_devices = 5;
+    spec.thermal_limit = 70.0;
+    FleetDeviceClass cls;
+    cls.weight = 2.0;
+    cls.cores = 8;
+    cls.pcm_mass_lo = kSmallPcm;
+    cls.pcm_mass_hi = kFullPcm;
+    cls.policy = SprintPolicyKind::Qos;
+    cls.pattern = ArrivalPattern::Bursty;
+    cls.num_tasks = 6;
+    cls.burst_size = 2;
+    cls.mix = {{KernelId::Texture, InputSize::B, 1.5},
+               {KernelId::Segment, InputSize::D, 0.5}};
+    cls.warm_caches = true;
+    cls.hi_priority_fraction = 0.25;
+    spec.classes.push_back(cls);
+    FaultPlan plan;
+    plan.faults.push_back({3, FaultKind::CorruptPipe, 2});
+    FleetOptions opts;
+    opts.checkpoint_every_tasks = 3;
+    opts.paranoia = true;
+    const std::vector<std::uint8_t> blob =
+        serializeFleetSpec(spec, plan, opts);
+    EXPECT_EQ(crc32(blob.data(), blob.size()), 0xfc16aca0u) << "fleet spec";
+    EXPECT_EQ(fleetSpecDigest(spec), 0xf8d22844u) << "fleet spec digest";
+}
+
 TEST(CheckpointValidation, RejectsTamperedState)
 {
     ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
@@ -772,8 +1004,8 @@ TEST(CheckpointUnsupported, ForeignStreamTypeFailsTheSave)
     // scenario whose execution is mid-flight with a suspended machine
     // running a ChunkedOpStream (supported), then assert the plain
     // serialize path works — the Unsupported path itself is exercised
-    // by unit-testing writeStream indirectly through a machine that
-    // is not suspended.
+    // by unit-testing the stream transfer indirectly through a machine
+    // that is not suspended.
     ScenarioConfig cfg = preemptiveScenario(4);
     ScenarioCheckpoint ck = beginScenario(cfg);
     advanceScenario(cfg, ck, 1);

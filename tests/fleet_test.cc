@@ -6,7 +6,8 @@
  * aggregates (exact counters, deterministic P² quantile merge that is
  * order-insensitive within an estimator tolerance), wire round-trips,
  * firstDifference naming every aggregate field, every-truncation and
- * bit-flip sweeps over the aggregates and pipe frame decoders, a
+ * bit-flip sweeps over the aggregates and pipe frame decoders,
+ * rejection of aggregates whose P² state tracks a foreign quantile, a
  * small in-process fleet sanity run, multi-process parity of the
  * per-device results read back from each transport's store, and
  * rejection of a zero checkpoint cadence. The fault-recovery parity
@@ -387,6 +388,43 @@ TEST(FleetAggregatesTest, EveryAggregatesBitFlipIsRejected)
         EXPECT_THROW(deserializeFleetAggregates(bad, digest),
                      CheckpointError)
             << "flipped bit " << bit;
+    }
+}
+
+TEST(FleetAggregatesTest, ForeignQuantileIsCorrupt)
+{
+    // The aggregates carry their P² estimators through the checkpoint's
+    // quantile transfer: a re-sealed blob whose estimator tracks NaN or
+    // the other quantile fails with Corrupt.
+    const std::uint32_t digest = 0xabad1deau;
+    const FleetAggregates agg = distinctAggregates();
+    const auto blob = serializeFleetAggregates(agg, digest);
+    BlobReader r = BlobContainer::open(blob, digest);
+    std::vector<std::uint8_t> payload(r.remaining());
+    r.bytes(payload.data(), payload.size());
+    for (const auto &[q, other] : {std::pair{&agg.response_p50, 0.95},
+                                   std::pair{&agg.response_p95, 0.5}}) {
+        BlobWriter head;
+        head.f64(q->quantile());
+        head.u64(q->count());
+        const auto at = std::search(payload.begin(), payload.end(),
+                                    head.buffer().begin(),
+                                    head.buffer().end());
+        ASSERT_NE(at, payload.end());
+        for (double forged : {std::nan(""), other}) {
+            BlobWriter w;
+            w.f64(forged);
+            std::vector<std::uint8_t> bad = payload;
+            std::copy(w.buffer().begin(), w.buffer().end(),
+                      bad.begin() + (at - payload.begin()));
+            try {
+                deserializeFleetAggregates(BlobContainer::seal(digest, bad),
+                                           digest);
+                ADD_FAILURE() << "quantile " << forged << " decoded";
+            } catch (const CheckpointError &e) {
+                EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
+            }
+        }
     }
 }
 
