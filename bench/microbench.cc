@@ -39,6 +39,23 @@ BM_ThermalStep(benchmark::State &state)
 }
 BENCHMARK(BM_ThermalStep);
 
+/**
+ * Same step through the generic CSR Heun loop (the package kernel's
+ * bit-for-bit oracle), pinned there by one isolated extra node.
+ */
+void
+BM_ThermalStepCsr(benchmark::State &state)
+{
+    MobilePackageModel pkg(MobilePackageParams::phonePcm());
+    pinToCsrLoop(pkg);
+    pkg.setDiePower(16.0);
+    for (auto _ : state) {
+        pkg.step(1e-3);
+        benchmark::DoNotOptimize(pkg.junctionTemp());
+    }
+}
+BENCHMARK(BM_ThermalStepCsr);
+
 /** Same step through the retained first-order reference integrator. */
 void
 BM_ThermalStepReferenceEuler(benchmark::State &state)

@@ -14,6 +14,11 @@
  * full melt/freeze transient, so the acceptance criterion (>= 5x at
  * equal traces within 0.1 C) is checked by the tool itself.
  *
+ * The Heun step on the package runs ThermalNetwork's straight-line
+ * package loop; package_kernel times it against the generic CSR loop
+ * on the same package and fails the run unless the two agree bit for
+ * bit at every step of a melt/refreeze trace.
+ *
  *   ./thermal_report [--out BENCH_thermal.json]
  *                    [--seed-thermal-step-ns N]
  */
@@ -50,22 +55,59 @@ nsPerCall(F fn, int iters)
            iters;
 }
 
-/** ns per step(1e-3) on the phonePcm package at 16 W sprint power. */
+/**
+ * ns per step(@p dt) on the phonePcm package at 16 W sprint power;
+ * @p csr pins the Heun step to the generic CSR loop (pinToCsrLoop)
+ * instead of the package loop.
+ */
 double
-timePackageStep(ThermalIntegrator scheme, int iters)
+timePackageStep(ThermalIntegrator scheme, int iters, Seconds dt = 1e-3,
+                bool csr = false)
 {
     MobilePackageModel pkg(MobilePackageParams::phonePcm());
+    if (csr)
+        pinToCsrLoop(pkg);
     pkg.network().setIntegrator(scheme);
     pkg.setDiePower(16.0);
     volatile double sink = 0.0;
     const double ns = nsPerCall(
         [&] {
-            pkg.step(1e-3);
+            pkg.step(dt);
             sink = pkg.junctionTemp();
         },
         iters);
     (void)sink;
     return ns;
+}
+
+/**
+ * Steps at which the package loop and the CSR loop disagree in any
+ * bit of any node's temperature or melt fraction, over a phonePcm
+ * 16 W melt of @p sprint_steps ms and a refreeze of @p cooldown_steps
+ * ms (1 ms steps, the second half of the cooldown through the
+ * quiescent stepper).
+ */
+long
+packageKernelMismatches(int sprint_steps, int cooldown_steps)
+{
+    MobilePackageModel pkg(MobilePackageParams::phonePcm());
+    MobilePackageModel csr(MobilePackageParams::phonePcm());
+    pinToCsrLoop(csr);
+    long mismatches = 0;
+    for (int i = 0; i < sprint_steps + cooldown_steps; ++i) {
+        const Watts power = i < sprint_steps ? 16.0 : 0.0;
+        pkg.setDiePower(power);
+        csr.setDiePower(power);
+        if (i < sprint_steps + cooldown_steps / 2) {
+            pkg.step(1e-3);
+            csr.step(1e-3);
+        } else {
+            pkg.stepQuiescent(1e-3);
+            csr.stepQuiescent(1e-3);
+        }
+        mismatches += samePackageBits(pkg, csr) ? 0 : 1;
+    }
+    return mismatches;
 }
 
 /** ns per step(1e-3) on a ladder of PCM nodes on the latent plateau. */
@@ -135,6 +177,15 @@ main(int argc, char **argv)
         timePackageStep(ThermalIntegrator::ReferenceEuler, iters);
     const double heun_ns =
         timePackageStep(ThermalIntegrator::Heun, iters);
+    // The package kernel against the CSR loop it replaces, at one
+    // substep per step (1 ms) and at ten (40 ms).
+    const double csr_ns = timePackageStep(ThermalIntegrator::Heun, iters,
+                                          1e-3, true);
+    const double csr10_ns = timePackageStep(ThermalIntegrator::Heun,
+                                            iters / 10, 4e-2, true);
+    const double pkg10_ns =
+        timePackageStep(ThermalIntegrator::Heun, iters / 10, 4e-2);
+    const long kernel_mismatches = packageKernelMismatches(1500, 30000);
     const double pcm_euler_ns =
         timePcmHeavyStep(ThermalIntegrator::ReferenceEuler, 32,
                          iters / 50);
@@ -180,6 +231,19 @@ main(int argc, char **argv)
             << "\n    }";
     }
     out << "\n  },\n"
+        << "  \"package_kernel\": {\n"
+        << "    \"bit_exact\": "
+        << (kernel_mismatches == 0 ? "true" : "false") << ",\n"
+        << "    \"mismatched_steps\": " << kernel_mismatches << ",\n"
+        << "    \"trace\": \"phonePcm 16 W melt + cooldown refreeze, 1 ms "
+           "steps, every node's temperature and melt fraction\",\n"
+        << "    \"step_1ms\": {\"csr_loop_ns\": " << csr_ns
+        << ", \"package_loop_ns\": " << heun_ns
+        << ", \"speedup\": " << csr_ns / heun_ns << "},\n"
+        << "    \"step_40ms_10_substeps\": {\"csr_loop_ns\": " << csr10_ns
+        << ", \"package_loop_ns\": " << pkg10_ns
+        << ", \"speedup\": " << csr10_ns / pkg10_ns << "}\n"
+        << "  },\n"
         << "  \"pcm_heavy_step_1ms_32_nodes\": {\n"
         << "    \"before_reference_euler_ns\": " << pcm_euler_ns << ",\n"
         << "    \"after_heun_ns\": " << pcm_heun_ns << ",\n"
@@ -200,6 +264,9 @@ main(int argc, char **argv)
               << "PCM-heavy (32 nodes): " << pcm_euler_ns << " -> "
               << pcm_heun_ns << " ns (" << pcm_euler_ns / pcm_heun_ns
               << "x)\n"
+              << "package kernel vs CSR loop: 1 ms " << csr_ns << " -> "
+              << heun_ns << " ns, 40 ms " << csr10_ns << " -> " << pkg10_ns
+              << " ns, " << kernel_mismatches << " mismatched steps\n"
               << "max trace deviation: " << deviation << " C (budget 0.1)\n"
               << "batch of " << batch << ": serial " << batch_serial_s
               << " s, pool(" << workers << ") " << batch_pool_s << " s\n"
@@ -208,5 +275,8 @@ main(int argc, char **argv)
     const bool parity_ok = deviation <= 0.1;
     if (!parity_ok)
         std::cerr << "FAIL: trace deviation exceeds 0.1 C budget\n";
-    return parity_ok ? 0 : 1;
+    if (kernel_mismatches != 0)
+        std::cerr << "FAIL: package loop differs from the CSR loop at "
+                  << kernel_mismatches << " steps\n";
+    return parity_ok && kernel_mismatches == 0 ? 0 : 1;
 }

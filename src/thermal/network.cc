@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.hh"
@@ -17,6 +18,85 @@ namespace {
 constexpr double kEulerStepFraction = 0.01;
 constexpr double kHeunStepFraction = 0.1;
 constexpr double kHeunOverEuler = kHeunStepFraction / kEulerStepFraction;
+
+/**
+ * Apply @p joules along the piecewise enthalpy curve of a PCM node:
+ * sensible heat below the melt point, latent plateau at the melt
+ * point, sensible heat above. Operates on caller-supplied temperature
+ * / melt-fraction storage so the predictor stage can walk scratch
+ * copies. Forced inline so the package loop keeps both in registers.
+ */
+[[gnu::always_inline]] inline void
+applyPcmHeat(double &temp, double &melt_fraction, JoulesPerKelvin cap,
+             const PcmProperties &pcm, Joules joules)
+{
+    double remaining = joules;
+    const Celsius melt = pcm.melt_temp;
+    const Joules latent = pcm.latent_heat;
+
+    // One sign of heat crosses at most three segments; the bound only
+    // guards against floating-point ping-pong.
+    for (int iter = 0; iter < 8 && remaining != 0.0; ++iter) {
+        if (remaining > 0.0) {
+            if (temp < melt) {
+                const Joules to_melt_point = (melt - temp) * cap;
+                if (remaining < to_melt_point) {
+                    temp += remaining / cap;
+                    remaining = 0.0;
+                } else {
+                    temp = melt;
+                    remaining -= to_melt_point;
+                }
+            } else if (melt_fraction < 1.0) {
+                const Joules to_full_melt =
+                    (1.0 - melt_fraction) * latent;
+                if (remaining < to_full_melt) {
+                    melt_fraction += remaining / latent;
+                    temp = melt;
+                    remaining = 0.0;
+                } else {
+                    melt_fraction = 1.0;
+                    temp = melt;
+                    remaining -= to_full_melt;
+                }
+            } else {
+                temp += remaining / cap;
+                remaining = 0.0;
+            }
+        } else {
+            if (temp > melt) {
+                const Joules to_melt_point =
+                    (melt - temp) * cap; // negative
+                if (remaining > to_melt_point) {
+                    temp += remaining / cap;
+                    remaining = 0.0;
+                } else {
+                    temp = melt;
+                    remaining -= to_melt_point;
+                }
+            } else if (melt_fraction > 0.0) {
+                const Joules to_full_freeze =
+                    -melt_fraction * latent; // negative
+                if (remaining > to_full_freeze) {
+                    melt_fraction += remaining / latent;
+                    temp = melt;
+                    remaining = 0.0;
+                } else {
+                    melt_fraction = 0.0;
+                    temp = melt;
+                    remaining -= to_full_freeze;
+                }
+            } else {
+                temp += remaining / cap;
+                remaining = 0.0;
+            }
+        }
+    }
+    // Energy conservation: never drop residual heat. Any leftover from
+    // the guard above folds into sensible heat.
+    if (remaining != 0.0)
+        temp += remaining / cap;
+}
 
 } // namespace
 
@@ -171,6 +251,18 @@ ThermalNetwork::ensureTopology() const
                     ? 0.0
                     : 1.0 / (kHeunStepFraction * limit);
 
+    // MobilePackageModel's PCM package: junction (0) and case (1) each
+    // see only the PCM node (2), whose row lists the junction first.
+    // Ambient edges fold into g_amb_, so any node may have one.
+    static constexpr std::size_t kPackageRows[] = {0, 1, 2, 4};
+    static constexpr std::size_t kPackageNbrs[] = {2, 2, 0, 1};
+    package_shape_ =
+        pcm_nodes_.size() == 1 && pcm_nodes_[0] == 2 &&
+        std::equal(row_ptr_.begin(), row_ptr_.end(),
+                   std::begin(kPackageRows), std::end(kPackageRows)) &&
+        std::equal(nbr_.begin(), nbr_.end(), std::begin(kPackageNbrs),
+                   std::end(kPackageNbrs));
+
     p1_.assign(n, 0.0);
     p2_.assign(n, 0.0);
     t_pred_.assign(n, 0.0);
@@ -183,81 +275,6 @@ ThermalNetwork::maxStableStep() const
 {
     ensureTopology();
     return stable_cached_;
-}
-
-void
-ThermalNetwork::applyPcmHeat(double &temp, double &melt_fraction,
-                             JoulesPerKelvin cap,
-                             const PcmProperties &pcm, Joules joules)
-{
-    // Walk the piecewise enthalpy curve: sensible heat below the melt
-    // point, latent plateau at the melt point, sensible heat above.
-    double remaining = joules;
-    const Celsius melt = pcm.melt_temp;
-    const Joules latent = pcm.latent_heat;
-
-    // One sign of heat crosses at most three segments; the bound only
-    // guards against floating-point ping-pong.
-    for (int iter = 0; iter < 8 && remaining != 0.0; ++iter) {
-        if (remaining > 0.0) {
-            if (temp < melt) {
-                const Joules to_melt_point = (melt - temp) * cap;
-                if (remaining < to_melt_point) {
-                    temp += remaining / cap;
-                    remaining = 0.0;
-                } else {
-                    temp = melt;
-                    remaining -= to_melt_point;
-                }
-            } else if (melt_fraction < 1.0) {
-                const Joules to_full_melt =
-                    (1.0 - melt_fraction) * latent;
-                if (remaining < to_full_melt) {
-                    melt_fraction += remaining / latent;
-                    temp = melt;
-                    remaining = 0.0;
-                } else {
-                    melt_fraction = 1.0;
-                    temp = melt;
-                    remaining -= to_full_melt;
-                }
-            } else {
-                temp += remaining / cap;
-                remaining = 0.0;
-            }
-        } else {
-            if (temp > melt) {
-                const Joules to_melt_point =
-                    (melt - temp) * cap; // negative
-                if (remaining > to_melt_point) {
-                    temp += remaining / cap;
-                    remaining = 0.0;
-                } else {
-                    temp = melt;
-                    remaining -= to_melt_point;
-                }
-            } else if (melt_fraction > 0.0) {
-                const Joules to_full_freeze =
-                    -melt_fraction * latent; // negative
-                if (remaining > to_full_freeze) {
-                    melt_fraction += remaining / latent;
-                    temp = melt;
-                    remaining = 0.0;
-                } else {
-                    melt_fraction = 0.0;
-                    temp = melt;
-                    remaining -= to_full_freeze;
-                }
-            } else {
-                temp += remaining / cap;
-                remaining = 0.0;
-            }
-        }
-    }
-    // Energy conservation: never drop residual heat. Any leftover from
-    // the guard above folds into sensible heat.
-    if (remaining != 0.0)
-        temp += remaining / cap;
 }
 
 void
@@ -346,6 +363,52 @@ ThermalNetwork::substepHeun(Seconds h)
 }
 
 void
+ThermalNetwork::heunPackage(Seconds h, int substeps)
+{
+    // Row i's sum is inj_i + g_amb_i * T_amb - g_sum_i * T_i, then each
+    // CSR slot's g * T_nbr in slot order. The first two terms are
+    // constant over the step, so hoisting them changes no bit.
+    const double t_amb = ambient_temp;
+    const double b0 = injected_[0] + g_amb_[0] * t_amb;
+    const double b1 = injected_[1] + g_amb_[1] * t_amb;
+    const double b2 = injected_[2] + g_amb_[2] * t_amb;
+    const double gs0 = g_sum_[0], gs1 = g_sum_[1], gs2 = g_sum_[2];
+    const double g02 = g_[0], g12 = g_[1], g20 = g_[2], g21 = g_[3];
+    const double sic0 = sens_inv_cap_[0], sic1 = sens_inv_cap_[1],
+                 sic2 = sens_inv_cap_[2];
+    const double cap2 = cap_[2];
+    const PcmProperties pcm = pcm_[2];
+    const double hh = 0.5 * h;
+
+    double t0 = temp_[0], t1 = temp_[1], t2 = temp_[2];
+    double mf = melt_fraction_[2];
+    for (int s = 0; s < substeps; ++s) {
+        // Stage 1 and the enthalpy-aware predictor (sic2 is 0).
+        const double p10 = b0 - gs0 * t0 + g02 * t2;
+        const double p11 = b1 - gs1 * t1 + g12 * t2;
+        const double p12 = b2 - gs2 * t2 + g20 * t0 + g21 * t1;
+        const double tp0 = t0 + h * p10 * sic0;
+        const double tp1 = t1 + h * p11 * sic1;
+        double tp2 = t2 + h * p12 * sic2;
+        double mf_pred = mf;
+        applyPcmHeat(tp2, mf_pred, cap2, pcm, h * p12);
+
+        // Stage 2 at the predicted state and the corrector.
+        const double p20 = b0 - gs0 * tp0 + g02 * tp2;
+        const double p21 = b1 - gs1 * tp1 + g12 * tp2;
+        const double p22 = b2 - gs2 * tp2 + g20 * tp0 + g21 * tp1;
+        t0 += hh * (p10 + p20) * sic0;
+        t1 += hh * (p11 + p21) * sic1;
+        t2 += hh * (p12 + p22) * sic2;
+        applyPcmHeat(t2, mf, cap2, pcm, hh * (p12 + p22));
+    }
+    temp_[0] = t0;
+    temp_[1] = t1;
+    temp_[2] = t2;
+    melt_fraction_[2] = mf;
+}
+
+void
 ThermalNetwork::step(Seconds dt)
 {
     SPRINT_ASSERT(dt >= 0.0, "negative time step");
@@ -357,10 +420,17 @@ ThermalNetwork::step(Seconds dt)
     // ratio is 0 for an edge-free network (stable bound = infinity).
     const double ratio =
         dt * inv_hmax_ * (heun ? 1.0 : kHeunOverEuler);
-    const int substeps =
-        ratio > 1.0 ? static_cast<int>(std::ceil(ratio)) : 1;
+    int substeps = 1;
+    if (ratio > 1.0) {
+        SPRINT_ASSERT(ratio <= std::numeric_limits<int>::max(),
+                      "time step ", dt, " needs more than INT_MAX "
+                      "stable substeps");
+        substeps = static_cast<int>(std::ceil(ratio));
+    }
     const Seconds h = dt / substeps;
-    if (heun) {
+    if (heun && package_shape_) {
+        heunPackage(h, substeps);
+    } else if (heun) {
         for (int i = 0; i < substeps; ++i)
             substepHeun(h);
     } else {
@@ -577,7 +647,9 @@ ThermalNetwork::advanceQuiescent(Seconds dt, Celsius tol)
             // At (or below) the plain substep: integrate with the
             // configured scheme, exactly as step() would — this is
             // the plateau-corner workhorse.
-            if (heun)
+            if (heun && package_shape_)
+                heunPackage(step, 1);
+            else if (heun)
                 substepHeun(step);
             else
                 substepEuler(step);

@@ -26,6 +26,13 @@
  * cached; the cache is invalidated only by addNode/addPcmNode/
  * addResistor/addResistorToAmbient/reset and rebuilt lazily, so the
  * per-substep kernel performs no allocation.
+ *
+ * The rebuild also recognises the three-node PCM package that
+ * MobilePackageModel builds (junction and case each tied only to the
+ * PCM node). Heun steps on that shape run a straight-line loop that
+ * keeps the whole step in registers and performs the CSR loop's
+ * floating-point operations in the same order, so both paths produce
+ * bit-identical states; every other network takes the CSR loop.
  */
 
 #ifndef CSPRINT_THERMAL_NETWORK_HH
@@ -204,17 +211,6 @@ class ThermalNetwork
     static constexpr std::size_t kAmbient =
         static_cast<std::size_t>(-1);
 
-    /**
-     * Apply @p joules along the piecewise enthalpy curve of a PCM
-     * node: sensible heat below the melt point, latent plateau at the
-     * melt point, sensible heat above. Operates on caller-supplied
-     * temperature / melt-fraction storage so the predictor stage can
-     * walk scratch copies.
-     */
-    static void applyPcmHeat(double &temp, double &melt_fraction,
-                             JoulesPerKelvin cap,
-                             const PcmProperties &pcm, Joules joules);
-
     /** Rebuild the CSR adjacency and stability bound when dirty. */
     void ensureTopology() const;
 
@@ -226,6 +222,13 @@ class ThermalNetwork
 
     /** One second-order Heun substep of length @p h. */
     void substepHeun(Seconds h);
+
+    /**
+     * @p substeps Heun substeps of length @p h on the package shape
+     * (package_shape_): substepHeun's operations, in its order, on
+     * locals.
+     */
+    void heunPackage(Seconds h, int substeps);
 
     /**
      * One quiescent trial substep of length @p h from (@p t_in,
@@ -264,6 +267,7 @@ class ThermalNetwork
     mutable std::vector<double> g_sum_;        ///< total conductance
     mutable Seconds stable_cached_ = 0.0;      ///< min_i C_i / g_sum_i
     mutable double inv_hmax_ = 0.0; ///< 1 / (Heun substep bound); 0 if inf
+    mutable bool package_shape_ = false; ///< Heun runs heunPackage
 
     // --- Preallocated integrator scratch --------------------------------
     mutable std::vector<double> p1_;      ///< stage-1 net power [W]

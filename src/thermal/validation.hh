@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared fixtures for validating and benchmarking the thermal hot
- * path: the PCM-ladder network used by the PCM-heavy benchmarks, and
+ * path: the PCM-ladder network used by the PCM-heavy benchmarks, the
+ * CSR-loop pin that is the package kernel's oracle, and
  * the phonePcm melt/freeze parity trace that compares the optimized
  * Heun integrator against the retained reference Euler. Kept in one
  * place so the microbenchmark, the BENCH_thermal.json report tool,
@@ -13,6 +14,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "thermal/network.hh"
@@ -37,6 +40,44 @@ buildPcmLadder(ThermalNetwork &net, int nodes)
         prev = pcm;
     }
     net.addResistorToAmbient(prev, 3.5);
+}
+
+/**
+ * Pin @p pkg's network to the generic CSR Heun loop by adding one
+ * isolated node. The package-shape detector rejects the four-node
+ * network, while the three package rows keep their CSR slots and
+ * stability bound, so they perform exactly the operations of the
+ * package loop: the bit-for-bit oracle for ThermalNetwork's package
+ * kernel.
+ */
+inline void
+pinToCsrLoop(MobilePackageModel &pkg)
+{
+    ThermalNetwork &net = pkg.network();
+    net.addNode("csr-pin", 1.0, net.ambient());
+}
+
+/**
+ * True when the junction, case and PCM nodes of @p a and @p b hold the
+ * same bits in every temperature and melt fraction (-0.0 against 0.0
+ * and NaN payloads count): the package kernel's parity check.
+ */
+inline bool
+samePackageBits(const MobilePackageModel &a, const MobilePackageModel &b)
+{
+    const auto bits = [](double x) {
+        std::uint64_t u;
+        std::memcpy(&u, &x, sizeof u);
+        return u;
+    };
+    const ThermalNetwork &na = a.network();
+    const ThermalNetwork &nb = b.network();
+    for (const ThermalNodeId n : {a.junction(), a.caseNode(), a.pcm()}) {
+        if (bits(na.temperature(n)) != bits(nb.temperature(n)) ||
+            bits(na.meltFraction(n)) != bits(nb.meltFraction(n)))
+            return false;
+    }
+    return true;
 }
 
 /** Outcome of a melt/freeze parity trace between the two integrators. */

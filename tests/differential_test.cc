@@ -15,6 +15,9 @@
  *  - the ready queue's declared dispatch order vs the generic scan,
  *    on trains long enough to compact the queue;
  *
+ *  - the thermal package loop vs the generic CSR Heun loop, through
+ *    melt, refreeze and the quiescent stepper;
+ *
  * plus a tolerance-gated differential for the Heun thermal integrator
  * against the retained ReferenceEuler.
  *
@@ -36,6 +39,7 @@
 #include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
 #include "thermal/network.hh"
+#include "thermal/validation.hh"
 #include "workloads/workload.hh"
 
 namespace csprint {
@@ -269,6 +273,90 @@ TEST(Differential, HeunIntegratorTracksReferenceEuler)
         EXPECT_LT(max_dev, 0.05)
             << "integrator divergence at replay " << i;
         EXPECT_NEAR(heun.meltFraction(), euler.meltFraction(), 0.02);
+    }
+}
+
+TEST(Differential, PackageKernelMatchesCsrLoop)
+{
+    // The straight-line package loop against the CSR loop, bit for
+    // bit after every step: the oracle is the same package plus one
+    // isolated node (pinToCsrLoop). Each replay draws a package, heats
+    // its PCM from solid across the plateau into liquid, then cools it
+    // back through refreeze with step() and the quiescent stepper
+    // interleaved.
+    Rng rng(diffSeed() ^ 0x9ac4a6e5ULL);
+    for (int replay = 0; replay < 12; ++replay) {
+        const Grams pcm_mass = rng.uniform(0.002, 0.2);
+        const double time_scale = rng.uniform(2e-4, 5e-3);
+        MobilePackageParams params =
+            SprintConfig::scaledPackage(pcm_mass, time_scale);
+        params.ambient = rng.uniform(0.0, 45.0);
+        const Watts heat_power = rng.uniform(3.0, 20.0);
+        const Watts cool_power = rng.uniform() < 0.5
+                                     ? 0.0
+                                     : rng.uniform(0.0, 0.2);
+        SCOPED_TRACE("replay " + std::to_string(replay) + ": pcm " +
+                     std::to_string(pcm_mass) + " g, time scale " +
+                     std::to_string(time_scale) + ", ambient " +
+                     std::to_string(params.ambient) + " C, heat " +
+                     std::to_string(heat_power) + " W, cool " +
+                     std::to_string(cool_power) + " W");
+        MobilePackageModel fast(params);
+        MobilePackageModel oracle(params);
+        pinToCsrLoop(oracle);
+
+        // Phase lengths from the package's energy budget: latent heat
+        // plus the junction's and PCM's sensible heat to the melt
+        // point going up (the case lags far behind), and the latent
+        // heat out through r_pcm_to_case coming down.
+        const Celsius melt = params.pcm_melt_temp;
+        const Joules latent = params.pcm_mass * params.pcm_latent_per_gram;
+        const Joules sensible =
+            (melt - params.ambient) *
+            (params.c_junction +
+             params.pcm_mass * params.pcm_sensible_per_gram);
+        const Seconds heat_dt =
+            (latent + sensible) / heat_power / rng.uniform(40.0, 200.0);
+        const Seconds cool_dt =
+            latent * params.r_pcm_to_case / (melt - params.ambient) /
+            rng.uniform(40.0, 200.0);
+
+        bool plateau = false, liquid = false, refrozen = false;
+        for (int phase = 0; phase < 2; ++phase) {
+            const bool heating = phase == 0;
+            fast.setDiePower(heating ? heat_power : cool_power);
+            oracle.setDiePower(heating ? heat_power : cool_power);
+            // Each phase ends 20 steps after it reaches liquid
+            // (heating) or solid below the melt point (cooling).
+            int settled = 0;
+            for (int i = 0; i < 20000 && settled < 20; ++i) {
+                // Step lengths from below one substep to many.
+                const Seconds dt = (heating ? heat_dt : cool_dt) *
+                                   rng.uniform(0.05, 4.0);
+                if (!heating && rng.uniform() < 0.5) {
+                    const Celsius tol = rng.uniform(1e-3, 0.05);
+                    fast.stepQuiescent(dt, tol);
+                    oracle.stepQuiescent(dt, tol);
+                } else {
+                    fast.step(dt);
+                    oracle.step(dt);
+                }
+                ASSERT_TRUE(samePackageBits(fast, oracle))
+                    << "phase " << phase << " step " << i;
+                const double mf = fast.meltFraction();
+                const Celsius t_pcm =
+                    fast.network().temperature(fast.pcm());
+                plateau = plateau || (mf > 0.0 && mf < 1.0);
+                liquid = liquid || mf == 1.0;
+                if (heating ? mf == 1.0 && t_pcm > melt
+                            : mf == 0.0 && t_pcm < melt)
+                    ++settled;
+            }
+            refrozen = settled == 20 && !heating;
+        }
+        EXPECT_TRUE(plateau);
+        EXPECT_TRUE(liquid);
+        EXPECT_TRUE(refrozen);
     }
 }
 

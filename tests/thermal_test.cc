@@ -12,6 +12,7 @@
 #include "thermal/network.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
+#include "thermal/validation.hh"
 
 namespace csprint {
 namespace {
@@ -154,6 +155,32 @@ TEST(ThermalNetwork, StableWithLargeSteps)
     EXPECT_NEAR(net.temperature(a), 26.0, 0.05);
     net.step(5.0);
     EXPECT_NEAR(net.temperature(a), 26.0, 0.05);
+}
+
+TEST(ThermalNetworkDeathTest, SubstepCountBeyondIntRangeIsRejected)
+{
+    // A tiny junction capacity puts the stable substep near 1e-14 s,
+    // so one 1 s step would need ~1e13 substeps: more than an int
+    // counts. Each path rejects it before the first substep: the
+    // package loop, the CSR loop (the same package pinned there by an
+    // isolated node), and the reference Euler loop.
+    MobilePackageParams params = MobilePackageParams::phonePcm();
+    params.c_junction = 1e-12;
+    MobilePackageModel package(params);
+    MobilePackageModel csr(params);
+    pinToCsrLoop(csr);
+    MobilePackageModel euler(params);
+    euler.network().setIntegrator(ThermalIntegrator::ReferenceEuler);
+    EXPECT_GT(1.0 / (0.1 * package.network().maxStableStep()), 1e13);
+
+    EXPECT_DEATH(package.step(1.0), "INT_MAX");
+    EXPECT_DEATH(csr.step(1.0), "INT_MAX");
+    EXPECT_DEATH(euler.step(1.0), "INT_MAX");
+    // The same networks still take a step the int range can count.
+    package.step(1e-9);
+    csr.step(1e-9);
+    euler.step(1e-9);
+    EXPECT_TRUE(samePackageBits(package, csr));
 }
 
 // --- Mobile package model ---
