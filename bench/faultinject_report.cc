@@ -94,11 +94,9 @@ main(int argc, char **argv)
     // The rotating differential seed: CLI flag beats the env, the
     // env beats the fixed default. Logged so a CI failure can be
     // replayed locally with --seed.
-    std::uint64_t seed = 1u;
-    if (const char *env = std::getenv("CSPRINT_DIFF_SEED"))
-        seed = std::strtoull(env, nullptr, 10);
-    seed = static_cast<std::uint64_t>(
-        args.getInt("seed", static_cast<long long>(seed)));
+    const std::uint64_t seed = static_cast<std::uint64_t>(args.getInt(
+        "seed",
+        static_cast<long long>(envSeed("CSPRINT_DIFF_SEED", 1u))));
     std::cout << "[ diff-seed ] CSPRINT_DIFF_SEED=" << seed << "\n";
 
     bool all_ok = true;

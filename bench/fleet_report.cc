@@ -214,11 +214,9 @@ main(int argc, char **argv)
     // The rotating differential seed: CLI flag beats the env, the
     // env beats the fixed default. Logged so a CI failure can be
     // replayed locally with --seed.
-    std::uint64_t seed = 1u;
-    if (const char *env = std::getenv("CSPRINT_DIFF_SEED"))
-        seed = std::strtoull(env, nullptr, 10);
-    seed = static_cast<std::uint64_t>(
-        args.getInt("seed", static_cast<long long>(seed)));
+    const std::uint64_t seed = static_cast<std::uint64_t>(args.getInt(
+        "seed",
+        static_cast<long long>(envSeed("CSPRINT_DIFF_SEED", 1u))));
     if (args.has("probe-devices"))
         return probeParentMemory(
             seed, static_cast<int>(args.getInt("probe-devices", 0)),

@@ -55,20 +55,6 @@ elapsedMs(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/** CI-rotated scenario seed (CSPRINT_DIFF_SEED), logged below. */
-std::uint64_t
-diffSeed()
-{
-    std::uint64_t s = 20260730ULL;
-    if (const char *env = std::getenv("CSPRINT_DIFF_SEED")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env)
-            s = v;
-    }
-    return s;
-}
-
 /** Tiny per-task program, as in the scale report's gate 3 (~2k ops). */
 ParallelProgram
 microProgram(const ScenarioTask &task)
@@ -155,7 +141,7 @@ main(int argc, char **argv)
     ArgParser args(argc, argv, {"out", "tasks"});
     const std::string out_path = args.get("out", "BENCH_surrogate.json");
     const int tasks = static_cast<int>(args.getDouble("tasks", 1000000));
-    const std::uint64_t seed = diffSeed();
+    const std::uint64_t seed = envSeed("CSPRINT_DIFF_SEED", 20260730ULL);
     std::cout << "surrogate report seed " << seed << " (rotates with "
               << "CSPRINT_DIFF_SEED)\n";
 

@@ -1,6 +1,7 @@
 #include "common/args.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -91,6 +92,23 @@ ArgParser::getInt(const std::string &name, long long fallback) const
     errno = 0;
     const long long value = std::strtoll(it->second.c_str(), &end, 10);
     requireWholeNumber(name, it->second, end);
+    return value;
+}
+
+std::uint64_t
+envSeed(const char *var, std::uint64_t fallback)
+{
+    const char *env = std::getenv(var);
+    if (env == nullptr)
+        return fallback;
+    // strtoull alone would skip blanks and wrap a leading '-'.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(env, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*env)) || *end != '\0' ||
+        errno == ERANGE)
+        SPRINT_FATAL("bad value for ", var, ": '", env,
+                     "' (want an unsigned 64-bit decimal)");
     return value;
 }
 

@@ -5,12 +5,13 @@
  * Supports --name=value and --name value forms plus boolean switches.
  * Unknown flags and numeric flags whose value is not wholly a number
  * are fatal (per the fatal/panic convention these are the user's
- * fault, not the library's).
+ * fault, not the library's), as is a malformed envSeed() variable.
  */
 
 #ifndef CSPRINT_COMMON_ARGS_HH
 #define CSPRINT_COMMON_ARGS_HH
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -52,6 +53,14 @@ class ArgParser
     std::map<std::string, std::string> flags;
     std::vector<std::string> extras;
 };
+
+/**
+ * Seed from environment variable @p var, or @p fallback when it is
+ * unset. A set value that is not wholly an unsigned decimal number in
+ * the 64-bit range (empty, signed, trailing characters, overflow) is
+ * fatal, and the message names @p var.
+ */
+std::uint64_t envSeed(const char *var, std::uint64_t fallback);
 
 } // namespace csprint
 

@@ -27,12 +27,11 @@ namespace csprint {
 namespace {
 
 constexpr std::uint32_t kFleetSpecVersion = 1;
-constexpr std::uint32_t kFleetAggVersion = 3;
 
 /**
  * Digest slot of the sealed spec FILE: the spec cannot seal itself
  * under its own digest (the reader does not know it yet), so the file
- * uses this constant and carries the true digest in its payload.
+ * is sealed under this constant.
  */
 constexpr std::uint32_t kFleetFileDigest = 0x464c5401u;
 
@@ -90,22 +89,6 @@ sendFrameU64s(int fd, FleetFrameType type,
 }
 
 // --- Spec payload ---------------------------------------------------
-
-/** Transfer format version @p current; reading rejects any other. */
-template <typename Ar>
-void
-transferVersion(Ar &a, std::uint32_t current, const char *what)
-{
-    std::uint32_t version = current;
-    a.u32(version);
-    if constexpr (Ar::kReading) {
-        if (version != current)
-            throw CheckpointError(CheckpointError::Kind::BadVersion,
-                                  std::string(what) + " format version " +
-                                      std::to_string(version) +
-                                      " is not readable by this build");
-    }
-}
 
 /** The spec's fields in wire order: the bytes fleetSpecDigest hashes. */
 template <typename Ar>
@@ -168,7 +151,15 @@ void
 transferSpecFile(Ar &a, Io<Ar, FleetSpec> spec, Io<Ar, FaultPlan> plan,
                  Io<Ar, FleetOptions> opts)
 {
-    transferVersion(a, kFleetSpecVersion, "fleet spec");
+    std::uint32_t version = kFleetSpecVersion;
+    a.u32(version);
+    if constexpr (Ar::kReading) {
+        if (version != kFleetSpecVersion)
+            throw CheckpointError(CheckpointError::Kind::BadVersion,
+                                  "fleet spec format version " +
+                                      std::to_string(version) +
+                                      " is not readable by this build");
+    }
     transferSpecBody(a, spec);
     a.vec(plan.faults, 24, [](Ar &a2, auto &f) {
         a2.narrowInt(f.shard, "fleet spec: fault shard");
@@ -178,22 +169,6 @@ transferSpecFile(Ar &a, Io<Ar, FleetSpec> spec, Io<Ar, FaultPlan> plan,
     });
     a.u64(opts.checkpoint_every_tasks);
     a.boolean(opts.paranoia);
-}
-
-/** The aggregates' wire payload, version first. */
-template <typename Ar>
-void
-transferAggregates(Ar &a, Io<Ar, FleetAggregates> agg)
-{
-    transferVersion(a, kFleetAggVersion, "fleet aggregate");
-    a.u64(agg.devices);
-    a.u64(agg.degraded_devices);
-    TaskTallies<std::uint64_t>::transfer(a, agg);
-    a.u64(agg.melt_cycles);
-    a.u64(agg.thermal_violations);
-    a.f64(agg.peak_melt);
-    transferQuantile(a, agg.response_p50);
-    transferQuantile(a, agg.response_p95);
 }
 
 } // namespace
@@ -500,26 +475,6 @@ firstDifference(const FleetAggregates &a, const FleetAggregates &b)
     return d.first();
 }
 
-std::vector<std::uint8_t>
-serializeFleetAggregates(const FleetAggregates &agg,
-                         std::uint32_t spec_digest)
-{
-    BlobWriter w;
-    transferAggregates(w, agg);
-    return BlobContainer::seal(spec_digest, w.take());
-}
-
-FleetAggregates
-deserializeFleetAggregates(const std::vector<std::uint8_t> &blob,
-                           std::uint32_t spec_digest)
-{
-    BlobReader r = BlobContainer::open(blob, spec_digest);
-    FleetAggregates agg;
-    transferAggregates(r, agg);
-    r.expectEnd();
-    return agg;
-}
-
 bool
 FleetResult::allOk() const
 {
@@ -583,15 +538,8 @@ runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
         limits.push_back(fleetDeviceThermalLimit(spec, cfgs.back()));
     }
 
-    SupervisorOptions sopts;
-    sopts.checkpoint_every_tasks = opts.checkpoint_every_tasks;
-    sopts.max_retries = opts.max_retries;
-    sopts.backoff_initial = opts.backoff_initial;
-    sopts.watchdog_deadline = opts.watchdog_deadline;
-    sopts.store_dir = opts.store_dir;
-    sopts.paranoia = opts.paranoia;
     SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(cfgs, sopts, plan);
+        runSupervisedScenarioBatch(cfgs, opts, plan);
 
     // The batch store is gone; this instance only reads (no locks).
     CheckpointStore reader(opts.store_dir);
@@ -662,10 +610,10 @@ loadFleetDeviceResult(const FleetSpec &spec, const std::string &store_dir,
 
 namespace {
 
-std::vector<char>
+std::vector<bool>
 parseFiredList(const std::string &csv, std::size_t num_faults)
 {
-    std::vector<char> fired(num_faults, 0);
+    std::vector<bool> fired(num_faults, false);
     std::size_t pos = 0;
     while (pos < csv.size()) {
         std::size_t comma = csv.find(',', pos);
@@ -676,7 +624,7 @@ parseFiredList(const std::string &csv, std::size_t num_faults)
             const unsigned long idx =
                 std::strtoul(tok.c_str(), nullptr, 10);
             if (idx < num_faults)
-                fired[idx] = 1;
+                fired[idx] = true;
         }
         pos = comma + 1;
     }
@@ -724,7 +672,7 @@ fleetWorkerMain(int argc, char **argv)
         if (end > spec.num_devices)
             throw std::invalid_argument(
                 "fleet worker: range exceeds the device count");
-        std::vector<char> fired =
+        std::vector<bool> fired =
             parseFiredList(args.get("fired", ""), plan.faults.size());
 
         sendFrameU64s(out_fd, FleetFrameType::Hello,
@@ -732,36 +680,15 @@ fleetWorkerMain(int argc, char **argv)
                        static_cast<std::uint64_t>(end), attempt});
 
         CheckpointStore store(store_dir);
-        FleetAggregates agg;
-        const std::uint32_t digest = fleetSpecDigest(spec);
-
         for (int device = begin; device < end; ++device) {
             const ScenarioConfig cfg = fleetDeviceConfig(spec, device);
-            const Celsius limit = fleetDeviceThermalLimit(spec, cfg);
-
-            const auto dueFault = [&](std::uint64_t seq,
-                                      bool before) -> int {
-                for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-                    const FaultSpec &f = plan.faults[i];
-                    if (fired[i] || f.shard != device ||
-                        f.at_seq != seq)
-                        continue;
-                    const bool fires_before =
-                        f.kind == FaultKind::CrashAtCheckpoint;
-                    if (fires_before != before)
-                        continue;
-                    return static_cast<int>(i);
-                }
-                return -1;
-            };
-
             const ShardBeatFn beat = [&] {
                 sendFrameU64s(out_fd, FleetFrameType::Beat,
                               {static_cast<std::uint64_t>(device)});
             };
             const ShardPersistHook beforePersist =
                 [&](std::uint64_t seq) {
-                    const int i = dueFault(seq, true);
+                    const int i = plan.fireDue(fired, device, seq, true);
                     if (i < 0)
                         return;
                     sendFrameU64s(out_fd, FleetFrameType::FaultFired,
@@ -770,7 +697,7 @@ fleetWorkerMain(int argc, char **argv)
                 };
             const ShardPersistHook afterPersist =
                 [&](std::uint64_t seq) {
-                    const int i = dueFault(seq, false);
+                    const int i = plan.fireDue(fired, device, seq, false);
                     if (i < 0)
                         return;
                     sendFrameU64s(out_fd, FleetFrameType::FaultFired,
@@ -810,21 +737,16 @@ fleetWorkerMain(int argc, char **argv)
 
             ShardProgress progress;
             std::vector<std::uint8_t> final_blob;
-            const ScenarioResult result = runShardToCompletion(
-                cfg, device, store, wopts.checkpoint_every_tasks,
-                wopts.paranoia, beat, beforePersist, afterPersist,
-                progress, &final_blob);
+            runShardToCompletion(cfg, device, store,
+                                 wopts.checkpoint_every_tasks,
+                                 wopts.paranoia, beat, beforePersist,
+                                 afterPersist, progress, &final_blob);
 
             BlobWriter payload;
             payload.u64(static_cast<std::uint64_t>(device));
             payload.bytes(final_blob.data(), final_blob.size());
             sendFrame(out_fd, FleetFrameType::DeviceDone, payload.buffer());
-
-            agg.foldDevice(result, limit);
         }
-
-        sendFrame(out_fd, FleetFrameType::RangeDone,
-                  serializeFleetAggregates(agg, digest));
         return 0;
     } catch (const std::exception &e) {
         const std::string msg = e.what();
@@ -856,15 +778,12 @@ struct WorkerProc
     Clock::time_point last_frame;
     int respawns = 0;
     bool active = false;
-    bool finished = false;
     bool degraded = false;
-    bool got_range_done = false;
-    std::vector<std::uint8_t> range_agg;
     std::string last_error;
 
-    // The range's devices folded as they arrive, for when it degrades:
-    // [begin, next_fold) in device order, plus any device decoded past
-    // a gap (an unreadable final checkpoint), held until its turn.
+    // The range's devices folded as they arrive: [begin, next_fold) in
+    // device order, plus any device decoded past a gap (an unreadable
+    // final checkpoint), held until its turn.
     FleetAggregates folded;
     int next_fold = 0;
     std::map<int, DeviceResult> ahead;
@@ -899,11 +818,10 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         serializeFleetSpec(spec, plan, opts);
     writeFileAtomic(spec_path, spec_blob.data(), spec_blob.size());
 
-    const std::uint32_t digest = fleetSpecDigest(spec);
     const auto ranges =
         fleetShardRanges(spec.num_devices, opts.num_workers);
 
-    std::vector<char> fired(plan.faults.size(), 0);
+    std::vector<bool> fired(plan.faults.size(), false);
     FleetResult res;
     res.devices.resize(static_cast<std::size_t>(spec.num_devices));
 
@@ -1018,8 +936,6 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         p.pid = pid;
         p.fd = fds[0];
         p.frames.clear();
-        p.got_range_done = false;
-        p.range_agg.clear();
         p.active = true;
         p.last_frame = Clock::now();
     };
@@ -1078,7 +994,7 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                     return false;
                 const std::uint64_t idx = r.u64();
                 if (idx < fired.size())
-                    fired[static_cast<std::size_t>(idx)] = 1;
+                    fired[static_cast<std::size_t>(idx)] = true;
                 break;
             }
             case FleetFrameType::DeviceDone: {
@@ -1092,10 +1008,6 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                               f.size - 8);
                 break;
             }
-            case FleetFrameType::RangeDone:
-                p.range_agg.assign(f.payload, f.payload + f.size);
-                p.got_range_done = true;
-                break;
             case FleetFrameType::Error:
                 p.last_error.assign(f.payload, f.payload + f.size);
                 break;
@@ -1155,10 +1067,12 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             p.pid = -1;
             ::close(p.fd);
             p.fd = -1;
-            if (p.got_range_done && WIFEXITED(st) &&
-                WEXITSTATUS(st) == 0) {
-                p.finished = true;
+            const bool clean_exit = WIFEXITED(st) && WEXITSTATUS(st) == 0;
+            if (clean_exit && p.next_fold == p.end) {
                 p.active = false;
+            } else if (clean_exit) {
+                failProc(p, "worker exited before delivering device " +
+                                std::to_string(p.next_fold));
             } else if (WIFSIGNALED(st)) {
                 failProc(p, std::string("worker killed by signal ") +
                                 std::to_string(WTERMSIG(st)));
@@ -1189,28 +1103,22 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
 
     // --- Assemble the result ----------------------------------------
 
+    // A degraded range still counts every device whose final checkpoint
+    // arrived, in device order; the rest degrade, not drop. A finished
+    // range has folded all of its devices, so both loops are empty.
     for (WorkerProc &p : procs) {
-        FleetAggregates ra;
+        for (const auto &entry : p.ahead)
+            p.folded.foldDevice(entry.second.result, entry.second.limit);
+        for (int d = p.next_fold + static_cast<int>(p.ahead.size());
+             d < p.end; ++d)
+            p.folded.foldDegradedDevice();
+        res.aggregates.merge(p.folded);
         FleetWorkerStats ws;
         ws.range_begin = p.begin;
         ws.range_end = p.end;
         ws.respawns = p.respawns;
         ws.degraded = p.degraded;
         ws.last_error = p.last_error;
-        if (p.finished) {
-            ra = deserializeFleetAggregates(p.range_agg, digest);
-        } else {
-            // Degraded range: devices whose final checkpoints were
-            // received still count, in device order; the rest degrade,
-            // not drop.
-            ra = std::move(p.folded);
-            for (const auto &entry : p.ahead)
-                ra.foldDevice(entry.second.result, entry.second.limit);
-            for (int d = p.next_fold + static_cast<int>(p.ahead.size());
-                 d < p.end; ++d)
-                ra.foldDegradedDevice();
-        }
-        res.aggregates.merge(ra);
         res.workers.push_back(std::move(ws));
     }
     return res;

@@ -16,16 +16,19 @@
  *  - runFleetMultiProcess() fork/execs one csprint-fleet-worker
  *    binary per shard range. Each worker persists crash-safe
  *    checkpoints into a shared CheckpointStore directory, streams
- *    heartbeat/result frames to the parent over a pipe, and is
- *    supervised by a parent-side watchdog: a worker that dies (or is
- *    SIGKILLed, stalls, or corrupts its pipe) is reaped and respawned
- *    with bounded exponential backoff, resuming every device in its
- *    range from the newest valid persisted checkpoint. The parent
- *    finishes and folds each device's final checkpoint as its frame
- *    arrives and keeps only its digest, never the blob or the result.
- *    A range that exhausts its retries is degraded, not dropped:
- *    devices whose final checkpoints were already received still
- *    count, the rest are tallied as degraded devices.
+ *    heartbeat frames and each device's final checkpoint to the parent
+ *    over a pipe, and is supervised by a parent-side watchdog: a
+ *    worker that dies (or is SIGKILLed, stalls, or corrupts its pipe)
+ *    is reaped and respawned with bounded exponential backoff,
+ *    resuming every device in its range from the newest valid
+ *    persisted checkpoint. The parent finishes and folds each device's
+ *    final checkpoint as its frame arrives and keeps only its digest,
+ *    never the blob or the result. A range is finished once its worker
+ *    exits cleanly and every device in it has been folded; a worker
+ *    that exits any other way is respawned. A range that exhausts its
+ *    retries is degraded, not dropped: devices whose final checkpoints
+ *    were already received still count, the rest are tallied as
+ *    degraded devices.
  *
  * Determinism gates (tests/fleet_fault_test.cc, bench/fleet_report.cc):
  * the multi-process run equals the in-process run bit-for-bit on
@@ -38,11 +41,12 @@
  * full ScenarioResult stays in the checkpoint store as its final
  * checkpoint; loadFleetDeviceResult() reads it back on demand.
  *
- * Aggregates are mergeable: each worker folds its range into a
- * FleetAggregates (counters, maxima, and streaming P² response
- * quantiles with a deterministic merge — common/stats.hh), the parent
- * merges ranges in range order, so both transports reduce in the
- * exact same order and the bit-parity gate is meaningful.
+ * Aggregates are mergeable: the parent folds each range's devices in
+ * device order into a FleetAggregates (counters, maxima, and streaming
+ * P² response quantiles with a deterministic merge — common/stats.hh)
+ * and merges ranges in range order. The in-process transport folds its
+ * live results in the same order, so both transports reduce alike and
+ * the bit-parity gate is meaningful.
  */
 
 #ifndef CSPRINT_SPRINT_FLEET_HH
@@ -134,9 +138,8 @@ Celsius fleetDeviceThermalLimit(const FleetSpec &spec,
                                 const ScenarioConfig &cfg);
 
 /**
- * CRC32 digest over a canonical dump of @p spec's value fields; seals
- * the aggregate blobs so a worker's results can never be folded into
- * the wrong fleet.
+ * CRC32 digest over a canonical dump of @p spec's value fields: two
+ * specs that run the same fleet have equal digests.
  */
 std::uint32_t fleetSpecDigest(const FleetSpec &spec);
 
@@ -193,39 +196,16 @@ struct FleetAggregates : TaskTallies<std::uint64_t>
 std::string firstDifference(const FleetAggregates &a,
                             const FleetAggregates &b);
 
-/** Seal @p agg for the wire (digest = fleetSpecDigest of the fleet). */
-std::vector<std::uint8_t>
-serializeFleetAggregates(const FleetAggregates &agg,
-                         std::uint32_t spec_digest);
-
-/** Inverse of serializeFleetAggregates; throws CheckpointError. */
-FleetAggregates
-deserializeFleetAggregates(const std::vector<std::uint8_t> &blob,
-                           std::uint32_t spec_digest);
-
-/** Knobs of a fleet run (either transport). */
-struct FleetOptions
+/**
+ * Knobs of a fleet run (either transport): the supervisor's knobs plus
+ * the fleet's own below. store_dir is shared by all workers, and
+ * max_retries bounds the respawns of one worker range (multi-process)
+ * or the retries of one device (in-process).
+ */
+struct FleetOptions : SupervisorOptions
 {
     /** Worker processes / shard ranges (clamped to the device count). */
     int num_workers = 2;
-
-    /**
-     * Persist a checkpoint after every this many completed tasks;
-     * must be >= 1 (both transports throw std::invalid_argument on 0).
-     */
-    std::uint64_t checkpoint_every_tasks = 4;
-
-    /** Respawns allowed per worker before its range degrades. */
-    int max_retries = 3;
-
-    /** Respawn r sleeps backoff_initial * 2^(r-1) seconds (0 = none). */
-    double backoff_initial = 0.0;
-
-    /** Seconds without a frame before the parent SIGKILLs a worker. */
-    double watchdog_deadline = 30.0;
-
-    /** CheckpointStore directory (required; shared by all workers). */
-    std::string store_dir;
 
     /**
      * Worker binary path. Empty resolves CSPRINT_FLEET_WORKER from
@@ -233,9 +213,6 @@ struct FleetOptions
      * executable (the build tree layout).
      */
     std::string worker_path;
-
-    /** validateCheckpoint() every checkpoint before persisting. */
-    bool paranoia = false;
 };
 
 /**
@@ -355,8 +332,7 @@ enum class FleetFrameType : std::uint32_t
     Beat = 2,       ///< heartbeat: device index
     FaultFired = 3, ///< one-shot fault index just fired
     DeviceDone = 4, ///< device index + final checkpoint blob
-    RangeDone = 5,  ///< sealed FleetAggregates of the range
-    Error = 6,      ///< human-readable failure message
+    Error = 5,      ///< human-readable failure message
 };
 
 /**

@@ -87,6 +87,21 @@ FaultPlan::randomizedProcess(std::uint64_t seed, int num_shards,
     return plan;
 }
 
+int
+FaultPlan::fireDue(std::vector<bool> &fired, int shard, std::uint64_t seq,
+                   bool before_persist) const
+{
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        const FaultSpec &f = faults[i];
+        if (fired[i] || f.shard != shard || f.at_seq != seq ||
+            (f.kind == FaultKind::CrashAtCheckpoint) != before_persist)
+            continue;
+        fired[i] = true;
+        return static_cast<int>(i);
+    }
+    return -1;
+}
+
 double
 retryBackoffSeconds(double backoff_initial, int attempt)
 {
@@ -270,35 +285,19 @@ workerAttempt(const ScenarioConfig &cfg, int shard,
 {
     // An injected fault due at this checkpoint fires exactly once
     // across all attempts of the batch.
-    auto dueFault = [&](std::uint64_t seq) -> std::size_t {
-        for (std::size_t i = 0; i < plan.faults.size(); ++i) {
-            const FaultSpec &f = plan.faults[i];
-            if (!fired[i] && f.shard == shard && f.at_seq == seq)
-                return i;
-        }
-        return plan.faults.size();
-    };
-
     auto beforePersist = [&](std::uint64_t seq) {
-        const std::size_t i = dueFault(seq);
-        if (i == plan.faults.size() ||
-            plan.faults[i].kind != FaultKind::CrashAtCheckpoint)
+        if (plan.fireDue(fired, shard, seq, true) < 0)
             return;
-        fired[i] = true;
         throw SimulatedCrash("injected crash before persisting "
                              "checkpoint " +
                              std::to_string(seq));
     };
 
     auto afterPersist = [&](std::uint64_t seq) {
-        const std::size_t i = dueFault(seq);
-        if (i == plan.faults.size())
+        const int i = plan.fireDue(fired, shard, seq, false);
+        if (i < 0)
             return;
-        const FaultKind kind = plan.faults[i].kind;
-        if (kind == FaultKind::CrashAtCheckpoint)
-            return; // handled before the persist
-        fired[i] = true;
-        switch (kind) {
+        switch (plan.faults[static_cast<std::size_t>(i)].kind) {
         case FaultKind::BitFlip:
             faultFlipBitInFile(store.checkpointPath(shard, seq));
             throw SimulatedCrash("injected crash after bit-flip "

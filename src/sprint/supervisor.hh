@@ -139,6 +139,16 @@ struct FaultPlan
     static FaultPlan randomizedProcess(std::uint64_t seed,
                                        int num_shards,
                                        std::uint64_t max_seq);
+
+    /**
+     * Fire the fault due when @p shard persists checkpoint @p seq, on
+     * the side of the persist @p before_persist names
+     * (CrashAtCheckpoint fires before it, every other kind after): the
+     * first such fault not yet set in @p fired (one flag per fault).
+     * Sets its flag and returns its index; -1 when none is due.
+     */
+    int fireDue(std::vector<bool> &fired, int shard, std::uint64_t seq,
+                bool before_persist) const;
 };
 
 /** True for the process-transport-only kinds (fleet driver faults). */
@@ -170,7 +180,8 @@ struct SupervisorOptions
     int max_retries = 3;
 
     /**
-     * Sleep before retry r is backoff_initial * 2^r seconds. Zero
+     * Sleep before retry r (r >= 1) is backoff_initial * 2^(r-1)
+     * seconds (retryBackoffSeconds). Zero
      * (the default) retries immediately — tests want no wall-clock
      * padding; production batches want a real value.
      */

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -329,6 +330,28 @@ TEST(ArgParser, FlagsAndPositionals)
     EXPECT_DEATH(bad.getInt("big", 0), "bad value for --big");
     EXPECT_DEATH(bad.getDouble("huge", 0.0), "bad value for --huge");
     EXPECT_DEATH(bad.getDouble("rate", 0.0), "bad value for --rate");
+}
+
+TEST(EnvSeed, WholeDecimalOrFallback)
+{
+    const char *var = "CSPRINT_ENV_SEED_TEST";
+    ::unsetenv(var);
+    EXPECT_EQ(envSeed(var, 20260730u), 20260730u);
+    ::setenv(var, "12345", 1);
+    EXPECT_EQ(envSeed(var, 1u), 12345u);
+    ::setenv(var, "18446744073709551615", 1);
+    EXPECT_EQ(envSeed(var, 1u), UINT64_MAX);
+
+    // Non-numeric, trailing junk, empty, signed, padded or out of
+    // range: fatal, naming the variable.
+    for (const char *bad : {"abc", "12x", "", "-1", "+7", " 7",
+                            "18446744073709551616"}) {
+        ::setenv(var, bad, 1);
+        EXPECT_DEATH(envSeed(var, 1u),
+                     "bad value for CSPRINT_ENV_SEED_TEST")
+            << "'" << bad << "'";
+    }
+    ::unsetenv(var);
 }
 
 /** Bitwise reflected CRC-32 (poly 0xedb88320): the reference. */

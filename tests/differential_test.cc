@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "archsim/opstream.hh"
+#include "common/args.hh"
 #include "common/rng.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
@@ -50,13 +51,7 @@ std::uint64_t
 diffSeed()
 {
     static const std::uint64_t seed = [] {
-        std::uint64_t s = 20260730ULL;
-        if (const char *env = std::getenv("CSPRINT_DIFF_SEED")) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(env, &end, 10);
-            if (end != env)
-                s = v;
-        }
+        const std::uint64_t s = envSeed("CSPRINT_DIFF_SEED", 20260730ULL);
         std::cout << "[ diff-seed ] CSPRINT_DIFF_SEED=" << s << "\n";
         return s;
     }();

@@ -198,6 +198,26 @@ TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
     EXPECT_EQ(firstDifference(runScenario(cfg), second.shards[0].result), "");
 }
 
+TEST(FaultInjection, DueFaultFiresOnItsSideOfThePersistOnce)
+{
+    // Both transports' hooks share this lookup: a crash and a bit flip
+    // due at the same checkpoint fire on their own side of the persist,
+    // each once; other shards and checkpoints are not due.
+    FaultPlan plan;
+    plan.faults.push_back({0, FaultKind::BitFlip, 1});
+    plan.faults.push_back({0, FaultKind::CrashAtCheckpoint, 1});
+    plan.faults.push_back({1, FaultKind::KillWorker, 1});
+    std::vector<bool> fired(plan.faults.size(), false);
+
+    EXPECT_EQ(plan.fireDue(fired, 0, 2, true), -1);
+    EXPECT_EQ(plan.fireDue(fired, 0, 1, true), 1);
+    EXPECT_EQ(plan.fireDue(fired, 0, 1, true), -1);
+    EXPECT_EQ(plan.fireDue(fired, 0, 1, false), 0);
+    EXPECT_EQ(plan.fireDue(fired, 0, 1, false), -1);
+    EXPECT_EQ(fired, (std::vector<bool>{true, true, false}));
+    EXPECT_EQ(plan.fireDue(fired, 1, 1, false), 2);
+}
+
 TEST(CheckedBatch, PerShardFailuresSurviveAndSurface)
 {
     // Satellite of the same robustness story: the thread-pool batch

@@ -16,7 +16,10 @@
  *
  *  - a range that exhausts its respawns degrades instead of dropping:
  *    devices whose final checkpoints were already reaped still count,
- *    each once, even when a respawned worker re-sent them.
+ *    each once, even when a respawned worker re-sent them;
+ *
+ *  - a worker that exits 0 without delivering its devices is a failure,
+ *    not a finished range.
  *
  * The thread supervisor must reject process-level kinds (its
  * transport cannot recover from them).
@@ -275,6 +278,32 @@ TEST(FleetFault, RespawnedThenDegradedRangeFoldsEachDeviceOnce)
     expect.foldDegradedDevice();
     expect.foldDegradedDevice();
     EXPECT_EQ(firstDifference(expect, res.aggregates), "");
+}
+
+TEST(FleetFault, CleanExitWithoutDevicesIsNotCompletion)
+{
+    // A worker that exits 0 without sending a frame delivered nothing:
+    // the range is respawned like any failed worker and then degrades.
+    const FleetSpec spec = faultFleet(14);
+    FleetOptions opts = fleetOptions("cleanexit");
+    opts.worker_path = "/bin/true";
+    opts.max_retries = 2;
+
+    const FleetResult res = runFleetMultiProcess(spec, opts);
+    EXPECT_FALSE(res.allOk());
+    ASSERT_EQ(res.workers.size(), 2u);
+    for (const FleetWorkerStats &w : res.workers) {
+        EXPECT_TRUE(w.degraded);
+        EXPECT_EQ(w.respawns, opts.max_retries);
+        EXPECT_NE(w.last_error, "");
+    }
+    EXPECT_EQ(res.aggregates.devices,
+              static_cast<std::uint64_t>(spec.num_devices));
+    EXPECT_EQ(res.aggregates.degraded_devices,
+              static_cast<std::uint64_t>(spec.num_devices));
+    EXPECT_EQ(res.aggregates.tasks_completed, 0u);
+    for (const FleetDeviceOutcome &d : res.devices)
+        EXPECT_FALSE(d.completed);
 }
 
 TEST(FleetFault, ThreadTransportRejectsProcessKinds)

@@ -4,13 +4,13 @@
  * foundations (sprint/fleet.hh): FleetSpec sampling reproducible from
  * (seed, device index) alone, shard-range construction, mergeable
  * aggregates (exact counters, deterministic P² quantile merge that is
- * order-insensitive within an estimator tolerance), wire round-trips,
- * firstDifference naming every aggregate field, every-truncation and
- * bit-flip sweeps over the aggregates and pipe frame decoders,
- * rejection of aggregates whose P² state tracks a foreign quantile, a
- * small in-process fleet sanity run, multi-process parity of the
- * per-device results read back from each transport's store, and
- * rejection of a zero checkpoint cadence. The fault-recovery parity
+ * order-insensitive within an estimator tolerance), spec wire
+ * round-trips, firstDifference naming every aggregate field,
+ * every-truncation, bit-flip and type-bound sweeps over the spec and
+ * pipe frame decoders, a small in-process fleet sanity run,
+ * multi-process parity of the aggregates and of the per-device results
+ * read back from each transport's store, and rejection of a zero
+ * checkpoint cadence. The fault-recovery parity
  * gates live in tests/fleet_fault_test.cc and
  * tests/differential_test.cc.
  */
@@ -319,20 +319,6 @@ distinctAggregates()
     return agg;
 }
 
-TEST(FleetAggregatesTest, WireRoundTripIsBitExact)
-{
-    const FleetAggregates agg = distinctAggregates();
-    const std::uint32_t digest = 0xabad1deau;
-    const auto blob = serializeFleetAggregates(agg, digest);
-    EXPECT_EQ(firstDifference(agg, deserializeFleetAggregates(blob, digest)),
-              "");
-
-    // Sealed against the fleet digest: a different fleet's aggregates
-    // cannot be folded in by mistake.
-    EXPECT_THROW(deserializeFleetAggregates(blob, digest + 1),
-                 CheckpointError);
-}
-
 TEST(FleetAggregatesTest, FirstDifferenceNamesEveryField)
 {
     // Each field perturbed on a copy is named, and only that field;
@@ -362,69 +348,6 @@ TEST(FleetAggregatesTest, FirstDifferenceNamesEveryField)
         FleetAggregates other = agg;
         (other.*field).add(5e-3);
         EXPECT_EQ(firstDifference(agg, other), name);
-    }
-}
-
-TEST(FleetAggregatesTest, EveryAggregatesTruncationIsRejected)
-{
-    const std::uint32_t digest = 0xabad1deau;
-    const auto blob = serializeFleetAggregates(distinctAggregates(), digest);
-    for (std::size_t len = 0; len < blob.size(); ++len) {
-        const std::vector<std::uint8_t> prefix(blob.begin(),
-                                               blob.begin() + len);
-        EXPECT_THROW(deserializeFleetAggregates(prefix, digest),
-                     CheckpointError)
-            << "prefix of " << len << " bytes";
-    }
-}
-
-TEST(FleetAggregatesTest, EveryAggregatesBitFlipIsRejected)
-{
-    const std::uint32_t digest = 0xabad1deau;
-    const auto blob = serializeFleetAggregates(distinctAggregates(), digest);
-    for (std::size_t bit = 0; bit < 8 * blob.size(); ++bit) {
-        std::vector<std::uint8_t> bad = blob;
-        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        EXPECT_THROW(deserializeFleetAggregates(bad, digest),
-                     CheckpointError)
-            << "flipped bit " << bit;
-    }
-}
-
-TEST(FleetAggregatesTest, ForeignQuantileIsCorrupt)
-{
-    // The aggregates carry their P² estimators through the checkpoint's
-    // quantile transfer: a re-sealed blob whose estimator tracks NaN or
-    // the other quantile fails with Corrupt.
-    const std::uint32_t digest = 0xabad1deau;
-    const FleetAggregates agg = distinctAggregates();
-    const auto blob = serializeFleetAggregates(agg, digest);
-    BlobReader r = BlobContainer::open(blob, digest);
-    std::vector<std::uint8_t> payload(r.remaining());
-    r.bytes(payload.data(), payload.size());
-    for (const auto &[q, other] : {std::pair{&agg.response_p50, 0.95},
-                                   std::pair{&agg.response_p95, 0.5}}) {
-        BlobWriter head;
-        head.f64(q->quantile());
-        head.u64(q->count());
-        const auto at = std::search(payload.begin(), payload.end(),
-                                    head.buffer().begin(),
-                                    head.buffer().end());
-        ASSERT_NE(at, payload.end());
-        for (double forged : {std::nan(""), other}) {
-            BlobWriter w;
-            w.f64(forged);
-            std::vector<std::uint8_t> bad = payload;
-            std::copy(w.buffer().begin(), w.buffer().end(),
-                      bad.begin() + (at - payload.begin()));
-            try {
-                deserializeFleetAggregates(BlobContainer::seal(digest, bad),
-                                           digest);
-                ADD_FAILURE() << "quantile " << forged << " decoded";
-            } catch (const CheckpointError &e) {
-                EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
-            }
-        }
     }
 }
 
@@ -584,9 +507,9 @@ sampleFrameStream()
         b = static_cast<std::uint8_t>(rng.uniformInt(256));
     add(FleetFrameType::Hello, std::vector<std::uint8_t>(24, 1));
     add(FleetFrameType::Beat, std::vector<std::uint8_t>(8, 2));
+    add(FleetFrameType::FaultFired, std::vector<std::uint8_t>(8, 3));
     add(FleetFrameType::DeviceDone, blob);
     add(FleetFrameType::Error, {});
-    add(FleetFrameType::RangeDone, std::vector<std::uint8_t>(40, 3));
     return s;
 }
 
@@ -665,6 +588,28 @@ TEST(FleetFrames, EveryBitFlipIsRejectedOrIncomplete)
     }
 }
 
+TEST(FleetFrames, TypeOutsideTheProtocolIsCorrupt)
+{
+    // Types 0 and one past Error (the vacated 6) are not frames, even
+    // with an intact CRC; every type in between decodes.
+    for (std::uint32_t type = 0; type <= 7; ++type) {
+        const std::vector<std::uint8_t> payload(8, 4);
+        const auto frame = encodeFleetFrame(
+            static_cast<FleetFrameType>(type), payload.data(),
+            payload.size());
+        FleetFrameReader::Status last;
+        const auto got = decodeAll(frame, frame.size(), last);
+        const bool known =
+            type >= static_cast<std::uint32_t>(FleetFrameType::Hello) &&
+            type <= static_cast<std::uint32_t>(FleetFrameType::Error);
+        EXPECT_EQ(got.size(), known ? 1u : 0u) << "type " << type;
+        EXPECT_EQ(last, known ? FleetFrameReader::Status::NeedMore
+                              : FleetFrameReader::Status::Corrupt)
+            << "type " << type;
+    }
+    EXPECT_EQ(static_cast<std::uint32_t>(FleetFrameType::Error), 5u);
+}
+
 TEST(FleetMultiProcess, StoredDeviceResultsMatchInProcess)
 {
     const FleetSpec spec = smallFleet(29, 6);
@@ -680,9 +625,9 @@ TEST(FleetMultiProcess, StoredDeviceResultsMatchInProcess)
     ASSERT_TRUE(ip.allOk());
     ASSERT_TRUE(mp.allOk());
 
-    // The sealed wire form covers every aggregate field bit-exactly.
-    EXPECT_EQ(serializeFleetAggregates(ip.aggregates, 0),
-              serializeFleetAggregates(mp.aggregates, 0));
+    // The parent's checkpoint-derived fold equals the live fold on
+    // every aggregate field, P² state included.
+    EXPECT_EQ(firstDifference(ip.aggregates, mp.aggregates), "");
     ASSERT_EQ(mp.devices.size(), ip.devices.size());
     for (std::size_t d = 0; d < ip.devices.size(); ++d) {
         SCOPED_TRACE("device " + std::to_string(d));
