@@ -12,9 +12,10 @@
  * under seed_baseline when measurements are supplied. "After" is the
  * event-driven skip-ahead scheduler with batched op streams. Every
  * speedup is reported together with an exactness check — the two loops
- * must produce identical MachineStats and identical junction traces on
- * the 16-core coupled fig07 runs (both thermal design points) — so the
- * acceptance criterion is verified by the tool itself.
+ * must agree bit for bit on every RunResult field (firstDifference:
+ * MachineStats, scalars, every trace sample) on the 16-core coupled
+ * fig07 runs (both thermal design points) — so the acceptance
+ * criterion is verified by the tool itself.
  *
  *   ./archsim_report [--out BENCH_archsim.json] [--reps N]
  *                    [--seed-coupled-small-ms N] [--seed-coupled-full-ms N]
@@ -22,14 +23,13 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/args.hh"
+#include "report.hh"
 #include "sprint/experiment.hh"
 #include "workloads/workload.hh"
 
@@ -45,11 +45,9 @@ medianMs(F fn, int reps)
     std::vector<double> t;
     fn();
     for (int i = 0; i < reps; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
+        Stopwatch sw;
         fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        t.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
+        t.push_back(1e3 * sw.seconds());
     }
     std::sort(t.begin(), t.end());
     return t[t.size() / 2];
@@ -103,7 +101,7 @@ timeMachine(int cores, InputSize size, MachineLoop loop, int reps)
 
 struct ParityResult
 {
-    bool exact = true;
+    std::string why; ///< first differing field, or empty
     double max_junction_dev = 0.0;
     double energy_rel_dev = 0.0;
 };
@@ -118,21 +116,8 @@ checkParity()
             fig07Spec(pcm, MachineLoop::Reference));
         const RunResult ev = runParallelSprintExperiment(
             fig07Spec(pcm, MachineLoop::EventDriven));
-        result.exact =
-            result.exact &&
-            ref.machine.cycles == ev.machine.cycles &&
-            ref.machine.ops_retired == ev.machine.ops_retired &&
-            ref.machine.ops_by_kind == ev.machine.ops_by_kind &&
-            ref.machine.idle_cycles == ev.machine.idle_cycles &&
-            ref.machine.sleep_cycles == ev.machine.sleep_cycles &&
-            ref.machine.barrier_arrivals ==
-                ev.machine.barrier_arrivals &&
-            ref.machine.l1_hits == ev.machine.l1_hits &&
-            ref.machine.l1_misses == ev.machine.l1_misses &&
-            ref.machine.dynamic_energy == ev.machine.dynamic_energy &&
-            ref.task_time == ev.task_time &&
-            ref.sprint_exhausted == ev.sprint_exhausted &&
-            ref.junction_trace.size() == ev.junction_trace.size();
+        if (result.why.empty())
+            result.why = firstDifference(ref, ev);
         if (ref.machine.dynamic_energy != 0.0) {
             result.energy_rel_dev = std::max(
                 result.energy_rel_dev,
@@ -142,36 +127,35 @@ checkParity()
         }
         const std::size_t n = std::min(ref.junction_trace.size(),
                                        ev.junction_trace.size());
-        for (std::size_t i = 0; i < n; ++i) {
-            const double dev = std::abs(ref.junction_trace.valueAt(i) -
-                                        ev.junction_trace.valueAt(i));
-            result.max_junction_dev =
-                std::max(result.max_junction_dev, dev);
-            if (dev != 0.0)
-                result.exact = false;
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            result.max_junction_dev = std::max(
+                result.max_junction_dev,
+                std::abs(ref.junction_trace.valueAt(i) -
+                         ev.junction_trace.valueAt(i)));
     }
     return result;
 }
 
+/** One before/after timing section, with the seed baseline if given. */
 void
-emitScenario(std::ostream &out, const char *key, double before_ms,
-             double after_ms, double seed_ms, bool last)
+timingSection(JsonWriter &json, const char *key, double before_ms,
+              double after_ms, double seed_ms)
 {
-    out << "  \"" << key << "\": {\n"
-        << "    \"before_reference_ms\": " << before_ms << ",\n"
-        << "    \"after_event_ms\": " << after_ms << ",\n"
-        << "    \"speedup\": " << before_ms / after_ms;
-    if (seed_ms > 0.0) {
-        out << ",\n    \"seed_baseline\": {\n"
-            << "      \"note\": \"pre-refactor seed machine (per-cycle "
-               "16-core scan, virtual per-op fetch, per-op energy, "
-               "hashed L2 directory) measured on this host\",\n"
-            << "      \"ms\": " << seed_ms << ",\n"
-            << "      \"speedup_vs_seed\": " << seed_ms / after_ms
-            << "\n    }";
-    }
-    out << "\n  }" << (last ? "\n" : ",\n");
+    json.object(key, [&] {
+        json.field("before_reference_ms", before_ms)
+            .field("after_event_ms", after_ms)
+            .field("speedup", before_ms / after_ms);
+        if (seed_ms > 0.0) {
+            json.object("seed_baseline", [&] {
+                json.field("note",
+                           "pre-refactor seed machine (per-cycle 16-core "
+                           "scan, virtual per-op fetch, per-op energy, "
+                           "hashed L2 directory) measured on this host")
+                    .field("ms", seed_ms)
+                    .field("speedup_vs_seed", seed_ms / after_ms);
+            });
+        }
+    });
 }
 
 } // namespace
@@ -183,7 +167,9 @@ main(int argc, char **argv)
                    {"out", "reps", "seed-coupled-small-ms",
                     "seed-coupled-full-ms", "seed-serial-ms",
                     "seed-par16-ms"});
-    const std::string out_path = args.get("out", "BENCH_archsim.json");
+    Report report(args.get("out", "BENCH_archsim.json"),
+                  "csprint-archsim-bench-v1", 4);
+    JsonWriter &json = report.json();
     const int reps = static_cast<int>(args.getDouble("reps", 5));
     const double seed_small = args.getDouble("seed-coupled-small-ms", 0);
     const double seed_full = args.getDouble("seed-coupled-full-ms", 0);
@@ -212,37 +198,6 @@ main(int argc, char **argv)
     const double m16_ev =
         timeMachine(16, InputSize::B, MachineLoop::EventDriven, reps);
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(4);
-    out << "{\n"
-        << "  \"schema\": \"csprint-archsim-bench-v1\",\n"
-        << "  \"units\": {\"time\": \"wall ms per run, median of "
-        << reps << "\"},\n"
-        << "  \"parity\": {\n"
-        << "    \"runs\": \"fig07 sobel-B 16-core parallel sprint, "
-           "1.5 mg and 150 mg design points\",\n"
-        << "    \"exact_machine_totals\": "
-        << (parity.exact ? "true" : "false") << ",\n"
-        << "    \"max_junction_deviation_c\": "
-        << parity.max_junction_dev << ",\n"
-        << "    \"dynamic_energy_rel_deviation\": "
-        << parity.energy_rel_dev << "\n"
-        << "  },\n";
-    emitScenario(out, "fig07_coupled_16core_1p5mg", c_small_ref,
-                 c_small_ev, seed_small, false);
-    emitScenario(out, "fig07_coupled_16core_150mg", c_full_ref,
-                 c_full_ev, seed_full, false);
-    emitScenario(out, "machine_run_serial_sobelA", m1_ref, m1_ev,
-                 seed_serial, false);
-    emitScenario(out, "machine_run_parallel16_sobelB", m16_ref, m16_ev,
-                 seed_par16, true);
-    out << "}\n";
-
     std::cout << "fig07 coupled 16-core 1.5 mg: ref " << c_small_ref
               << " ms -> event " << c_small_ev << " ms ("
               << c_small_ref / c_small_ev << "x)";
@@ -258,16 +213,29 @@ main(int argc, char **argv)
     std::cout << "\nmachine serial sobel-A: " << m1_ref << " -> "
               << m1_ev << " ms; parallel16 sobel-B: " << m16_ref
               << " -> " << m16_ev << " ms\n"
-              << "parity: exact totals "
-              << (parity.exact ? "yes" : "NO")
-              << ", max junction deviation "
-              << parity.max_junction_dev << " C\n"
-              << "wrote " << out_path << "\n";
+              << "max junction deviation " << parity.max_junction_dev
+              << " C\n";
 
-    if (!parity.exact) {
-        std::cerr << "FAIL: event-driven loop diverged from the "
-                     "reference loop\n";
-        return 1;
-    }
-    return 0;
+    json.object("units", [&] {
+        json.field("time",
+                   "wall ms per run, median of " + std::to_string(reps));
+    });
+    json.object("parity", [&] {
+        json.field("runs", "fig07 sobel-B 16-core parallel sprint, 1.5 mg "
+                           "and 150 mg design points");
+        report.flag("exact_machine_totals",
+                    "event-driven loop vs reference loop parity",
+                    parity.why.empty(), parity.why);
+        json.field("max_junction_deviation_c", parity.max_junction_dev)
+            .field("dynamic_energy_rel_deviation", parity.energy_rel_dev);
+    });
+    timingSection(json, "fig07_coupled_16core_1p5mg", c_small_ref,
+                  c_small_ev, seed_small);
+    timingSection(json, "fig07_coupled_16core_150mg", c_full_ref,
+                  c_full_ev, seed_full);
+    timingSection(json, "machine_run_serial_sobelA", m1_ref, m1_ev,
+                  seed_serial);
+    timingSection(json, "machine_run_parallel16_sobelB", m16_ref, m16_ev,
+                  seed_par16);
+    return report.finish();
 }

@@ -27,14 +27,12 @@
  *                        [--seed S]
  */
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/args.hh"
+#include "report.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
 #include "sprint/scenario.hh"
@@ -62,93 +60,54 @@ shardScenario(std::uint64_t seed, int tasks)
     return cfg;
 }
 
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-bench-") + tag +
-                       "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    return std::string(dir ? dir : "/tmp");
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv, {"out", "tasks", "seed"});
-    const std::string out_path =
-        args.get("out", "BENCH_faultinject.json");
+    Report report(args.get("out", "BENCH_faultinject.json"),
+                  "csprint-faultinject-bench-v1");
+    JsonWriter &json = report.json();
     const int tasks = static_cast<int>(args.getDouble("tasks", 8));
-
-    // The rotating differential seed: CLI flag beats the env, the
-    // env beats the fixed default. Logged so a CI failure can be
-    // replayed locally with --seed.
-    const std::uint64_t seed = static_cast<std::uint64_t>(args.getInt(
-        "seed",
-        static_cast<long long>(envSeed("CSPRINT_DIFF_SEED", 1u))));
-    std::cout << "[ diff-seed ] CSPRINT_DIFF_SEED=" << seed << "\n";
-
-    bool all_ok = true;
+    const std::uint64_t seed = diffSeed(args, 1u);
+    json.field("diff_seed", seed).field("tasks_per_shard", tasks);
 
     // --- Gate 1: per-fault-kind recovery parity. -------------------
-    const FaultKind kinds[] = {
-        FaultKind::CrashAtCheckpoint, FaultKind::BitFlip,
-        FaultKind::Truncate, FaultKind::WorkerException,
-        FaultKind::Stall};
-    struct KindRow
-    {
-        const char *name;
-        bool exact = false;
-        int retries = 0;
-        std::uint64_t recoveries = 0;
-        std::string why;
-    };
-    std::vector<KindRow> kind_rows;
     const ScenarioConfig parity_cfg = shardScenario(seed, tasks);
     const ScenarioResult direct = runScenario(parity_cfg);
-    for (FaultKind kind : kinds) {
-        KindRow row;
-        row.name = faultKindName(kind);
-        SupervisorOptions opts;
-        opts.store_dir = freshDir(row.name);
-        opts.checkpoint_every_tasks = 2;
-        opts.max_retries = 2;
-        opts.paranoia = true;
-        if (kind == FaultKind::Stall)
-            opts.watchdog_deadline = 0.2;
-        FaultPlan plan;
-        plan.faults.push_back({0, kind, 2});
-        const SupervisedBatchResult batch =
-            runSupervisedScenarioBatch({parity_cfg}, opts, plan);
-        const ShardOutcome &shard = batch.shards[0];
-        row.retries = shard.retries;
-        row.recoveries = shard.recoveries;
-        if (shard.degraded)
-            row.why = "shard degraded";
-        else if (shard.retries < 1)
-            row.why = "fault never fired";
-        else
-            row.why = firstDifference(direct, shard.result);
-        row.exact = row.why.empty();
-        std::cout << "recovery parity [" << row.name << "]: "
-                  << (row.exact ? "exact" : "MISMATCH");
-        if (!row.exact)
-            std::cout << " (" << row.why << ")";
-        std::cout << "\n";
-        all_ok = all_ok && row.exact;
-        kind_rows.push_back(std::move(row));
-    }
+    json.array("recovery_parity", [&] {
+        for (FaultKind kind :
+             {FaultKind::CrashAtCheckpoint, FaultKind::BitFlip,
+              FaultKind::Truncate, FaultKind::WorkerException,
+              FaultKind::Stall}) {
+            const char *name = faultKindName(kind);
+            SupervisorOptions opts;
+            opts.store_dir = freshDir(name);
+            opts.checkpoint_every_tasks = 2;
+            opts.max_retries = 2;
+            opts.paranoia = true;
+            if (kind == FaultKind::Stall)
+                opts.watchdog_deadline = 0.2;
+            FaultPlan plan;
+            plan.faults.push_back({0, kind, 2});
+            const SupervisedBatchResult batch =
+                runSupervisedScenarioBatch({parity_cfg}, opts, plan);
+            const ShardOutcome &shard = batch.shards[0];
+            const std::string why =
+                shard.degraded      ? "shard degraded"
+                : shard.retries < 1 ? "fault never fired"
+                                    : firstDifference(direct, shard.result);
+            json.object([&] {
+                json.field("fault", name);
+                report.flag("exact",
+                            std::string("recovery parity [") + name + "]",
+                            why.empty(), why);
+                json.field("retries", shard.retries)
+                    .field("recoveries", shard.recoveries);
+            });
+        }
+    });
 
     // --- Gate 2: seed-randomized multi-shard plan. -----------------
     std::vector<ScenarioConfig> shards;
@@ -163,21 +122,20 @@ main(int argc, char **argv)
         seed, static_cast<int>(shards.size()), tasks / 2);
     const SupervisedBatchResult batch =
         runSupervisedScenarioBatch(shards, batch_opts, batch_plan);
-    bool batch_ok = batch.allOk();
-    std::string batch_why = batch_ok ? "" : "degraded shard";
-    for (std::size_t i = 0; batch_ok && i < shards.size(); ++i) {
+    std::string batch_why = batch.allOk() ? "" : "degraded shard";
+    for (std::size_t i = 0; batch_why.empty() && i < shards.size(); ++i) {
         const std::string why =
             firstDifference(runScenario(shards[i]), batch.shards[i].result);
-        batch_ok = why.empty();
-        if (!batch_ok)
+        if (!why.empty())
             batch_why = "shard " + std::to_string(i) + ": " + why;
     }
-    std::cout << "randomized batch parity (seed " << seed
-              << "): " << (batch_ok ? "exact" : "MISMATCH");
-    if (!batch_ok)
-        std::cout << " (" << batch_why << ")";
-    std::cout << "\n";
-    all_ok = all_ok && batch_ok;
+    json.object("randomized_batch_parity", [&] {
+        json.field("shards", shards.size());
+        report.flag("exact",
+                    "randomized batch parity (seed " +
+                        std::to_string(seed) + ")",
+                    batch_why.empty(), batch_why);
+    });
 
     // --- Gate 3: corruption rejection. -----------------------------
     ScenarioCheckpoint probe = beginScenario(parity_cfg);
@@ -188,24 +146,7 @@ main(int argc, char **argv)
     // count (the exhaustive every-prefix sweep lives in
     // tests/checkpoint_test.cc on a small blob).
     std::uint64_t rejected = 0, attempted = 0, accepted = 0;
-    for (std::size_t len = 0; len < blob.size();
-         len += 1 + blob.size() / 256) {
-        std::vector<std::uint8_t> prefix(blob.begin(),
-                                         blob.begin() + len);
-        ++attempted;
-        try {
-            deserializeCheckpoint(parity_cfg, prefix);
-            ++accepted;
-        } catch (const CheckpointError &) {
-            ++rejected;
-        }
-    }
-    const std::size_t bit_stride =
-        1 + blob.size() * 8 / 256; // ~256 sampled bits
-    for (std::size_t bit = seed % 13; bit < blob.size() * 8;
-         bit += bit_stride) {
-        std::vector<std::uint8_t> bad = blob;
-        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    const auto tryDecode = [&](const std::vector<std::uint8_t> &bad) {
         ++attempted;
         try {
             deserializeCheckpoint(parity_cfg, bad);
@@ -213,62 +154,46 @@ main(int argc, char **argv)
         } catch (const CheckpointError &) {
             ++rejected;
         }
+    };
+    for (std::size_t len = 0; len < blob.size();
+         len += 1 + blob.size() / 256)
+        tryDecode({blob.begin(), blob.begin() + len});
+    const std::size_t bit_stride =
+        1 + blob.size() * 8 / 256; // ~256 sampled bits
+    for (std::size_t bit = seed % 13; bit < blob.size() * 8;
+         bit += bit_stride) {
+        std::vector<std::uint8_t> bad = blob;
+        bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        tryDecode(bad);
     }
-    const bool reject_ok = accepted == 0 && attempted > 0;
-    std::cout << "corruption rejection: " << rejected << "/"
-              << attempted << " rejected cleanly"
-              << (reject_ok ? "" : " — CORRUPT INPUT ACCEPTED")
-              << "\n";
-    all_ok = all_ok && reject_ok;
+    std::cout << "corruption rejection: " << rejected << "/" << attempted
+              << " rejected cleanly\n";
+    json.object("corruption_rejection", [&] {
+        json.field("attempted", attempted)
+            .field("rejected", rejected)
+            .field("accepted", accepted);
+    });
+    report.check("corruption rejection", accepted == 0 && attempted > 0,
+                 "corrupt input accepted");
 
     // --- Perf: blob size + round-trip throughput. ------------------
     const int reps = 50;
-    const auto t0 = std::chrono::steady_clock::now();
+    Stopwatch sw;
     for (int i = 0; i < reps; ++i)
         serializeCheckpoint(parity_cfg, probe);
-    const double ser_s = secondsSince(t0) / reps;
-    const auto t1 = std::chrono::steady_clock::now();
+    const double ser_s = sw.lap() / reps;
     for (int i = 0; i < reps; ++i)
         deserializeCheckpoint(parity_cfg, blob);
-    const double deser_s = secondsSince(t1) / reps;
+    const double deser_s = sw.lap() / reps;
     const double mb = static_cast<double>(blob.size()) / 1e6;
     std::cout << "checkpoint blob: " << blob.size() << " bytes; "
               << "serialize " << mb / ser_s << " MB/s, deserialize "
               << mb / deser_s << " MB/s\n";
-
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(6);
-    out << "{\n"
-        << "  \"schema\": \"csprint-faultinject-bench-v1\",\n"
-        << "  \"diff_seed\": " << seed << ",\n"
-        << "  \"tasks_per_shard\": " << tasks << ",\n"
-        << "  \"recovery_parity\": [\n";
-    for (std::size_t i = 0; i < kind_rows.size(); ++i) {
-        const KindRow &row = kind_rows[i];
-        out << "    {\"fault\": \"" << row.name
-            << "\", \"exact\": " << (row.exact ? "true" : "false")
-            << ", \"retries\": " << row.retries
-            << ", \"recoveries\": " << row.recoveries << "}"
-            << (i + 1 < kind_rows.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n"
-        << "  \"randomized_batch_parity\": {\"shards\": "
-        << shards.size()
-        << ", \"exact\": " << (batch_ok ? "true" : "false") << "},\n"
-        << "  \"corruption_rejection\": {\"attempted\": " << attempted
-        << ", \"rejected\": " << rejected
-        << ", \"accepted\": " << accepted << "},\n"
-        << "  \"checkpoint_perf\": {\"blob_bytes\": " << blob.size()
-        << ", \"serialize_mb_per_s\": " << mb / ser_s
-        << ", \"deserialize_mb_per_s\": " << mb / deser_s << "},\n"
-        << "  \"all_gates_pass\": " << (all_ok ? "true" : "false")
-        << "\n}\n";
-    out.close();
-    std::cout << "wrote " << out_path << "\n";
-    return all_ok ? 0 : 1;
+    json.object("checkpoint_perf", [&] {
+        json.field("blob_bytes", blob.size())
+            .field("serialize_mb_per_s", mb / ser_s)
+            .field("deserialize_mb_per_s", mb / deser_s);
+    });
+    json.field("all_gates_pass", report.allPass());
+    return report.finish();
 }

@@ -26,19 +26,17 @@
  *  5. parent_memory — the multi-process parent's peak RSS is flat in
  *     the device count: fleets of 64 and 512 devices each run in a
  *     fresh re-exec of this binary (--probe-devices N), which reports
- *     its own VmHWM peak (bench/peak_rss.hh: unlike RUSAGE_SELF, it
- *     does not inherit this launcher's RSS across exec), and the
+ *     its own VmHWM peak (peakRssKb in bench/report.hh: unlike
+ *     RUSAGE_SELF, it does not inherit this launcher's RSS across
+ *     exec), and the
  *     growth between them stays within 8 KB per device.
  *
  *   ./fleet_report [--out BENCH_fleet.json] [--devices N]
  *                  [--workers W] [--seed S]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -47,7 +45,7 @@
 
 #include "common/args.hh"
 #include "common/stats.hh"
-#include "peak_rss.hh"
+#include "report.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/supervisor.hh"
@@ -108,17 +106,6 @@ benchFleet(std::uint64_t seed, int devices)
     return spec;
 }
 
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-bench-") + tag +
-                       "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    return std::string(dir ? dir : "/tmp");
-}
-
 FleetOptions
 fleetOptions(const char *tag, int workers)
 {
@@ -146,14 +133,6 @@ firstFleetDifference(const FleetResult &a, const FleetResult &b)
             return "device " + std::to_string(d) + " digest";
     }
     return "";
-}
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
 }
 
 /** Fleet sizes of the parent-memory probe, and its growth bound. */
@@ -195,8 +174,9 @@ probeChildPeakKb(std::uint64_t seed, int devices, int workers)
     if (!pipe)
         return -1;
     long kb = -1;
-    if (std::fscanf(pipe, "peak_rss_kb %ld", &kb) != 1)
-        kb = -1;
+    char line[256];
+    while (std::fgets(line, sizeof(line), pipe))
+        std::sscanf(line, "peak_rss_kb %ld", &kb);
     return ::pclose(pipe) == 0 ? kb : -1;
 }
 
@@ -207,55 +187,48 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv,
                    {"out", "devices", "workers", "seed", "probe-devices"});
-    const std::string out_path = args.get("out", "BENCH_fleet.json");
     const int devices = static_cast<int>(args.getInt("devices", 64));
     const int workers = static_cast<int>(args.getInt("workers", 4));
-
-    // The rotating differential seed: CLI flag beats the env, the
-    // env beats the fixed default. Logged so a CI failure can be
-    // replayed locally with --seed.
-    const std::uint64_t seed = static_cast<std::uint64_t>(args.getInt(
-        "seed",
-        static_cast<long long>(envSeed("CSPRINT_DIFF_SEED", 1u))));
+    const std::uint64_t seed = diffSeed(args, 1u);
     if (args.has("probe-devices"))
         return probeParentMemory(
             seed, static_cast<int>(args.getInt("probe-devices", 0)),
             workers);
-    std::cout << "[ diff-seed ] CSPRINT_DIFF_SEED=" << seed << "\n";
-
-    const FleetSpec spec = benchFleet(seed, devices);
-    bool all_ok = true;
+    Report report(args.get("out", "BENCH_fleet.json"),
+                  "csprint-fleet-bench-v2");
+    JsonWriter &json = report.json();
+    json.field("diff_seed", seed);
 
     // --- Gate 1: fleet scale. --------------------------------------
-    const bool scale_ok = spec.num_devices >= 64 &&
-                          spec.classes.size() >= 3 && workers >= 2;
+    const FleetSpec spec = benchFleet(seed, devices);
     std::cout << "fleet scale: " << spec.num_devices << " devices, "
               << spec.classes.size() << " classes, " << workers
-              << " workers" << (scale_ok ? "" : " — BELOW FLOOR")
-              << "\n";
-    all_ok = all_ok && scale_ok;
+              << " workers\n";
+    json.object("fleet", [&] {
+        json.field("devices", spec.num_devices)
+            .field("classes", spec.classes.size())
+            .field("workers", workers);
+        report.flag("scale_ok",
+                    "fleet scale (>= 64 devices, 3 classes, 2 workers)",
+                    spec.num_devices >= 64 && spec.classes.size() >= 3 &&
+                        workers >= 2);
+    });
 
     // --- Gate 2: transport parity (and the throughput numbers). ----
-    const auto t_ip = std::chrono::steady_clock::now();
+    Stopwatch sw;
     const FleetResult ip =
         runFleetInProcess(spec, fleetOptions("ip", workers));
-    const double ip_s = secondsSince(t_ip);
-
-    const auto t_mp = std::chrono::steady_clock::now();
+    const double ip_s = sw.lap();
     const FleetResult mp =
         runFleetMultiProcess(spec, fleetOptions("mp", workers));
-    const double mp_s = secondsSince(t_mp);
-
+    const double mp_s = sw.lap();
     const std::string parity_why = ip.allOk() && mp.allOk()
                                        ? firstFleetDifference(ip, mp)
                                        : "degraded range";
-    const bool parity_ok = parity_why.empty();
-    std::cout << "transport parity: "
-              << (parity_ok ? "exact" : "MISMATCH");
-    if (!parity_ok)
-        std::cout << " (" << parity_why << ")";
-    std::cout << "\n";
-    all_ok = all_ok && parity_ok;
+    json.object("transport_parity", [&] {
+        report.flag("exact", "transport parity", parity_why.empty(),
+                    parity_why);
+    });
 
     // --- Gate 3: seed-rotated kill-recovery parity. ----------------
     // Kill one worker mid-range at a seed-chosen device/checkpoint;
@@ -270,31 +243,32 @@ main(int argc, char **argv)
     int respawns = 0;
     for (const FleetWorkerStats &w : killed.workers)
         respawns += w.respawns;
-    std::string kill_why;
-    if (!killed.allOk())
-        kill_why = "degraded range";
-    else if (respawns < 1)
-        kill_why = "fault never fired";
-    else
-        kill_why = firstFleetDifference(mp, killed);
-    const bool kill_ok = kill_why.empty();
-    std::cout << "kill-recovery parity (device " << victim << " seq "
-              << at_seq << "): " << (kill_ok ? "exact" : "MISMATCH");
-    if (!kill_ok)
-        std::cout << " (" << kill_why << ")";
-    std::cout << "\n";
-    all_ok = all_ok && kill_ok;
+    const std::string kill_why =
+        !killed.allOk() ? "degraded range"
+        : respawns < 1  ? "fault never fired"
+                        : firstFleetDifference(mp, killed);
+    json.object("kill_recovery_parity", [&] {
+        report.flag("exact",
+                    "kill-recovery parity (device " +
+                        std::to_string(victim) + " seq " +
+                        std::to_string(at_seq) + ")",
+                    kill_why.empty(), kill_why);
+        json.field("victim_device", victim).field("respawns", respawns);
+    });
 
     // --- Gate 4: per-shard throughput. -----------------------------
     const double ip_rate = devices / ip_s;
     const double mp_rate = devices / mp_s;
     const double ratio = mp_rate / ip_rate;
-    const bool tput_ok = ratio >= 0.9;
     std::cout << "throughput: in-process " << ip_rate
               << " devices/s, multi-process " << mp_rate
-              << " devices/s (" << ratio << "x"
-              << (tput_ok ? "" : " — BELOW 0.9x") << ")\n";
-    all_ok = all_ok && tput_ok;
+              << " devices/s (" << ratio << "x)\n";
+    json.object("throughput", [&] {
+        json.field("inproc_devices_per_s", ip_rate)
+            .field("mp_devices_per_s", mp_rate)
+            .field("mp_speedup_vs_inproc", ratio);
+        report.flag("pass", "throughput >= 0.9x in-process", ratio >= 0.9);
+    });
 
     // --- Gate 5: parent memory flat in the device count. -----------
     const long small_kb = probeChildPeakKb(seed, kProbeSmall, workers);
@@ -302,59 +276,31 @@ main(int argc, char **argv)
     const double kb_per_device =
         static_cast<double>(large_kb - small_kb) /
         (kProbeLarge - kProbeSmall);
-    const bool mem_ok = small_kb > 0 && large_kb > 0 &&
-                        kb_per_device <= kProbeBoundKbPerDevice;
     std::cout << "parent memory: peak RSS " << small_kb / 1024.0
               << " MB at " << kProbeSmall << " devices, "
               << large_kb / 1024.0 << " MB at " << kProbeLarge
-              << " devices (" << kb_per_device << " KB/device"
-              << (mem_ok ? "" : " — OVER BOUND OR PROBE FAILED")
-              << ")\n";
-    all_ok = all_ok && mem_ok;
+              << " devices (" << kb_per_device << " KB/device)\n";
+    json.object("parent_memory", [&] {
+        json.field("devices", std::vector<int>{kProbeSmall, kProbeLarge})
+            .field("peak_rss_mb", std::vector<double>{small_kb / 1024.0,
+                                                      large_kb / 1024.0})
+            .field("kb_per_device", kb_per_device)
+            .field("bound_kb_per_device", kProbeBoundKbPerDevice);
+        report.flag("pass", "parent memory <= 8 KB/device",
+                    small_kb > 0 && large_kb > 0 &&
+                        kb_per_device <= kProbeBoundKbPerDevice,
+                    "over bound or probe failed");
+    });
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(6);
-    out << "{\n"
-        << "  \"schema\": \"csprint-fleet-bench-v2\",\n"
-        << "  \"diff_seed\": " << seed << ",\n"
-        << "  \"fleet\": {\"devices\": " << spec.num_devices
-        << ", \"classes\": " << spec.classes.size()
-        << ", \"workers\": " << workers
-        << ", \"scale_ok\": " << (scale_ok ? "true" : "false")
-        << "},\n"
-        << "  \"transport_parity\": {\"exact\": "
-        << (parity_ok ? "true" : "false") << "},\n"
-        << "  \"kill_recovery_parity\": {\"exact\": "
-        << (kill_ok ? "true" : "false")
-        << ", \"victim_device\": " << victim
-        << ", \"respawns\": " << respawns << "},\n"
-        << "  \"throughput\": {\"inproc_devices_per_s\": " << ip_rate
-        << ", \"mp_devices_per_s\": " << mp_rate
-        << ", \"mp_speedup_vs_inproc\": " << ratio
-        << ", \"pass\": " << (tput_ok ? "true" : "false") << "},\n"
-        << "  \"parent_memory\": {\"devices\": [" << kProbeSmall << ", "
-        << kProbeLarge << "], \"peak_rss_mb\": [" << small_kb / 1024.0
-        << ", " << large_kb / 1024.0
-        << "], \"kb_per_device\": " << kb_per_device
-        << ", \"bound_kb_per_device\": " << kProbeBoundKbPerDevice
-        << ", \"pass\": " << (mem_ok ? "true" : "false") << "},\n"
-        << "  \"aggregates\": {\"tasks_completed\": "
-        << mp.aggregates.tasks_completed
-        << ", \"deadline_slo\": " << mp.aggregates.deadlineSlo()
-        << ", \"thermal_violation_rate\": "
-        << mp.aggregates.thermalViolationRate()
-        << ", \"melt_cycles\": " << mp.aggregates.melt_cycles
-        << ", \"p50_response\": " << mp.aggregates.response_p50.value()
-        << ", \"p95_response\": " << mp.aggregates.response_p95.value()
-        << "},\n"
-        << "  \"all_gates_pass\": " << (all_ok ? "true" : "false")
-        << "\n}\n";
-    out.close();
-    std::cout << "wrote " << out_path << "\n";
-    return all_ok ? 0 : 1;
+    const FleetAggregates &agg = mp.aggregates;
+    json.object("aggregates", [&] {
+        json.field("tasks_completed", agg.tasks_completed)
+            .field("deadline_slo", agg.deadlineSlo())
+            .field("thermal_violation_rate", agg.thermalViolationRate())
+            .field("melt_cycles", agg.melt_cycles)
+            .field("p50_response", agg.response_p50.value())
+            .field("p95_response", agg.response_p95.value());
+    });
+    json.field("all_gates_pass", report.allPass());
+    return report.finish();
 }

@@ -27,13 +27,13 @@
  *   ./preemption_report [--out BENCH_preempt.json] [--tasks N]
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/args.hh"
 #include "common/logging.hh"
+#include "report.hh"
 #include "sprint/experiment.hh"
 #include "sprint/scenario.hh"
 #include "workloads/workload.hh"
@@ -115,55 +115,36 @@ deadlineTrain(SprintPolicyKind kind, ArrivalPattern pattern, int tasks,
     return cfg;
 }
 
-void
-emitRow(std::ostream &out, const char *policy, const char *pattern,
-        const char *tightness, const ScenarioResult &s, bool last)
-{
-    out << "    {\"policy\": \"" << policy << "\", \"pattern\": \""
-        << pattern << "\", \"deadlines\": \"" << tightness << "\",\n"
-        << "     \"tasks\": " << s.tasks_completed
-        << ", \"preemptions\": " << s.preemptions
-        << ", \"dropped\": " << s.tasks_dropped
-        << ", \"deadlines_met\": " << s.deadlines_met
-        << ", \"deadlines_missed\": " << s.deadlines_missed << ",\n"
-        << "     \"p50_response_s\": " << s.p50_response
-        << ", \"p95_response_s\": " << s.p95_response
-        << ", \"makespan_s\": " << s.makespan
-        << ", \"utilization\": " << s.utilization << ",\n"
-        << "     \"sprints_granted\": " << s.sprints_granted
-        << ", \"sprints_exhausted\": " << s.sprints_exhausted
-        << ", \"hardware_throttles\": " << s.hardware_throttles
-        << ", \"peak_junction_c\": " << s.peak_junction
-        << ", \"total_energy_j\": " << s.total_energy << "}"
-        << (last ? "" : ",") << "\n";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv, {"out", "tasks"});
-    const std::string out_path = args.get("out", "BENCH_preempt.json");
+    Report report(args.get("out", "BENCH_preempt.json"),
+                  "csprint-preempt-bench-v1");
+    JsonWriter &json = report.json();
     const int tasks = static_cast<int>(args.getDouble("tasks", 40));
+    json.object("units", [&] {
+        json.field("time", "time-scaled seconds (scale 7e-4, see "
+                           "EXPERIMENTS.md)");
+    });
 
     // --- Gate 1: suspend/resume is bit-identical to uninterrupted.
     const RunResult whole = pumpOnce(0);
-    bool parity_ok = true;
     std::string parity_why;
     for (int every : {5, 16, 63}) {
-        const RunResult sliced = pumpOnce(every);
-        const std::string why = firstDifference(sliced, whole);
-        if (!why.empty()) {
-            parity_ok = false;
+        const std::string why = firstDifference(pumpOnce(every), whole);
+        if (!why.empty() && parity_why.empty())
             parity_why = "suspend every " + std::to_string(every) +
                          " samples: " + why;
-            std::cerr << "suspend/resume MISMATCH: " << parity_why
-                      << "\n";
-        }
     }
-    std::cout << "suspend/resume parity: "
-              << (parity_ok ? "exact" : "MISMATCH") << "\n";
+    json.object("suspend_resume_parity", [&] {
+        json.field("runs", "fig07-style sobel-B 16-core coupled task; "
+                           "forced suspend/resume every 5/16/63 samples "
+                           "vs uninterrupted");
+        report.parity("suspend/resume parity", parity_why);
+    });
 
     // --- Gate 2: mid-task delivery with no preemption fired changes
     // nothing: QoS on a uniform-priority, deadline-free version of
@@ -181,10 +162,15 @@ main(int argc, char **argv)
     classic.policy.kind = SprintPolicyKind::GreedyActivity;
     const ScenarioResult rq = runScenario(quiet);
     const ScenarioResult rc = runScenario(classic);
-    const std::string engine_why = firstDifference(rq, rc);
-    const bool engine_ok = rq.preemptions == 0 && engine_why.empty();
-    std::cout << "no-preempt engine parity: "
-              << (engine_ok ? "exact" : "MISMATCH " + engine_why) << "\n";
+    const std::string engine_why =
+        rq.preemptions != 0 ? "preemptions fired" : firstDifference(rq, rc);
+    json.object("no_preempt_engine_parity", [&] {
+        json.field("runs", "qos with no deadlines (mid-task delivery, zero "
+                           "preemptions) vs classic greedy engine on the "
+                           "bursty train");
+        report.flag("exact", "no-preempt engine parity",
+                    engine_why.empty(), engine_why);
+    });
 
     // --- Sweep: policy x pattern x deadline tightness.
     const Seconds tight = 4e-4;
@@ -242,81 +228,55 @@ main(int argc, char **argv)
     const ScenarioResult &qos = find("qos", "bursty", "tight");
     const ScenarioResult &mpc =
         find("model-predictive", "bursty", "tight");
-    const bool p95_ok = qos.p95_response < base.p95_response &&
-                        mpc.p95_response < base.p95_response &&
-                        qos.preemptions > 0 && mpc.preemptions > 0;
     std::cout << "p95 (bursty, tight): no-preempt " << base.p95_response
               << " s, qos " << qos.p95_response << " s ("
               << qos.preemptions << " preemptions), model-predictive "
               << mpc.p95_response << " s (" << mpc.preemptions
-              << " preemptions): "
-              << (p95_ok ? "improved" : "NOT IMPROVED") << "\n";
+              << " preemptions)\n";
     std::cout << "deadlines met (of " << base.deadlines_met +
                      base.deadlines_missed
               << "): no-preempt " << base.deadlines_met << ", qos "
               << qos.deadlines_met << ", model-predictive "
               << mpc.deadlines_met << "\n";
-
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(6);
-    out << "{\n"
-        << "  \"schema\": \"csprint-preempt-bench-v1\",\n"
-        << "  \"units\": {\"time\": \"time-scaled seconds (scale 7e-4, "
-           "see EXPERIMENTS.md)\"},\n"
-        << "  \"suspend_resume_parity\": {\n"
-        << "    \"runs\": \"fig07-style sobel-B 16-core coupled task; "
-           "forced suspend/resume every 5/16/63 samples vs "
-           "uninterrupted\",\n"
-        << "    \"exact\": " << (parity_ok ? "true" : "false");
-    if (!parity_ok)
-        out << ",\n    \"first_mismatch\": \"" << parity_why << "\"";
-    out << "\n  },\n"
-        << "  \"no_preempt_engine_parity\": {\n"
-        << "    \"runs\": \"qos with no deadlines (mid-task delivery, "
-           "zero preemptions) vs classic greedy engine on the bursty "
-           "train\",\n"
-        << "    \"exact\": " << (engine_ok ? "true" : "false")
-        << "\n  },\n"
-        << "  \"p95_gate\": {\n"
-        << "    \"config\": \"bursty deadline-heavy train, " << tasks
-        << " tasks, bursts of 10 led by a heavy low-priority job, "
-           "tight deadlines\",\n"
-        << "    \"no_preempt_p95_s\": " << base.p95_response << ",\n"
-        << "    \"qos_p95_s\": " << qos.p95_response << ",\n"
-        << "    \"model_predictive_p95_s\": " << mpc.p95_response
-        << ",\n"
-        << "    \"improved\": " << (p95_ok ? "true" : "false")
-        << "\n  },\n"
-        << "  \"sweep\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        emitRow(out, rows[i].policy, rows[i].pattern_name,
-                rows[i].tightness, rows[i].result,
-                i + 1 == rows.size());
-    }
-    out << "  ]\n"
-        << "}\n";
-    std::cout << "sweep: " << rows.size() << " scenarios; wrote "
-              << out_path << "\n";
-
-    if (!parity_ok) {
-        std::cerr << "FAIL: suspend/resume diverged from the "
-                     "uninterrupted run\n";
-        return 1;
-    }
-    if (!engine_ok) {
-        std::cerr << "FAIL: preemptive engine diverged from the "
-                     "classic engine with no preemptions fired\n";
-        return 1;
-    }
-    if (!p95_ok) {
-        std::cerr << "FAIL: preemption did not improve p95 response "
-                     "on the deadline-heavy bursty train\n";
-        return 1;
-    }
-    return 0;
+    json.object("p95_gate", [&] {
+        json.field("config", "bursty deadline-heavy train, " +
+                                 std::to_string(tasks) +
+                                 " tasks, bursts of 10 led by a heavy "
+                                 "low-priority job, tight deadlines")
+            .field("no_preempt_p95_s", base.p95_response)
+            .field("qos_p95_s", qos.p95_response)
+            .field("model_predictive_p95_s", mpc.p95_response);
+        report.flag("improved",
+                    "preemption improves p95 on the deadline-heavy "
+                    "bursty train",
+                    qos.p95_response < base.p95_response &&
+                        mpc.p95_response < base.p95_response &&
+                        qos.preemptions > 0 && mpc.preemptions > 0);
+    });
+    json.array("sweep", [&] {
+        for (const Row &row : rows) {
+            const ScenarioResult &r = row.result;
+            json.object([&] {
+                json.field("policy", row.policy)
+                    .field("pattern", row.pattern_name)
+                    .field("deadlines", row.tightness)
+                    .field("tasks", r.tasks_completed)
+                    .field("preemptions", r.preemptions)
+                    .field("dropped", r.tasks_dropped)
+                    .field("deadlines_met", r.deadlines_met)
+                    .field("deadlines_missed", r.deadlines_missed)
+                    .field("p50_response_s", r.p50_response)
+                    .field("p95_response_s", r.p95_response)
+                    .field("makespan_s", r.makespan)
+                    .field("utilization", r.utilization)
+                    .field("sprints_granted", r.sprints_granted)
+                    .field("sprints_exhausted", r.sprints_exhausted)
+                    .field("hardware_throttles", r.hardware_throttles)
+                    .field("peak_junction_c", r.peak_junction)
+                    .field("total_energy_j", r.total_energy);
+            });
+        }
+    });
+    std::cout << "sweep: " << rows.size() << " scenarios\n";
+    return report.finish();
 }

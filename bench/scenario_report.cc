@@ -27,12 +27,12 @@
  *   ./scenario_report [--out BENCH_scenarios.json] [--tasks N]
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/args.hh"
+#include "report.hh"
 #include "sprint/experiment.hh"
 #include "sprint/runner.hh"
 #include "sprint/scenario.hh"
@@ -83,30 +83,25 @@ runBurstyShowcase(int tasks)
     return runScenario(cfg);
 }
 
+/** The fields every scenario entry of the report carries. */
 void
-emitScenario(std::ostream &out, const std::string &indent,
-             const ScenarioResult &s)
+scenarioFields(JsonWriter &json, const ScenarioResult &s)
 {
-    out << indent << "\"tasks\": " << s.tasks.size() << ",\n"
-        << indent << "\"sprints_granted\": " << s.sprints_granted
-        << ",\n"
-        << indent << "\"sprints_denied\": " << s.sprints_denied << ",\n"
-        << indent << "\"sprints_exhausted\": " << s.sprints_exhausted
-        << ",\n"
-        << indent << "\"hardware_throttles\": " << s.hardware_throttles
-        << ",\n"
-        << indent << "\"utilization\": " << s.utilization << ",\n"
-        << indent << "\"p50_response_s\": " << s.p50_response << ",\n"
-        << indent << "\"p95_response_s\": " << s.p95_response << ",\n"
-        << indent << "\"makespan_s\": " << s.makespan << ",\n"
-        << indent << "\"peak_junction_c\": " << s.peak_junction << ",\n"
-        << indent << "\"total_energy_j\": " << s.total_energy << ",\n"
-        << indent << "\"sprint_time_s\": " << s.total_sprint_time
-        << ",\n"
-        << indent << "\"peak_melt_fraction\": "
-        << (s.melt_trace.empty() ? 0.0 : s.melt_trace.maxValue())
-        << ",\n"
-        << indent << "\"sprint_rest_cycles\": " << s.sprint_rest_cycles;
+    json.field("tasks", s.tasks.size())
+        .field("sprints_granted", s.sprints_granted)
+        .field("sprints_denied", s.sprints_denied)
+        .field("sprints_exhausted", s.sprints_exhausted)
+        .field("hardware_throttles", s.hardware_throttles)
+        .field("utilization", s.utilization)
+        .field("p50_response_s", s.p50_response)
+        .field("p95_response_s", s.p95_response)
+        .field("makespan_s", s.makespan)
+        .field("peak_junction_c", s.peak_junction)
+        .field("total_energy_j", s.total_energy)
+        .field("sprint_time_s", s.total_sprint_time)
+        .field("peak_melt_fraction",
+               s.melt_trace.empty() ? 0.0 : s.melt_trace.maxValue())
+        .field("sprint_rest_cycles", s.sprint_rest_cycles);
 }
 
 } // namespace
@@ -115,23 +110,28 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv, {"out", "tasks"});
-    const std::string out_path = args.get("out", "BENCH_scenarios.json");
+    Report report(args.get("out", "BENCH_scenarios.json"),
+                  "csprint-scenario-bench-v1");
+    JsonWriter &json = report.json();
     const int tasks = static_cast<int>(args.getDouble("tasks", 6));
+    json.object("units", [&] {
+        json.field("time", "time-scaled seconds (scale 7e-4, see "
+                           "EXPERIMENTS.md)");
+    });
 
     // --- Gate 1: greedy-through-scenario == runSprint, bit-for-bit.
-    bool parity_ok = true;
     std::string parity_why;
     for (Grams pcm : {kSmallPcm, kFullPcm}) {
         const std::string why = parityPointDifference(pcm);
-        if (!why.empty()) {
-            parity_ok = false;
+        if (!why.empty() && parity_why.empty())
             parity_why = why;
-            std::cerr << "parity MISMATCH at pcm " << pcm << " g: "
-                      << why << "\n";
-        }
     }
-    std::cout << "greedy scenario vs runSprint parity: "
-              << (parity_ok ? "exact" : "MISMATCH") << "\n";
+    json.object("parity", [&] {
+        json.field("runs", "fig07 sobel-B 16-core, 1.5 mg and 150 mg "
+                           "design points; single back-to-back task, "
+                           "greedy policy, vs direct runSprint");
+        report.parity("greedy scenario vs runSprint parity", parity_why);
+    });
 
     // --- Gate 2: bursty melt/refreeze cycles.
     const ScenarioResult bursty = runBurstyShowcase(tasks);
@@ -141,6 +141,15 @@ main(int argc, char **argv)
                       ? 0.0
                       : bursty.melt_trace.maxValue())
               << ", peak junction " << bursty.peak_junction << " C\n";
+    json.object("bursty_showcase", [&] {
+        json.field("config", "greedy policy, 15 mg PCM, sobel-B, " +
+                                 std::to_string(tasks) +
+                                 " tasks in bursts of 2 every 3 ms scaled");
+        scenarioFields(json, bursty);
+    });
+    report.check("bursty showcase: >= 2 sprint/rest cycles",
+                 bursty.sprint_rest_cycles >= 2,
+                 std::to_string(bursty.sprint_rest_cycles) + " cycles");
 
     // --- Section 3: the policy x pattern x PCM sweep.
     const std::vector<Grams> pcm_points = {kSmallPcm, kFullPcm};
@@ -170,62 +179,18 @@ main(int argc, char **argv)
     ExperimentRunner runner;
     const std::vector<ScenarioResult> results =
         runner.runScenarioBatch(sweep);
-
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(6);
-    out << "{\n"
-        << "  \"schema\": \"csprint-scenario-bench-v1\",\n"
-        << "  \"units\": {\"time\": \"time-scaled seconds (scale 7e-4, "
-           "see EXPERIMENTS.md)\"},\n"
-        << "  \"parity\": {\n"
-        << "    \"runs\": \"fig07 sobel-B 16-core, 1.5 mg and 150 mg "
-           "design points; single back-to-back task, greedy policy, "
-           "vs direct runSprint\",\n"
-        << "    \"exact\": " << (parity_ok ? "true" : "false");
-    if (!parity_ok)
-        out << ",\n    \"first_mismatch\": \"" << parity_why << "\"";
-    out << "\n  },\n"
-        << "  \"bursty_showcase\": {\n"
-        << "    \"config\": \"greedy policy, 15 mg PCM, sobel-B, "
-        << tasks << " tasks in bursts of 2 every 3 ms scaled\",\n";
-    emitScenario(out, "    ", bursty);
-    out << "\n  },\n"
-        << "  \"sweep\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ScenarioConfig &cfg = sweep[i];
-        out << "    {\n"
-            << "      \"policy\": \""
-            << sprintPolicyKindName(cfg.policy.kind) << "\",\n"
-            << "      \"pattern\": \""
-            << arrivalPatternName(cfg.pattern) << "\",\n"
-            << "      \"pcm_mg\": "
-            << cfg.platform.package.pcm_mass * 1000.0 /
-                   kDefaultTimeScale
-            << ",\n";
-        emitScenario(out, "      ", results[i]);
-        out << "\n    }" << (i + 1 < results.size() ? "," : "")
-            << "\n";
-    }
-    out << "  ]\n"
-        << "}\n";
-
-    std::cout << "sweep: " << results.size()
-              << " scenarios; wrote " << out_path << "\n";
-
-    if (!parity_ok) {
-        std::cerr << "FAIL: scenario engine diverged from runSprint\n";
-        return 1;
-    }
-    if (bursty.sprint_rest_cycles < 2) {
-        std::cerr << "FAIL: bursty showcase produced "
-                  << bursty.sprint_rest_cycles
-                  << " sprint/rest cycles (need >= 2)\n";
-        return 1;
-    }
-    return 0;
+    json.array("sweep", [&] {
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const ScenarioConfig &cfg = sweep[i];
+            json.object([&] {
+                json.field("policy", sprintPolicyKindName(cfg.policy.kind))
+                    .field("pattern", arrivalPatternName(cfg.pattern))
+                    .field("pcm_mg", cfg.platform.package.pcm_mass *
+                                         1000.0 / kDefaultTimeScale);
+                scenarioFields(json, results[i]);
+            });
+        }
+    });
+    std::cout << "sweep: " << results.size() << " scenarios\n";
+    return report.finish();
 }

@@ -30,57 +30,19 @@
  *   ./surrogate_report [--out BENCH_surrogate.json] [--tasks N]
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "archsim/opstream.hh"
 #include "common/args.hh"
+#include "report.hh"
 #include "sprint/scenario.hh"
 #include "workloads/workload.hh"
 
 using namespace csprint;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double
-elapsedMs(Clock::time_point a, Clock::time_point b)
-{
-    return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-/** Tiny per-task program, as in the scale report's gate 3 (~2k ops). */
-ParallelProgram
-microProgram(const ScenarioTask &task)
-{
-    ParallelProgram prog("micro");
-    Phase phase;
-    phase.name = "work";
-    phase.kind = PhaseKind::ParallelStatic;
-    phase.num_tasks = 2;
-    const std::uint64_t seed = task.seed;
-    phase.make_task = [seed](std::size_t t) {
-        std::vector<MicroOp> ops;
-        ops.reserve(1024);
-        const std::uint64_t base =
-            0x10000000ULL + (seed % 64) * 4096 + t * 8192;
-        for (int i = 0; i < 1024; ++i) {
-            if (i % 4 == 0)
-                ops.push_back(MicroOp::load(base + (i % 32) * 64));
-            else
-                ops.push_back(MicroOp::intAlu());
-        }
-        return std::make_unique<VectorOpStream>(std::move(ops));
-    };
-    prog.addPhase(std::move(phase));
-    return prog;
-}
 
 /** The scale report's fleet-train platform (gate 3), seed-rotated. */
 ScenarioConfig
@@ -94,7 +56,9 @@ fleetTrainConfig(int tasks, std::uint64_t seed)
     cfg.pattern = ArrivalPattern::BackToBack;
     cfg.num_tasks = tasks;
     cfg.seed = seed;
-    cfg.program_factory = microProgram;
+    cfg.program_factory = [](const ScenarioTask &task) {
+        return buildMicroProgram(task.seed);
+    };
     cfg.trace_mode = TraceMode::DecimatedRing;
     cfg.trace_capacity = 4096;
     cfg.keep_task_results = false;
@@ -114,16 +78,14 @@ TimedRun
 timedRun(const ScenarioConfig &cfg)
 {
     TimedRun tr;
-    const auto t0 = Clock::now();
+    Stopwatch sw;
     ScenarioCheckpoint ck = beginScenario(cfg);
-    const auto t1 = Clock::now();
+    tr.setup_ms = 1e3 * sw.lap();
     while (!advanceScenario(
         cfg, ck, static_cast<std::uint64_t>(cfg.num_tasks))) {
     }
-    const auto t2 = Clock::now();
+    tr.steady_s = sw.lap();
     tr.result = finishScenario(cfg, std::move(ck));
-    tr.setup_ms = elapsedMs(t0, t1);
-    tr.steady_s = elapsedMs(t1, t2) / 1000.0;
     return tr;
 }
 
@@ -139,11 +101,12 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv, {"out", "tasks"});
-    const std::string out_path = args.get("out", "BENCH_surrogate.json");
+    Report report(args.get("out", "BENCH_surrogate.json"),
+                  "csprint-surrogate-bench-v1");
+    JsonWriter &json = report.json();
     const int tasks = static_cast<int>(args.getDouble("tasks", 1000000));
-    const std::uint64_t seed = envSeed("CSPRINT_DIFF_SEED", 20260730ULL);
-    std::cout << "surrogate report seed " << seed << " (rotates with "
-              << "CSPRINT_DIFF_SEED)\n";
+    const std::uint64_t seed = diffSeed(args, 20260730ULL);
+    json.field("seed", seed);
 
     // --- Gate 1: fleet-train speedup + bounded deviation. -----------
     const ScenarioConfig exact_cfg = fleetTrainConfig(tasks, seed);
@@ -187,26 +150,51 @@ main(int argc, char **argv)
                               energy_dev <= energy_budget &&
                               junction_dev <= junction_budget;
     const bool coverage_ok = surrogate_fraction >= fraction_budget;
-    const bool train_ok =
-        speedup_ok && deviation_ok && coverage_ok &&
-        fast.result.tasks_completed ==
-            static_cast<std::uint64_t>(tasks);
+    const bool complete =
+        fast.result.tasks_completed == static_cast<std::uint64_t>(tasks);
+    const char *train_why = !speedup_ok     ? "speedup below 20x"
+                            : !deviation_ok ? "deviation over budget"
+                            : !coverage_ok  ? "surrogate share below 90%"
+                            : !complete     ? "train incomplete"
+                                            : "";
 
     std::cout << "fleet train (" << tasks << " tasks): exact "
               << exact.steady_s << " s (" << exact_tps
               << " tasks/s), auto " << fast.steady_s << " s ("
-              << fast_tps << " tasks/s), speedup " << speedup << "x"
-              << (speedup_ok ? "" : "  FAIL (< 20x)") << "\n";
+              << fast_tps << " tasks/s), speedup " << speedup << "x\n";
     std::cout << "  deviation: p50 " << p50_dev * 100.0 << "%, p95 "
               << p95_dev * 100.0 << "%, energy " << energy_dev * 100.0
-              << "%, peak junction " << junction_dev << " C"
-              << (deviation_ok ? "" : "  FAIL (over budget)") << "\n";
+              << "%, peak junction " << junction_dev << " C\n";
     std::cout << "  routing: " << fast.result.surrogate_tasks
               << " surrogate, " << fast.result.audit_tasks
               << " audits, " << fast.result.surrogate_demotions
               << " demotions (" << surrogate_fraction * 100.0
-              << "% surrogate)"
-              << (coverage_ok ? "" : "  FAIL (< 90%)") << "\n";
+              << "% surrogate)\n";
+    json.object("fleet_train", [&] {
+        json.field("config", "greedy, 2-core micro-programs, back-to-back; "
+                             "auto tier K=32, audit 1/128, tol 0.75")
+            .field("tasks", fast.result.tasks_completed)
+            .field("exact_steady_s", exact.steady_s)
+            .field("exact_tasks_per_sec", exact_tps)
+            .field("auto_steady_s", fast.steady_s)
+            .field("auto_tasks_per_sec", fast_tps)
+            .field("speedup", speedup)
+            .field("budget_speedup", speedup_budget)
+            .field("p50_rel_dev", p50_dev)
+            .field("p95_rel_dev", p95_dev)
+            .field("energy_rel_dev", energy_dev)
+            .field("peak_junction_dev_c", junction_dev)
+            .field("budget_quantile_rel", quantile_budget)
+            .field("budget_energy_rel", energy_budget)
+            .field("budget_junction_c", junction_budget)
+            .field("surrogate_tasks", fast.result.surrogate_tasks)
+            .field("audit_tasks", fast.result.audit_tasks)
+            .field("demotions", fast.result.surrogate_demotions)
+            .field("surrogate_fraction", surrogate_fraction)
+            .field("budget_surrogate_fraction", fraction_budget);
+        report.flag("pass", "fleet train (speedup, deviation, coverage)",
+                    *train_why == '\0', train_why);
+    });
 
     // --- Gate 2: Auto-tier sharded replay, bit for bit. -------------
     // Shard size 5 < min_calibration cuts mid-calibration; 333 cuts
@@ -217,84 +205,23 @@ main(int argc, char **argv)
     pcfg.surrogate.audit_period = 16.0;
     pcfg.surrogate.tolerance = 0.75;
 
-    bool parity_ok = true;
     std::string parity_why;
     const ScenarioResult unsharded = runScenario(pcfg);
     for (std::uint64_t shard : {5, 333}) {
-        const ScenarioResult sharded = runScenarioSharded(pcfg, shard);
-        const std::string why = firstDifference(unsharded, sharded);
-        if (!why.empty()) {
-            parity_ok = false;
-            parity_why =
-                "shard " + std::to_string(shard) + ": " + why;
-            std::cerr << "surrogate shard parity MISMATCH ("
-                      << parity_why << ")\n";
-        }
+        const std::string why =
+            firstDifference(unsharded, runScenarioSharded(pcfg, shard));
+        if (!why.empty() && parity_why.empty())
+            parity_why = "shard " + std::to_string(shard) + ": " + why;
     }
-    std::cout << "shard parity (auto tier, 4096 tasks, shards 5/333): "
-              << (parity_ok ? "exact" : "MISMATCH") << " ("
-              << unsharded.surrogate_tasks << " surrogate, "
-              << unsharded.audit_tasks << " audits)\n";
-
-    // --- Emit the report. -------------------------------------------
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(6);
-    out << "{\n"
-        << "  \"schema\": \"csprint-surrogate-bench-v1\",\n"
-        << "  \"seed\": " << seed << ",\n"
-        << "  \"fleet_train\": {\n"
-        << "    \"config\": \"greedy, 2-core micro-programs, "
-           "back-to-back; auto tier K=32, audit 1/128, tol 0.75\",\n"
-        << "    \"tasks\": " << fast.result.tasks_completed << ",\n"
-        << "    \"exact_steady_s\": " << exact.steady_s << ",\n"
-        << "    \"exact_tasks_per_sec\": " << exact_tps << ",\n"
-        << "    \"auto_steady_s\": " << fast.steady_s << ",\n"
-        << "    \"auto_tasks_per_sec\": " << fast_tps << ",\n"
-        << "    \"speedup\": " << speedup << ",\n"
-        << "    \"budget_speedup\": " << speedup_budget << ",\n"
-        << "    \"p50_rel_dev\": " << p50_dev << ",\n"
-        << "    \"p95_rel_dev\": " << p95_dev << ",\n"
-        << "    \"energy_rel_dev\": " << energy_dev << ",\n"
-        << "    \"peak_junction_dev_c\": " << junction_dev << ",\n"
-        << "    \"budget_quantile_rel\": " << quantile_budget << ",\n"
-        << "    \"budget_energy_rel\": " << energy_budget << ",\n"
-        << "    \"budget_junction_c\": " << junction_budget << ",\n"
-        << "    \"surrogate_tasks\": " << fast.result.surrogate_tasks
-        << ",\n"
-        << "    \"audit_tasks\": " << fast.result.audit_tasks << ",\n"
-        << "    \"demotions\": " << fast.result.surrogate_demotions
-        << ",\n"
-        << "    \"surrogate_fraction\": " << surrogate_fraction << ",\n"
-        << "    \"budget_surrogate_fraction\": " << fraction_budget
-        << ",\n"
-        << "    \"pass\": " << (train_ok ? "true" : "false") << "\n"
-        << "  },\n"
-        << "  \"shard_parity\": {\n"
-        << "    \"config\": \"auto tier, 4096 tasks, audit 1/16, "
-           "shards of 5 (mid-calibration) and 333\",\n"
-        << "    \"surrogate_tasks\": " << unsharded.surrogate_tasks
-        << ",\n"
-        << "    \"audit_tasks\": " << unsharded.audit_tasks << ",\n"
-        << "    \"exact\": " << (parity_ok ? "true" : "false");
-    if (!parity_ok)
-        out << ",\n    \"first_mismatch\": \"" << parity_why << "\"";
-    out << "\n  }\n"
-        << "}\n";
-    std::cout << "wrote " << out_path << "\n";
-
-    if (!train_ok) {
-        std::cerr << "FAIL: fleet-train gate (speedup/deviation/"
-                     "coverage) not met\n";
-        return 1;
-    }
-    if (!parity_ok) {
-        std::cerr << "FAIL: auto-tier sharded replay diverged\n";
-        return 1;
-    }
-    return 0;
+    std::cout << "shard parity run: " << unsharded.surrogate_tasks
+              << " surrogate, " << unsharded.audit_tasks << " audits\n";
+    json.object("shard_parity", [&] {
+        json.field("config", "auto tier, 4096 tasks, audit 1/16, shards of "
+                             "5 (mid-calibration) and 333")
+            .field("surrogate_tasks", unsharded.surrogate_tasks)
+            .field("audit_tasks", unsharded.audit_tasks);
+        report.parity("shard parity (auto tier, 4096 tasks, shards 5/333)",
+                      parity_why);
+    });
+    return report.finish();
 }

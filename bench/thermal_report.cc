@@ -23,14 +23,13 @@
  *                    [--seed-thermal-step-ns N]
  */
 
-#include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/args.hh"
+#include "report.hh"
 #include "sprint/runner.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
@@ -47,12 +46,10 @@ nsPerCall(F fn, int iters)
 {
     for (int i = 0; i < iters / 10 + 1; ++i)
         fn();
-    const auto t0 = std::chrono::steady_clock::now();
+    Stopwatch sw;
     for (int i = 0; i < iters; ++i)
         fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           iters;
+    return 1e9 * sw.seconds() / iters;
 }
 
 /**
@@ -143,7 +140,7 @@ timeBatch(ExperimentRunner *runner, int batch)
         runCooldownTransient(pkg, 40.0, 1e-2);
         return tr.time_to_limit;
     };
-    const auto t0 = std::chrono::steady_clock::now();
+    Stopwatch sw;
     if (runner == nullptr) {
         volatile double sum = 0.0;
         for (int i = 0; i < batch; ++i)
@@ -154,8 +151,7 @@ timeBatch(ExperimentRunner *runner, int batch)
             static_cast<std::size_t>(batch), one);
         runner->map(jobs);
     }
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
+    return sw.seconds();
 }
 
 } // namespace
@@ -164,7 +160,9 @@ int
 main(int argc, char **argv)
 {
     ArgParser args(argc, argv, {"out", "seed-thermal-step-ns", "iters"});
-    const std::string out_path = args.get("out", "BENCH_thermal.json");
+    Report report(args.get("out", "BENCH_thermal.json"),
+                  "csprint-thermal-bench-v1", 4);
+    JsonWriter &json = report.json();
     // Optional: the measured ns/step of the pre-refactor seed
     // implementation on this host (it cannot be re-measured from this
     // tree; pass it through when known).
@@ -201,63 +199,6 @@ main(int argc, char **argv)
     const int workers = runner.workerCount();
     const double batch_pool_s = timeBatch(&runner, batch);
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::cerr << "FAIL: cannot open " << out_path
-                  << " for writing\n";
-        return 1;
-    }
-    out.precision(4);
-    out << "{\n"
-        << "  \"schema\": \"csprint-thermal-bench-v1\",\n"
-        << "  \"units\": {\"time\": \"ns/step unless noted\"},\n"
-        << "  \"parity\": {\n"
-        << "    \"max_junction_deviation_c\": " << deviation << ",\n"
-        << "    \"budget_c\": 0.1,\n"
-        << "    \"trace\": \"phonePcm 16 W melt transient + cooldown "
-           "refreeze, 1 ms sampling\"\n"
-        << "  },\n"
-        << "  \"phone_pcm_step_1ms\": {\n"
-        << "    \"before_reference_euler_ns\": " << euler_ns << ",\n"
-        << "    \"after_heun_ns\": " << heun_ns << ",\n"
-        << "    \"speedup\": " << euler_ns / heun_ns;
-    if (seed_ns > 0.0) {
-        out << ",\n    \"seed_baseline\": {\n"
-            << "      \"note\": \"pre-refactor seed implementation "
-               "(allocating Euler, uncached stability bound) measured "
-               "on this host\",\n"
-            << "      \"ns\": " << seed_ns << ",\n"
-            << "      \"speedup_vs_seed\": " << seed_ns / heun_ns
-            << "\n    }";
-    }
-    out << "\n  },\n"
-        << "  \"package_kernel\": {\n"
-        << "    \"bit_exact\": "
-        << (kernel_mismatches == 0 ? "true" : "false") << ",\n"
-        << "    \"mismatched_steps\": " << kernel_mismatches << ",\n"
-        << "    \"trace\": \"phonePcm 16 W melt + cooldown refreeze, 1 ms "
-           "steps, every node's temperature and melt fraction\",\n"
-        << "    \"step_1ms\": {\"csr_loop_ns\": " << csr_ns
-        << ", \"package_loop_ns\": " << heun_ns
-        << ", \"speedup\": " << csr_ns / heun_ns << "},\n"
-        << "    \"step_40ms_10_substeps\": {\"csr_loop_ns\": " << csr10_ns
-        << ", \"package_loop_ns\": " << pkg10_ns
-        << ", \"speedup\": " << csr10_ns / pkg10_ns << "}\n"
-        << "  },\n"
-        << "  \"pcm_heavy_step_1ms_32_nodes\": {\n"
-        << "    \"before_reference_euler_ns\": " << pcm_euler_ns << ",\n"
-        << "    \"after_heun_ns\": " << pcm_heun_ns << ",\n"
-        << "    \"speedup\": " << pcm_euler_ns / pcm_heun_ns << "\n"
-        << "  },\n"
-        << "  \"batched_sprint_transients\": {\n"
-        << "    \"batch_size\": " << batch << ",\n"
-        << "    \"serial_s\": " << batch_serial_s << ",\n"
-        << "    \"pool_workers\": " << workers << ",\n"
-        << "    \"pool_s\": " << batch_pool_s << ",\n"
-        << "    \"throughput_gain\": " << batch_serial_s / batch_pool_s
-        << "\n  }\n"
-        << "}\n";
-
     std::cout << "phonePcm step(1e-3): reference Euler " << euler_ns
               << " ns -> Heun " << heun_ns << " ns ("
               << euler_ns / heun_ns << "x)\n"
@@ -269,14 +210,65 @@ main(int argc, char **argv)
               << " ns, " << kernel_mismatches << " mismatched steps\n"
               << "max trace deviation: " << deviation << " C (budget 0.1)\n"
               << "batch of " << batch << ": serial " << batch_serial_s
-              << " s, pool(" << workers << ") " << batch_pool_s << " s\n"
-              << "wrote " << out_path << "\n";
+              << " s, pool(" << workers << ") " << batch_pool_s << " s\n";
 
-    const bool parity_ok = deviation <= 0.1;
-    if (!parity_ok)
-        std::cerr << "FAIL: trace deviation exceeds 0.1 C budget\n";
-    if (kernel_mismatches != 0)
-        std::cerr << "FAIL: package loop differs from the CSR loop at "
-                  << kernel_mismatches << " steps\n";
-    return parity_ok && kernel_mismatches == 0 ? 0 : 1;
+    const double budget_c = 0.1;
+    json.object("units",
+                [&] { json.field("time", "ns/step unless noted"); });
+    json.object("parity", [&] {
+        json.field("max_junction_deviation_c", deviation)
+            .field("budget_c", budget_c)
+            .field("trace", "phonePcm 16 W melt transient + cooldown "
+                            "refreeze, 1 ms sampling");
+        report.check("Heun vs reference Euler trace deviation",
+                     deviation <= budget_c,
+                     "exceeds the 0.1 C budget");
+    });
+    json.object("phone_pcm_step_1ms", [&] {
+        json.field("before_reference_euler_ns", euler_ns)
+            .field("after_heun_ns", heun_ns)
+            .field("speedup", euler_ns / heun_ns);
+        if (seed_ns > 0.0) {
+            json.object("seed_baseline", [&] {
+                json.field("note", "pre-refactor seed implementation "
+                                   "(allocating Euler, uncached stability "
+                                   "bound) measured on this host")
+                    .field("ns", seed_ns)
+                    .field("speedup_vs_seed", seed_ns / heun_ns);
+            });
+        }
+    });
+    json.object("package_kernel", [&] {
+        report.flag("bit_exact", "package loop vs CSR loop parity",
+                    kernel_mismatches == 0,
+                    std::to_string(kernel_mismatches) +
+                        " mismatched steps");
+        json.field("mismatched_steps", kernel_mismatches)
+            .field("trace", "phonePcm 16 W melt + cooldown refreeze, 1 ms "
+                            "steps, every node's temperature and melt "
+                            "fraction");
+        json.object("step_1ms", [&] {
+            json.field("csr_loop_ns", csr_ns)
+                .field("package_loop_ns", heun_ns)
+                .field("speedup", csr_ns / heun_ns);
+        });
+        json.object("step_40ms_10_substeps", [&] {
+            json.field("csr_loop_ns", csr10_ns)
+                .field("package_loop_ns", pkg10_ns)
+                .field("speedup", csr10_ns / pkg10_ns);
+        });
+    });
+    json.object("pcm_heavy_step_1ms_32_nodes", [&] {
+        json.field("before_reference_euler_ns", pcm_euler_ns)
+            .field("after_heun_ns", pcm_heun_ns)
+            .field("speedup", pcm_euler_ns / pcm_heun_ns);
+    });
+    json.object("batched_sprint_transients", [&] {
+        json.field("batch_size", batch)
+            .field("serial_s", batch_serial_s)
+            .field("pool_workers", workers)
+            .field("pool_s", batch_pool_s)
+            .field("throughput_gain", batch_serial_s / batch_pool_s);
+    });
+    return report.finish();
 }

@@ -90,7 +90,7 @@ sendFrameU64s(int fd, FleetFrameType type,
 
 // --- Spec payload ---------------------------------------------------
 
-/** The spec's fields in wire order: the bytes fleetSpecDigest hashes. */
+/** The spec's fields in wire order, the body of the spec file. */
 template <typename Ar>
 void
 transferSpecBody(Ar &a, Io<Ar, FleetSpec> spec)
@@ -288,14 +288,6 @@ fleetDeviceThermalLimit(const FleetSpec &spec, const ScenarioConfig &cfg)
     if (spec.thermal_limit > 0.0)
         return spec.thermal_limit;
     return cfg.platform.package.t_junction_max;
-}
-
-std::uint32_t
-fleetSpecDigest(const FleetSpec &spec)
-{
-    BlobWriter w;
-    transferSpecBody(w, spec);
-    return crc32(w.buffer().data(), w.buffer().size());
 }
 
 std::vector<std::uint8_t>
@@ -779,7 +771,8 @@ struct WorkerProc
     int respawns = 0;
     bool active = false;
     bool degraded = false;
-    std::string last_error;
+    std::string last_error;    ///< the range's latest failure reason
+    std::string attempt_error; ///< this attempt's Error frame, if any
 
     // The range's devices folded as they arrive: [begin, next_fold) in
     // device order, plus any device decoded past a gap (an unreadable
@@ -936,6 +929,7 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         p.pid = pid;
         p.fd = fds[0];
         p.frames.clear();
+        p.attempt_error.clear();
         p.active = true;
         p.last_frame = Clock::now();
     };
@@ -1009,7 +1003,7 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                 break;
             }
             case FleetFrameType::Error:
-                p.last_error.assign(f.payload, f.payload + f.size);
+                p.attempt_error.assign(f.payload, f.payload + f.size);
                 break;
             }
         }
@@ -1082,9 +1076,9 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                              std::to_string(WIFEXITED(st)
                                                 ? WEXITSTATUS(st)
                                                 : -1) +
-                             (p.last_error.empty()
+                             (p.attempt_error.empty()
                                   ? std::string()
-                                  : ": " + p.last_error));
+                                  : ": " + p.attempt_error));
             }
         }
 

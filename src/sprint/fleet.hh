@@ -138,12 +138,6 @@ Celsius fleetDeviceThermalLimit(const FleetSpec &spec,
                                 const ScenarioConfig &cfg);
 
 /**
- * CRC32 digest over a canonical dump of @p spec's value fields: two
- * specs that run the same fleet have equal digests.
- */
-std::uint32_t fleetSpecDigest(const FleetSpec &spec);
-
-/**
  * Contiguous device ranges [begin, end) for @p num_workers workers
  * over @p num_devices devices, balanced to within one device, in
  * device order. Workers are clamped to the device count so no range

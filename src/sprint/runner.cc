@@ -139,15 +139,4 @@ ExperimentRunner::runScenarioBatch(const std::vector<ScenarioConfig> &batch)
     return map(jobs);
 }
 
-std::vector<Checked<ScenarioResult>>
-ExperimentRunner::runScenarioBatchChecked(
-    const std::vector<ScenarioConfig> &batch)
-{
-    std::vector<std::function<ScenarioResult()>> jobs;
-    jobs.reserve(batch.size());
-    for (const ScenarioConfig &cfg : batch)
-        jobs.emplace_back([&cfg] { return runScenario(cfg); });
-    return mapChecked(jobs);
-}
-
 } // namespace csprint

@@ -46,33 +46,6 @@ struct ExperimentRun
 RunResult runExperiment(const ExperimentRun &run);
 
 /**
- * One slot of a checked batch: either a value or the exception that
- * replaced it. map() rethrows only the *first* failure of a batch and
- * leaves the other failed slots default-constructed — indistinguishable
- * from real results. The checked variants keep every slot's own
- * exception_ptr instead, so a batch driver can report per-shard
- * failures (or hand them to the supervisor for retry) without
- * discarding the runs that succeeded.
- */
-template <typename T>
-struct Checked
-{
-    T value{};
-    std::exception_ptr error; ///< set iff the job threw
-
-    bool ok() const { return error == nullptr; }
-
-    /** The value, rethrowing the job's own exception if it failed. */
-    const T &
-    get() const
-    {
-        if (error)
-            std::rethrow_exception(error);
-        return value;
-    }
-};
-
-/**
  * A persistent pool of worker threads for embarrassingly parallel
  * experiment batches.
  *
@@ -141,31 +114,6 @@ class ExperimentRunner
         return out;
     }
 
-    /**
-     * Like map(), but no exception is rethrown and nothing is lost:
-     * each slot carries its own result or its own failure.
-     */
-    template <typename T>
-    std::vector<Checked<T>>
-    mapChecked(const std::vector<std::function<T()>> &jobs)
-    {
-        std::vector<Checked<T>> out(jobs.size());
-        std::size_t remaining = jobs.size();
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            enqueue([this, &out, &jobs, &remaining, i] {
-                try {
-                    out[i].value = jobs[i]();
-                } catch (...) {
-                    out[i].error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> guard(mutex);
-                --remaining;
-            });
-        }
-        helpUntilZero(remaining);
-        return out;
-    }
-
     /** Run a batch of experiments; results in submission order. */
     std::vector<RunResult> runBatch(const std::vector<ExperimentRun> &batch);
 
@@ -177,15 +125,6 @@ class ExperimentRunner
      */
     std::vector<ScenarioResult>
     runScenarioBatch(const std::vector<ScenarioConfig> &batch);
-
-    /**
-     * runScenarioBatch with per-shard failure reporting: a shard that
-     * throws yields a slot carrying its exception_ptr while every
-     * other shard's result survives, instead of one rethrow hiding
-     * which shards failed and dropping the rest.
-     */
-    std::vector<Checked<ScenarioResult>>
-    runScenarioBatchChecked(const std::vector<ScenarioConfig> &batch);
 
   private:
     void workerLoop();

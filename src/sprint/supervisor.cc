@@ -153,7 +153,7 @@ faultTruncateFile(const std::string &path)
               static_cast<std::streamsize>(bytes.size() / 2));
 }
 
-ScenarioResult
+ScenarioCheckpoint
 runShardToCompletion(const ScenarioConfig &cfg, int shard,
                      CheckpointStore &store,
                      std::uint64_t checkpoint_every_tasks,
@@ -239,7 +239,7 @@ runShardToCompletion(const ScenarioConfig &cfg, int shard,
     store.releaseShard(shard);
     if (final_blob)
         *final_blob = std::move(last_blob);
-    return finishScenario(cfg, std::move(ck));
+    return ck;
 }
 
 namespace {
@@ -337,10 +337,11 @@ workerAttempt(const ScenarioConfig &cfg, int shard,
         outcome.recoveries += progress.recoveries;
     };
     try {
-        ScenarioResult result = runShardToCompletion(
-            cfg, shard, store, opts.checkpoint_every_tasks,
-            opts.paranoia, [&control]() { control.beat(); },
-            beforePersist, afterPersist, progress);
+        ScenarioResult result = finishScenario(
+            cfg, runShardToCompletion(
+                     cfg, shard, store, opts.checkpoint_every_tasks,
+                     opts.paranoia, [&control]() { control.beat(); },
+                     beforePersist, afterPersist, progress));
         fold();
         return result;
     } catch (...) {

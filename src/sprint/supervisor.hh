@@ -273,17 +273,20 @@ using ShardPersistHook = std::function<void(std::uint64_t seq)>;
 /**
  * One attempt at running shard @p shard of @p cfg to completion:
  * recover-or-begin, advance in @p checkpoint_every_tasks slices,
- * persist each boundary into @p store, finish. @p beat is called
- * around every slice; @p beforePersist / @p afterPersist bracket
- * every store publish (either may be null). On completion it releases
- * the shard's writer lock, so one store can run any number of shards.
+ * persist each boundary into @p store, and return the final (done)
+ * checkpoint unfinished: a caller that wants the result runs
+ * finishScenario (a fleet worker ships the bytes and its parent
+ * finishes them). @p beat is called around every slice;
+ * @p beforePersist / @p afterPersist bracket every store publish
+ * (either may be null). On completion it releases the shard's writer
+ * lock, so one store can run any number of shards.
  * When @p final_blob is non-null it receives the bytes of the final
  * persisted checkpoint — the exact bytes a parent process reaps over
  * the wire, so per-shard digests agree between transports. Throws on
  * hook-injected faults, violated monotonicity invariants, or genuine
  * engine errors.
  */
-ScenarioResult runShardToCompletion(
+ScenarioCheckpoint runShardToCompletion(
     const ScenarioConfig &cfg, int shard, CheckpointStore &store,
     std::uint64_t checkpoint_every_tasks, bool paranoia,
     const ShardBeatFn &beat, const ShardPersistHook &beforePersist,

@@ -117,6 +117,31 @@ buildKernelProgram(KernelId kernel, InputSize size, std::uint64_t seed)
     SPRINT_PANIC("unknown kernel");
 }
 
+ParallelProgram
+buildMicroProgram(std::uint64_t seed, int num_ops)
+{
+    ParallelProgram prog("micro");
+    Phase phase;
+    phase.name = "work";
+    phase.kind = PhaseKind::ParallelStatic;
+    phase.num_tasks = 2;
+    phase.make_task = [seed, num_ops](std::size_t t) {
+        // Filled, then every fourth op overwritten. A micro train
+        // rebuilds these ops for every task, and a push_back loop over
+        // a run-time length made its exact engine ~40% slower (4-vCPU
+        // host, Release build).
+        std::vector<MicroOp> ops(static_cast<std::size_t>(num_ops),
+                                 MicroOp::intAlu());
+        const std::uint64_t base =
+            0x10000000ULL + (seed % 64) * 4096 + t * 8192;
+        for (std::size_t i = 0; i < ops.size(); i += 4)
+            ops[i] = MicroOp::load(base + (i % 32) * 64);
+        return std::make_unique<VectorOpStream>(std::move(ops));
+    };
+    prog.addPhase(std::move(phase));
+    return prog;
+}
+
 std::uint64_t
 countProgramOps(const ParallelProgram &program)
 {

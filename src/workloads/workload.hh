@@ -76,6 +76,15 @@ double inputSizeScale(InputSize size);
 ParallelProgram buildKernelProgram(KernelId kernel, InputSize size,
                                    std::uint64_t seed = 42);
 
+/**
+ * A tiny synthetic program: one two-task parallel phase, each task
+ * @p num_ops ops (a load every fourth op, integer ALU otherwise) over
+ * a 2 KB window placed by @p seed. The per-task program of the
+ * micro-program trains (one task's seed each), small enough that the
+ * scenario engine, not the machine, dominates a long train.
+ */
+ParallelProgram buildMicroProgram(std::uint64_t seed, int num_ops = 1024);
+
 /** Total ops a single-threaded execution of the program retires. */
 std::uint64_t countProgramOps(const ParallelProgram &program);
 

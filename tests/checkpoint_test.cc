@@ -706,7 +706,6 @@ TEST(CheckpointFormat, PinnedBytes)
     const std::vector<std::uint8_t> blob =
         serializeFleetSpec(spec, plan, opts);
     EXPECT_EQ(crc32(blob.data(), blob.size()), 0xfc16aca0u) << "fleet spec";
-    EXPECT_EQ(fleetSpecDigest(spec), 0xf8d22844u) << "fleet spec digest";
 }
 
 TEST(CheckpointValidation, RejectsTamperedState)
@@ -983,10 +982,10 @@ TEST(CheckpointStoreTest, ManyShardsThroughOneStoreStayUnderTheFdLimit)
     for (int shard = 0; shard < 256 && failure.empty(); ++shard) {
         ShardProgress progress;
         try {
-            const ScenarioResult r = runShardToCompletion(
+            const ScenarioCheckpoint ck = runShardToCompletion(
                 cfg, shard, store, 1, false, nullptr, nullptr, nullptr,
                 progress);
-            if (r.tasks_completed != 2u)
+            if (!ck.done || ck.tasks_completed != 2u)
                 failure = "shard " + std::to_string(shard) + " incomplete";
         } catch (const std::exception &e) {
             failure = "shard " + std::to_string(shard) + ": " + e.what();

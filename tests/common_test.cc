@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common infrastructure: statistics, time series,
- * tables, RNG, argument parsing, and the blob codec's CRC32.
+ * tables, RNG, argument parsing, the blob codec's CRC32, and the
+ * bench reports' JSON writer and gate ledger (bench/report.hh).
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +10,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <vector>
+
+#include "../bench/report.hh"
 
 #include "common/args.hh"
 #include "common/blob.hh"
@@ -403,6 +408,76 @@ TEST(Crc32, MatchesBytewiseReference)
         EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut,
                         crc32(buf.data(), cut)),
                   whole);
+}
+
+TEST(ReportJson, KeepsOrderTypesAndEscapes)
+{
+    JsonWriter json(6);
+    json.field("name", "a\"b\\c\nd")
+        .field("count", std::uint64_t{18446744073709551615ULL})
+        .field("ratio", 1.0 / 3.0)
+        .field("whole", 10.0)
+        .field("nan", std::nan(""))
+        .field("ok", true)
+        .field("list", std::vector<int>{1, 2});
+    json.object("inner", [&] { json.field("x", -1); });
+    json.array("rows", [&] { json.object([&] { json.field("y", 0.5); }); });
+    json.object("empty", [] {});
+    EXPECT_EQ(json.str(), R"({
+  "name": "a\"b\\c\u000ad",
+  "count": 18446744073709551615,
+  "ratio": 0.333333,
+  "whole": 10,
+  "nan": null,
+  "ok": true,
+  "list": [1, 2],
+  "inner": {
+    "x": -1
+  },
+  "rows": [
+    {
+      "y": 0.5
+    }
+  ],
+  "empty": {}
+}
+)");
+}
+
+TEST(ReportLedger, FailedGateIsWrittenAndFailsTheExit)
+{
+    const std::string dir = freshDir("ledger");
+    Report report(dir + "/report.json", "ledger-test-v1");
+    JsonWriter &json = report.json();
+    json.object("same", [&] { EXPECT_TRUE(report.parity("same run", "")); });
+    json.object("other", [&] {
+        EXPECT_FALSE(report.parity("other run", "task_time"));
+    });
+    json.object("speed", [&] {
+        EXPECT_FALSE(report.flag("pass", "fast enough", false, "slow"));
+    });
+    EXPECT_TRUE(report.check("unflagged", true));
+    EXPECT_FALSE(report.allPass());
+    EXPECT_EQ(report.finish(), 1);
+
+    std::ifstream in(dir + "/report.json");
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), R"({
+  "schema": "ledger-test-v1",
+  "same": {
+    "exact": true
+  },
+  "other": {
+    "exact": false,
+    "first_mismatch": "task_time"
+  },
+  "speed": {
+    "pass": false
+  }
+}
+)");
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "archsim/opstream.hh"
 #include "common/args.hh"
 #include "common/rng.hh"
 #include "sprint/experiment.hh"
@@ -355,33 +354,6 @@ TEST(Differential, PackageKernelMatchesCsrLoop)
     }
 }
 
-/** Tiny synthetic per-task program for the surrogate differentials. */
-ParallelProgram
-surrogateMicroProgram(const ScenarioTask &task, int num_ops)
-{
-    ParallelProgram prog("micro");
-    Phase phase;
-    phase.name = "work";
-    phase.kind = PhaseKind::ParallelStatic;
-    phase.num_tasks = 2;
-    const std::uint64_t seed = task.seed;
-    phase.make_task = [seed, num_ops](std::size_t t) {
-        std::vector<MicroOp> ops;
-        ops.reserve(static_cast<std::size_t>(num_ops));
-        const std::uint64_t base =
-            0x10000000ULL + (seed % 64) * 4096 + t * 8192;
-        for (int i = 0; i < num_ops; ++i) {
-            if (i % 4 == 0)
-                ops.push_back(MicroOp::load(base + (i % 32) * 64));
-            else
-                ops.push_back(MicroOp::intAlu());
-        }
-        return std::make_unique<VectorOpStream>(std::move(ops));
-    };
-    prog.addPhase(std::move(phase));
-    return prog;
-}
-
 /** Non-preemptive cold-cache train the surrogate tiers admit. */
 ScenarioConfig
 surrogateTrainScenario(int tasks, std::uint64_t seed)
@@ -395,7 +367,7 @@ surrogateTrainScenario(int tasks, std::uint64_t seed)
     cfg.num_tasks = tasks;
     cfg.seed = seed;
     cfg.program_factory = [](const ScenarioTask &task) {
-        return surrogateMicroProgram(task, 1024);
+        return buildMicroProgram(task.seed);
     };
     return cfg;
 }
@@ -464,7 +436,7 @@ TEST(Differential, AuditDemotionDeterminism)
         // 1-in-8 tasks are ~16x heavier than the rest.
         Rng mode(task.seed ^ 0xb1030da1ULL);
         const int num_ops = mode.uniform() < 0.125 ? 8192 : 512;
-        return surrogateMicroProgram(task, num_ops);
+        return buildMicroProgram(task.seed, num_ops);
     };
     cfg.surrogate.tier = FidelityTier::Auto;
     cfg.surrogate.min_calibration = 6;
@@ -486,8 +458,8 @@ compactionTrainScenario(std::uint64_t seed)
 {
     ScenarioConfig cfg = surrogateTrainScenario(2000, seed);
     cfg.program_factory = [](const ScenarioTask &task) {
-        return surrogateMicroProgram(
-            task, 512 + 256 * static_cast<int>(task.seed % 5));
+        return buildMicroProgram(
+            task.seed, 512 + 256 * static_cast<int>(task.seed % 5));
     };
     return cfg;
 }

@@ -7,7 +7,7 @@
  * finishes with aggregates and traces bit-identical to an
  * uninterrupted run of the same configuration. Also covers retry
  * exhaustion (degraded shards keep their exception and do not sink
- * the rest of the batch) and the checked ExperimentRunner batch API.
+ * the rest of the batch).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
-#include "sprint/runner.hh"
 #include "sprint/scenario.hh"
 #include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
@@ -216,28 +215,6 @@ TEST(FaultInjection, DueFaultFiresOnItsSideOfThePersistOnce)
     EXPECT_EQ(plan.fireDue(fired, 0, 1, false), -1);
     EXPECT_EQ(fired, (std::vector<bool>{true, true, false}));
     EXPECT_EQ(plan.fireDue(fired, 1, 1, false), 2);
-}
-
-TEST(CheckedBatch, PerShardFailuresSurviveAndSurface)
-{
-    // Satellite of the same robustness story: the thread-pool batch
-    // API must not let one throwing shard hide the others' results
-    // (map() rethrows the first exception and default-constructs the
-    // rest).
-    std::vector<ScenarioConfig> batch{shardScenario(31),
-                                      shardScenario(32)};
-    batch[0].program_factory =
-        [](const ScenarioTask &) -> ParallelProgram {
-        throw std::runtime_error("injected shard failure");
-    };
-
-    ExperimentRunner runner(2);
-    const auto checked = runner.runScenarioBatchChecked(batch);
-    ASSERT_EQ(checked.size(), 2u);
-    EXPECT_FALSE(checked[0].ok());
-    EXPECT_THROW(checked[0].get(), std::exception);
-    ASSERT_TRUE(checked[1].ok());
-    EXPECT_EQ(firstDifference(runScenario(batch[1]), checked[1].get()), "");
 }
 
 } // namespace

@@ -58,10 +58,14 @@ faultFleet(std::uint64_t seed)
     a.period = 2.5e-3;
     spec.classes.push_back(a);
 
+    // Class b rests after its last task, so finishing a device from
+    // its final checkpoint integrates the tail cooldown: in-process in
+    // the thread transport, in the parent in the process transport.
     FleetDeviceClass b = a;
     b.cores = 8;
     b.policy = SprintPolicyKind::DutyCycle;
     b.pacing_period = 2.5e-3;
+    b.tail_rest = 2e-3;
     spec.classes.push_back(b);
 
     return spec;
@@ -118,6 +122,10 @@ expectFleetsBitEqual(const FleetResult &a, const FleetResult &b)
 TEST(FleetFault, MultiProcessMatchesInProcessBitExact)
 {
     const FleetSpec spec = faultFleet(51);
+    bool tail_rest = false;
+    for (int d = 0; d < spec.num_devices; ++d)
+        tail_rest = tail_rest || fleetDeviceConfig(spec, d).tail_rest > 0.0;
+    EXPECT_TRUE(tail_rest) << "no device runs the tail-rest finish path";
     const FleetResult ip =
         runFleetInProcess(spec, fleetOptions("ffip"));
     const FleetResult mp =
@@ -278,6 +286,27 @@ TEST(FleetFault, RespawnedThenDegradedRangeFoldsEachDeviceOnce)
     expect.foldDegradedDevice();
     expect.foldDegradedDevice();
     EXPECT_EQ(firstDifference(expect, res.aggregates), "");
+}
+
+TEST(FleetFault, ErrorFrameBelongsToItsOwnAttempt)
+{
+    // Attempt 0 sends an Error frame and exits 14; attempt 1 exits 13
+    // after a bit flip without one. The second failure must not carry
+    // the first attempt's message, and the last failure stays on
+    // record after the final attempt succeeds.
+    const FleetSpec spec = faultFleet(21);
+    FleetOptions opts = fleetOptions("attempt");
+    opts.num_workers = 1;
+
+    FaultPlan plan;
+    plan.faults.push_back({0, FaultKind::WorkerException, 1});
+    plan.faults.push_back({1, FaultKind::BitFlip, 1});
+
+    const FleetResult res = runFleetMultiProcess(spec, opts, plan);
+    ASSERT_TRUE(res.allOk()) << workerErrors(res);
+    ASSERT_EQ(res.workers.size(), 1u);
+    EXPECT_EQ(res.workers[0].respawns, 2);
+    EXPECT_EQ(res.workers[0].last_error, "worker exited with status 13");
 }
 
 TEST(FleetFault, CleanExitWithoutDevicesIsNotCompletion)
