@@ -6,10 +6,11 @@
  *
  * Gates the tool enforces itself (non-zero exit on failure):
  *
- *  1. recovery_parity — for every FaultKind, a supervised shard that
- *     crashes / corrupts its newest checkpoint / throws / stalls and
- *     is recovered from persisted state must finish bit-identical to
- *     the uninterrupted run: every aggregate, every trace sample.
+ *  1. recovery_parity — for every thread-transport FaultKind, a
+ *     supervised shard that crashes / corrupts its newest checkpoint /
+ *     throws and is recovered from persisted state must finish
+ *     bit-identical to the uninterrupted run: every aggregate, every
+ *     trace sample.
  *
  *  2. randomized_batch_parity — a CSPRINT_DIFF_SEED-derived fault
  *     plan over a multi-shard batch (the seed rotates in CI, so every
@@ -79,16 +80,13 @@ main(int argc, char **argv)
     json.array("recovery_parity", [&] {
         for (FaultKind kind :
              {FaultKind::CrashAtCheckpoint, FaultKind::BitFlip,
-              FaultKind::Truncate, FaultKind::WorkerException,
-              FaultKind::Stall}) {
+              FaultKind::Truncate, FaultKind::WorkerException}) {
             const char *name = faultKindName(kind);
             SupervisorOptions opts;
             opts.store_dir = freshDir(name);
             opts.checkpoint_every_tasks = 2;
             opts.max_retries = 2;
             opts.paranoia = true;
-            if (kind == FaultKind::Stall)
-                opts.watchdog_deadline = 0.2;
             FaultPlan plan;
             plan.faults.push_back({0, kind, 2});
             const SupervisedBatchResult batch =
@@ -117,7 +115,6 @@ main(int argc, char **argv)
     batch_opts.store_dir = freshDir("batch");
     batch_opts.checkpoint_every_tasks = 2;
     batch_opts.max_retries = 3;
-    batch_opts.watchdog_deadline = 0.2;
     const FaultPlan batch_plan = FaultPlan::randomized(
         seed, static_cast<int>(shards.size()), tasks / 2);
     const SupervisedBatchResult batch =

@@ -36,7 +36,6 @@
  */
 
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -151,8 +150,6 @@ probeParentMemory(std::uint64_t seed, int devices, int workers)
     const FleetOptions opts = fleetOptions("probe", workers);
     const FleetResult res =
         runFleetMultiProcess(benchFleet(seed, devices), opts);
-    std::error_code ec;
-    std::filesystem::remove_all(opts.store_dir, ec);
     std::cout << "peak_rss_kb " << peakRssKb() << "\n";
     return res.allOk() ? 0 : 1;
 }

@@ -1,10 +1,11 @@
 /**
  * @file
  * The shared harness of the bench report drivers (the *_report.cc
- * files): the JSON format, the gate ledger, one stopwatch, scratch
- * directories, the rotating differential seed and the peak-RSS
- * reader. A header because CMake turns every .cc file in bench/ into
- * its own executable.
+ * files): the JSON format, the gate ledger, one stopwatch, the
+ * rotating differential seed and the peak-RSS reader, plus the
+ * self-removing scratch directories of tests/fresh_dir.hh. A header
+ * because CMake turns every .cc file in bench/ into its own
+ * executable.
  *
  * A report states each gate once, through Report: the ledger prints
  * its verdict, writes its JSON flag where the schema has one, and
@@ -20,7 +21,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "../tests/fresh_dir.hh"
 #include "common/args.hh"
 
 namespace csprint {
@@ -282,17 +283,6 @@ class Stopwatch
     using Clock = std::chrono::steady_clock;
     Clock::time_point start = Clock::now();
 };
-
-/** A fresh scratch directory /tmp/csprint-bench-<tag>-XXXXXX. */
-inline std::string
-freshDir(const std::string &tag)
-{
-    std::string tmpl = "/tmp/csprint-bench-" + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    return std::string(dir ? dir : "/tmp");
-}
 
 /**
  * The rotating differential seed: --seed, in a report that takes it,

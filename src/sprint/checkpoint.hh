@@ -84,8 +84,8 @@ template <typename Ar>
 void transferQuantile(Ar &a, Io<Ar, P2Quantile> q);
 
 /**
- * Paranoia-mode invariant sweep (ScenarioDebugKnobs::validate_checkpoints
- * runs it at every advanceScenario boundary): all temperatures finite
+ * Paranoia-mode invariant sweep (SupervisorOptions::paranoia runs it
+ * at every persisted checkpoint): all temperatures finite
  * and within physical bounds, melt fractions in [0, 1], energy and
  * time tallies non-negative and mutually consistent, and — for every
  * live machine in the checkpoint — the L2 directory consistent with

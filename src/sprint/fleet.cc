@@ -26,7 +26,7 @@ namespace csprint {
 
 namespace {
 
-constexpr std::uint32_t kFleetSpecVersion = 1;
+constexpr std::uint32_t kFleetSpecVersion = 2;
 
 /**
  * Digest slot of the sealed spec FILE: the spec cannot seal itself
@@ -498,7 +498,7 @@ defaultFleetWorkerPath()
     return "csprint-fleet-worker";
 }
 
-// --- In-process transport -------------------------------------------
+// --- Range reducer and in-process transport ------------------------
 
 namespace {
 
@@ -514,66 +514,134 @@ validateFleetRun(const FleetSpec &spec, const FleetOptions &opts)
             "FleetOptions::checkpoint_every_tasks must be >= 1");
 }
 
+/**
+ * The fold of one shard range, shared by both transports. Each
+ * device's final checkpoint bytes are decoded and finished the moment
+ * they arrive, and only their digest stays per device. Devices fold in
+ * device order; one decoded past a gap (an earlier device's bytes were
+ * unreadable or not sent yet) is held until its turn. finish() folds
+ * what is still held, counts the rest as degraded, and merges the
+ * range into the fleet result.
+ */
+class RangeFold
+{
+  public:
+    RangeFold(int begin, int end) : next_(begin)
+    {
+        stats.range_begin = begin;
+        stats.range_end = end;
+    }
+
+    /** The range and its supervision tallies. */
+    FleetWorkerStats stats;
+
+    /** The first device not folded yet. */
+    int next() const { return next_; }
+
+    /** Every device of the range folded. */
+    bool complete() const { return next_ == stats.range_end; }
+
+    /**
+     * Take device @p d's final checkpoint @p blob. A device already
+     * received keeps its first copy (a respawned worker re-sends the
+     * devices it finished). Returns false when @p blob is unreadable
+     * or not final: the device counts as never received.
+     */
+    bool
+    receive(const FleetSpec &spec, FleetResult &res, int d,
+            const std::vector<std::uint8_t> &blob)
+    {
+        FleetDeviceOutcome &out = res.devices[static_cast<std::size_t>(d)];
+        if (out.completed)
+            return true;
+        const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
+        Held got;
+        try {
+            ScenarioCheckpoint ck = deserializeCheckpoint(cfg, blob);
+            if (!ck.done)
+                return false;
+            got.result = finishScenario(cfg, std::move(ck));
+        } catch (const CheckpointError &) {
+            return false;
+        }
+        got.limit = fleetDeviceThermalLimit(spec, cfg);
+        out.completed = true;
+        out.checkpoint_digest = crc32(blob.data(), blob.size());
+        ahead_.emplace(d, std::move(got));
+        // Fold every device whose turn has come; each result is
+        // dropped once folded.
+        for (auto it = ahead_.find(next_); it != ahead_.end();
+             it = ahead_.find(++next_)) {
+            folded_.foldDevice(it->second.result, it->second.limit);
+            ahead_.erase(it);
+        }
+        return true;
+    }
+
+    /**
+     * Close the range: a degraded range still counts every device
+     * whose final checkpoint arrived, in device order, and the rest
+     * degrade, not drop. A complete range holds nothing, so both loops
+     * are empty.
+     */
+    void
+    finish(FleetResult &res)
+    {
+        for (const auto &entry : ahead_)
+            folded_.foldDevice(entry.second.result, entry.second.limit);
+        for (int d = next_ + static_cast<int>(ahead_.size());
+             d < stats.range_end; ++d)
+            folded_.foldDegradedDevice();
+        res.aggregates.merge(folded_);
+        res.workers.push_back(std::move(stats));
+    }
+
+  private:
+    /** A finished device waiting for its turn in the fold. */
+    struct Held
+    {
+        ScenarioResult result;
+        Celsius limit = 0.0;
+    };
+
+    FleetAggregates folded_;
+    int next_;
+    std::map<int, Held> ahead_;
+};
+
 } // namespace
 
 FleetResult
-runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts,
-                  const FaultPlan &plan)
+runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts)
 {
     validateFleetRun(spec, opts);
-
-    std::vector<ScenarioConfig> cfgs;
-    std::vector<Celsius> limits;
-    cfgs.reserve(static_cast<std::size_t>(spec.num_devices));
-    for (int d = 0; d < spec.num_devices; ++d) {
-        cfgs.push_back(fleetDeviceConfig(spec, d));
-        limits.push_back(fleetDeviceThermalLimit(spec, cfgs.back()));
-    }
-
-    SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(cfgs, opts, plan);
-
-    // The batch store is gone; this instance only reads (no locks).
-    CheckpointStore reader(opts.store_dir);
+    CheckpointStore store(opts.store_dir);
 
     FleetResult res;
     res.devices.resize(static_cast<std::size_t>(spec.num_devices));
-    const auto ranges =
-        fleetShardRanges(spec.num_devices, opts.num_workers);
-    for (const auto &range : ranges) {
-        FleetAggregates ra;
-        FleetWorkerStats ws;
-        ws.range_begin = range.first;
-        ws.range_end = range.second;
-        for (int d = range.first; d < range.second; ++d) {
-            ShardOutcome &o = batch.shards[static_cast<std::size_t>(d)];
-            ws.respawns += o.retries;
-            if (o.error && ws.last_error.empty()) {
-                try {
-                    std::rethrow_exception(o.error);
-                } catch (const std::exception &e) {
-                    ws.last_error = e.what();
-                } catch (...) {
-                    ws.last_error = "unknown error";
-                }
+    for (const auto &[begin, end] :
+         fleetShardRanges(spec.num_devices, opts.num_workers)) {
+        RangeFold range(begin, end);
+        try {
+            for (int d = begin; d < end; ++d) {
+                ShardProgress progress;
+                std::vector<std::uint8_t> blob;
+                runShardToCompletion(fleetDeviceConfig(spec, d), d, store,
+                                     opts.checkpoint_every_tasks,
+                                     opts.paranoia, nullptr, nullptr,
+                                     nullptr, progress, &blob);
+                if (!range.receive(spec, res, d, blob))
+                    throw CheckpointError(
+                        CheckpointError::Kind::Invariant,
+                        "fleet device " + std::to_string(d) +
+                            " ended on an unreadable checkpoint");
             }
-            if (o.degraded) {
-                ws.degraded = true;
-                ra.foldDegradedDevice();
-                continue;
-            }
-            ra.foldDevice(o.result, limits[static_cast<std::size_t>(d)]);
-            FleetDeviceOutcome &out =
-                res.devices[static_cast<std::size_t>(d)];
-            out.completed = true;
-            const auto cands = reader.loadCandidates(d);
-            if (!cands.empty())
-                out.checkpoint_digest =
-                    crc32(cands.front().blob.data(),
-                          cands.front().blob.size());
+        } catch (const std::exception &e) {
+            // Nothing to respawn: the rest of the range degrades.
+            range.stats.degraded = true;
+            range.stats.last_error = e.what();
         }
-        res.aggregates.merge(ra);
-        res.workers.push_back(std::move(ws));
+        range.finish(res);
     }
     return res;
 }
@@ -711,7 +779,6 @@ fleetWorkerMain(int argc, char **argv)
                                   {msg.begin(), msg.end()});
                         ::_exit(14);
                     }
-                    case FaultKind::Stall:
                     case FaultKind::StallWorker:
                         workerStallForever();
                     case FaultKind::KillWorker:
@@ -753,33 +820,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** A decoded final result the range cannot fold yet (see `ahead`). */
-struct DeviceResult
-{
-    ScenarioResult result;
-    Celsius limit = 0.0;
-};
-
 struct WorkerProc
 {
-    int begin = 0;
-    int end = 0;
+    WorkerProc(int begin, int end) : range(begin, end) {}
+
+    RangeFold range; ///< the range's fold and supervision tallies
     pid_t pid = -1;
     int fd = -1;
     FleetFrameReader frames;
     Clock::time_point last_frame;
-    int respawns = 0;
     bool active = false;
-    bool degraded = false;
-    std::string last_error;    ///< the range's latest failure reason
     std::string attempt_error; ///< this attempt's Error frame, if any
-
-    // The range's devices folded as they arrive: [begin, next_fold) in
-    // device order, plus any device decoded past a gap (an unreadable
-    // final checkpoint), held until its turn.
-    FleetAggregates folded;
-    int next_fold = 0;
-    std::map<int, DeviceResult> ahead;
 };
 
 } // namespace
@@ -818,53 +869,10 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
     FleetResult res;
     res.devices.resize(static_cast<std::size_t>(spec.num_devices));
 
-    std::vector<WorkerProc> procs(ranges.size());
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-        procs[i].begin = ranges[i].first;
-        procs[i].end = ranges[i].second;
-        procs[i].next_fold = ranges[i].first;
-    }
-
-    // A folded device's result is dropped: only its digest stays.
-    const auto foldInOrder = [](WorkerProc &p, const DeviceResult &got) {
-        p.folded.foldDevice(got.result, got.limit);
-        ++p.next_fold;
-    };
-
-    // Finish a device's final checkpoint the moment it arrives. A
-    // respawned worker re-sends the devices it already finished; only
-    // the first readable copy counts.
-    const auto receiveDevice = [&](WorkerProc &p, int d,
-                                   const std::uint8_t *bytes,
-                                   std::size_t size) {
-        FleetDeviceOutcome &out = res.devices[static_cast<std::size_t>(d)];
-        if (out.completed)
-            return;
-        const std::vector<std::uint8_t> blob(bytes, bytes + size);
-        const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
-        DeviceResult got;
-        try {
-            ScenarioCheckpoint ck = deserializeCheckpoint(cfg, blob);
-            if (!ck.done)
-                return;
-            got.result = finishScenario(cfg, std::move(ck));
-        } catch (const CheckpointError &) {
-            return; // an unreadable blob is treated as never received
-        }
-        got.limit = fleetDeviceThermalLimit(spec, cfg);
-        out.completed = true;
-        out.checkpoint_digest = crc32(blob.data(), blob.size());
-        if (d != p.next_fold) {
-            p.ahead.emplace(d, std::move(got));
-            return;
-        }
-        foldInOrder(p, got);
-        for (auto it = p.ahead.find(p.next_fold); it != p.ahead.end();
-             it = p.ahead.find(p.next_fold)) {
-            foldInOrder(p, it->second);
-            p.ahead.erase(it);
-        }
-    };
+    std::vector<WorkerProc> procs;
+    procs.reserve(ranges.size());
+    for (const auto &[begin, end] : ranges)
+        procs.emplace_back(begin, end);
 
     const auto firedCsv = [&]() {
         std::string csv;
@@ -883,10 +891,10 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             worker_path,
             "--spec", spec_path,
             "--store", opts.store_dir,
-            "--begin", std::to_string(p.begin),
-            "--end", std::to_string(p.end),
+            "--begin", std::to_string(p.range.stats.range_begin),
+            "--end", std::to_string(p.range.stats.range_end),
             "--fd", "3",
-            "--attempt", std::to_string(p.respawns),
+            "--attempt", std::to_string(p.range.stats.respawns),
         };
         const std::string csv = firedCsv();
         if (!csv.empty()) {
@@ -947,18 +955,19 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         }
     };
 
-    // Declared before use in failProc via std::function (recursion-free).
+    // Record the failure, then respawn the worker or degrade its range.
     const auto failProc = [&](WorkerProc &p, const std::string &why) {
-        p.last_error = why;
+        FleetWorkerStats &stats = p.range.stats;
+        stats.last_error = why;
         killAndReap(p);
-        if (p.respawns >= opts.max_retries) {
-            p.degraded = true;
+        if (stats.respawns >= opts.max_retries) {
+            stats.degraded = true;
             p.active = false;
             return;
         }
-        ++p.respawns;
+        ++stats.respawns;
         const double s =
-            retryBackoffSeconds(opts.backoff_initial, p.respawns);
+            retryBackoffSeconds(opts.backoff_initial, stats.respawns);
         if (s > 0.0)
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(s));
@@ -995,11 +1004,12 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
                 if (f.size < 8)
                     return false;
                 const std::uint64_t device = r.u64();
-                if (device < static_cast<std::uint64_t>(p.begin) ||
-                    device >= static_cast<std::uint64_t>(p.end))
+                const FleetWorkerStats &st = p.range.stats;
+                if (device < static_cast<std::uint64_t>(st.range_begin) ||
+                    device >= static_cast<std::uint64_t>(st.range_end))
                     return false;
-                receiveDevice(p, static_cast<int>(device), f.payload + 8,
-                              f.size - 8);
+                p.range.receive(spec, res, static_cast<int>(device),
+                                {f.payload + 8, f.payload + f.size});
                 break;
             }
             case FleetFrameType::Error:
@@ -1062,11 +1072,11 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
             ::close(p.fd);
             p.fd = -1;
             const bool clean_exit = WIFEXITED(st) && WEXITSTATUS(st) == 0;
-            if (clean_exit && p.next_fold == p.end) {
+            if (clean_exit && p.range.complete()) {
                 p.active = false;
             } else if (clean_exit) {
                 failProc(p, "worker exited before delivering device " +
-                                std::to_string(p.next_fold));
+                                std::to_string(p.range.next()));
             } else if (WIFSIGNALED(st)) {
                 failProc(p, std::string("worker killed by signal ") +
                                 std::to_string(WTERMSIG(st)));
@@ -1095,26 +1105,8 @@ runFleetMultiProcess(const FleetSpec &spec, const FleetOptions &opts,
         }
     }
 
-    // --- Assemble the result ----------------------------------------
-
-    // A degraded range still counts every device whose final checkpoint
-    // arrived, in device order; the rest degrade, not drop. A finished
-    // range has folded all of its devices, so both loops are empty.
-    for (WorkerProc &p : procs) {
-        for (const auto &entry : p.ahead)
-            p.folded.foldDevice(entry.second.result, entry.second.limit);
-        for (int d = p.next_fold + static_cast<int>(p.ahead.size());
-             d < p.end; ++d)
-            p.folded.foldDegradedDevice();
-        res.aggregates.merge(p.folded);
-        FleetWorkerStats ws;
-        ws.range_begin = p.begin;
-        ws.range_end = p.end;
-        ws.respawns = p.respawns;
-        ws.degraded = p.degraded;
-        ws.last_error = p.last_error;
-        res.workers.push_back(std::move(ws));
-    }
+    for (WorkerProc &p : procs)
+        p.range.finish(res);
     return res;
 }
 

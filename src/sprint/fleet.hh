@@ -9,9 +9,9 @@
  *
  * Two transports run the same fleet:
  *
- *  - runFleetInProcess() drives every device through the thread
- *    supervisor (runSupervisedScenarioBatch) — no processes, same
- *    shard ranges, same aggregate fold/merge order.
+ *  - runFleetInProcess() runs every device on the caller's thread
+ *    through the same shard core a worker runs (runShardToCompletion)
+ *    — no processes, no faults, no retries, same shard ranges.
  *
  *  - runFleetMultiProcess() fork/execs one csprint-fleet-worker
  *    binary per shard range. Each worker persists crash-safe
@@ -36,17 +36,19 @@
  * a run SIGKILLed at a random checkpoint equals the uninterrupted run
  * bit-for-bit after recovery — both under a rotating seed.
  *
+ * Both transports hand each device's final checkpoint bytes to one
+ * range reducer: it decodes and finishes them, folds the range's
+ * devices in device order into a FleetAggregates (counters, maxima,
+ * and streaming P² response quantiles with a deterministic merge —
+ * common/stats.hh), and merges ranges in range order. The transports
+ * differ only in how the bytes reach it, so the bit-parity gate
+ * compares transport, not reduction; tests/fleet_test.cc checks the
+ * reducer itself against a fold of per-device runScenario results.
+ *
  * The parent's per-device state is O(1) in both transports: a
  * FleetDeviceOutcome is a completion flag and a digest. A device's
  * full ScenarioResult stays in the checkpoint store as its final
  * checkpoint; loadFleetDeviceResult() reads it back on demand.
- *
- * Aggregates are mergeable: the parent folds each range's devices in
- * device order into a FleetAggregates (counters, maxima, and streaming
- * P² response quantiles with a deterministic merge — common/stats.hh)
- * and merges ranges in range order. The in-process transport folds its
- * live results in the same order, so both transports reduce alike and
- * the bit-parity gate is meaningful.
  */
 
 #ifndef CSPRINT_SPRINT_FLEET_HH
@@ -192,14 +194,23 @@ std::string firstDifference(const FleetAggregates &a,
 
 /**
  * Knobs of a fleet run (either transport): the supervisor's knobs plus
- * the fleet's own below. store_dir is shared by all workers, and
- * max_retries bounds the respawns of one worker range (multi-process)
- * or the retries of one device (in-process).
+ * the fleet's own below. store_dir is shared by all workers. The
+ * supervision knobs — max_retries and backoff_initial from
+ * SupervisorOptions, watchdog_deadline below — act on worker
+ * processes only: the in-process transport neither retries nor
+ * watches.
  */
 struct FleetOptions : SupervisorOptions
 {
     /** Worker processes / shard ranges (clamped to the device count). */
     int num_workers = 2;
+
+    /**
+     * Seconds without a frame from a worker process before the parent
+     * SIGKILLs and respawns it. Must comfortably exceed the wall time
+     * of one checkpoint slice, since workers beat only between slices.
+     */
+    double watchdog_deadline = 30.0;
 
     /**
      * Worker binary path. Empty resolves CSPRINT_FLEET_WORKER from
@@ -230,8 +241,8 @@ struct FleetWorkerStats
 {
     int range_begin = 0;
     int range_end = 0;
-    int respawns = 0;    ///< process respawns (mp) / shard retries (ip)
-    bool degraded = false;
+    int respawns = 0;    ///< worker process respawns (0 in-process)
+    bool degraded = false; ///< gave up: unfinished devices degrade
     std::string last_error; ///< last failure reason, for diagnosis
 };
 
@@ -250,15 +261,15 @@ struct FleetResult
 };
 
 /**
- * Run @p spec's fleet inside this process through the thread
- * supervisor: identical shard ranges, fold order, and merge order as
- * the multi-process transport, with per-device checkpoint digests
- * read back from the store. @p plan may only contain thread-transport
- * fault kinds (process kinds are rejected with Kind::Unsupported).
+ * Run @p spec's fleet inside this process, range by range and device
+ * by device, persisting checkpoints into opts.store_dir as a worker
+ * would and folding each device's final checkpoint bytes through the
+ * same reducer as the multi-process transport. A device that throws
+ * degrades its range: the failure is its last_error, and the range's
+ * remaining devices count as degraded.
  */
 FleetResult runFleetInProcess(const FleetSpec &spec,
-                              const FleetOptions &opts,
-                              const FaultPlan &plan = {});
+                              const FleetOptions &opts);
 
 /**
  * Run @p spec's fleet across worker processes (see the file comment

@@ -116,16 +116,6 @@ struct ScenarioDebugKnobs
      * Costs a second build per task.
      */
     bool verify_pipeline_build = false;
-
-    /**
-     * Paranoia mode: run validateCheckpoint() (checkpoint.hh) on the
-     * checkpoint at every advanceScenario boundary — finite
-     * temperatures in physical bounds, melt fractions in [0, 1],
-     * directory sharers consistent with L1 tag state, non-negative
-     * monotone energy tallies. Failure throws CheckpointError with
-     * Kind::Invariant and a precise message.
-     */
-    bool validate_checkpoints = false;
 };
 
 /** A complete scenario description. */

@@ -1,6 +1,5 @@
 #include "sprint/supervisor.hh"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -24,8 +23,6 @@ faultKindName(FaultKind kind)
         return "truncate";
     case FaultKind::WorkerException:
         return "worker-exception";
-    case FaultKind::Stall:
-        return "stall";
     case FaultKind::KillWorker:
         return "kill-worker";
     case FaultKind::StallWorker:
@@ -55,7 +52,9 @@ FaultPlan::randomized(std::uint64_t seed, int num_shards,
     for (int shard = 0; shard < num_shards; ++shard) {
         FaultSpec f;
         f.shard = shard;
-        f.kind = static_cast<FaultKind>(rng.next() % 5);
+        // The thread-transport kinds are the ones before KillWorker.
+        f.kind = static_cast<FaultKind>(
+            rng.next() % static_cast<std::uint64_t>(FaultKind::KillWorker));
         f.at_seq = 1 + rng.next() % max_seq;
         plan.faults.push_back(f);
     }
@@ -66,13 +65,10 @@ FaultPlan
 FaultPlan::randomizedProcess(std::uint64_t seed, int num_shards,
                              std::uint64_t max_seq)
 {
-    // Every kind the process transport recovers from, Stall excluded
-    // (StallWorker covers it without the per-shard watchdog wait).
-    static const FaultKind kinds[] = {
-        FaultKind::CrashAtCheckpoint, FaultKind::BitFlip,
-        FaultKind::Truncate,          FaultKind::WorkerException,
-        FaultKind::KillWorker,        FaultKind::StallWorker,
-        FaultKind::CorruptPipe};
+    // The process transport recovers from every kind; CorruptPipe is
+    // the last.
+    const std::uint64_t kinds =
+        static_cast<std::uint64_t>(FaultKind::CorruptPipe) + 1;
     FaultPlan plan;
     Rng rng(seed ^ 0xf1ee7ull);
     if (max_seq == 0)
@@ -80,7 +76,7 @@ FaultPlan::randomizedProcess(std::uint64_t seed, int num_shards,
     for (int shard = 0; shard < num_shards; ++shard) {
         FaultSpec f;
         f.shard = shard;
-        f.kind = kinds[rng.next() % (sizeof(kinds) / sizeof(kinds[0]))];
+        f.kind = static_cast<FaultKind>(rng.next() % kinds);
         f.at_seq = 1 + rng.next() % max_seq;
         plan.faults.push_back(f);
     }
@@ -244,44 +240,16 @@ runShardToCompletion(const ScenarioConfig &cfg, int shard,
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/** Shared between one shard's worker thread and the watchdog. */
-struct WorkerControl
-{
-    std::atomic<Clock::rep> heartbeat{Clock::now().time_since_epoch().count()};
-    std::atomic<bool> cancel{false};
-
-    void
-    beat()
-    {
-        heartbeat.store(Clock::now().time_since_epoch().count(),
-                        std::memory_order_relaxed);
-        if (cancel.load(std::memory_order_relaxed))
-            throw WatchdogTimeout("worker cancelled by the watchdog");
-    }
-
-    double
-    secondsSinceBeat() const
-    {
-        const Clock::duration d =
-            Clock::now().time_since_epoch() -
-            Clock::duration(heartbeat.load(std::memory_order_relaxed));
-        return std::chrono::duration<double>(d).count();
-    }
-};
-
 /**
- * One worker attempt: the shared shard core with this transport's
- * heartbeat and thread-level fault injection wired into the hooks.
- * Returns the finished result. Throws on injected faults, watchdog
- * cancellation, or genuine engine errors.
+ * One attempt: the shared shard core with thread-level fault
+ * injection wired into the hooks. Returns the finished result. Throws
+ * on injected faults or genuine engine errors.
  */
 ScenarioResult
-workerAttempt(const ScenarioConfig &cfg, int shard,
-              const SupervisorOptions &opts, const FaultPlan &plan,
-              std::vector<bool> &fired, CheckpointStore &store,
-              WorkerControl &control, ShardOutcome &outcome)
+shardAttempt(const ScenarioConfig &cfg, int shard,
+             const SupervisorOptions &opts, const FaultPlan &plan,
+             std::vector<bool> &fired, CheckpointStore &store,
+             ShardOutcome &outcome)
 {
     // An injected fault due at this checkpoint fires exactly once
     // across all attempts of the batch.
@@ -312,17 +280,6 @@ workerAttempt(const ScenarioConfig &cfg, int shard,
             throw std::runtime_error("injected worker exception "
                                      "at checkpoint " +
                                      std::to_string(seq));
-        case FaultKind::Stall:
-            // Stop beating and wait for the watchdog; beat()
-            // turns the cancel flag into WatchdogTimeout.
-            for (;;) {
-                if (control.cancel.load(std::memory_order_relaxed))
-                    throw WatchdogTimeout(
-                        "worker cancelled by the watchdog "
-                        "during an injected stall");
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
         default:
             break; // process-level kinds rejected at batch entry
         }
@@ -340,8 +297,8 @@ workerAttempt(const ScenarioConfig &cfg, int shard,
         ScenarioResult result = finishScenario(
             cfg, runShardToCompletion(
                      cfg, shard, store, opts.checkpoint_every_tasks,
-                     opts.paranoia, [&control]() { control.beat(); },
-                     beforePersist, afterPersist, progress));
+                     opts.paranoia, nullptr, beforePersist, afterPersist,
+                     progress));
         fold();
         return result;
     } catch (...) {
@@ -392,39 +349,14 @@ runSupervisedScenarioBatch(const std::vector<ScenarioConfig> &shards,
                         std::chrono::duration<double>(s));
             }
 
-            WorkerControl control;
-            std::exception_ptr failure;
-            std::atomic<bool> finished{false};
-            bool ok = false;
-            std::thread worker([&]() {
-                try {
-                    outcome.result = workerAttempt(
-                        cfg, static_cast<int>(shard), opts, plan,
-                        fired, store, control, outcome);
-                    ok = true;
-                } catch (...) {
-                    failure = std::current_exception();
-                }
-                finished.store(true, std::memory_order_release);
-            });
-
-            // The watchdog: poll the heartbeat until the worker
-            // finishes; cancel it once the beat goes stale.
-            // Cancellation is cooperative — the worker observes the
-            // flag at slice boundaries and inside injected stalls —
-            // so join() always returns.
-            while (!finished.load(std::memory_order_acquire)) {
-                if (control.secondsSinceBeat() > opts.watchdog_deadline)
-                    control.cancel.store(true,
-                                         std::memory_order_relaxed);
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-            }
-            worker.join();
-
-            if (ok)
+            try {
+                outcome.result =
+                    shardAttempt(cfg, static_cast<int>(shard), opts, plan,
+                                 fired, store, outcome);
                 break;
-            outcome.error = failure;
+            } catch (...) {
+                outcome.error = std::current_exception();
+            }
             if (attempt == opts.max_retries)
                 outcome.degraded = true;
         }

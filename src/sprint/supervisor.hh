@@ -1,13 +1,18 @@
 /**
  * @file
  * Supervised execution of scenario shard batches on top of the
- * portable checkpoint layer (sprint/checkpoint.hh): each shard runs
- * under a worker that persists a crash-safe checkpoint every few
- * tasks, a watchdog that cancels workers whose heartbeat goes stale,
- * and a bounded-retry loop that restarts a failed worker from its
- * last valid persisted checkpoint with exponential backoff. A shard
- * that exhausts its retries is reported as degraded — carrying the
- * exception that killed it — instead of being silently dropped.
+ * portable checkpoint layer (sprint/checkpoint.hh): each shard runs on
+ * the caller's thread, persists a crash-safe checkpoint every few
+ * tasks, and is restarted by a bounded-retry loop from its last valid
+ * persisted checkpoint, with exponential backoff, when an attempt
+ * throws. A shard that exhausts its retries is reported as degraded —
+ * carrying the exception that killed it — instead of being silently
+ * dropped.
+ *
+ * There is no watchdog here: a thread cannot be stopped from outside,
+ * so an attempt that hangs hangs the batch. Stalls are recovered by
+ * the process transport (sprint/fleet.hh), whose parent SIGKILLs a
+ * worker that goes silent and respawns it.
  *
  * Determinism gate: because checkpoints capture the full trajectory
  * (thermal state, arrival RNG cursor, suspended machines, streaming
@@ -71,12 +76,6 @@ enum class FaultKind
      */
     WorkerException,
 
-    /**
-     * The worker stops making progress without dying: the watchdog
-     * must notice the stale heartbeat, cancel the worker, and retry.
-     */
-    Stall,
-
     // --- Process-level kinds (the fleet driver's transport, ---------
     // --- sprint/fleet.hh; Unsupported on the thread transport) ------
 
@@ -121,20 +120,18 @@ struct FaultPlan
 
     /**
      * A seed-derived plan that hits every shard in [0, num_shards)
-     * with one fault of a seed-chosen thread-transport kind at a
-     * seed-chosen checkpoint in [1, max_seq]. Equal seeds yield equal
-     * plans.
+     * with one fault of a seed-chosen thread-transport kind (the four
+     * before KillWorker) at a seed-chosen checkpoint in [1, max_seq].
+     * Equal seeds yield equal plans.
      */
     static FaultPlan randomized(std::uint64_t seed, int num_shards,
                                 std::uint64_t max_seq);
 
     /**
-     * Like randomized(), but drawing from the full kind set including
-     * the process-level faults (KillWorker / StallWorker /
-     * CorruptPipe) — for the fleet driver's process transport, which
-     * recovers from all of them. Stall is excluded: each stall costs
-     * a full watchdog deadline of wall time, and StallWorker already
-     * covers the silent-worker case.
+     * Like randomized(), but drawing from every kind including the
+     * process-level faults (KillWorker / StallWorker / CorruptPipe) —
+     * for the fleet driver's process transport, which recovers from
+     * all of them.
      */
     static FaultPlan randomizedProcess(std::uint64_t seed,
                                        int num_shards,
@@ -160,19 +157,14 @@ struct SimulatedCrash : std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Thrown inside a worker the watchdog cancelled for a stale heartbeat. */
-struct WatchdogTimeout : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
 struct SupervisorOptions
 {
     /**
      * Persist a checkpoint after every this many completed tasks.
      * Also the slice length handed to advanceScenario, so it bounds
-     * both the work lost to a crash and the heartbeat period. Must
-     * be >= 1: a zero slice makes no progress.
+     * both the work lost to a crash and the heartbeat period of a
+     * fleet worker process. Must be >= 1: a zero slice makes no
+     * progress.
      */
     std::uint64_t checkpoint_every_tasks = 4;
 
@@ -187,20 +179,12 @@ struct SupervisorOptions
      */
     double backoff_initial = 0.0;
 
-    /**
-     * Seconds without a worker heartbeat before the watchdog cancels
-     * it. Must comfortably exceed the wall time of one checkpoint
-     * slice, since workers only beat between slices.
-     */
-    double watchdog_deadline = 30.0;
-
     /** Directory the CheckpointStore persists under. Required. */
     std::string store_dir;
 
     /**
      * Run validateCheckpoint() on every checkpoint before persisting
-     * it (in addition to whatever ScenarioDebugKnobs::validate_checkpoints
-     * already does inside the engine).
+     * it. Fleet workers receive it in the spec file.
      */
     bool paranoia = false;
 };
@@ -241,15 +225,15 @@ struct SupervisedBatchResult
 
 // --- Shared shard-attempt core ------------------------------------------
 //
-// Both supervision transports — the in-process thread supervisor
-// below and the multi-process fleet driver (sprint/fleet.hh) — run
-// the same loop per shard: recover from the newest valid persisted
-// checkpoint (corrupt candidates rejected by CRC, falling back to the
-// retained predecessor), advance in checkpoint-sized slices, enforce
-// the forward-motion invariants, and persist every boundary. Only the
-// transport differs (heartbeat atomics + cooperative cancel vs. pipe
-// frames + SIGKILL), so the core is shared and the transports inject
-// their behaviour through the hooks.
+// Both supervision transports — the thread supervisor below and the
+// multi-process fleet driver (sprint/fleet.hh) — run the same loop per
+// shard, and so does the unsupervised in-process fleet: recover from
+// the newest valid persisted checkpoint (corrupt candidates rejected
+// by CRC, falling back to the retained predecessor), advance in
+// checkpoint-sized slices, enforce the forward-motion invariants, and
+// persist every boundary. Only the transport differs (exceptions on
+// the caller's thread vs. pipe frames + SIGKILL), so the core is
+// shared and the transports inject their behaviour through the hooks.
 
 /** Progress tallies one shard accumulates across attempts. */
 struct ShardProgress
@@ -258,7 +242,7 @@ struct ShardProgress
     std::uint64_t recoveries = 0;
 };
 
-/** Heartbeat hook; may throw to cancel the attempt cooperatively. */
+/** Heartbeat hook (a fleet worker sends a Beat frame). */
 using ShardBeatFn = std::function<void()>;
 
 /**
@@ -305,15 +289,17 @@ void faultTruncateFile(const std::string &path);
 /**
  * Run every ScenarioConfig in @p shards to completion under
  * supervision: periodic crash-safe checkpoint persistence into
- * @p opts.store_dir, watchdog cancellation of stalled workers, and up
- * to @p opts.max_retries restarts per shard from the last valid
- * checkpoint. @p plan's faults fire deterministically (one-shot) at
- * their named checkpoints. Shards run in order; each worker runs on
- * its own thread so the watchdog can observe it.
+ * @p opts.store_dir, and up to @p opts.max_retries restarts per shard
+ * from the last valid checkpoint after an attempt throws. @p plan's
+ * faults fire deterministically (one-shot) at their named
+ * checkpoints. Shards and their attempts run in order on the caller's
+ * thread.
  *
  * Pre-existing checkpoints in the store are honoured: a batch that
  * was killed externally resumes where its shards left off. Throws
- * std::invalid_argument when opts.checkpoint_every_tasks is 0.
+ * std::invalid_argument when opts.checkpoint_every_tasks is 0, and
+ * CheckpointError with Kind::Unsupported when @p plan holds a
+ * process-level kind.
  */
 SupervisedBatchResult
 runSupervisedScenarioBatch(const std::vector<ScenarioConfig> &shards,

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -477,7 +476,6 @@ TEST(ReportLedger, FailedGateIsWrittenAndFailsTheExit)
   }
 }
 )");
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

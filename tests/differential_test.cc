@@ -35,6 +35,7 @@
 
 #include "common/args.hh"
 #include "common/rng.hh"
+#include "fresh_dir.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
@@ -558,20 +559,9 @@ randomFleetSpec(Rng &rng)
     return spec;
 }
 
-std::string
-diffFreshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
-}
-
 TEST(Differential, FleetMultiProcessMatchesInProcess)
 {
-    // The process transport against the thread transport on a
+    // The process transport against the in-process transport on a
     // seed-rotated random fleet: bit-exact on the merged response
     // quantile state, melt cycles, deadline counters, and every
     // per-device checkpoint digest.
@@ -585,9 +575,9 @@ TEST(Differential, FleetMultiProcessMatchesInProcess)
         FleetOptions ip_opts;
         ip_opts.num_workers = 2;
         ip_opts.checkpoint_every_tasks = 2;
-        ip_opts.store_dir = diffFreshDir("dfip");
+        ip_opts.store_dir = freshDir("dfip");
         FleetOptions mp_opts = ip_opts;
-        mp_opts.store_dir = diffFreshDir("dfmp");
+        mp_opts.store_dir = freshDir("dfmp");
 
         const FleetResult ip = runFleetInProcess(spec, ip_opts);
         const FleetResult mp = runFleetMultiProcess(spec, mp_opts);

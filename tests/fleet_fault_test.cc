@@ -21,8 +21,8 @@
  *  - a worker that exits 0 without delivering its devices is a failure,
  *    not a finished range.
  *
- * The thread supervisor must reject process-level kinds (its
- * transport cannot recover from them).
+ * The thread supervisor must reject process-level kinds (it has no
+ * process to kill or respawn).
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/stats.hh"
+#include "fresh_dir.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
@@ -59,8 +60,8 @@ faultFleet(std::uint64_t seed)
     spec.classes.push_back(a);
 
     // Class b rests after its last task, so finishing a device from
-    // its final checkpoint integrates the tail cooldown: in-process in
-    // the thread transport, in the parent in the process transport.
+    // its final checkpoint integrates the tail cooldown in the range
+    // reducer both transports share.
     FleetDeviceClass b = a;
     b.cores = 8;
     b.policy = SprintPolicyKind::DutyCycle;
@@ -69,17 +70,6 @@ faultFleet(std::uint64_t seed)
     spec.classes.push_back(b);
 
     return spec;
-}
-
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
 }
 
 FleetOptions
@@ -341,7 +331,8 @@ TEST(FleetFault, ThreadTransportRejectsProcessKinds)
     FaultPlan plan;
     plan.faults.push_back({0, FaultKind::KillWorker, 1});
     try {
-        runFleetInProcess(spec, fleetOptions("reject"), plan);
+        runSupervisedScenarioBatch({fleetDeviceConfig(spec, 0)},
+                                   fleetOptions("reject"), plan);
         FAIL() << "process-level fault accepted by the thread transport";
     } catch (const CheckpointError &e) {
         EXPECT_EQ(e.kind(), CheckpointError::Kind::Unsupported);

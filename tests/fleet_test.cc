@@ -7,7 +7,8 @@
  * order-insensitive within an estimator tolerance), spec wire
  * round-trips, firstDifference naming every aggregate field,
  * every-truncation, bit-flip and type-bound sweeps over the spec and
- * pipe frame decoders, a small in-process fleet sanity run,
+ * pipe frame decoders, a small in-process fleet sanity run, both
+ * transports against a fold of per-device runScenario results,
  * multi-process parity of the aggregates and of the per-device results
  * read back from each transport's store, and rejection of a zero
  * checkpoint cadence. The fault-recovery parity
@@ -31,6 +32,7 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "fresh_dir.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
@@ -72,17 +74,6 @@ smallFleet(std::uint64_t seed, int num_devices)
     spec.classes.push_back(paced);
 
     return spec;
-}
-
-std::string
-freshDir(const char *tag)
-{
-    std::string tmpl = std::string("/tmp/csprint-") + tag + "-XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    const char *dir = mkdtemp(buf.data());
-    EXPECT_NE(dir, nullptr);
-    return std::string(dir ? dir : "/tmp");
 }
 
 void
@@ -469,6 +460,44 @@ TEST(FleetInProcess, SmallFleetAggregatesSensibly)
                   res.devices[d].checkpoint_digest);
 }
 
+TEST(FleetInProcess, FoldEqualsPerDeviceRunScenario)
+{
+    // An oracle that shares no code with the range reducer: each
+    // device run uninterrupted by runScenario, folded in range order,
+    // ranges merged in order. Both transports must equal it bit for
+    // bit, P² state included. One class rests after its last task, so
+    // the reducer's finish integrates a tail cooldown.
+    FleetSpec spec = smallFleet(17, 7);
+    spec.classes[1].tail_rest = 2e-3;
+    FleetOptions opts;
+    opts.num_workers = 3;
+    opts.checkpoint_every_tasks = 2;
+
+    FleetAggregates expect;
+    bool tail_rest = false;
+    for (const auto &[begin, end] :
+         fleetShardRanges(spec.num_devices, opts.num_workers)) {
+        FleetAggregates range;
+        for (int d = begin; d < end; ++d) {
+            const ScenarioConfig cfg = fleetDeviceConfig(spec, d);
+            tail_rest = tail_rest || cfg.tail_rest > 0.0;
+            range.foldDevice(runScenario(cfg),
+                             fleetDeviceThermalLimit(spec, cfg));
+        }
+        expect.merge(range);
+    }
+    EXPECT_TRUE(tail_rest) << "no device runs the tail-rest finish path";
+
+    opts.store_dir = freshDir("fleet-oracle-ip");
+    const FleetResult ip = runFleetInProcess(spec, opts);
+    opts.store_dir = freshDir("fleet-oracle-mp");
+    const FleetResult mp = runFleetMultiProcess(spec, opts);
+    ASSERT_TRUE(ip.allOk());
+    ASSERT_TRUE(mp.allOk());
+    EXPECT_EQ(firstDifference(expect, ip.aggregates), "");
+    EXPECT_EQ(firstDifference(expect, mp.aggregates), "");
+}
+
 /** A valid frame stream and where each of its frames ends. */
 struct FrameStream
 {
@@ -613,8 +642,8 @@ TEST(FleetMultiProcess, StoredDeviceResultsMatchInProcess)
     ASSERT_TRUE(ip.allOk());
     ASSERT_TRUE(mp.allOk());
 
-    // The parent's checkpoint-derived fold equals the live fold on
-    // every aggregate field, P² state included.
+    // The two transports' folds agree on every aggregate field, P²
+    // state included.
     EXPECT_EQ(firstDifference(ip.aggregates, mp.aggregates), "");
     ASSERT_EQ(mp.devices.size(), ip.devices.size());
     for (std::size_t d = 0; d < ip.devices.size(); ++d) {
