@@ -6,16 +6,16 @@
  *
  * Gates the tool enforces itself (non-zero exit on failure):
  *
- *  1. recovery_parity — for every thread-transport FaultKind, a
- *     supervised shard that crashes / corrupts its newest checkpoint /
- *     throws and is recovered from persisted state must finish
- *     bit-identical to the uninterrupted run: every aggregate, every
- *     trace sample.
+ *  1. recovery_parity — for every FaultKind, a fleet run whose worker
+ *     crashes / corrupts its newest checkpoint / fails / is killed /
+ *     stalls / corrupts its pipe, and is respawned from persisted
+ *     state, must finish bit-identical to the unfaulted in-process
+ *     run: every aggregate, every device's final checkpoint digest.
  *
  *  2. randomized_batch_parity — a CSPRINT_DIFF_SEED-derived fault
- *     plan over a multi-shard batch (the seed rotates in CI, so every
+ *     plan over a multi-device fleet (the seed rotates in CI, so every
  *     run exercises a different fault/checkpoint mix) recovers every
- *     shard bit-exactly.
+ *     device bit-exactly.
  *
  *  3. corruption_rejection — sampled truncation prefixes and bit
  *     flips of a serialized checkpoint must all fail with a typed
@@ -36,6 +36,7 @@
 #include "report.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
+#include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
 #include "sprint/supervisor.hh"
 #include "workloads/workload.hh"
@@ -44,6 +45,10 @@ using namespace csprint;
 
 namespace {
 
+/**
+ * The 16-core Sobel-A periodic train the corruption and perf probes
+ * decode; shardFleet's devices run the same train.
+ */
 ScenarioConfig
 shardScenario(std::uint64_t seed, int tasks)
 {
@@ -61,6 +66,67 @@ shardScenario(std::uint64_t seed, int tasks)
     return cfg;
 }
 
+/** A one-class fleet of 16-core Sobel-A devices on a periodic train. */
+FleetSpec
+shardFleet(std::uint64_t seed, int devices, int tasks)
+{
+    FleetSpec spec;
+    spec.seed = seed;
+    spec.num_devices = devices;
+    FleetDeviceClass cls;
+    cls.cores = 16;
+    cls.pcm_mass_lo = cls.pcm_mass_hi = kSmallPcm;
+    cls.policy = SprintPolicyKind::GreedyActivity;
+    cls.pacing_period = 2.5e-3;
+    cls.pattern = ArrivalPattern::Periodic;
+    cls.num_tasks = tasks;
+    cls.period = 2.5e-3;
+    cls.kernel = KernelId::Sobel;
+    cls.size = InputSize::A;
+    cls.warm_caches = true;
+    spec.classes.push_back(cls);
+    return spec;
+}
+
+/**
+ * Watchdog deadline of the runs that may inject a stall, in seconds:
+ * a worker beats around every slice, and a slice of this train takes
+ * milliseconds.
+ */
+constexpr double kStallDeadline = 0.5;
+
+FleetOptions
+faultOptions(const char *tag, int workers, int max_retries)
+{
+    FleetOptions opts;
+    opts.num_workers = workers;
+    opts.checkpoint_every_tasks = 2;
+    opts.max_retries = max_retries;
+    opts.store_dir = freshDir(tag);
+    return opts;
+}
+
+/**
+ * Why @p faulted is not a bit-exact recovery of @p clean ("" when it
+ * is): a degraded range, no respawn (the plan never fired), or the
+ * first differing field. Its respawns land in @p respawns.
+ */
+std::string
+recoveryMismatch(const FleetResult &clean, const FleetResult &faulted,
+                 int &respawns)
+{
+    respawns = 0;
+    for (const FleetWorkerStats &w : faulted.workers)
+        respawns += w.respawns;
+    if (!clean.allOk())
+        return "clean run degraded";
+    if (!faulted.allOk())
+        return "range degraded";
+    if (respawns < 1)
+        return "fault never fired";
+    return firstDifference(clean, faulted);
+}
+
 } // namespace
 
 int
@@ -68,73 +134,60 @@ main(int argc, char **argv)
 {
     ArgParser args(argc, argv, {"out", "tasks", "seed"});
     Report report(args.get("out", "BENCH_faultinject.json"),
-                  "csprint-faultinject-bench-v1");
+                  "csprint-faultinject-bench-v2");
     JsonWriter &json = report.json();
     const int tasks = static_cast<int>(args.getDouble("tasks", 8));
     const std::uint64_t seed = diffSeed(args, 1u);
     json.field("diff_seed", seed).field("tasks_per_shard", tasks);
 
     // --- Gate 1: per-fault-kind recovery parity. -------------------
-    const ScenarioConfig parity_cfg = shardScenario(seed, tasks);
-    const ScenarioResult direct = runScenario(parity_cfg);
+    const FleetSpec one = shardFleet(seed, 1, tasks);
+    const FleetResult direct =
+        runFleetInProcess(one, faultOptions("direct", 1, 0));
     json.array("recovery_parity", [&] {
-        for (FaultKind kind :
-             {FaultKind::CrashAtCheckpoint, FaultKind::BitFlip,
-              FaultKind::Truncate, FaultKind::WorkerException}) {
+        for (int k = 0; k <= static_cast<int>(FaultKind::CorruptPipe);
+             ++k) {
+            const FaultKind kind = static_cast<FaultKind>(k);
             const char *name = faultKindName(kind);
-            SupervisorOptions opts;
-            opts.store_dir = freshDir(name);
-            opts.checkpoint_every_tasks = 2;
-            opts.max_retries = 2;
+            FleetOptions opts = faultOptions(name, 1, 2);
             opts.paranoia = true;
+            if (kind == FaultKind::StallWorker)
+                opts.watchdog_deadline = kStallDeadline;
             FaultPlan plan;
             plan.faults.push_back({0, kind, 2});
-            const SupervisedBatchResult batch =
-                runSupervisedScenarioBatch({parity_cfg}, opts, plan);
-            const ShardOutcome &shard = batch.shards[0];
-            const std::string why =
-                shard.degraded      ? "shard degraded"
-                : shard.retries < 1 ? "fault never fired"
-                                    : firstDifference(direct, shard.result);
+            int respawns = 0;
+            const std::string why = recoveryMismatch(
+                direct, runFleetMultiProcess(one, opts, plan), respawns);
             json.object([&] {
                 json.field("fault", name);
-                report.flag("exact",
-                            std::string("recovery parity [") + name + "]",
-                            why.empty(), why);
-                json.field("retries", shard.retries)
-                    .field("recoveries", shard.recoveries);
+                report.parity(
+                    std::string("recovery parity [") + name + "]", why);
+                json.field("respawns", respawns);
             });
         }
     });
 
-    // --- Gate 2: seed-randomized multi-shard plan. -----------------
-    std::vector<ScenarioConfig> shards;
-    for (std::uint64_t s = 0; s < 3; ++s)
-        shards.push_back(shardScenario(seed * 977 + s, tasks));
-    SupervisorOptions batch_opts;
-    batch_opts.store_dir = freshDir("batch");
-    batch_opts.checkpoint_every_tasks = 2;
-    batch_opts.max_retries = 3;
-    const FaultPlan batch_plan = FaultPlan::randomized(
-        seed, static_cast<int>(shards.size()), tasks / 2);
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(shards, batch_opts, batch_plan);
-    std::string batch_why = batch.allOk() ? "" : "degraded shard";
-    for (std::size_t i = 0; batch_why.empty() && i < shards.size(); ++i) {
-        const std::string why =
-            firstDifference(runScenario(shards[i]), batch.shards[i].result);
-        if (!why.empty())
-            batch_why = "shard " + std::to_string(i) + ": " + why;
-    }
+    // --- Gate 2: seed-randomized multi-device plan. ----------------
+    const FleetSpec three = shardFleet(seed * 977, 3, tasks);
+    const FaultPlan batch_plan =
+        FaultPlan::randomized(seed, three.num_devices, tasks / 2);
+    FleetOptions batch_opts = faultOptions("batch", 3, 3);
+    batch_opts.watchdog_deadline = kStallDeadline;
+    int batch_respawns = 0;
+    const std::string batch_why = recoveryMismatch(
+        runFleetInProcess(three, faultOptions("batch-direct", 3, 0)),
+        runFleetMultiProcess(three, batch_opts, batch_plan),
+        batch_respawns);
     json.object("randomized_batch_parity", [&] {
-        json.field("shards", shards.size());
-        report.flag("exact",
-                    "randomized batch parity (seed " +
-                        std::to_string(seed) + ")",
-                    batch_why.empty(), batch_why);
+        json.field("devices", three.num_devices);
+        report.parity("randomized batch parity (seed " +
+                          std::to_string(seed) + ")",
+                      batch_why);
+        json.field("respawns", batch_respawns);
     });
 
     // --- Gate 3: corruption rejection. -----------------------------
+    const ScenarioConfig parity_cfg = shardScenario(seed, tasks);
     ScenarioCheckpoint probe = beginScenario(parity_cfg);
     advanceScenario(parity_cfg, probe, 2);
     const std::vector<std::uint8_t> blob =

@@ -116,24 +116,6 @@ fleetOptions(const char *tag, int workers)
     return opts;
 }
 
-/** First difference of two fleet runs (aggregates, then digests). */
-std::string
-firstFleetDifference(const FleetResult &a, const FleetResult &b)
-{
-    std::string why = firstDifference(a.aggregates, b.aggregates);
-    if (!why.empty())
-        return why;
-    if (a.devices.size() != b.devices.size())
-        return "device count";
-    for (std::size_t d = 0; d < a.devices.size(); ++d) {
-        if (a.devices[d].completed != b.devices[d].completed ||
-            a.devices[d].checkpoint_digest !=
-                b.devices[d].checkpoint_digest)
-            return "device " + std::to_string(d) + " digest";
-    }
-    return "";
-}
-
 /** Fleet sizes of the parent-memory probe, and its growth bound. */
 constexpr int kProbeSmall = 64;
 constexpr int kProbeLarge = 512;
@@ -220,7 +202,7 @@ main(int argc, char **argv)
         runFleetMultiProcess(spec, fleetOptions("mp", workers));
     const double mp_s = sw.lap();
     const std::string parity_why = ip.allOk() && mp.allOk()
-                                       ? firstFleetDifference(ip, mp)
+                                       ? firstDifference(ip, mp)
                                        : "degraded range";
     json.object("transport_parity", [&] {
         report.flag("exact", "transport parity", parity_why.empty(),
@@ -243,7 +225,7 @@ main(int argc, char **argv)
     const std::string kill_why =
         !killed.allOk() ? "degraded range"
         : respawns < 1  ? "fault never fired"
-                        : firstFleetDifference(mp, killed);
+                        : firstDifference(mp, killed);
     json.object("kill_recovery_parity", [&] {
         report.flag("exact",
                     "kill-recovery parity (device " +

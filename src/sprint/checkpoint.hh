@@ -7,7 +7,7 @@
  * restriction the Scenario engine's checkpoint sharding used to have:
  * a shard can now crash, restart, and resume from its last persisted
  * checkpoint with aggregates and traces identical to an uninterrupted
- * run (gated per fault kind in tests/faultinject_test.cc).
+ * run (gated per fault kind in tests/fleet_fault_test.cc).
  *
  * Every malformed input — truncation, bit rot, a checkpoint from a
  * different build or configuration — fails with a typed
@@ -84,7 +84,7 @@ template <typename Ar>
 void transferQuantile(Ar &a, Io<Ar, P2Quantile> q);
 
 /**
- * Paranoia-mode invariant sweep (SupervisorOptions::paranoia runs it
+ * Paranoia-mode invariant sweep (FleetOptions::paranoia runs it
  * at every persisted checkpoint): all temperatures finite
  * and within physical bounds, melt fractions in [0, 1], energy and
  * time tallies non-negative and mutually consistent, and — for every

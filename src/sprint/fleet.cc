@@ -477,6 +477,23 @@ FleetResult::allOk() const
 }
 
 std::string
+firstDifference(const FleetResult &a, const FleetResult &b)
+{
+    std::string why = firstDifference(a.aggregates, b.aggregates);
+    if (!why.empty())
+        return why;
+    if (a.devices.size() != b.devices.size())
+        return "device count";
+    for (std::size_t d = 0; d < a.devices.size(); ++d) {
+        if (a.devices[d].completed != b.devices[d].completed ||
+            a.devices[d].checkpoint_digest !=
+                b.devices[d].checkpoint_digest)
+            return "device " + std::to_string(d) + " digest";
+    }
+    return "";
+}
+
+std::string
 defaultFleetWorkerPath()
 {
     if (const char *env = std::getenv("CSPRINT_FLEET_WORKER"))
@@ -512,6 +529,19 @@ validateFleetRun(const FleetSpec &spec, const FleetOptions &opts)
     if (opts.checkpoint_every_tasks == 0)
         throw std::invalid_argument(
             "FleetOptions::checkpoint_every_tasks must be >= 1");
+    if (opts.max_retries < 0)
+        throw std::invalid_argument(
+            "FleetOptions::max_retries must be >= 0");
+    if (!(opts.backoff_initial >= 0.0) ||
+        !std::isfinite(opts.backoff_initial))
+        throw std::invalid_argument(
+            "FleetOptions::backoff_initial must be finite and >= 0");
+    // A NaN deadline never expires, so a stalled worker would hang the
+    // parent; a non-positive one kills every worker on its first poll.
+    if (!(opts.watchdog_deadline > 0.0) ||
+        !std::isfinite(opts.watchdog_deadline))
+        throw std::invalid_argument(
+            "FleetOptions::watchdog_deadline must be positive and finite");
 }
 
 /**
@@ -624,12 +654,10 @@ runFleetInProcess(const FleetSpec &spec, const FleetOptions &opts)
         RangeFold range(begin, end);
         try {
             for (int d = begin; d < end; ++d) {
-                ShardProgress progress;
-                std::vector<std::uint8_t> blob;
-                runShardToCompletion(fleetDeviceConfig(spec, d), d, store,
-                                     opts.checkpoint_every_tasks,
-                                     opts.paranoia, nullptr, nullptr,
-                                     nullptr, progress, &blob);
+                const std::vector<std::uint8_t> blob = runShardToCompletion(
+                    fleetDeviceConfig(spec, d), d, store,
+                    opts.checkpoint_every_tasks, opts.paranoia, nullptr,
+                    nullptr, nullptr);
                 if (!range.receive(spec, res, d, blob))
                     throw CheckpointError(
                         CheckpointError::Kind::Invariant,
@@ -794,12 +822,11 @@ fleetWorkerMain(int argc, char **argv)
                     }
                 };
 
-            ShardProgress progress;
-            std::vector<std::uint8_t> final_blob;
-            runShardToCompletion(cfg, device, store,
-                                 wopts.checkpoint_every_tasks,
-                                 wopts.paranoia, beat, beforePersist,
-                                 afterPersist, progress, &final_blob);
+            const std::vector<std::uint8_t> final_blob =
+                runShardToCompletion(cfg, device, store,
+                                     wopts.checkpoint_every_tasks,
+                                     wopts.paranoia, beat, beforePersist,
+                                     afterPersist);
 
             BlobWriter payload;
             payload.u64(static_cast<std::uint64_t>(device));

@@ -14,12 +14,14 @@
  *    — no processes, no faults, no retries, same shard ranges.
  *
  *  - runFleetMultiProcess() fork/execs one csprint-fleet-worker
- *    binary per shard range. Each worker persists crash-safe
- *    checkpoints into a shared CheckpointStore directory, streams
- *    heartbeat frames and each device's final checkpoint to the parent
- *    over a pipe, and is supervised by a parent-side watchdog: a
- *    worker that dies (or is SIGKILLed, stalls, or corrupts its pipe)
- *    is reaped and respawned with bounded exponential backoff,
+ *    binary per shard range; it is the only transport that
+ *    supervises. Each worker persists crash-safe checkpoints into a
+ *    shared CheckpointStore directory, streams heartbeat frames and
+ *    each device's final checkpoint to the parent over a pipe, and is
+ *    supervised by a parent-side watchdog: a worker that ends under
+ *    any FaultKind (sprint/supervisor.hh) — crashes, corrupts its
+ *    newest checkpoint, fails, is SIGKILLed, stalls, or corrupts its
+ *    pipe — is reaped and respawned with bounded exponential backoff,
  *    resuming every device in its range from the newest valid
  *    persisted checkpoint. The parent finishes and folds each device's
  *    final checkpoint as its frame arrives and keeps only its digest,
@@ -30,11 +32,12 @@
  *    were already received still count, the rest are tallied as
  *    degraded devices.
  *
- * Determinism gates (tests/fleet_fault_test.cc, bench/fleet_report.cc):
- * the multi-process run equals the in-process run bit-for-bit on
- * every shared aggregate field and per-device checkpoint digest, and
- * a run SIGKILLed at a random checkpoint equals the uninterrupted run
- * bit-for-bit after recovery — both under a rotating seed.
+ * Determinism gates (tests/fleet_fault_test.cc, bench/fleet_report.cc,
+ * bench/faultinject_report.cc): the multi-process run equals the
+ * in-process run bit-for-bit on every shared aggregate field and
+ * per-device checkpoint digest, and a run hit by any fault kind equals
+ * the uninterrupted run bit-for-bit after recovery — under a rotating
+ * seed.
  *
  * Both transports hand each device's final checkpoint bytes to one
  * range reducer: it decodes and finishes them, folds the range's
@@ -193,22 +196,49 @@ std::string firstDifference(const FleetAggregates &a,
                             const FleetAggregates &b);
 
 /**
- * Knobs of a fleet run (either transport): the supervisor's knobs plus
- * the fleet's own below. store_dir is shared by all workers. The
- * supervision knobs — max_retries and backoff_initial from
- * SupervisorOptions, watchdog_deadline below — act on worker
- * processes only: the in-process transport neither retries nor
- * watches.
+ * Knobs of a fleet run (either transport). store_dir is shared by all
+ * workers. The supervision knobs — max_retries, backoff_initial and
+ * watchdog_deadline — act on worker processes only: the in-process
+ * transport neither retries nor watches.
  */
-struct FleetOptions : SupervisorOptions
+struct FleetOptions
 {
+    /**
+     * Persist a checkpoint after every this many completed tasks.
+     * Also the slice length handed to advanceScenario, so it bounds
+     * both the work lost to a crash and the heartbeat period of a
+     * worker process. Must be >= 1: a zero slice makes no progress.
+     */
+    std::uint64_t checkpoint_every_tasks = 4;
+
+    /** Respawns allowed per worker range before it is degraded; >= 0. */
+    int max_retries = 3;
+
+    /**
+     * Sleep before respawn r (r >= 1) is backoff_initial * 2^(r-1)
+     * seconds (retryBackoffSeconds); finite and >= 0. Zero (the
+     * default) respawns immediately — tests want no wall-clock
+     * padding; production fleets want a real value.
+     */
+    double backoff_initial = 0.0;
+
+    /** Directory the CheckpointStore persists under. Required. */
+    std::string store_dir;
+
+    /**
+     * Run validateCheckpoint() on every checkpoint before persisting
+     * it. Workers receive it in the spec file.
+     */
+    bool paranoia = false;
+
     /** Worker processes / shard ranges (clamped to the device count). */
     int num_workers = 2;
 
     /**
      * Seconds without a frame from a worker process before the parent
-     * SIGKILLs and respawns it. Must comfortably exceed the wall time
-     * of one checkpoint slice, since workers beat only between slices.
+     * SIGKILLs and respawns it; positive and finite. Must comfortably
+     * exceed the wall time of one checkpoint slice, since workers beat
+     * only between slices.
      */
     double watchdog_deadline = 30.0;
 
@@ -261,6 +291,14 @@ struct FleetResult
 };
 
 /**
+ * The first difference between two fleet runs: an aggregate field
+ * (FieldDiff), else the first device whose completion flag or
+ * checkpoint digest differs; empty when the runs are bit-equal.
+ * Supervision tallies are not compared.
+ */
+std::string firstDifference(const FleetResult &a, const FleetResult &b);
+
+/**
  * Run @p spec's fleet inside this process, range by range and device
  * by device, persisting checkpoints into opts.store_dir as a worker
  * would and folding each device's final checkpoint bytes through the
@@ -273,10 +311,10 @@ FleetResult runFleetInProcess(const FleetSpec &spec,
 
 /**
  * Run @p spec's fleet across worker processes (see the file comment
- * for the supervision semantics). @p plan's faults — including the
- * process-level kinds — fire one-shot inside the workers at their
- * named checkpoints; fired faults survive respawns (the parent passes
- * the fired set back on the respawn command line). Throws
+ * for the supervision semantics). @p plan's faults, of any kind, fire
+ * one-shot inside the workers at their named checkpoints; fired
+ * faults survive respawns (the parent passes the fired set back on
+ * the respawn command line). Throws
  * CheckpointError with Kind::Io when the worker binary cannot be
  * found or spawned.
  */

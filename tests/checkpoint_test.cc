@@ -979,11 +979,10 @@ TEST(CheckpointStoreTest, ManyShardsThroughOneStoreStayUnderTheFdLimit)
     CheckpointStore store(freshDir("fds"));
     std::string failure;
     for (int shard = 0; shard < 256 && failure.empty(); ++shard) {
-        ShardProgress progress;
         try {
-            const ScenarioCheckpoint ck = runShardToCompletion(
-                cfg, shard, store, 1, false, nullptr, nullptr, nullptr,
-                progress);
+            const ScenarioCheckpoint ck = deserializeCheckpoint(
+                cfg, runShardToCompletion(cfg, shard, store, 1, false,
+                                          nullptr, nullptr, nullptr));
             if (!ck.done || ck.tasks_completed != 2u)
                 failure = "shard " + std::to_string(shard) + " incomplete";
         } catch (const std::exception &e) {

@@ -1,21 +1,28 @@
 /**
  * @file
- * Fault-injection tests for the supervised scenario batch runner
- * (sprint/supervisor.hh). The headline gate: for every thread-transport
- * FaultKind, a run that crashes, corrupts its newest checkpoint, or
- * throws — and is then recovered by the supervisor from persisted
- * state — finishes with aggregates and traces bit-identical to an
- * uninterrupted run of the same configuration. Also covers retry
- * exhaustion (degraded shards keep their exception and do not sink
- * the rest of the batch). Stall recovery needs a process to kill; it
- * is gated in tests/fleet_fault_test.cc.
+ * Tests for the shard core and the fault vocabulary
+ * (sprint/supervisor.hh), below any fleet transport:
+ *
+ *  - a shard faulted at a checkpoint (crash before the persist, bit
+ *    flip or torn write after it) and rerun over the same store
+ *    finishes bit-equal to the clean run, running only the slices after
+ *    the checkpoint it recovered — resume, not restart;
+ *
+ *  - a due fault fires once, on its own side of the persist;
+ *
+ *  - a randomized plan is seed-deterministic and hits every shard once;
+ *
+ *  - retry backoff doubles per attempt.
+ *
+ * Per-kind recovery through the process transport, which supervises
+ * every fleet run, is gated in tests/fleet_fault_test.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
+#include <set>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "fresh_dir.hh"
@@ -45,146 +52,59 @@ shardScenario(std::uint64_t seed)
     return cfg;
 }
 
-/** Recovered-equals-uninterrupted, parameterized by the fault kind. */
-void
-recoveryParity(FaultKind kind)
+TEST(FaultInjection, ShardCoreResumesInsteadOfRestarting)
 {
+    // Bit parity cannot tell a shard that resumed from the store from
+    // one that restarted fresh; the slices the rerun runs can. One
+    // task per slice, so checkpoint n lands after slice n.
     const ScenarioConfig cfg = shardScenario(11);
-    const ScenarioResult direct = runScenario(cfg);
+    int beats = 0; // two per slice
+    const ShardBeatFn count = [&] { ++beats; };
+    CheckpointStore clean_store(freshDir("core-clean"));
+    const std::vector<std::uint8_t> clean = runShardToCompletion(
+        cfg, 0, clean_store, 1, false, count, nullptr, nullptr);
+    const int slices = beats / 2;
+    ASSERT_GE(slices, 3);
 
-    SupervisorOptions opts;
-    opts.store_dir = freshDir(faultKindName(kind));
-    opts.checkpoint_every_tasks = 2;
-    opts.max_retries = 2;
-    opts.paranoia = true;
-
-    FaultPlan plan;
-    plan.faults.push_back({0, kind, 2});
-
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch({cfg}, opts, plan);
-    ASSERT_EQ(batch.shards.size(), 1u);
-    const ShardOutcome &shard = batch.shards[0];
-    ASSERT_TRUE(batch.allOk())
-        << "shard degraded under " << faultKindName(kind);
-    EXPECT_GE(shard.retries, 1) << "the fault never fired";
-    EXPECT_GE(shard.recoveries, 1u)
-        << "recovery never resumed from a persisted checkpoint";
-    EXPECT_EQ(firstDifference(direct, shard.result), "");
-}
-
-TEST(FaultInjection, CrashAtCheckpointRecoversBitExact)
-{
-    recoveryParity(FaultKind::CrashAtCheckpoint);
-}
-
-TEST(FaultInjection, BitFlipRecoversBitExact)
-{
-    recoveryParity(FaultKind::BitFlip);
-}
-
-TEST(FaultInjection, TruncateRecoversBitExact)
-{
-    recoveryParity(FaultKind::Truncate);
-}
-
-TEST(FaultInjection, WorkerExceptionRecoversBitExact)
-{
-    recoveryParity(FaultKind::WorkerException);
-}
-
-TEST(FaultInjection, MultiShardRandomizedPlanStaysBitExact)
-{
-    // A seed-derived plan hits every shard once; all recover and all
-    // match their uninterrupted twins.
-    std::vector<ScenarioConfig> shards;
-    for (std::uint64_t s = 0; s < 3; ++s)
-        shards.push_back(shardScenario(100 + s));
-
-    SupervisorOptions opts;
-    opts.store_dir = freshDir("random");
-    opts.checkpoint_every_tasks = 2;
-    opts.max_retries = 3;
-
-    const FaultPlan plan = FaultPlan::randomized(
-        0xC0FFEEu, static_cast<int>(shards.size()), 3);
-    ASSERT_EQ(plan.faults.size(), shards.size());
-
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(shards, opts, plan);
-    ASSERT_TRUE(batch.allOk());
-    for (std::size_t i = 0; i < shards.size(); ++i)
-        EXPECT_EQ(firstDifference(runScenario(shards[i]),
-                                  batch.shards[i].result),
-                  "");
-}
-
-TEST(FaultInjection, ExhaustedRetriesReportDegradedNotDropped)
-{
-    std::vector<ScenarioConfig> shards{shardScenario(5),
-                                       shardScenario(6)};
-
-    SupervisorOptions opts;
-    opts.store_dir = freshDir("degraded");
-    opts.checkpoint_every_tasks = 2;
-    opts.max_retries = 0; // one attempt: the injected fault is fatal
-
-    FaultPlan plan;
-    plan.faults.push_back({0, FaultKind::WorkerException, 1});
-
-    const SupervisedBatchResult batch =
-        runSupervisedScenarioBatch(shards, opts, plan);
-    ASSERT_EQ(batch.shards.size(), 2u);
-    EXPECT_FALSE(batch.allOk());
-
-    const ShardOutcome &failed = batch.shards[0];
-    EXPECT_TRUE(failed.degraded);
-    ASSERT_TRUE(failed.error != nullptr);
-    try {
-        std::rethrow_exception(failed.error);
-        FAIL() << "degraded shard carried no exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("injected"),
-                  std::string::npos);
-    }
-
-    // The healthy shard is unaffected by its neighbour's failure.
-    EXPECT_FALSE(batch.shards[1].degraded);
-    EXPECT_EQ(firstDifference(runScenario(shards[1]),
-                              batch.shards[1].result),
-              "");
-}
-
-TEST(FaultInjection, InterruptedBatchResumesFromTheStore)
-{
-    // Kill a batch externally (simulated by a fatal first run), then
-    // rerun the supervisor over the same store: the second run picks
-    // up the persisted shard checkpoints instead of starting over,
-    // and still matches the uninterrupted result.
-    const ScenarioConfig cfg = shardScenario(21);
-    SupervisorOptions opts;
-    opts.store_dir = freshDir("rerun");
-    opts.checkpoint_every_tasks = 2;
-    opts.max_retries = 0;
-
-    FaultPlan crash;
-    crash.faults.push_back({0, FaultKind::WorkerException, 2});
-    const SupervisedBatchResult first =
-        runSupervisedScenarioBatch({cfg}, opts, crash);
-    ASSERT_TRUE(first.shards[0].degraded);
-
-    const SupervisedBatchResult second =
-        runSupervisedScenarioBatch({cfg}, opts, FaultPlan{});
-    ASSERT_TRUE(second.allOk());
-    EXPECT_GE(second.shards[0].recoveries, 1u);
-    EXPECT_EQ(firstDifference(runScenario(cfg), second.shards[0].result), "");
+    // Fault the shard at checkpoint 2, then rerun it over the same
+    // store: it must finish bit-equal, running only the slices after
+    // the checkpoint it recovered.
+    const auto slicesAfterFault = [&](FaultKind kind) {
+        CheckpointStore store(freshDir(faultKindName(kind)));
+        const ShardPersistHook fault = [&](std::uint64_t seq) {
+            if (seq != 2)
+                return;
+            if (kind == FaultKind::BitFlip)
+                faultFlipBitInFile(store.checkpointPath(0, seq));
+            if (kind == FaultKind::Truncate)
+                faultTruncateFile(store.checkpointPath(0, seq));
+            throw std::runtime_error("injected fault");
+        };
+        const bool before = kind == FaultKind::CrashAtCheckpoint;
+        EXPECT_THROW(runShardToCompletion(cfg, 0, store, 1, true, nullptr,
+                                          before ? fault : nullptr,
+                                          before ? nullptr : fault),
+                     std::runtime_error);
+        beats = 0;
+        EXPECT_TRUE(runShardToCompletion(cfg, 0, store, 1, true, count,
+                                         nullptr, nullptr) == clean)
+            << faultKindName(kind);
+        return beats / 2;
+    };
+    // A crash before checkpoint 2 persists leaves checkpoint 1 newest.
+    EXPECT_EQ(slicesAfterFault(FaultKind::CrashAtCheckpoint), slices - 1);
+    // A corrupt checkpoint 2 is rejected for its predecessor.
+    EXPECT_EQ(slicesAfterFault(FaultKind::BitFlip), slices - 1);
+    EXPECT_EQ(slicesAfterFault(FaultKind::Truncate), slices - 1);
+    // A failure after checkpoint 2 persists resumes from it.
+    EXPECT_EQ(slicesAfterFault(FaultKind::WorkerException), slices - 2);
 }
 
 TEST(FaultInjection, DueFaultFiresOnItsSideOfThePersistOnce)
 {
-    // Both transports' hooks share this lookup: a crash and a bit flip
-    // due at the same checkpoint fire on their own side of the persist,
-    // each once; other shards and checkpoints are not due.
+    // The worker's persist hooks share this lookup: a crash and a bit
+    // flip due at the same checkpoint fire on their own side of the
+    // persist, each once; other shards and checkpoints are not due.
     FaultPlan plan;
     plan.faults.push_back({0, FaultKind::BitFlip, 1});
     plan.faults.push_back({0, FaultKind::CrashAtCheckpoint, 1});
@@ -198,6 +118,43 @@ TEST(FaultInjection, DueFaultFiresOnItsSideOfThePersistOnce)
     EXPECT_EQ(plan.fireDue(fired, 0, 1, false), -1);
     EXPECT_EQ(fired, (std::vector<bool>{true, true, false}));
     EXPECT_EQ(plan.fireDue(fired, 1, 1, false), 2);
+}
+
+TEST(FaultInjection, RandomizedPlanIsSeedDeterministic)
+{
+    // Equal seeds draw equal plans; each plan hits every shard once at
+    // a checkpoint in [1, max_seq]; across seeds every kind is drawn.
+    std::set<FaultKind> kinds;
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+        const FaultPlan plan = FaultPlan::randomized(seed, 8, 3);
+        const FaultPlan again = FaultPlan::randomized(seed, 8, 3);
+        ASSERT_EQ(plan.faults.size(), 8u);
+        ASSERT_EQ(again.faults.size(), 8u);
+        for (std::size_t i = 0; i < plan.faults.size(); ++i) {
+            const FaultSpec &f = plan.faults[i];
+            EXPECT_EQ(f.shard, static_cast<int>(i));
+            EXPECT_GE(f.at_seq, 1u);
+            EXPECT_LE(f.at_seq, 3u);
+            EXPECT_EQ(f.kind, again.faults[i].kind);
+            EXPECT_EQ(f.at_seq, again.faults[i].at_seq);
+            kinds.insert(f.kind);
+        }
+    }
+    EXPECT_EQ(kinds.size(),
+              static_cast<std::size_t>(FaultKind::CorruptPipe) + 1);
+    // A zero bound still names a checkpoint that exists.
+    for (const FaultSpec &f : FaultPlan::randomized(5, 4, 0).faults)
+        EXPECT_EQ(f.at_seq, 1u);
+}
+
+TEST(FaultInjection, RetryBackoffDoublesPerAttempt)
+{
+    EXPECT_EQ(retryBackoffSeconds(0.01, 1), 0.01);
+    EXPECT_EQ(retryBackoffSeconds(0.01, 2), 0.02);
+    EXPECT_EQ(retryBackoffSeconds(0.01, 4), 0.08);
+    // No backoff configured, or no retry yet: no sleep.
+    EXPECT_EQ(retryBackoffSeconds(0.0, 3), 0.0);
+    EXPECT_EQ(retryBackoffSeconds(0.01, 0), 0.0);
 }
 
 } // namespace

@@ -1,28 +1,26 @@
 /**
  * @file
- * Process-level fault injection for the multi-process fleet driver
- * (sprint/fleet.hh). Headline gates:
+ * Fault injection for the multi-process fleet driver (sprint/fleet.hh),
+ * the one supervisor. Headline gates:
  *
  *  - a clean multi-process fleet run equals the in-process run
  *    bit-for-bit on every shared aggregate field and per-device
  *    checkpoint digest;
  *
- *  - for each process-level FaultKind (KillWorker / StallWorker /
- *    CorruptPipe), a run whose worker is killed, stalls, or corrupts
- *    its pipe — and is then respawned from persisted checkpoints —
- *    equals the uninterrupted run bit-for-bit;
+ *  - for every FaultKind, a run whose worker crashes, corrupts its
+ *    newest checkpoint, fails, is killed, stalls, or corrupts its
+ *    pipe — and is then respawned from persisted checkpoints — equals
+ *    the uninterrupted run bit-for-bit;
  *
- *  - a seed-randomized multi-shard process plan stays bit-exact;
+ *  - a seed-randomized multi-shard plan stays bit-exact;
  *
  *  - a range that exhausts its respawns degrades instead of dropping:
  *    devices whose final checkpoints were already reaped still count,
- *    each once, even when a respawned worker re-sent them;
+ *    each once, even when a respawned worker re-sent them, and the
+ *    other ranges are untouched;
  *
  *  - a worker that exits 0 without delivering its devices is a failure,
  *    not a finished range.
- *
- * The thread supervisor must reject process-level kinds (it has no
- * process to kill or respawn).
  */
 
 #include <gtest/gtest.h>
@@ -96,19 +94,6 @@ workerErrors(const FleetResult &res)
     return out;
 }
 
-void
-expectFleetsBitEqual(const FleetResult &a, const FleetResult &b)
-{
-    EXPECT_EQ(firstDifference(a.aggregates, b.aggregates), "");
-    ASSERT_EQ(a.devices.size(), b.devices.size());
-    for (std::size_t d = 0; d < a.devices.size(); ++d) {
-        EXPECT_EQ(a.devices[d].completed, b.devices[d].completed);
-        EXPECT_EQ(a.devices[d].checkpoint_digest,
-                  b.devices[d].checkpoint_digest)
-            << "device " << d;
-    }
-}
-
 TEST(FleetFault, MultiProcessMatchesInProcessBitExact)
 {
     const FleetSpec spec = faultFleet(51);
@@ -122,14 +107,18 @@ TEST(FleetFault, MultiProcessMatchesInProcessBitExact)
         runFleetMultiProcess(spec, fleetOptions("ffmp"));
     ASSERT_TRUE(ip.allOk()) << workerErrors(ip);
     ASSERT_TRUE(mp.allOk()) << workerErrors(mp);
-    expectFleetsBitEqual(ip, mp);
+    EXPECT_EQ(firstDifference(ip, mp), "");
     for (const FleetWorkerStats &w : mp.workers)
         EXPECT_EQ(w.respawns, 0) << w.last_error;
 }
 
-/** Recovered-equals-uninterrupted for one process-level fault kind. */
+/**
+ * Recovered-equals-uninterrupted for one fault kind, fired on device
+ * 1 at checkpoint @p at_seq, with every persisted checkpoint audited
+ * (paranoia).
+ */
 void
-processRecoveryParity(FaultKind kind)
+processRecoveryParity(FaultKind kind, std::uint64_t at_seq = 1)
 {
     const FleetSpec spec = faultFleet(77);
 
@@ -138,11 +127,12 @@ processRecoveryParity(FaultKind kind)
     ASSERT_TRUE(clean.allOk());
 
     FleetOptions opts = fleetOptions(faultKindName(kind));
+    opts.paranoia = true;
     if (kind == FaultKind::StallWorker)
         opts.watchdog_deadline = 0.3; // seconds; slices run in ms
 
     FaultPlan plan;
-    plan.faults.push_back({1, kind, 1});
+    plan.faults.push_back({1, kind, at_seq});
     const FleetResult faulted = runFleetMultiProcess(spec, opts, plan);
     ASSERT_TRUE(faulted.allOk())
         << "range degraded under " << faultKindName(kind) << ": "
@@ -153,12 +143,34 @@ processRecoveryParity(FaultKind kind)
         respawns += w.respawns;
     EXPECT_GE(respawns, 1) << "the fault never fired";
 
-    expectFleetsBitEqual(clean, faulted);
+    EXPECT_EQ(firstDifference(clean, faulted), "");
 
     // And against the in-process run, closing the triangle.
     const FleetResult ip =
         runFleetInProcess(spec, fleetOptions("tri"));
-    expectFleetsBitEqual(ip, faulted);
+    EXPECT_EQ(firstDifference(ip, faulted), "");
+}
+
+// These fire at checkpoint 2, so a bit-flipped or truncated newest
+// checkpoint leaves a predecessor for recovery to fall back to.
+TEST(FleetFault, CrashAtCheckpointRecoversBitExact)
+{
+    processRecoveryParity(FaultKind::CrashAtCheckpoint, 2);
+}
+
+TEST(FleetFault, BitFlipRecoversBitExact)
+{
+    processRecoveryParity(FaultKind::BitFlip, 2);
+}
+
+TEST(FleetFault, TruncateRecoversBitExact)
+{
+    processRecoveryParity(FaultKind::Truncate, 2);
+}
+
+TEST(FleetFault, WorkerExceptionRecoversBitExact)
+{
+    processRecoveryParity(FaultKind::WorkerException, 2);
 }
 
 TEST(FleetFault, KillWorkerRecoversBitExact)
@@ -188,13 +200,13 @@ TEST(FleetFault, RandomizedMultiShardProcessPlanStaysBitExact)
     opts.max_retries = 6; // every device draws one fault
     opts.watchdog_deadline = 0.5;
     const FaultPlan plan =
-        FaultPlan::randomizedProcess(0xF1EE7u, spec.num_devices, 2);
+        FaultPlan::randomized(0xF1EE7u, spec.num_devices, 2);
     ASSERT_EQ(plan.faults.size(),
               static_cast<std::size_t>(spec.num_devices));
 
     const FleetResult faulted = runFleetMultiProcess(spec, opts, plan);
     ASSERT_TRUE(faulted.allOk());
-    expectFleetsBitEqual(clean, faulted);
+    EXPECT_EQ(firstDifference(clean, faulted), "");
 }
 
 TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
@@ -243,6 +255,42 @@ TEST(FleetFault, ExhaustedRespawnsDegradeNotDrop)
     EXPECT_EQ(rerun.aggregates.degraded_devices, 0u);
     EXPECT_EQ(rerun.devices[0].checkpoint_digest,
               res.devices[0].checkpoint_digest);
+}
+
+TEST(FleetFault, DegradedRangeLeavesTheOtherRangeExact)
+{
+    const FleetSpec spec = faultFleet(33);
+    const FleetResult clean =
+        runFleetInProcess(spec, fleetOptions("okclean"));
+    ASSERT_TRUE(clean.allOk()) << workerErrors(clean);
+
+    FleetOptions opts = fleetOptions("okdegraded");
+    opts.max_retries = 0; // one attempt: the injected fault is fatal
+
+    FaultPlan plan;
+    plan.faults.push_back({0, FaultKind::WorkerException, 1});
+
+    const FleetResult res = runFleetMultiProcess(spec, opts, plan);
+    EXPECT_FALSE(res.allOk());
+    ASSERT_EQ(res.workers.size(), 2u);
+
+    // The failed range keeps the worker's own error message.
+    EXPECT_TRUE(res.workers[0].degraded);
+    EXPECT_NE(res.workers[0].last_error.find("injected"),
+              std::string::npos)
+        << res.workers[0].last_error;
+
+    // The healthy range is unaffected by its neighbour's failure.
+    EXPECT_FALSE(res.workers[1].degraded) << res.workers[1].last_error;
+    EXPECT_EQ(res.workers[1].respawns, 0);
+    for (int d = res.workers[1].range_begin; d < res.workers[1].range_end;
+         ++d) {
+        const auto i = static_cast<std::size_t>(d);
+        EXPECT_TRUE(res.devices[i].completed) << "device " << d;
+        EXPECT_EQ(res.devices[i].checkpoint_digest,
+                  clean.devices[i].checkpoint_digest)
+            << "device " << d;
+    }
 }
 
 TEST(FleetFault, RespawnedThenDegradedRangeFoldsEachDeviceOnce)
@@ -323,20 +371,6 @@ TEST(FleetFault, CleanExitWithoutDevicesIsNotCompletion)
     EXPECT_EQ(res.aggregates.tasks_completed, 0u);
     for (const FleetDeviceOutcome &d : res.devices)
         EXPECT_FALSE(d.completed);
-}
-
-TEST(FleetFault, ThreadTransportRejectsProcessKinds)
-{
-    const FleetSpec spec = faultFleet(12);
-    FaultPlan plan;
-    plan.faults.push_back({0, FaultKind::KillWorker, 1});
-    try {
-        runSupervisedScenarioBatch({fleetDeviceConfig(spec, 0)},
-                                   fleetOptions("reject"), plan);
-        FAIL() << "process-level fault accepted by the thread transport";
-    } catch (const CheckpointError &e) {
-        EXPECT_EQ(e.kind(), CheckpointError::Kind::Unsupported);
-    }
 }
 
 TEST(FleetFault, MissingWorkerBinaryFailsWithIoError)

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -684,14 +685,45 @@ TEST(FleetOptionsCheck, ZeroCheckpointCadenceIsRejected)
     EXPECT_THROW(runFleetMultiProcess(spec, opts), std::invalid_argument);
     // Rejected before the spec file is written or a worker spawned.
     EXPECT_FALSE(std::filesystem::exists(opts.store_dir + "/fleet.spec"));
+}
 
-    SupervisorOptions sopts;
-    sopts.checkpoint_every_tasks = 0;
-    sopts.store_dir = opts.store_dir;
-    EXPECT_THROW(runSupervisedScenarioBatch({fleetDeviceConfig(spec, 0)},
-                                            sopts),
-                 std::invalid_argument);
-    EXPECT_TRUE(std::filesystem::is_empty(opts.store_dir));
+TEST(FleetOptionsCheck, BrokenSupervisionValuesAreRejected)
+{
+    // Each value would break the process parent: a negative retry
+    // budget acts like zero, an infinite backoff sleeps forever, a NaN
+    // watchdog deadline never fires on a stalled worker, and a
+    // non-positive one kills every worker on its first poll.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+    using Set = void (*)(FleetOptions &);
+    const std::pair<const char *, Set> cases[] = {
+        {"max_retries = -1", [](FleetOptions &o) { o.max_retries = -1; }},
+        {"backoff_initial = -0.5",
+         [](FleetOptions &o) { o.backoff_initial = -0.5; }},
+        {"backoff_initial = inf",
+         [](FleetOptions &o) { o.backoff_initial = kInf; }},
+        {"backoff_initial = nan",
+         [](FleetOptions &o) { o.backoff_initial = kNan; }},
+        {"watchdog_deadline = nan",
+         [](FleetOptions &o) { o.watchdog_deadline = kNan; }},
+        {"watchdog_deadline = 0",
+         [](FleetOptions &o) { o.watchdog_deadline = 0.0; }},
+        {"watchdog_deadline = -1",
+         [](FleetOptions &o) { o.watchdog_deadline = -1.0; }},
+        {"watchdog_deadline = inf",
+         [](FleetOptions &o) { o.watchdog_deadline = kInf; }},
+    };
+    const FleetSpec spec = smallFleet(3, 2);
+    for (const auto &[what, set] : cases) {
+        SCOPED_TRACE(what);
+        FleetOptions opts;
+        opts.store_dir = freshDir("fleet-knobs");
+        set(opts);
+        EXPECT_THROW(runFleetInProcess(spec, opts), std::invalid_argument);
+        EXPECT_THROW(runFleetMultiProcess(spec, opts),
+                     std::invalid_argument);
+        EXPECT_TRUE(std::filesystem::is_empty(opts.store_dir));
+    }
 }
 
 } // namespace

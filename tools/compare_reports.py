@@ -30,7 +30,7 @@ TIMING = {
     "csprint-surrogate-bench-v1": [
         r"fleet_train\.(exact|auto)_(steady_s|tasks_per_sec)",
         r"fleet_train\.speedup"],
-    "csprint-faultinject-bench-v1": [
+    "csprint-faultinject-bench-v2": [
         r"checkpoint_perf\.(serialize|deserialize)_mb_per_s"],
     "csprint-fleet-bench-v2": [
         r"throughput\.(inproc_devices_per_s|mp_devices_per_s"
