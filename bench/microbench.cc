@@ -201,6 +201,38 @@ BM_MachineRunParallel16(benchmark::State &state)
 BENCHMARK(BM_MachineRunParallel16)->Arg(0)->Arg(1)->Unit(
     benchmark::kMillisecond);
 
+/**
+ * The fleet's machine shape: a cold 4- or 8-core machine running a
+ * size-A sobel (arg 1 = 0) or kmeans (1) with a sample hook every 1000
+ * cycles, as a fleet device's coupled loop installs, so the multi-core
+ * stride path and its sample-boundary commits carry the cost. Items
+ * are retired ops, so the rate reads as ns per op.
+ */
+void
+BM_MachineRunFleetShape(benchmark::State &state)
+{
+    const int cores = static_cast<int>(state.range(0));
+    const KernelId kernel =
+        state.range(1) == 0 ? KernelId::Sobel : KernelId::Kmeans;
+    const ParallelProgram prog = buildKernelProgram(kernel, InputSize::A);
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        MachineConfig cfg;
+        cfg.num_cores = cores;
+        cfg.num_threads = cores;
+        Machine m(cfg, prog);
+        m.setSampleHook([](Machine &, Seconds, Joules) {}, 1000);
+        m.run();
+        benchmark::DoNotOptimize(m.stats().cycles);
+        ops += m.stats().ops_retired;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+    state.SetLabel(kernelName(kernel));
+}
+BENCHMARK(BM_MachineRunFleetShape)
+    ->ArgsProduct({{4, 8}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 void
 BM_MachineSobel(benchmark::State &state)
 {

@@ -18,7 +18,9 @@
  * and accessIfPresent() is the simulation hot path — a hit-only probe
  * (with a one-entry MRU shortcut) that performs exactly the recency,
  * dirty-bit, and counter updates of a hitting access() and touches
- * nothing on a miss or an S->M upgrade.
+ * nothing on a miss or an S->M upgrade. The machine's stride probe
+ * looks hits up ahead of time through a read-only HitProbe and later
+ * replays them with commitHits()/countHits().
  */
 
 #ifndef CSPRINT_ARCHSIM_CACHE_HH
@@ -53,6 +55,20 @@ struct CacheAccessResult
 /** Set-associative LRU tag array (at most 16 ways). */
 class Cache
 {
+  private:
+    /**
+     * Per-set packed metadata: `order` lists way indices as nibbles,
+     * most-recently-used in bits [0, 4); `valid`/`dirty` are way
+     * bitmasks.
+     */
+    struct SetMeta
+    {
+        std::uint64_t order = 0;
+        std::uint16_t valid = 0;
+        std::uint16_t dirty = 0;
+        std::uint32_t pad = 0;
+    };
+
   public:
     /** Sentinel returned by findSlot() when a line is absent. */
     static constexpr std::size_t kNoSlot = ~std::size_t(0);
@@ -83,50 +99,67 @@ class Cache
     /** True when @p line is present. */
     bool contains(std::uint64_t line) const;
 
-    /**
-     * Pure lookahead for the machine's stride probe: true when an
-     * access of @p line would be a local one-cycle hit (present, and
-     * for a write already dirty). Touches nothing — presence and
-     * dirtiness do not depend on recency, so the answer stays valid
-     * until this cache is mutated by a fill, eviction, coherence
-     * action, or flush.
-     */
-    bool wouldHit(std::uint64_t line, bool write) const
-    {
-        return hitWay(line, write) >= 0;
-    }
-
-    /**
-     * Way that a local one-cycle hit of @p line would use (see
-     * wouldHit()), or -1. Pure lookahead for the stride probe; the
-     * answer and the way stay valid until this cache is mutated.
-     */
-    int hitWay(std::uint64_t line, bool write) const
-    {
-        const std::size_t set = line & (sets - 1);
-        const int way = findWay(set, line);
-        if (way < 0 || (write && !((meta[set].dirty >> way) & 1u)))
-            return -1;
-        return way;
-    }
-
-    /** Bits reserved for the way in a packHit() entry (assoc <= 16). */
+    /** Bits reserved for the way in a hit entry (assoc <= 16). */
     static constexpr int kWayBits = 4;
 
     /**
-     * Pack a probed hit's (set, way) into the single word
-     * commitHits() replays — the shared encoding between the stride
-     * probe's memo queue (Machine's probe_mem) and the replay here.
+     * Read-only lookahead for the machine's stride probe, with the
+     * geometry and the tag/metadata pointers copied out so a loop can
+     * keep them in registers (its own stores cannot make the compiler
+     * reload them). Valid until this cache is mutated by a fill,
+     * eviction, coherence action, or flush; presence and dirtiness do
+     * not depend on recency, so hits in between leave it valid.
      */
-    static std::uint32_t packHit(std::uint64_t set, int way)
+    class HitProbe
     {
-        return static_cast<std::uint32_t>(
-            (set << kWayBits) |
-            (static_cast<std::uint64_t>(way) & ((1u << kWayBits) - 1)));
+      public:
+        /**
+         * The hit entry (set << kWayBits | way) that commitHits()
+         * replays for an access of @p line, when that access would be
+         * a local one-cycle hit (present, and for a write already
+         * dirty); otherwise kMiss.
+         */
+        std::uint32_t entry(std::uint64_t line, bool write) const
+        {
+            const std::uint64_t set = line & set_mask;
+            const std::uint64_t *base = tags + set * ways;
+            const SetMeta &m = meta[set];
+            for (unsigned w = 0; w < ways; ++w) {
+                if (base[w] == line && ((m.valid >> w) & 1u)) {
+                    if (write && !((m.dirty >> w) & 1u))
+                        return kMiss;
+                    return static_cast<std::uint32_t>(
+                        (set << kWayBits) | w);
+                }
+            }
+            return kMiss;
+        }
+
+        /** entry()'s "not a local hit" result (no valid entry). */
+        static constexpr std::uint32_t kMiss = ~std::uint32_t(0);
+
+      private:
+        friend class Cache;
+
+        const std::uint64_t *tags = nullptr;
+        const SetMeta *meta = nullptr;
+        std::uint64_t set_mask = 0;
+        unsigned ways = 0;
+    };
+
+    /** The lookahead view of the current contents. */
+    HitProbe hitProbe() const
+    {
+        HitProbe p;
+        p.tags = tags.data();
+        p.meta = meta.data();
+        p.set_mask = sets - 1;
+        p.ways = static_cast<unsigned>(ways);
+        return p;
     }
 
     /**
-     * Replay a batch of probed hits, each packed by packHit():
+     * Replay a batch of probed hits, each a HitProbe::entry():
      * exactly the recency and counter updates of hitting accesses.
      * The caller guarantees (via the stride probe) that each access
      * was a local hit at its nominal cycle and that no mutation has
@@ -141,9 +174,10 @@ class Cache
     }
 
     /**
-     * Count @p n hits that repeat the latest accessIfPresent() hit
-     * with the same line and access type. That hit left its way MRU,
-     * so a repeat changes nothing but the hit counter.
+     * Count @p n hits that repeat the latest hit (accessIfPresent()
+     * or commitHits()) on the same line, each a load or a store to a
+     * line found dirty. That hit left its way MRU, so a repeat
+     * changes nothing but the hit counter.
      */
     void countHits(std::uint64_t n) { counters.hits += n; }
 
@@ -205,19 +239,6 @@ class Cache
 
   private:
     friend struct CheckpointIO;
-
-    /**
-     * Per-set packed metadata: `order` lists way indices as nibbles,
-     * most-recently-used in bits [0, 4); `valid`/`dirty` are way
-     * bitmasks.
-     */
-    struct SetMeta
-    {
-        std::uint64_t order = 0;
-        std::uint16_t valid = 0;
-        std::uint16_t dirty = 0;
-        std::uint32_t pad = 0;
-    };
 
     /** Way holding @p line in @p set, or -1. */
     int findWay(std::size_t set, std::uint64_t line) const

@@ -20,6 +20,23 @@ constexpr std::uint64_t kBatchMaxRun = (1u << kBatchCountBits) - 1;
 static_assert(kBatchKinds * kBatchCountBits <= 64,
               "packed batch tally exceeds one word");
 
+/** One op of @p kind in a packed tally. */
+constexpr std::uint64_t
+tallyOf(OpKind kind)
+{
+    return std::uint64_t(1) << (kBatchCountBits * opKindIndex(kind));
+}
+
+/** Add the per-kind fields of the packed tally @p counts to @p dst. */
+template <typename Count>
+void
+addTally(std::uint64_t counts, std::array<Count, kNumOpKinds> &dst)
+{
+    for (std::size_t k = 0; k < kBatchKinds; ++k)
+        dst[k] += static_cast<Count>(
+            (counts >> (kBatchCountBits * k)) & kBatchMaxRun);
+}
+
 } // namespace
 
 MachineConfig
@@ -447,12 +464,9 @@ Machine::tryBatch(Core &core, Thread &thread, Cycles limit,
                 else
                     break;
             }
-            counts += std::uint64_t(1)
-                      << (kBatchCountBits * opKindIndex(kind));
+            counts += tallyOf(kind);
         }
-        for (std::size_t k = 0; k < kBatchKinds; ++k)
-            tally.ops[k] += (counts >> (kBatchCountBits * k)) &
-                            kBatchMaxRun;
+        addTally(counts, tally.ops);
         if (i < stop)
             break;
     }
@@ -486,55 +500,63 @@ Machine::probeLocalRun(Core &core, const Thread &thread, Cycles cap)
     // @p cap ops or the first stride blocker.
     if (core.probe_blocked)
         return;
-    const Cache &l1 = l1s[core.id];
-    // Hoisted bounds: walk [first, last) with one comparison per op;
+    const Cache::HitProbe l1 = l1s[core.id].hitProbe();
+    const unsigned shift = line_shift;
+    // Hoisted bounds: walk [p, goal) with one comparison per op;
     // stopping short of `goal` (for any reason other than the cap)
     // marks the blocker.
-    const MicroOp *const base = thread.buf.data();
-    const MicroOp *p = base + thread.buf_pos + core.probe_local;
+    const MicroOp *const base = thread.buf.data() + thread.buf_pos;
+    const std::size_t avail = thread.buf_len - thread.buf_pos;
     const std::size_t want =
-        cap < static_cast<Cycles>(thread.buf_len - thread.buf_pos)
-            ? static_cast<std::size_t>(cap)
-            : thread.buf_len - thread.buf_pos;
-    const MicroOp *const goal = base + thread.buf_pos + want;
-    const bool hit_buffer_end = want < cap;
-    if (core.probe_mem.capacity() < thread.buf_len)
-        core.probe_mem.reserve(thread.buf_len);
-    const std::uint64_t set_mask = l1.numSets() - 1;
-    // Same-line memo: back-to-back accesses to one line are the
-    // common pattern (stencil neighbours), and presence/dirtiness
-    // cannot change inside a verified-local run.
+        cap < avail ? static_cast<std::size_t>(cap) : avail;
+    const MicroOp *p = base + core.probe_local;
+    const MicroOp *const goal = base + want;
+    if (core.probe_mem.size() < thread.buf_len)
+        core.probe_mem.resize(thread.buf_len);
+    std::uint32_t *const mem = core.probe_mem.data();
+    std::uint32_t *out = mem + core.probe_mem_len;
+    std::uint64_t last_line = core.probe_line;
+    // (line << 1 | store) of the last memory op verified in this
+    // call: back-to-back accesses to one line are the common pattern
+    // (stencil neighbours), and presence/dirtiness cannot change
+    // inside a verified-local run. A store after loads of a clean
+    // line changes the key, so its lookup still finds the upgrade.
     std::uint64_t memo_key = ~std::uint64_t(0);
-    std::uint32_t memo_entry = 0;
-    bool memo_ok = false;
     while (p != goal) {
-        const OpKind kind = p->kind();
-        if (isComputeOp(kind)) {
-            ++core.probe_counts[opKindIndex(kind)];
-            ++p;
-            continue;
+        const MicroOp *const stop =
+            goal - p > static_cast<std::ptrdiff_t>(kBatchMaxRun)
+                ? p + kBatchMaxRun
+                : goal;
+        std::uint64_t counts = 0;
+        for (; p != stop; ++p) {
+            const OpKind kind = p->kind();
+            if (!isComputeOp(kind)) {
+                if (!isMemoryOp(kind))
+                    break;
+                const bool store = kind == OpKind::Store;
+                const std::uint64_t line = p->addr() >> shift;
+                const std::uint64_t key = (line << 1) | store;
+                if (key != memo_key) {
+                    const std::uint32_t entry = l1.entry(line, store);
+                    if (entry == Cache::HitProbe::kMiss)
+                        break;
+                    memo_key = key;
+                    if (line != last_line) {
+                        *out++ = entry;
+                        last_line = line;
+                    }
+                }
+            }
+            counts += tallyOf(kind);
         }
-        if (!isMemoryOp(kind))
+        addTally(counts, core.probe_counts);
+        if (p != stop)
             break;
-        const std::uint64_t line = p->addr() >> line_shift;
-        const std::uint64_t key =
-            (line << 1) | (kind == OpKind::Store);
-        if (key != memo_key) {
-            memo_key = key;
-            const int way = l1.hitWay(line, kind == OpKind::Store);
-            memo_ok = way >= 0;
-            memo_entry = Cache::packHit(line & set_mask, way);
-        }
-        if (!memo_ok)
-            break;
-        core.probe_mem.push_back(memo_entry);
-        ++core.probe_counts[opKindIndex(kind)];
-        ++p;
     }
-    const std::uint32_t n = static_cast<std::uint32_t>(
-        p - (base + thread.buf_pos));
-    core.probe_local = n;
-    core.probe_blocked = (p != goal) || hit_buffer_end;
+    core.probe_mem_len = static_cast<std::uint32_t>(out - mem);
+    core.probe_line = last_line;
+    core.probe_local = static_cast<std::uint32_t>(p - base);
+    core.probe_blocked = p != goal || want < cap;
 }
 
 Cycles
@@ -571,8 +593,10 @@ Machine::resetProbe(Core &core)
     core.probe_local = 0;
     core.probe_blocked = false;
     core.probe_counts.fill(0);
-    core.probe_mem.clear();
     core.probe_mem_pos = 0;
+    core.probe_mem_len = 0;
+    core.probe_line = kNoLine;
+    core.commit_line = kNoLine;
 }
 
 void
@@ -794,44 +818,60 @@ Machine::commitRun(Core &core, Cycles from, Cycles k)
     // Replay @p k stride-verified local ops of the core's current
     // thread, occupying cycles [from, from + k). The probe guarantees
     // each replays as a one-cycle local op, and recorded the hit way
-    // of every memory op, so no lookup happens here.
+    // at each line change, so no lookup happens here.
     SPRINT_ASSERT(k <= core.probe_local,
                   "stride commit exceeds its probe");
     Thread &thread = threads[core.current];
-    Cache &l1 = l1s[core.id];
+    const std::uint32_t *const entries =
+        core.probe_mem.data() + core.probe_mem_pos;
+    std::uint32_t used = 0;        // entries replayed
+    std::uint64_t mem_ops = 0;     // memory ops committed
+    constexpr std::size_t kLoad = opKindIndex(OpKind::Load);
+    constexpr std::size_t kStore = opKindIndex(OpKind::Store);
     if (k == core.probe_local) {
         // Full-run commit (the common case: the core reached its own
-        // blocker): apply the aggregated counts and replay the packed
-        // hit list without touching the op array.
-        for (std::size_t kd = 0; kd < kNumOpKinds; ++kd) {
+        // blocker): apply the aggregated counts and replay every
+        // queued entry without touching the op array.
+        mem_ops = core.probe_counts[kLoad] + core.probe_counts[kStore];
+        for (std::size_t kd = 0; kd < kBatchKinds; ++kd) {
             tally.ops[kd] += core.probe_counts[kd];
             core.probe_counts[kd] = 0;
         }
-        l1.commitHits(core.probe_mem.data() + core.probe_mem_pos,
-                      core.probe_mem.size() - core.probe_mem_pos);
-        core.probe_mem.clear();
+        used = core.probe_mem_len - core.probe_mem_pos;
         core.probe_mem_pos = 0;
-        thread.buf_pos += static_cast<std::size_t>(k);
-        core.probe_local = 0;
+        core.probe_mem_len = 0;
+        core.commit_line = core.probe_line;
     } else {
-        // Partial commit (horizon or mutation truncation): walk the
-        // prefix, consuming the packed list in step.
-        const MicroOp *ops = thread.buf.data();
-        std::size_t i = thread.buf_pos;
-        const std::size_t end = i + static_cast<std::size_t>(k);
-        std::uint32_t mem_n = 0;
-        for (; i != end; ++i) {
-            const std::size_t kd = opKindIndex(ops[i].kind());
-            ++tally.ops[kd];
-            --core.probe_counts[kd];
-            mem_n += isMemoryOp(ops[i].kind());
+        // Partial commit (a coherence action truncates the run): walk
+        // the prefix; a memory op consumes the next entry exactly
+        // where the probe queued one, at a change of line.
+        const unsigned shift = line_shift;
+        const MicroOp *p = thread.buf.data() + thread.buf_pos;
+        const MicroOp *const end = p + k;
+        std::uint64_t last_line = core.commit_line;
+        std::array<std::uint32_t, kNumOpKinds> n{};
+        for (; p != end; ++p) {
+            const OpKind kind = p->kind();
+            ++n[opKindIndex(kind)];
+            if (isMemoryOp(kind)) {
+                const std::uint64_t line = p->addr() >> shift;
+                used += line != last_line;
+                last_line = line;
+            }
         }
-        l1.commitHits(core.probe_mem.data() + core.probe_mem_pos,
-                      mem_n);
-        core.probe_mem_pos += mem_n;
-        thread.buf_pos = end;
-        core.probe_local -= static_cast<std::uint32_t>(k);
+        mem_ops = n[kLoad] + n[kStore];
+        for (std::size_t kd = 0; kd < kBatchKinds; ++kd) {
+            tally.ops[kd] += n[kd];
+            core.probe_counts[kd] -= n[kd];
+        }
+        core.probe_mem_pos += used;
+        core.commit_line = last_line;
     }
+    Cache &l1 = l1s[core.id];
+    l1.commitHits(entries, used);
+    l1.countHits(mem_ops - used);
+    thread.buf_pos += static_cast<std::size_t>(k);
+    core.probe_local -= static_cast<std::uint32_t>(k);
     core.busy_until = from + k;
     next_event[core.id] = from + k;
 }
@@ -888,7 +928,12 @@ Machine::runEventLoop()
             if (qe[c] - t < cap)
                 cap = qe[c] - t;
             if (!core.probe_blocked && core.probe_local < cap) {
-                probeLocalRun(core, threads[core.current], cap);
+                // Probe the whole run at once, up to the core's own
+                // blocker: only the sample boundary and the preemption
+                // point bound it, not the current horizon, so a later
+                // scan rarely has to probe this run again.
+                probeLocalRun(core, threads[core.current],
+                              std::min(next_sample_at, qe[c]) - t);
                 reach[c] = t + core.probe_local;
             }
             const Cycles run = std::min<Cycles>(core.probe_local, cap);

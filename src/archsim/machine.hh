@@ -190,6 +190,12 @@ class Machine
     const MemoryStats &memoryStats() const { return memory->stats(); }
     const MachineConfig &config() const { return cfg; }
 
+    /** Event counters of core @p core's private L1. */
+    const CacheStats &l1Stats(int core) const
+    {
+        return l1s[static_cast<std::size_t>(core)].stats();
+    }
+
     /**
      * The machine's DRAM model; test hook for inspecting channel
      * occupancy around warmStartFrom's adoptChannelState carry.
@@ -210,6 +216,9 @@ class Machine
 
     /** "No pending wake-up" sentinel for next-event times. */
     static constexpr Cycles kNever = ~Cycles(0);
+
+    /** "No memory op yet" sentinel for the stride probe's lines. */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t(0);
 
     struct Thread
     {
@@ -252,15 +261,28 @@ class Machine
         // L1 only); probe_blocked marks the op after them as a
         // verified stride blocker (global op or buffer end). Cleared
         // whenever this core ticks or its L1 is externally mutated.
-        // probe_counts aggregates the probed ops per kind and
-        // probe_mem queues each probed memory op's (set << 4 | way),
-        // so a full-run commit applies counts wholesale and replays
-        // hits from the packed list without re-walking the ops.
+        // probe_counts aggregates the probed ops per kind.
+        // probe_mem[probe_mem_pos, probe_mem_len) queues one hit entry
+        // (set << 4 | way) per change of line among the probed memory
+        // ops: an op on the line of the memory op before it finds
+        // that way MRU already, so replaying it only counts a hit.
+        // A full-run commit therefore applies the counts wholesale
+        // and replays the entries without re-walking the ops; a
+        // partial commit re-walks its prefix and consumes an entry at
+        // each line change. probe_line and commit_line hold the line
+        // of the last probed and the last committed memory op
+        // (kNoLine after a reset, which clears both with the probe),
+        // so the two walks see the same line changes. probe_mem is
+        // sized once to the op window; the probe writes it through a
+        // cursor.
         std::uint32_t probe_local = 0;
         bool probe_blocked = false;
         std::array<std::uint32_t, kNumOpKinds> probe_counts{};
         std::vector<std::uint32_t> probe_mem;
         std::uint32_t probe_mem_pos = 0;
+        std::uint32_t probe_mem_len = 0;
+        std::uint64_t probe_line = kNoLine;
+        std::uint64_t commit_line = kNoLine;
     };
 
     struct LockState

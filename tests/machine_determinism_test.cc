@@ -32,6 +32,7 @@ struct RunCapture
     MachineStats machine;
     L2Stats l2;
     MemoryStats memory;
+    std::vector<CacheStats> l1;  ///< per core
     int active_cores = 0;
     std::vector<std::pair<Seconds, Joules>> samples;
 };
@@ -63,6 +64,18 @@ expectIdentical(const RunCapture &ref, const RunCapture &ev)
     EXPECT_EQ(ref.memory.writebacks, ev.memory.writebacks);
     EXPECT_EQ(ref.memory.queued_cycles, ev.memory.queued_cycles);
     EXPECT_EQ(ref.active_cores, ev.active_cores);
+
+    ASSERT_EQ(ref.l1.size(), ev.l1.size());
+    for (std::size_t c = 0; c < ref.l1.size(); ++c) {
+        EXPECT_EQ(ref.l1[c].hits, ev.l1[c].hits) << "L1 of core " << c;
+        EXPECT_EQ(ref.l1[c].misses, ev.l1[c].misses) << "L1 of core " << c;
+        EXPECT_EQ(ref.l1[c].evictions, ev.l1[c].evictions)
+            << "L1 of core " << c;
+        EXPECT_EQ(ref.l1[c].dirty_evictions, ev.l1[c].dirty_evictions)
+            << "L1 of core " << c;
+        EXPECT_EQ(ref.l1[c].invalidations, ev.l1[c].invalidations)
+            << "L1 of core " << c;
+    }
 
     ASSERT_EQ(ref.samples.size(), ev.samples.size());
     for (std::size_t i = 0; i < ref.samples.size(); ++i) {
@@ -99,6 +112,8 @@ runOnce(MachineLoop loop, const std::function<ParallelProgram()> &make,
     capture.machine = machine.stats();
     capture.l2 = machine.l2Stats();
     capture.memory = machine.memoryStats();
+    for (int c = 0; c < cfg.num_cores; ++c)
+        capture.l1.push_back(machine.l1Stats(c));
     capture.active_cores = machine.activeCores();
     return capture;
 }
@@ -395,6 +410,241 @@ TEST(MachineDeterminism, SingleCoreSameLineRunsBatchExactly)
     expectLoopsAgree(make, cfgOf(1, 1), recordingHook);
     const RunCapture ev = expectLoopsAgree(make, cfgOf(1, 1));
     EXPECT_GT(ev.machine.l1_hits, 2u * 6u * 4000u);
+}
+
+/** Sets of the default L1 (32 KB, 8 ways, 64 B lines). */
+constexpr std::uint64_t kL1Sets = 64;
+
+/** Byte address of the line with tag @p tag in L1 set @p set. */
+std::uint64_t
+setAddr(std::uint64_t set, std::uint64_t tag)
+{
+    return (set + kL1Sets * tag) * 64;
+}
+
+/**
+ * Same-line runs over one L1 set whose misses depend on every recency
+ * update of the multi-core stride path. A model of the set's LRU order
+ * picks the lines: each round touches the least recently used lines
+ * in runs of same-line ops, then loads a fresh line, which evicts the
+ * LRU line. A touch the commit drops, or replays out of order, changes
+ * which line goes, and a later round misses on a line the model
+ * keeps, so the L1 misses equal the fills (8 warm-up lines plus one
+ * per round) only when every touch lands in order. A wrong order shows
+ * only if the model touches the line the machine evicted before the
+ * model evicts it itself; rounds touch one to three lines at random, so
+ * the lines of one round reach the eviction point at varying offsets
+ * (a fixed cycle of counts evicts some of them untouched every time).
+ */
+class LruRounds
+{
+  public:
+    LruRounds(std::uint64_t set, std::uint64_t first_tag, unsigned seed)
+        : set(set), next_tag(first_tag), rng(seed)
+    {
+    }
+
+    /** Fill the set with eight lines (the first one LRU). */
+    void warm(std::vector<MicroOp> &ops)
+    {
+        for (int j = 0; j < 8; ++j)
+            fill(ops);
+    }
+
+    /**
+     * One round: one to three runs of @p run same-line ops (each a
+     * load of the line plus an ALU op), each on the LRU line at its
+     * start. With @p store, each run continues with a store to its
+     * line and @p run more ops that mix loads and stores: the store
+     * needs an S->M upgrade when the line is clean, and is a local hit
+     * of the same line when it is dirty. @p extra (may be empty) is
+     * appended between the runs and the fresh line.
+     */
+    void round(std::vector<MicroOp> &ops, int run, bool store,
+               const std::vector<MicroOp> &extra = {})
+    {
+        const int touches = 1 + static_cast<int>(rng() % 3);
+        for (int k = 0; k < touches; ++k) {
+            const std::uint64_t a = lines.front();
+            lines.erase(lines.begin());
+            lines.push_back(a);
+            for (int i = 0; i < run; ++i) {
+                ops.push_back(MicroOp::load(a + 8 * (i % 8)));
+                ops.push_back(MicroOp::intAlu());
+            }
+            if (!store)
+                continue;
+            ops.push_back(MicroOp::store(a));
+            for (int i = 0; i < run; ++i) {
+                ops.push_back(i % 3 ? MicroOp::load(a + 8 * (i % 8))
+                                    : MicroOp::store(a + 8 * (i % 8)));
+                ops.push_back(MicroOp::fpAlu());
+            }
+        }
+        ops.insert(ops.end(), extra.begin(), extra.end());
+        lines.erase(lines.begin());
+        fill(ops);
+    }
+
+    /** Reload every line the model holds (all hits when exact). */
+    void reload(std::vector<MicroOp> &ops) const
+    {
+        for (std::uint64_t a : lines)
+            ops.push_back(MicroOp::load(a));
+    }
+
+  private:
+    void fill(std::vector<MicroOp> &ops)
+    {
+        const std::uint64_t a = setAddr(set, next_tag++);
+        ops.push_back(MicroOp::load(a));
+        lines.push_back(a);
+    }
+
+    std::uint64_t set;
+    std::uint64_t next_tag;
+    std::minstd_rand rng;
+    std::vector<std::uint64_t> lines;  ///< LRU first
+};
+
+/**
+ * One static phase of @p cores tasks (one per core), task t built by
+ * @p build from its own LruRounds over set 3 + 10 t.
+ */
+ParallelProgram
+lruRoundsProgram(
+    int cores, unsigned seed,
+    const std::function<void(std::size_t, LruRounds &,
+                             std::vector<MicroOp> &)> &build)
+{
+    ParallelProgram prog("lru_rounds");
+    Phase p;
+    p.kind = PhaseKind::ParallelStatic;
+    p.num_tasks = static_cast<std::size_t>(cores);
+    p.make_task = [build, seed](std::size_t t)
+        -> std::unique_ptr<OpStream> {
+        LruRounds rounds(3 + 10 * t, 1000 * (t + 1),
+                         seed * 31 + static_cast<unsigned>(t));
+        std::vector<MicroOp> ops;
+        rounds.warm(ops);
+        build(t, rounds, ops);
+        rounds.reload(ops);
+        return std::make_unique<VectorOpStream>(std::move(ops));
+    };
+    prog.addPhase(std::move(p));
+    return prog;
+}
+
+// The three LruRounds cases below each sweep kSeeds seeds: a wrong
+// touch shows only when a later round reaches the line it moved. With
+// eight seeds, a commit that skips one hit entry, or replays one
+// twice, fails at least one of the cases.
+constexpr unsigned kSeeds = 8;
+
+TEST(MachineDeterminism, SampleBoundarySplitsSameLineRun)
+{
+    // Runs of 2 x 130 to 2 x 349 cycles cross the 1000-cycle sample
+    // boundaries at every offset. The stride probe stops at a
+    // boundary and the next probe continues the same line without a
+    // new hit entry, so the commit after the boundary must count the
+    // continuation as repeats of the line committed before it.
+    constexpr int kRounds = 60;
+    for (unsigned seed = 1; seed <= kSeeds; ++seed) {
+        auto make = [seed] {
+            return lruRoundsProgram(
+                2, seed,
+                [seed](std::size_t t, LruRounds &r,
+                       std::vector<MicroOp> &ops) {
+                    for (int i = 0; i < kRounds; ++i)
+                        r.round(ops,
+                                130 + static_cast<int>(
+                                          (i * 37 + t * 11 + seed) % 220),
+                                false);
+                });
+        };
+        SCOPED_TRACE(seed);
+        const RunCapture ev =
+            expectLoopsAgree(make, cfgOf(2, 2), recordingHook);
+        for (const CacheStats &l1 : ev.l1)
+            EXPECT_EQ(l1.misses, 8u + kRounds);
+        EXPECT_GT(ev.samples.size(), 40u);
+    }
+}
+
+TEST(MachineDeterminism, InvalidationInsideDeferredSameLineRun)
+{
+    // Core 1 reloads a shared line once per round; core 0 stores it
+    // once per round of its own, over three times as many rounds. A
+    // store that finds core 1's copy invalidates it, often while core
+    // 1 sits in a deferred same-line run, so precommitL1Targets
+    // commits a prefix of that run: the partial commit must replay
+    // exactly the entries of the line changes in the prefix, then
+    // drop the rest for re-probing.
+    constexpr int kRounds = 150;
+    const std::uint64_t shared = setAddr(60, 7);
+    for (unsigned seed = 1; seed <= kSeeds; ++seed) {
+        auto make = [shared, seed] {
+            return lruRoundsProgram(
+                2, seed,
+                [shared, seed](std::size_t t, LruRounds &r,
+                               std::vector<MicroOp> &ops) {
+                    for (int i = 0; i < (t == 0 ? 3 : 1) * kRounds; ++i) {
+                        if (t == 0) {
+                            r.round(ops,
+                                    23 + static_cast<int>(i + seed) % 17,
+                                    false, {MicroOp::store(shared)});
+                        } else {
+                            r.round(ops,
+                                    6 + static_cast<int>(i * 7 + seed) % 13,
+                                    false, {MicroOp::load(shared)});
+                        }
+                    }
+                });
+        };
+        SCOPED_TRACE(seed);
+        const RunCapture ev =
+            expectLoopsAgree(make, cfgOf(2, 2), recordingHook);
+        // The fills, plus the shared line: core 0 misses it once and
+        // then upgrades its copy; core 1 misses it cold and after each
+        // invalidation that a later reload finds.
+        EXPECT_EQ(ev.l1[0].misses, 8u + 3u * kRounds + 1u);
+        const std::uint64_t inv = ev.l1[1].invalidations;
+        EXPECT_GE(ev.l1[1].misses, 8u + kRounds + inv);
+        EXPECT_LE(ev.l1[1].misses, 8u + kRounds + inv + 1u);
+        EXPECT_GT(inv, kRounds / 2u);
+    }
+}
+
+TEST(MachineDeterminism, StoreAfterLoadsOfCleanLineEndsRun)
+{
+    // Each run loads its line and then stores to it. A line filled by
+    // a load is clean, so that store needs an S->M upgrade through
+    // the L2 and must end the stride run even though it repeats the
+    // line of the loads before it; a line stored in an earlier round
+    // is dirty, and the same store is a local hit with no new entry.
+    constexpr int kRounds = 40;
+    for (unsigned seed = 1; seed <= kSeeds; ++seed) {
+        auto make = [seed] {
+            return lruRoundsProgram(
+                2, seed,
+                [seed](std::size_t t, LruRounds &r,
+                       std::vector<MicroOp> &ops) {
+                    for (int i = 0; i < kRounds; ++i)
+                        r.round(ops,
+                                40 + static_cast<int>(
+                                         (i * 13 + t * 7 + seed) % 90),
+                                true);
+                });
+        };
+        SCOPED_TRACE(seed);
+        const RunCapture ev =
+            expectLoopsAgree(make, cfgOf(2, 2), recordingHook);
+        for (const CacheStats &l1 : ev.l1) {
+            EXPECT_EQ(l1.misses, 8u + kRounds);
+            EXPECT_GT(l1.dirty_evictions, 0u);
+        }
+        EXPECT_GT(ev.l2.hits + ev.l2.misses, 2u * (8u + kRounds));
+    }
 }
 
 /**
