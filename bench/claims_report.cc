@@ -1,0 +1,848 @@
+/**
+ * @file
+ * The paper-claims ledger, written to BENCH_claims.json (schema
+ * csprint-claims-v1 in PERF.md; what each section runs is in
+ * EXPERIMENTS.md). One row per claim of the paper: the claim, the
+ * measured value, the band that must hold it and why, and the row's
+ * declaration, "pass" or "known_miss" with a cause. A section's other
+ * numbers are the "detail" columns of its first row.
+ *
+ * One band rule: a model-vs-paper quantity gets +-25% (relative),
+ * closed-form arithmetic +-1 in the paper's last printed digit
+ * (lastDigit), and a qualitative statement is a predicate (holds). A
+ * row with another band gives its physical reason. The exit code is
+ * non-zero when a verdict differs from its declaration (Report::claim).
+ *
+ *   ./claims_report [--out BENCH_claims.json]
+ */
+
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <map>
+#include <numeric>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/args.hh"
+#include "energy/model.hh"
+#include "energy/supply.hh"
+#include "powergrid/pdn.hh"
+#include "report.hh"
+#include "scaling/darksilicon.hh"
+#include "sprint/experiment.hh"
+#include "sprint/governor.hh"
+#include "sprint/pacing.hh"
+#include "sprint/runner.hh"
+#include "thermal/metal.hh"
+#include "thermal/package.hh"
+#include "thermal/transients.hh"
+#include "workloads/sobel.hh"
+
+using namespace csprint;
+
+namespace {
+
+/** One ledger row; its id's prefix names the figure or section. */
+struct Row
+{
+    std::string id;
+    std::string paper; ///< the paper's claim, with its value
+    double measured;
+    Band band;
+    std::string miss = ""; ///< cause of a known miss; empty: must pass
+};
+
+using Rows = std::vector<Row>;
+
+/** A section's other numbers, as named columns. */
+using Detail = std::map<std::string, std::vector<double>>;
+
+/** The time-scaled model and scaled inputs give shapes, not digits. */
+Band
+relative(double paper)
+{
+    return {0.75 * paper, 1.25 * paper, "model vs paper: +-25%"};
+}
+
+Band
+lastDigit(double paper, double digit)
+{
+    return {paper - digit, paper + digit,
+            "closed form: +-1 in the last printed digit"};
+}
+
+/** A qualitative statement, measured as a predicate (1 = holds). */
+Row
+holds(std::string id, std::string paper, bool ok)
+{
+    return {std::move(id), std::move(paper), ok ? 1.0 : 0.0,
+            {1.0, 1.0, "qualitative: the predicate holds"}};
+}
+
+const char *const kLlcFit =
+    "the scaled inputs fit the 4 MB LLC (EXPERIMENTS.md); with the LLC "
+    "scaled by 1/16 the 64-core speedup falls (fig10.llc_scaled rows)";
+
+using Run = std::function<RunResult()>;
+
+Run
+run(RunResult (*driver)(const ExperimentSpec &), ExperimentSpec spec)
+{
+    return [driver, spec] { return driver(spec); };
+}
+
+double
+mean(const std::vector<double> &v)
+{
+    return std::accumulate(v.begin(), v.end(), 0.0) /
+           static_cast<double>(v.size());
+}
+
+/** Value of @p s at its first sample at or after @p when. */
+double
+sampleAt(const TimeSeries &s, double when)
+{
+    std::size_t j = 0;
+    while (j + 1 < s.size() && s.timeAt(j) < when)
+        ++j;
+    return s.valueAt(j);
+}
+
+/** @p s decimated to @p points samples: columns KEY.time, KEY.value. */
+void
+trace(Detail &d, const std::string &key, const TimeSeries &s,
+      std::size_t points, double time_mult = 1.0)
+{
+    const TimeSeries dec = s.decimate(points);
+    for (std::size_t i = 0; i < dec.size(); ++i) {
+        d[key + ".time"].push_back(dec.timeAt(i) * time_mult);
+        d[key + ".value"].push_back(dec.valueAt(i));
+    }
+}
+
+Rows
+darkSilicon(ExperimentRunner &, Detail &d)
+{
+    d["node_nm"].assign(figure1Nodes().begin(), figure1Nodes().end());
+    std::vector<double> density6, dark6;
+    for (ScalingScenario s : {ScalingScenario::Itrs, ScalingScenario::Borkar,
+                              ScalingScenario::ItrsBorkarVdd}) {
+        std::vector<double> &density = d[scalingScenarioName(s) + ".density"];
+        std::vector<double> &dark = d[scalingScenarioName(s) + ".dark_pct"];
+        for (const NodeProjection &p : projectDarkSilicon(s)) {
+            density.push_back(p.power_density);
+            dark.push_back(100.0 * p.dark_fraction);
+        }
+        density6.push_back(density.back());
+        dark6.push_back(dark.back());
+    }
+    const Band range = {1.5, 20.0, "model vs paper: +-25% of the range"};
+    return {
+        {"fig01.power_density_6nm_min", "power density rises ~2-16x",
+         *std::min_element(density6.begin(), density6.end()), range},
+        {"fig01.power_density_6nm_max", "power density rises ~2-16x",
+         *std::max_element(density6.begin(), density6.end()), range},
+        {"fig01.dark_silicon_6nm_min_pct", "dark silicon reaches ~80-90%+",
+         *std::min_element(dark6.begin(), dark6.end()),
+         {60.0, 100.0, "model vs paper: -25% of ~80%; a share tops at 100"}},
+    };
+}
+
+Rows
+sprintModes(ExperimentRunner &, Detail &d)
+{
+    const MobilePackageParams plain = MobilePackageParams::phoneNoPcm();
+    const std::pair<std::string, ModeTrace> modes[] = {
+        {"sustained", runModeTrace(plain, 4.0, 1, 1.0)},
+        {"sprint", runModeTrace(plain, 4.0, 16, 1.0)},
+        {"augmented",
+         runModeTrace(MobilePackageParams::phonePcm(), 4.0, 16, 1.0)}};
+    for (const auto &[key, m] : modes) {
+        const TimeSeries cores = m.cores_active.decimate(12);
+        for (std::size_t i = 0; i < cores.size(); ++i) {
+            const double t = cores.timeAt(i);
+            d[key + ".time"].push_back(t);
+            d[key + ".cores"].push_back(cores.valueAt(i));
+            d[key + ".work"].push_back(sampleAt(m.cumulative_work, t));
+            d[key + ".junction_c"].push_back(sampleAt(m.junction_temp, t));
+        }
+        d[key + ".completion_s"] = {m.completion_time};
+        d[key + ".speedup"] = {modes[0].second.completion_time /
+                               m.completion_time};
+    }
+    return {holds("fig02.pcm_sprint_beats_plain_sprint",
+                  "the PCM-augmented sprint completes far more of the task "
+                  "inside the sprint window",
+                  d["augmented.speedup"][0] > d["sprint.speedup"][0])};
+}
+
+Rows
+pacing(ExperimentRunner &pool, Detail &d)
+{
+    std::vector<std::function<Joules()>> rest_jobs;
+    for (double rest : {0.5, 2.0, 5.0, 10.0, 20.0, 40.0}) {
+        d["rest_s"].push_back(rest);
+        rest_jobs.push_back([rest] {
+            MobilePackageModel pkg(MobilePackageParams::phonePcm());
+            pkg.setDiePower(16.0);
+            for (int i = 0; i < 1100; ++i)
+                pkg.step(1e-3);
+            return budgetAfterRest(pkg, rest);
+        });
+    }
+    std::vector<std::function<std::vector<SprintWindow>()>> train_jobs;
+    for (double period : {2.0, 5.0, 10.0, 30.0}) {
+        d["period_s"].push_back(period);
+        train_jobs.push_back([period] {
+            MobilePackageModel pkg(MobilePackageParams::phonePcm());
+            return runSprintTrain(pkg, 5, 16.0, 1.0, period);
+        });
+    }
+    d["budget_j"] = pool.map(rest_jobs);
+    MobilePackageModel ref(MobilePackageParams::phonePcm());
+    d["duty_cycle_16w_pct"] = {100.0 * sustainableDutyCycle(ref, 16.0)};
+    d["cold_budget_j"] = {ref.sprintEnergyBudget()};
+    const std::vector<double> &rest = d["rest_s"];
+    std::vector<double> &f = d["budget_fraction"];
+    for (double b : d["budget_j"])
+        f.push_back(b / ref.sprintEnergyBudget());
+    // The rest after which 95% of a cold start's budget is back, linear
+    // between the swept rests.
+    double recovered = NAN;
+    for (std::size_t i = 1; i < f.size() && std::isnan(recovered); ++i)
+        if (f[i] >= 0.95)
+            recovered = rest[i - 1] + (0.95 - f[i - 1]) /
+                                          (f[i] - f[i - 1]) *
+                                          (rest[i] - rest[i - 1]);
+    std::vector<double> &s5 = d["sprint5_s"];
+    bool lengthens = true;
+    for (const std::vector<SprintWindow> &t : pool.map(train_jobs)) {
+        lengthens = lengthens && (s5.empty() || t[4].duration > s5.back());
+        d["sprint1_s"].push_back(t[0].duration);
+        d["sprint3_s"].push_back(t[2].duration);
+        s5.push_back(t[4].duration);
+        d["budget_at_sprint5"].push_back(t[4].budget_fraction);
+    }
+    return {
+        {"sec3.pacing_recovery_s",
+         "after a full 16 W sprint the chip cools ~20 s before sprinting "
+         "again (95% of the cold budget back)",
+         recovered, relative(20.0)},
+        holds("sec3.pacing_train_recovers_with_period",
+              "sprints re-triggered faster than the cooldown shrink: the "
+              "fifth sprint lengthens with the request period",
+              lengthens),
+    };
+}
+
+Rows
+thermalTransients(ExperimentRunner &, Detail &d)
+{
+    MobilePackageModel pkg(MobilePackageParams::phonePcm());
+    d["sustainable_tdp_w"] = {pkg.sustainableTdp()};
+    d["max_sprint_power_w"] = {pkg.maxSprintPower()};
+    d["sprint_budget_j"] = {pkg.sprintEnergyBudget()};
+    const SprintTransient tr = runSprintTransient(pkg, 16.0, 3.0, 1e-3);
+    trace(d, "sprint_junction_c", tr.junction_temp, 16);
+    for (double t : d["sprint_junction_c.time"])
+        d["sprint_melt_fraction"].push_back(sampleAt(tr.melt_fraction, t));
+    const TimeSeries cool = runCooldownTransient(pkg, 40.0, 0.05);
+    trace(d, "cooldown_junction_c", cool, 16);
+    const std::optional<double> back =
+        cool.firstTimeBelow(pkg.params().ambient + 5.0);
+    return {
+        {"fig04.plateau_s", "a 16 W sprint's melt plateau lasts ~0.95 s",
+         tr.plateau_duration, relative(0.95)},
+        {"fig04.time_to_limit_s", "Tj reaches its limit a little over 1 s in",
+         tr.time_to_limit, relative(1.0), "not identified"},
+        {"fig04.cooldown_s", "the package is near ambient (+5 C) after ~24 s",
+         back ? *back : NAN, relative(24.0)},
+    };
+}
+
+Rows
+heatStorage(ExperimentRunner &pool, Detail &d)
+{
+    for (const MetalProperties &m :
+         {MetalProperties::copper(), MetalProperties::aluminum()}) {
+        d[m.name + ".j_per_cm3_k"] = {m.volumetric_heat_capacity};
+        d[m.name + ".thickness_mm"] = {
+            metalThicknessFor(m, 64.0, 16.0, 10.0) * 1e3};
+    }
+    // Per design: the cold budget, sprint and plateau, and the budget
+    // after 1 W sustained operation.
+    const char *keys[] = {".budget_cold_j", ".sprint_cold_s", ".plateau_s",
+                          ".budget_hot_j"};
+    const std::pair<std::string, MobilePackageParams> designs[] = {
+        {"pcm_150mg", MobilePackageParams::phonePcm()},
+        {"copper_slug_7p2mm", metalSlugPackage(MetalSlugSpec{})},
+        {"no_storage", MobilePackageParams::phoneNoPcm()}};
+    std::vector<std::function<std::vector<double>()>> jobs;
+    for (const auto &design : designs) {
+        jobs.push_back([params = design.second] {
+            MobilePackageModel cold(params), hot(params);
+            const Joules budget_cold = cold.sprintEnergyBudget();
+            const auto tr = runSprintTransient(cold, 16.0, 30.0, 5e-3);
+            hot.setDiePower(1.0);
+            for (int i = 0; i < 4000; ++i)
+                hot.step(1.0);
+            return std::vector<double>{budget_cold, tr.time_to_limit,
+                                       tr.plateau_duration,
+                                       hot.sprintEnergyBudget()};
+        });
+    }
+    const std::vector<std::vector<double>> s = pool.map(jobs);
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        for (std::size_t k = 0; k < 4; ++k)
+            d[designs[i].first + keys[k]] = {s[i][k]};
+        d[designs[i].first + ".hot_over_cold"] = {
+            s[i][0] > 0.0 ? s[i][3] / s[i][0] : 0.0};
+    }
+    const std::string sizing = "16 J at a 10 C rise over a 64 mm^2 die takes ";
+    return {
+        {"sec4_1.copper_mm", sizing + "7.2 mm of copper",
+         d["copper.thickness_mm"][0], lastDigit(7.2, 0.1)},
+        {"sec4_1.aluminum_mm", sizing + "10.3 mm of aluminum",
+         d["aluminum.thickness_mm"][0], lastDigit(10.3, 0.1)},
+        holds("sec4_2.pcm_keeps_headroom_hot",
+              "after sustained operation at TDP the metal slug's headroom "
+              "erodes while the PCM's latent budget survives",
+              d["pcm_150mg.hot_over_cold"][0] >
+                  d["copper_slug_7p2mm.hot_over_cold"][0]),
+    };
+}
+
+Rows
+supplyVoltage(ExperimentRunner &pool, Detail &d)
+{
+    const Seconds t0 = 10e-6;
+    const PdnParams params = PdnParams::paper16();
+    using Case = std::pair<TimeSeries, SupplyMetrics>;
+    const auto simulate = [params, t0](ActivationSchedule schedule,
+                                       Seconds window, Seconds dt) {
+        return [=] {
+            PowerDeliveryNetwork pdn(params, schedule);
+            const SupplyTrace tr = pdn.simulate(window, dt, window / 400.0);
+            return Case{tr.worst_supply,
+                        computeSupplyMetrics(tr, params.vdd, 0.02, t0)};
+        };
+    };
+    const std::vector<Case> cases =
+        pool.map(std::vector<std::function<Case()>>{
+            simulate(ActivationSchedule::abrupt(t0), 120e-6, 1e-9),
+            simulate(ActivationSchedule::linearRamp(1.28e-6, t0), 120e-6,
+                     1e-9),
+            simulate(ActivationSchedule::linearRamp(128e-6, t0), 400e-6,
+                     2e-9)});
+    d["nominal_v"] = {params.vdd};
+    d["tolerance_floor_v"] = {0.98 * params.vdd};
+    // min_v .. within_2pct hold one value per schedule, in this order.
+    const std::string keys[] = {"abrupt", "ramp_1p28us", "ramp_128us"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const SupplyMetrics &m = cases[i].second;
+        d["min_v"].push_back(m.min_voltage);
+        d["settled_v"].push_back(m.settled);
+        d["settle_us"].push_back(m.settling_time * 1e6);
+        d["within_2pct"].push_back(m.within_tolerance);
+        trace(d, keys[i] + ".supply_v_at_us", cases[i].first, 14, 1e6);
+    }
+    const double dip = params.vdd - 1.171;
+    return {
+        {"fig06.abrupt_min_v", "abrupt activation dips to 1.171 V (97.5%)",
+         d["min_v"][0],
+         {params.vdd - 1.25 * dip, params.vdd - 0.75 * dip,
+          "model vs paper: +-25% of the dip, as a dip is judged by depth"}},
+        {"fig06.abrupt_settle_us", "abrupt activation settles in ~2.53 us",
+         d["settle_us"][0], relative(2.53), "not identified"},
+        holds("fig06.ramp_1p28us_violates_2pct",
+              "a 1.28 us ramp still violates the 2% tolerance",
+              !d["within_2pct"][1]),
+        holds("fig06.ramp_128us_within_2pct",
+              "a 128 us ramp stays within the 2% tolerance",
+              d["within_2pct"][2]),
+        {"fig06.ramp_128us_droop_mv",
+         "the 128 us ramp settles ~10 mV below nominal (resistive droop)",
+         (params.vdd - d["settled_v"][2]) * 1e3, relative(10.0),
+         "not identified"},
+    };
+}
+
+Rows
+activationRamp(ExperimentRunner &pool, Detail &d)
+{
+    const ParallelProgram prog =
+        buildKernelProgram(KernelId::Sobel, InputSize::B, 42);
+    std::vector<Run> jobs = {
+        [&prog] { return runSprint(prog, SprintConfig::baseline()); }};
+    // Ramps are quoted at physical scale and time-scaled with the package.
+    for (double us : {0.0, 128.0, 1280.0, 12800.0, 128000.0}) {
+        d["ramp_us"].push_back(us);
+        jobs.push_back([&prog, us] {
+            SprintConfig cfg = SprintConfig::parallelSprint(16, kFullPcm);
+            cfg.activation_ramp = us * 1e-6 * kDefaultTimeScale;
+            return runSprint(prog, cfg);
+        });
+    }
+    const std::vector<RunResult> r = pool.map(jobs);
+    std::vector<double> &speedup = d["speedup"];
+    for (std::size_t i = 1; i < r.size(); ++i) {
+        speedup.push_back(r[0].task_time / r[i].task_time);
+        d["ramp_share_pct"].push_back(100.0 * d["ramp_us"][i - 1] * 1e-6 *
+                                      kDefaultTimeScale / r[i].task_time);
+    }
+    // A ramp erodes the sprint when it costs 1% of the no-ramp speedup.
+    const auto erodes = [&](std::size_t i) {
+        return speedup[i] < 0.99 * speedup[0];
+    };
+    return {
+        holds("sec5_3.ramp_128us_negligible",
+              "the 128 us ramp costs a negligible share of a sub-second "
+              "sprint (under 1% of its speedup)",
+              !erodes(1)),
+        holds("sec5_3.ramp_128ms_erodes",
+              "only ramps orders of magnitude longer erode the speedup",
+              erodes(4)),
+    };
+}
+
+Rows
+powerSources(ExperimentRunner &, Detail &d)
+{
+    for (const Battery &b :
+         {Battery::phoneLiIon(), Battery::highDischargeLiPo()}) {
+        int cores = 0; // the largest whole-watt load the cell supplies
+        while (b.canSupply(static_cast<double>(cores + 1)))
+            ++cores;
+        d[b.name + ".mass_g"] = {b.mass};
+        d[b.name + ".burst_w"] = {b.maxBurstPower()};
+        d[b.name + ".max_1w_cores"] = {static_cast<double>(cores)};
+        d[b.name + ".supplies_16w"] = {static_cast<double>(b.canSupply(16))};
+    }
+    const Ultracapacitor cap = Ultracapacitor::nesscap25F();
+    d["ultracap.mass_g"] = {cap.mass};
+    d["ultracap.stored_j"] = {cap.storedEnergy()};
+    d["ultracap.usable_to_1v_j"] = {cap.usableEnergy(1.0)};
+    d["ultracap.peak_current_a"] = {cap.max_current};
+    const HybridSupply hybrid{Battery::phoneLiIon(), cap};
+    for (double s : {0.25, 0.5, 1.0, 2.0}) {
+        d["hybrid_16w.duration_s"].push_back(s);
+        d["hybrid_16w.feasible"].push_back(hybrid.canSprint(16.0, s));
+        d["hybrid_16w.cap_energy_j"].push_back(
+            hybrid.capEnergyNeeded(16.0, s));
+        d["hybrid_16w.recharge_at_1w_s"].push_back(
+            hybrid.rechargeTime(16.0, s, 1.0));
+    }
+    for (double amps : {1.0, 4.0, 10.0, 16.0}) {
+        d["pins.current_a"].push_back(amps);
+        d["pins.needed"].push_back(PackagePins().pinsRequired(amps));
+    }
+    const std::string liion = Battery::phoneLiIon().name,
+                      lipo = Battery::highDischargeLiPo().name;
+    return {
+        {"sec6.liion_burst_w", "a phone Li-ion cell bursts ~10 W",
+         d[liion + ".burst_w"][0], relative(10.0)},
+        holds("sec6.liion_under_ten_cores",
+              "a phone Li-ion cell powers fewer than ten 1 W cores",
+              d[liion + ".max_1w_cores"][0] < 10),
+        holds("sec6.lipo_not_liion_16w",
+              "Li-ion cannot supply a 16 W sprint; high-discharge Li-Po can",
+              !d[liion + ".supplies_16w"][0] && d[lipo + ".supplies_16w"][0]),
+        holds("sec6.hybrid_16w_1s",
+              "a battery + ultracapacitor hybrid covers a 16 W, 1 s sprint",
+              d["hybrid_16w.feasible"][2]),
+        {"sec6.pins_16a", "16 A at 100 mA per pin needs 320 pins",
+         d["pins.needed"][3], lastDigit(320.0, 1.0)},
+    };
+}
+
+/** Trigger time and peak junction of a 16 W sprint under @p cfg. */
+std::pair<Seconds, Celsius>
+runGovernor(const GovernorConfig &cfg)
+{
+    MobilePackageModel pkg(MobilePackageParams::phonePcm());
+    SprintGovernor gov(cfg, pkg);
+    Seconds t = 0.0;
+    while (t < 10.0 &&
+           gov.onSample(1e-3, 16.0 * 1e-3) == GovernorAction::Continue)
+        t += 1e-3;
+    for (int i = 0; i < 2000; ++i) // the migration: power falls to 1 W
+        gov.onSample(1e-3, 1e-3);
+    return {t, gov.peakJunction()};
+}
+
+Rows
+governor(ExperimentRunner &pool, Detail &d)
+{
+    // Job 0 is the ground-truth thermometer; then the margin sweep.
+    std::vector<std::function<std::pair<Seconds, Celsius>()>> jobs = {[] {
+        GovernorConfig thermo;
+        thermo.use_activity_estimate = false;
+        return runGovernor(thermo);
+    }};
+    for (double margin : {0.02, 0.05, 0.10, 0.20}) {
+        d["margin"].push_back(margin);
+        jobs.push_back([margin] {
+            GovernorConfig cfg;
+            cfg.margin = margin;
+            return runGovernor(cfg);
+        });
+    }
+    const auto o = pool.map(jobs);
+    d["thermometer_trigger_s"] = {o[0].first};
+    d["thermometer_peak_c"] = {o[0].second};
+    const Celsius limit = MobilePackageParams::phonePcm().t_junction_max;
+    bool shortens = true, below = o[0].second <= limit;
+    for (std::size_t i = 1; i < o.size(); ++i) {
+        d["trigger_s"].push_back(o[i].first);
+        d["vs_thermometer"].push_back(o[i].first / o[0].first);
+        d["peak_c"].push_back(o[i].second);
+        shortens = shortens && (i == 1 || o[i].first < o[i - 1].first);
+        below = below && o[i].second <= limit;
+    }
+    return {
+        {"sec7.governor_trigger_vs_thermometer",
+         "the activity estimate (2% margin) triggers close to a "
+         "ground-truth thermometer (ratio ~1)",
+         d["vs_thermometer"][0], relative(1.0)},
+        holds("sec7.governor_margin_shortens_sprint",
+              "larger margins trade sprint length for safety margin",
+              shortens),
+        holds("sec7.governor_peak_below_limit",
+              "no governor lets the junction pass its 70 C limit", below),
+    };
+}
+
+/** Figs. 7 and 9: 16-core sprints over one core, input sizes A-D. */
+Rows
+inputSizes(ExperimentRunner &pool, Detail &d)
+{
+    std::vector<Run> jobs;
+    for (KernelId id : allKernels()) {
+        for (InputSize s :
+             {InputSize::A, InputSize::B, InputSize::C, InputSize::D}) {
+            ExperimentSpec full;
+            full.kernel = id;
+            full.size = s;
+            ExperimentSpec small = full;
+            small.pcm_mass = kSmallPcm;
+            jobs.insert(jobs.end(), {run(runBaselineExperiment, full),
+                                     run(runParallelSprintExperiment, small),
+                                     run(runParallelSprintExperiment, full)});
+            if (s == InputSize::B) // Fig. 7 adds the DVFS sprint
+                jobs.insert(jobs.end(), {run(runDvfsSprintExperiment, small),
+                                         run(runDvfsSprintExperiment, full)});
+        }
+    }
+    const std::vector<RunResult> r = pool.map(jobs);
+    std::vector<double> par_b, dvfs_b, small_a, small_d, full_a, full_d;
+    bool collapses = true, parallel_wins = true;
+    for (std::size_t k = 0, at = 0; k < allKernels().size(); ++k) {
+        const std::string name = kernelName(allKernels()[k]);
+        std::vector<double> &small = d[name + ".par_1p5mg"];
+        std::vector<double> &full = d[name + ".par_150mg"];
+        const RunResult *b = &r[at + 3]; // size B, after size A's 3 runs
+        for (std::size_t s = 0; s < 4; at += s == 1 ? 5 : 3, ++s) {
+            small.push_back(speedupOver(r[at], r[at + 1]));
+            full.push_back(speedupOver(r[at], r[at + 2]));
+        }
+        small_a.push_back(small[0]);
+        small_d.push_back(small[3]);
+        full_a.push_back(full[0]);
+        full_d.push_back(full[3]);
+        const double ds = speedupOver(b[0], b[3]), df = speedupOver(b[0], b[4]);
+        d[name + ".dvfs_b_1p5mg"] = {ds};
+        d[name + ".dvfs_b_150mg"] = {df};
+        d[name + ".dvfs_b_150mg_exhausted"] = {
+            static_cast<double>(b[4].sprint_exhausted)};
+        par_b.push_back(full[1]);
+        dvfs_b.push_back(df);
+        collapses = collapses && ds < df;
+        parallel_wins = parallel_wins && small[1] > ds && full[1] > df;
+    }
+    return {
+        {"fig07.par_speedup_150mg_avg",
+         "a 16-core parallel sprint averages 10.2x over one core",
+         mean(par_b), relative(10.2)},
+        {"fig07.dvfs_speedup_150mg_max",
+         "DVFS caps near cbrt(16) ~ 2.5x with ample thermal capacitance",
+         *std::max_element(dvfs_b.begin(), dvfs_b.end()),
+         relative(std::cbrt(16.0)),
+         "every DVFS sprint exhausts the 150 mg budget at time scale 7e-4 "
+         "(dvfs_b_150mg_exhausted), so the budget is not ample"},
+        holds("fig07.dvfs_collapses_at_1p5mg",
+              "DVFS collapses further at the 1.5 mg design point", collapses),
+        holds("fig07.parallel_beats_dvfs",
+              "the parallel sprint beats DVFS on every kernel at both "
+              "design points",
+              parallel_wins),
+        holds("fig09.larger_inputs_scale_better",
+              "larger inputs exhibit higher parallel speedup (150 mg, mean "
+              "over kernels, size D vs A)",
+              mean(full_d) > mean(full_a)),
+        holds("fig09.larger_inputs_exhaust_1p5mg",
+              "larger inputs exhaust the small design point harder (1.5 mg, "
+              "mean over kernels, size D vs A)",
+              mean(small_d) < mean(small_a)),
+        {"fig09.feature_d_150mg",
+         "feature reaches ~8x on its largest input with full PCM",
+         d["feature.par_150mg"][3], relative(8.0), "not identified"},
+    };
+}
+
+Rows
+sobelSweep(ExperimentRunner &pool, Detail &d)
+{
+    const SprintConfig cfgs[] = {
+        SprintConfig::baseline(), SprintConfig::parallelSprint(16, kFullPcm),
+        SprintConfig::parallelSprint(16, kSmallPcm),
+        SprintConfig::dvfsSprint(kPowerHeadroom, kSmallPcm)};
+    std::vector<Run> jobs;
+    for (std::size_t dim : {128, 192, 256, 320, 384, 512}) {
+        const double px = static_cast<double>(dim * dim);
+        d["image_dim"].push_back(static_cast<double>(dim));
+        d["mpix_equiv"].push_back(12.0 * px / (512.0 * 512.0));
+        for (const SprintConfig &cfg : cfgs) {
+            jobs.push_back([dim, cfg] {
+                SobelConfig s;
+                s.width = s.height = dim;
+                return runSprint(sobelProgram(s), cfg);
+            });
+        }
+    }
+    const std::vector<RunResult> r = pool.map(jobs);
+    const char *keys[] = {"par_150mg", "par_1p5mg", "dvfs_1p5mg"};
+    for (std::size_t i = 0; i < r.size(); i += 4)
+        for (std::size_t c = 0; c < 3; ++c)
+            d[keys[c]].push_back(r[i].task_time / r[i + 1 + c].task_time);
+    const std::vector<double> &full = d["par_150mg"], &small = d["par_1p5mg"];
+    // The first image on which a series falls below its smallest-image
+    // value.
+    const auto first_drop = [](const std::vector<double> &v) {
+        return std::find_if(v.begin(), v.end(),
+                            [&](double x) { return x < v[0]; }) -
+               v.begin();
+    };
+    return {
+        {"fig08.par_150mg_min",
+         "with full PCM the sprint covers every resolution (flat, ~16x)",
+         *std::min_element(full.begin(), full.end()), relative(16.0)},
+        holds("fig08.par_1p5mg_decays",
+              "with 1.5 mg the speedup decays as the sprint covers less of "
+              "the task",
+              small.back() < small.front()),
+        holds("fig08.dvfs_decays_first",
+              "DVFS decays fastest (less work per joule)",
+              first_drop(d["dvfs_1p5mg"]) < first_drop(small)),
+    };
+}
+
+/**
+ * Figs. 10 and 11, Sec. 8.4 and the LLC ablation: the fixed-V/f
+ * studies, at time scale 1e-2 so sprint exhaustion does not confound
+ * them. Fig. 11 reads the energy of Fig. 10's runs, and the LLC
+ * ablation's 4 MB column is Fig. 10's 64-core run.
+ */
+Rows
+fixedVf(ExperimentRunner &pool, Detail &d)
+{
+    const std::vector<KernelId> llc_kernels = {
+        KernelId::Disparity, KernelId::Feature, KernelId::Sobel};
+    std::vector<Run> jobs;
+    ExperimentSpec spec;
+    spec.size = InputSize::D;
+    spec.time_scale = 1e-2;
+    for (KernelId id : allKernels()) {
+        ExperimentSpec s = spec;
+        s.kernel = id;
+        jobs.push_back(run(runBaselineExperiment, s));
+        for (int c : {1, 4, 16, 64}) {
+            s.cores = c;
+            jobs.push_back(run(runParallelSprintExperiment, s));
+        }
+        s.bandwidth_mult = 2.0;
+        jobs.insert(jobs.end(), {run(runBaselineExperiment, s),
+                                 run(runParallelSprintExperiment, s)});
+    }
+    for (KernelId id : llc_kernels) {
+        ExperimentSpec s = spec;
+        s.kernel = id;
+        s.cores = 64;
+        s.l2_scale = 1.0 / 16.0;
+        for (double bw : {1.0, 2.0}) {
+            s.bandwidth_mult = bw;
+            jobs.insert(jobs.end(), {run(runBaselineExperiment, s),
+                                     run(runParallelSprintExperiment, s)});
+        }
+    }
+    ExperimentSpec sobel_b;
+    sobel_b.time_scale = 1e-2; // ample budget: the pure quadratic cost
+    jobs.insert(jobs.end(), {run(runBaselineExperiment, sobel_b),
+                             run(runDvfsSprintExperiment, sobel_b)});
+    const std::vector<RunResult> r = pool.map(jobs);
+
+    d["cores"] = {1, 4, 16, 64};
+    std::vector<double> &overhead = d["overhead_16core_pct"];
+    for (std::size_t k = 0; k < allKernels().size(); ++k) {
+        const RunResult *x = &r[7 * k];
+        const std::string name = kernelName(allKernels()[k]);
+        for (std::size_t c = 1; c <= 4; ++c) {
+            d[name + ".speedup"].push_back(speedupOver(x[0], x[c]));
+            d[name + ".energy_ratio"].push_back(energyRatio(x[0], x[c]));
+        }
+        d[name + ".speedup_64core_2xbw"] = {speedupOver(x[5], x[6])};
+        overhead.push_back(100.0 * (d[name + ".energy_ratio"][2] - 1.0));
+    }
+    const RunResult *llc = &r[7 * allKernels().size()];
+    for (std::size_t i = 0; i < llc_kernels.size(); ++i, llc += 4) {
+        const std::string name = kernelName(llc_kernels[i]);
+        d[name + ".llc_scaled"] = {speedupOver(llc[0], llc[1])};
+        d[name + ".llc_scaled_2xbw"] = {speedupOver(llc[2], llc[3])};
+    }
+    // 64-core over 16-core speedup; flat is within +-25% of 1.
+    const auto gain = [&](const std::string &name) {
+        return d[name + ".speedup"][3] / d[name + ".speedup"][2];
+    };
+    const Band flat = {0.75, 1.25, "model vs paper: flat is a 64/16-core "
+                                   "speedup within +-25% of 1"};
+    Rows rows;
+    for (const std::string name : {"kmeans", "sobel"})
+        rows.push_back(holds("fig10." + name + "_scales_to_64",
+                             name + " keeps scaling to 64 cores",
+                             gain(name) > 1.0));
+    for (const std::string name : {"texture", "segment"})
+        rows.push_back({"fig10." + name + "_flat_past_16",
+                        name + " is parallelism-limited", gain(name), flat,
+                        name == "segment" ? "not identified" : ""});
+    for (const std::string name : {"feature", "disparity"}) {
+        rows.push_back({"fig10." + name + "_flat_past_16",
+                        name + " is bandwidth-limited at 64 cores",
+                        gain(name), flat, kLlcFit});
+        rows.push_back({"fig10." + name + "_64core_2xbw",
+                        name + " reaches ~12x at 64 cores with per-channel "
+                               "bandwidth doubled",
+                        d[name + ".speedup_64core_2xbw"][0], relative(12.0),
+                        kLlcFit});
+        rows.push_back({"fig10.llc_scaled_" + name + "_2xbw",
+                        "with the LLC scaled to the inputs, " + name +
+                            " reaches ~12x at 64 cores with bandwidth doubled",
+                        d[name + ".llc_scaled_2xbw"][0], relative(12.0),
+                        name == "disparity" ? "not identified" : ""});
+    }
+    const double under10 = static_cast<double>(std::count_if(
+        overhead.begin(), overhead.end(), [](double o) { return o < 10.0; }));
+    rows.insert(
+        rows.end(),
+        {{"fig11.overhead_16core_avg_pct",
+          "16 cores cost 12% more dynamic energy than one, on average",
+          mean(overhead), relative(12.0), "not identified"},
+         {"fig11.kernels_under_10pct",
+          "the 16-core overhead is under 10% on 5 of 6 kernels", under10,
+          relative(5.0)},
+         {"sec8_4.dvfs_energy_x",
+          "a DVFS sprint costs ~6x the sequential energy (sobel, size B)",
+          energyRatio(r[r.size() - 2], r.back()), relative(6.0)},
+         {"sec8_4.boost_squared_x",
+          "the analytic DVFS energy factor boost^2 is ~6x",
+          dvfsEnergyFactor(dvfsBoostFromHeadroom(kPowerHeadroom)),
+          lastDigit(6.0, 1.0)}});
+    return rows;
+}
+
+Rows
+kernelSuite(ExperimentRunner &pool, Detail &d)
+{
+    // Per kernel: ops of each OpKind, then the phase count.
+    std::vector<std::function<std::vector<double>()>> jobs;
+    for (KernelId id : allKernels()) {
+        jobs.push_back([id] {
+            const ParallelProgram prog =
+                buildKernelProgram(id, InputSize::B, 42);
+            std::vector<double> mix(kNumOpKinds + 1, 0.0);
+            for (const auto &phase : prog.phases()) {
+                for (std::size_t task = 0; task < phase.num_tasks; ++task) {
+                    auto s = phase.make_task(task);
+                    MicroOp op;
+                    while (s->next(op))
+                        ++mix[static_cast<std::size_t>(op.kind())];
+                }
+            }
+            mix.back() = static_cast<double>(prog.phases().size());
+            return mix;
+        });
+    }
+    const std::pair<OpKind, const char *> kinds[] = {
+        {OpKind::Load, ".pct_load"}, {OpKind::Store, ".pct_store"},
+        {OpKind::IntAlu, ".pct_int"}, {OpKind::FpAlu, ".pct_fp"},
+        {OpKind::Branch, ".pct_branch"}};
+    const std::vector<std::vector<double>> mixes = pool.map(jobs);
+    double with_ops = 0.0;
+    for (std::size_t k = 0; k < mixes.size(); ++k) {
+        const std::vector<double> &mix = mixes[k];
+        const std::string name = kernelName(allKernels()[k]);
+        const double total = std::accumulate(mix.begin(), mix.end() - 1, 0.0);
+        d[name + ".total_ops"] = {total};
+        for (const auto &[kind, key] : kinds)
+            d[name + key] = {100.0 * mix[static_cast<std::size_t>(kind)] /
+                             total};
+        d[name + ".phases"] = {mix.back()};
+        with_ops += total > 0.0;
+    }
+    return {{"table1.kernels_with_ops",
+             "the evaluation runs six parallel kernels", with_ops,
+             {6.0, 6.0, "a count of kernels is exact"}}};
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    ArgParser args(argc, argv, {"out"});
+    // Round-trip precision: a value re-rounds to any printed digit.
+    Report report(args.get("out", "BENCH_claims.json"), "csprint-claims-v1",
+                  std::numeric_limits<double>::max_digits10);
+    // In the paper's order. Sections run concurrently, each fanning its
+    // runs out on the same pool, and are written in this order.
+    ExperimentRunner pool;
+    using Section = std::pair<Rows, Detail>;
+    std::vector<std::function<Section()>> sections;
+    for (Rows (*section)(ExperimentRunner &, Detail &) :
+         {darkSilicon, sprintModes, pacing, thermalTransients, heatStorage,
+          supplyVoltage, activationRamp, powerSources, governor, inputSizes,
+          sobelSweep, fixedVf, kernelSuite}) {
+        sections.push_back([section, &pool] {
+            Section s;
+            s.first = section(pool, s.second);
+            return s;
+        });
+    }
+    JsonWriter &json = report.json();
+    json.array("claims", [&] {
+        for (const auto &[rows, detail] : pool.map(sections)) {
+            for (const Row &row : rows) {
+                json.object([&] {
+                    json.field("id", row.id)
+                        .field("source", row.id.substr(0, row.id.find('.')))
+                        .field("paper", row.paper);
+                    std::ostringstream label;
+                    label.precision(4);
+                    label << row.id << " = " << row.measured
+                          << (row.miss.empty() ? "" : " [known miss]");
+                    report.claim(label.str(), row.measured, row.band,
+                                 row.miss);
+                    if (&row == &rows.front())
+                        json.object("detail", [&] {
+                            for (const auto &[key, v] : detail)
+                                json.field(key, v);
+                        });
+                });
+            }
+        }
+    });
+    return report.finish();
+}

@@ -16,6 +16,7 @@
 #include "archsim/machine.hh"
 #include "powergrid/pdn.hh"
 #include "sprint/runner.hh"
+#include "sprint/scenario.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
 #include "thermal/validation.hh"

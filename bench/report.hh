@@ -9,7 +9,9 @@
  *
  * A report states each gate once, through Report: the ledger prints
  * its verdict, writes its JSON flag where the schema has one, and
- * folds it into the exit code. Report::finish() writes --out, prints
+ * folds it into the exit code. A paper claim (claims_report.cc) is
+ * one more kind of gate, Report::claim, on a measured value and the
+ * Band it must land in. Report::finish() writes --out, prints
  * the "wrote" line and one "FAIL:" line per failed gate. The schemas
  * themselves are documented per report in PERF.md.
  */
@@ -179,6 +181,14 @@ class JsonWriter
     std::vector<bool> firsts; ///< per open container: still empty
 };
 
+/** The closed interval a claim's measured value must land in, and why. */
+struct Band
+{
+    double lo = 0.0;
+    double hi = 0.0;
+    std::string why;
+};
+
 /**
  * One report: its JSON document, opened with the schema string, and
  * its gate ledger. Each gate prints "<label>: pass" or
@@ -228,6 +238,35 @@ class Report
         if (!why.empty())
             doc.field("first_mismatch", why);
         return check(label, why.empty(), why);
+    }
+
+    /**
+     * A paper-claim gate: fields "measured" (null when not finite),
+     * "band" ([lo, hi]), "band_reason", "pass" (measured lies in the
+     * band) and "expect": "pass", or "known_miss" plus "cause" when
+     * @p miss names why the model misses. The gate holds when the
+     * verdict is the declared one, so a declared pass that misses
+     * fails it, and so does a known miss that lands in band. A
+     * measurement that is not finite never holds.
+     */
+    bool
+    claim(const std::string &label, double measured, const Band &band,
+          const std::string &miss = "")
+    {
+        const bool finite = std::isfinite(measured);
+        const bool in_band =
+            finite && measured >= band.lo && measured <= band.hi;
+        doc.field("measured", measured)
+            .field("band", std::vector<double>{band.lo, band.hi})
+            .field("band_reason", band.why)
+            .field("pass", in_band)
+            .field("expect", miss.empty() ? "pass" : "known_miss");
+        if (!miss.empty())
+            doc.field("cause", miss);
+        return check(label, finite && in_band == miss.empty(),
+                     !finite  ? "measured value is not finite"
+                     : in_band ? "in band, declared a known miss"
+                               : "out of band");
     }
 
     bool allPass() const { return failures.empty(); }

@@ -27,6 +27,7 @@
  *   ./scenario_report [--out BENCH_scenarios.json] [--tasks N]
  */
 
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -176,9 +177,13 @@ main(int argc, char **argv)
             }
         }
     }
+    // Scenarios are independent of each other; the tasks within one
+    // share thermal state and stay serial.
+    std::vector<std::function<ScenarioResult()>> jobs;
+    for (const ScenarioConfig &cfg : sweep)
+        jobs.emplace_back([&cfg] { return runScenario(cfg); });
     ExperimentRunner runner;
-    const std::vector<ScenarioResult> results =
-        runner.runScenarioBatch(sweep);
+    const std::vector<ScenarioResult> results = runner.map(jobs);
     json.array("sweep", [&] {
         for (std::size_t i = 0; i < results.size(); ++i) {
             const ScenarioConfig &cfg = sweep[i];

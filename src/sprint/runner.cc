@@ -6,20 +6,6 @@
 
 namespace csprint {
 
-RunResult
-runExperiment(const ExperimentRun &run)
-{
-    switch (run.mode) {
-      case ExperimentMode::Baseline:
-        return runBaselineExperiment(run.spec);
-      case ExperimentMode::ParallelSprint:
-        return runParallelSprintExperiment(run.spec);
-      case ExperimentMode::DvfsSprint:
-        return runDvfsSprintExperiment(run.spec);
-    }
-    SPRINT_PANIC("unknown experiment mode");
-}
-
 ExperimentRunner::ExperimentRunner(int workers)
 {
     if (workers <= 0) {
@@ -33,7 +19,7 @@ ExperimentRunner::ExperimentRunner(int workers)
 
 ExperimentRunner::~ExperimentRunner()
 {
-    wait();
+    helpUntilZero(in_flight);
     {
         std::lock_guard<std::mutex> guard(mutex);
         stopping = true;
@@ -48,17 +34,11 @@ ExperimentRunner::enqueue(std::function<void()> job)
 {
     {
         std::lock_guard<std::mutex> guard(mutex);
-        SPRINT_ASSERT(!stopping, "submit on a stopped runner");
+        SPRINT_ASSERT(!stopping, "map on a stopped runner");
         queue.push_back(std::move(job));
         ++in_flight;
     }
     signal.notify_all();
-}
-
-void
-ExperimentRunner::submit(std::function<void()> job)
-{
-    enqueue(std::move(job));
 }
 
 void
@@ -71,10 +51,9 @@ ExperimentRunner::runOne(std::unique_lock<std::mutex> &lock)
         job();
     } catch (...) {
         // map() wraps its jobs and never lets an exception reach here;
-        // a raw submit() job that throws would otherwise leave
-        // in_flight stuck and hang every waiter. Fail loudly instead.
-        SPRINT_PANIC("ExperimentRunner job threw an exception; "
-                     "use map() for throwing jobs");
+        // one that did would leave in_flight stuck and hang every
+        // waiter. Fail loudly instead.
+        SPRINT_PANIC("ExperimentRunner job threw an exception");
     }
     lock.lock();
     --in_flight;
@@ -111,32 +90,6 @@ ExperimentRunner::helpUntilZero(const std::size_t &counter)
             return counter == 0 || !queue.empty();
         });
     }
-}
-
-void
-ExperimentRunner::wait()
-{
-    helpUntilZero(in_flight);
-}
-
-std::vector<RunResult>
-ExperimentRunner::runBatch(const std::vector<ExperimentRun> &batch)
-{
-    std::vector<std::function<RunResult()>> jobs;
-    jobs.reserve(batch.size());
-    for (const ExperimentRun &run : batch)
-        jobs.emplace_back([&run] { return runExperiment(run); });
-    return map(jobs);
-}
-
-std::vector<ScenarioResult>
-ExperimentRunner::runScenarioBatch(const std::vector<ScenarioConfig> &batch)
-{
-    std::vector<std::function<ScenarioResult()>> jobs;
-    jobs.reserve(batch.size());
-    for (const ScenarioConfig &cfg : batch)
-        jobs.emplace_back([&cfg] { return runScenario(cfg); });
-    return map(jobs);
 }
 
 } // namespace csprint

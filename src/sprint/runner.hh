@@ -2,12 +2,10 @@
  * @file
  * Thread-pool experiment runner.
  *
- * Every paper figure is a batch of independent coupled runs (each owns
- * its Machine and ThermalNetwork, so runs share no mutable state); the
- * seed drivers executed them strictly serially. ExperimentRunner fans a
- * batch across a persistent pool of std::thread workers and returns
- * results in submission order, so the figure/ablation drivers stay a
- * simple "build specs, run batch, print table" pipeline.
+ * Every paper claim is measured by a batch of independent coupled runs
+ * (each owns its Machine and ThermalNetwork, so runs share no mutable
+ * state). ExperimentRunner::map fans a batch across a persistent pool
+ * of std::thread workers and returns the results in submission order.
  */
 
 #ifndef CSPRINT_SPRINT_RUNNER_HH
@@ -22,37 +20,16 @@
 #include <thread>
 #include <vector>
 
-#include "sprint/experiment.hh"
-#include "sprint/scenario.hh"
-
 namespace csprint {
-
-/** Which experiment driver a batched run goes through. */
-enum class ExperimentMode
-{
-    Baseline,       ///< runBaselineExperiment
-    ParallelSprint, ///< runParallelSprintExperiment
-    DvfsSprint,     ///< runDvfsSprintExperiment
-};
-
-/** One entry of a batched experiment request. */
-struct ExperimentRun
-{
-    ExperimentMode mode = ExperimentMode::Baseline;
-    ExperimentSpec spec;
-};
-
-/** Dispatch one ExperimentRun through its driver. */
-RunResult runExperiment(const ExperimentRun &run);
 
 /**
  * A persistent pool of worker threads for embarrassingly parallel
  * experiment batches.
  *
- * Jobs are arbitrary callables; runBatch() and map() are the typed
- * conveniences the drivers use. A thread waiting on a batch lends
- * itself to the queue, so progress is made even with a single hardware
- * thread, and a map() nested inside a job cannot deadlock.
+ * Jobs are arbitrary callables returning a value. A thread waiting on
+ * a batch lends itself to the queue, so progress is made even with a
+ * single hardware thread, and a map() nested inside a job cannot
+ * deadlock.
  */
 class ExperimentRunner
 {
@@ -71,17 +48,6 @@ class ExperimentRunner
 
     /** Number of worker threads in the pool. */
     int workerCount() const { return static_cast<int>(threads.size()); }
-
-    /**
-     * Enqueue a fire-and-forget job (finished by wait()). Jobs
-     * submitted through this raw primitive must not throw — an escaped
-     * exception panics rather than hanging the pool (map() jobs may
-     * throw; their exceptions are captured and rethrown).
-     */
-    void submit(std::function<void()> job);
-
-    /** Help run queued jobs until every submitted job has finished. */
-    void wait();
 
     /**
      * Run @p jobs concurrently; results land in submission order. If a
@@ -114,18 +80,6 @@ class ExperimentRunner
         return out;
     }
 
-    /** Run a batch of experiments; results in submission order. */
-    std::vector<RunResult> runBatch(const std::vector<ExperimentRun> &batch);
-
-    /**
-     * Run a batch of scenarios; results in submission order. Each
-     * scenario owns its package, policy, and machines, so scenarios
-     * fan out as freely as single experiments (the tasks *within* one
-     * scenario share thermal state and stay serial).
-     */
-    std::vector<ScenarioResult>
-    runScenarioBatch(const std::vector<ScenarioConfig> &batch);
-
   private:
     void workerLoop();
 
@@ -142,7 +96,7 @@ class ExperimentRunner
     void helpUntilZero(const std::size_t &counter);
 
     std::mutex mutex;
-    std::condition_variable signal; ///< submit / completion / shutdown
+    std::condition_variable signal; ///< enqueue / completion / shutdown
     std::deque<std::function<void()>> queue;
     std::size_t in_flight = 0; ///< queued + currently running jobs
     bool stopping = false;

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the common infrastructure: statistics, time series,
  * tables, RNG, argument parsing, the blob codec's CRC32, and the
- * bench reports' JSON writer and gate ledger (bench/report.hh).
+ * bench reports' JSON writer, gate ledger and paper-claim gate
+ * (bench/report.hh).
  */
 
 #include <gtest/gtest.h>
@@ -476,6 +477,51 @@ TEST(ReportLedger, FailedGateIsWrittenAndFailsTheExit)
   }
 }
 )");
+}
+
+TEST(ReportLedger, ClaimVerdictFollowsDeclaration)
+{
+    // A claim's gate holds when its verdict (in band or not) is the
+    // declared one, and never for a measurement that is not finite.
+    const Band band = {9.0, 11.0, "test band"};
+    struct Case
+    {
+        const char *name;
+        double measured;
+        const char *miss; ///< empty: declared to pass
+        int exit;
+        const char *written; ///< a run of the row's JSON
+    };
+    const Case cases[] = {
+        {"in-band pass", 10.0, "", 0,
+         "\"measured\": 10,\n    \"band\": [9, 11],\n"
+         "    \"band_reason\": \"test band\",\n    \"pass\": true,\n"
+         "    \"expect\": \"pass\"\n"},
+        {"out-of-band pass", 12.0, "", 1,
+         "\"pass\": false,\n    \"expect\": \"pass\"\n"},
+        {"missing known miss", 12.0, "model too coarse", 0,
+         "\"pass\": false,\n    \"expect\": \"known_miss\",\n"
+         "    \"cause\": \"model too coarse\"\n"},
+        {"known miss in band", 10.0, "model too coarse", 1,
+         "\"pass\": true,\n    \"expect\": \"known_miss\""},
+        {"non-finite pass", std::nan(""), "", 1,
+         "\"measured\": null,"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string dir = freshDir("claim");
+        Report report(dir + "/report.json", "claim-test-v1");
+        report.json().object("row", [&] {
+            EXPECT_EQ(report.claim(c.name, c.measured, band, c.miss),
+                      c.exit == 0);
+        });
+        EXPECT_EQ(report.finish(), c.exit);
+        std::ifstream in(dir + "/report.json");
+        std::stringstream text;
+        text << in.rdbuf();
+        EXPECT_NE(text.str().find(c.written), std::string::npos)
+            << text.str();
+    }
 }
 
 } // namespace

@@ -1,18 +1,18 @@
 /**
  * @file
- * Tests for the ExperimentRunner thread pool: result ordering,
- * fire-and-forget draining, nested batches, and agreement between a
- * batched run and the serial experiment drivers.
+ * Tests for the ExperimentRunner thread pool: result ordering, nested
+ * batches, and agreement between a pooled batch and the serial
+ * experiment drivers.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
 #include <vector>
 
+#include "sprint/experiment.hh"
 #include "sprint/runner.hh"
 
 namespace csprint {
@@ -34,21 +34,9 @@ TEST(ExperimentRunner, MapPreservesSubmissionOrder)
     ASSERT_EQ(out.size(), jobs.size());
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-}
 
-TEST(ExperimentRunner, SubmitWaitDrainsEverything)
-{
-    ExperimentRunner runner(3);
-    std::atomic<int> done{0};
-    for (int i = 0; i < 100; ++i)
-        runner.submit([&done] { ++done; });
-    runner.wait();
-    EXPECT_EQ(done.load(), 100);
-
-    // The pool stays usable after a wait().
-    runner.submit([&done] { ++done; });
-    runner.wait();
-    EXPECT_EQ(done.load(), 101);
+    // The pool stays usable after a batch.
+    EXPECT_EQ(runner.map(jobs), out);
 }
 
 TEST(ExperimentRunner, NestedMapDoesNotDeadlock)
@@ -80,9 +68,9 @@ TEST(ExperimentRunner, ZeroWorkerRequestGetsAtLeastOne)
 
 TEST(ExperimentRunner, BatchAgreesWithSerialDrivers)
 {
-    // The batched path must produce the same physics as calling the
+    // The pooled batch must produce the same physics as calling the
     // drivers serially (each run owns its state, so this is pure
-    // plumbing — but it is the property every figure rests on).
+    // plumbing — but it is the property every claim rests on).
     ExperimentSpec spec;
     spec.kernel = KernelId::Sobel;
     spec.size = InputSize::A;
@@ -92,9 +80,10 @@ TEST(ExperimentRunner, BatchAgreesWithSerialDrivers)
     const RunResult serial_sprint = runParallelSprintExperiment(spec);
 
     ExperimentRunner runner(2);
-    const std::vector<RunResult> batched = runner.runBatch(
-        {{ExperimentMode::Baseline, spec},
-         {ExperimentMode::ParallelSprint, spec}});
+    const std::vector<RunResult> batched =
+        runner.map(std::vector<std::function<RunResult()>>{
+            [&spec] { return runBaselineExperiment(spec); },
+            [&spec] { return runParallelSprintExperiment(spec); }});
 
     ASSERT_EQ(batched.size(), 2u);
     EXPECT_DOUBLE_EQ(batched[0].task_time, serial_base.task_time);
