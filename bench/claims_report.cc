@@ -468,7 +468,7 @@ runGovernor(const GovernorConfig &cfg)
     SprintGovernor gov(cfg, pkg);
     Seconds t = 0.0;
     while (t < 10.0 &&
-           gov.onSample(1e-3, 16.0 * 1e-3) == GovernorAction::Continue)
+           gov.onSample(1e-3, 16.0 * 1e-3) == SprintDecision::Continue)
         t += 1e-3;
     for (int i = 0; i < 2000; ++i) // the migration: power falls to 1 W
         gov.onSample(1e-3, 1e-3);

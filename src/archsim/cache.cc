@@ -74,22 +74,13 @@ Cache::accessIfPresent(std::uint64_t line, bool write)
 {
     const std::size_t set = line & (sets - 1);
     SetMeta &m = meta[set];
-    int way;
-    if (hint_line == line && ((m.valid >> hint_way) & 1u) &&
-        tags[hint_set * ways + hint_way] == line) {
-        way = hint_way;
-    } else {
-        way = findWay(set, line);
-        if (way < 0)
-            return false;
-    }
+    const int way = findWay(set, line);
+    if (way < 0)
+        return false;
     if (write && !((m.dirty >> way) & 1u))
         return false;  // S -> M upgrade: full coherence path
     touch(m, way);
     ++counters.hits;
-    hint_set = set;
-    hint_way = way;
-    hint_line = line;
     return true;
 }
 

@@ -15,12 +15,11 @@
  * way) is identical to a timestamp implementation.
  *
  * Two lookup paths exist: access() is the full allocate-on-miss path,
- * and accessIfPresent() is the simulation hot path — a hit-only probe
- * (with a one-entry MRU shortcut) that performs exactly the recency,
- * dirty-bit, and counter updates of a hitting access() and touches
- * nothing on a miss or an S->M upgrade. The machine's stride probe
- * looks hits up ahead of time through a read-only HitProbe and later
- * replays them with commitHits()/countHits().
+ * and accessIfPresent() is a hit-only probe that performs exactly the
+ * recency, dirty-bit, and counter updates of a hitting access() and
+ * touches nothing on a miss or an S->M upgrade. The machine's stride
+ * probe, its hot path, looks hits up ahead of time through a read-only
+ * HitProbe and later replays them with commitHits()/countHits().
  */
 
 #ifndef CSPRINT_ARCHSIM_CACHE_HH
@@ -174,10 +173,10 @@ class Cache
     }
 
     /**
-     * Count @p n hits that repeat the latest hit (accessIfPresent()
-     * or commitHits()) on the same line, each a load or a store to a
-     * line found dirty. That hit left its way MRU, so a repeat
-     * changes nothing but the hit counter.
+     * Count @p n hits that repeat the latest commitHits() hit on the
+     * same line, each a load or a store to a line found dirty. That
+     * hit left its way MRU, so a repeat changes nothing but the hit
+     * counter.
      */
     void countHits(std::uint64_t n) { counters.hits += n; }
 
@@ -275,13 +274,6 @@ class Cache
     int ways;
     std::vector<std::uint64_t> tags;  ///< sets * ways, row-major by set
     std::vector<SetMeta> meta;        ///< one packed word per set
-    // One-entry MRU filter for accessIfPresent: consecutive accesses
-    // to the same line skip the way scan. The tag/valid re-check makes
-    // stale hints (invalidation, eviction reuse, flush) fall back to
-    // the scan.
-    std::size_t hint_set = 0;
-    int hint_way = 0;
-    std::uint64_t hint_line = ~std::uint64_t(0);
     CacheStats counters;
 };
 

@@ -10,21 +10,30 @@ namespace csprint {
 namespace {
 
 /**
- * tryBatch's register tally: kBatchKinds per-kind op counts of
- * kBatchCountBits each, packed in one 64-bit word and flushed at
- * least every kBatchMaxRun ops (the largest count a field holds).
+ * The stride probe's register tally: kTallyKinds per-kind op counts of
+ * kTallyCountBits each, packed in one 64-bit word and flushed at
+ * least every kTallyMaxRun ops (the largest count a field holds).
+ * probeLocalRun adds one tallyOf per verified op and drains the word
+ * into Core::probe_counts.
  */
-constexpr std::size_t kBatchKinds = 5;
-constexpr unsigned kBatchCountBits = 12;
-constexpr std::uint64_t kBatchMaxRun = (1u << kBatchCountBits) - 1;
-static_assert(kBatchKinds * kBatchCountBits <= 64,
-              "packed batch tally exceeds one word");
+constexpr std::size_t kTallyKinds = 5;
+constexpr unsigned kTallyCountBits = 12;
+constexpr std::uint64_t kTallyMaxRun = (1u << kTallyCountBits) - 1;
+static_assert(kTallyKinds * kTallyCountBits <= 64,
+              "packed probe tally exceeds one word");
+// Op kinds a stride run can hold: IntAlu..Branch, indices 0..4.
+static_assert(opKindIndex(OpKind::IntAlu) < kTallyKinds &&
+                  opKindIndex(OpKind::FpAlu) < kTallyKinds &&
+                  opKindIndex(OpKind::Load) < kTallyKinds &&
+                  opKindIndex(OpKind::Store) < kTallyKinds &&
+                  opKindIndex(OpKind::Branch) < kTallyKinds,
+              "local op kinds must fit the packed tally");
 
 /** One op of @p kind in a packed tally. */
 constexpr std::uint64_t
 tallyOf(OpKind kind)
 {
-    return std::uint64_t(1) << (kBatchCountBits * opKindIndex(kind));
+    return std::uint64_t(1) << (kTallyCountBits * opKindIndex(kind));
 }
 
 /** Add the per-kind fields of the packed tally @p counts to @p dst. */
@@ -32,9 +41,9 @@ template <typename Count>
 void
 addTally(std::uint64_t counts, std::array<Count, kNumOpKinds> &dst)
 {
-    for (std::size_t k = 0; k < kBatchKinds; ++k)
+    for (std::size_t k = 0; k < kTallyKinds; ++k)
         dst[k] += static_cast<Count>(
-            (counts >> (kBatchCountBits * k)) & kBatchMaxRun);
+            (counts >> (kTallyCountBits * k)) & kTallyMaxRun);
 }
 
 } // namespace
@@ -81,7 +90,6 @@ Machine::Machine(const MachineConfig &config,
         cores[c].active = true;
     }
     active_cores = cfg.num_cores;
-    mem_batch_ok = active_cores == 1;
 
     threads.resize(cfg.num_threads);
     for (int t = 0; t < cfg.num_threads; ++t) {
@@ -259,9 +267,9 @@ void
 Machine::precommitL1Targets(std::uint64_t line, bool write,
                             int requester, Cycles now)
 {
-    // Deferred stride runs exist only in the multi-core event-driven
-    // loop; skip the directory peek entirely otherwise.
-    if (mem_batch_ok || cfg.loop == MachineLoop::Reference)
+    // Deferred stride runs exist only in the event-driven loop; skip
+    // the directory peek entirely otherwise.
+    if (cfg.loop == MachineLoop::Reference)
         return;
     // This access is about to perform coherence actions on other
     // cores' L1s. Any deferred stride run of an affected core holds
@@ -400,81 +408,6 @@ Machine::executeOp(Core &core, Thread &thread, const MicroOp &op,
     SPRINT_PANIC("unknown op kind");
 }
 
-Cycles
-Machine::batchLimit(const Core &core, Cycles now) const
-{
-    if (cfg.loop == MachineLoop::Reference)
-        return 1;  // the parity baseline executes one op per cycle
-    Cycles limit = kNever;  // tryBatch clamps to the buffered window
-    // Never execute past a sample boundary: the hook must observe
-    // exactly the state the reference loop would show it.
-    if (next_sample_at - now < limit)
-        limit = next_sample_at - now;
-    // Quantum preemption is checked every cycle when multiplexing.
-    if (core.run_queue.size() > 1 && core.quantum_end - now < limit)
-        limit = core.quantum_end - now;
-    return limit;
-}
-
-Cycles
-Machine::tryBatch(Core &core, Thread &thread, Cycles limit,
-                  bool allow_mem)
-{
-    // Op kinds a batch can retire: IntAlu..Branch, indices 0..4.
-    static_assert(opKindIndex(OpKind::IntAlu) < kBatchKinds &&
-                      opKindIndex(OpKind::FpAlu) < kBatchKinds &&
-                      opKindIndex(OpKind::Load) < kBatchKinds &&
-                      opKindIndex(OpKind::Store) < kBatchKinds &&
-                      opKindIndex(OpKind::Branch) < kBatchKinds,
-                  "batchable op kinds must fit the packed tally");
-    Cache &l1 = l1s[core.id];
-    const MicroOp *ops = thread.buf.data();
-    const std::size_t start = thread.buf_pos;
-    std::size_t i = start;
-    const std::size_t end =
-        std::min<std::size_t>(thread.buf_len,
-                              start + static_cast<std::size_t>(limit));
-    // (line << 1 | store) of the last memory op, which hit: that hit
-    // left its way MRU (and a store found it dirty), so an immediate
-    // repeat changes nothing in the L1 but its hit counter.
-    std::uint64_t memo = ~std::uint64_t(0);
-    std::uint64_t memo_hits = 0;
-    while (i < end) {
-        // Per-kind op counts live in one register, kBatchCountBits per
-        // kind, flushed before any field can overflow.
-        const std::size_t stop =
-            std::min<std::size_t>(end, i + kBatchMaxRun);
-        std::uint64_t counts = 0;
-        for (; i < stop; ++i) {
-            const MicroOp op = ops[i];
-            const OpKind kind = op.kind();
-            if (!isComputeOp(kind)) {
-                // Memory hits reach this point only when no other core
-                // can interleave a coherence action inside the batch
-                // window: exactly one active core.
-                if (!allow_mem || !isMemoryOp(kind))
-                    break;
-                const bool store = kind == OpKind::Store;
-                const std::uint64_t line = op.addr() >> line_shift;
-                const std::uint64_t key = (line << 1) | store;
-                if (key == memo)
-                    ++memo_hits;
-                else if (l1.accessIfPresent(line, store))
-                    memo = key;
-                else
-                    break;
-            }
-            counts += tallyOf(kind);
-        }
-        addTally(counts, tally.ops);
-        if (i < stop)
-            break;
-    }
-    l1.countHits(memo_hits);
-    thread.buf_pos = i;
-    return static_cast<Cycles>(i - start);
-}
-
 bool
 Machine::streamCapable(const Core &core, Cycles now) const
 {
@@ -524,8 +457,8 @@ Machine::probeLocalRun(Core &core, const Thread &thread, Cycles cap)
     std::uint64_t memo_key = ~std::uint64_t(0);
     while (p != goal) {
         const MicroOp *const stop =
-            goal - p > static_cast<std::ptrdiff_t>(kBatchMaxRun)
-                ? p + kBatchMaxRun
+            goal - p > static_cast<std::ptrdiff_t>(kTallyMaxRun)
+                ? p + kTallyMaxRun
                 : goal;
         std::uint64_t counts = 0;
         for (; p != stop; ++p) {
@@ -684,28 +617,7 @@ Machine::tickCore(Core &core, Cycles now)
         }
     }
 
-    const MicroOp &op = thread.buf[thread.buf_pos];
-    if (isComputeOp(op.kind()) ||
-        (mem_batch_ok && isMemoryOp(op.kind()))) {
-        const Cycles n = tryBatch(core, thread, batchLimit(core, now),
-                                  mem_batch_ok);
-        if (n > 0) {
-            core.busy_until = now + n;
-            next_event[core.id] = core.busy_until;
-            return;
-        }
-    } else if (isMemoryOp(op.kind()) &&
-               l1s[core.id].accessIfPresent(op.addr() >> line_shift,
-                                            op.kind() == OpKind::Store)) {
-        // Multi-core local L1 hit: one cycle, no coherence traffic.
-        // (Identical to executeOp's Load/Store path with lat == 1.)
-        chargeOp(op.kind());
-        ++thread.buf_pos;
-        core.busy_until = now + 1;
-        next_event[core.id] = core.busy_until;
-        return;
-    }
-    executeOp(core, thread, op, now);
+    executeOp(core, thread, thread.buf[thread.buf_pos], now);
     next_event[core.id] = core.busy_until;
 }
 
@@ -833,7 +745,7 @@ Machine::commitRun(Core &core, Cycles from, Cycles k)
         // blocker): apply the aggregated counts and replay every
         // queued entry without touching the op array.
         mem_ops = core.probe_counts[kLoad] + core.probe_counts[kStore];
-        for (std::size_t kd = 0; kd < kBatchKinds; ++kd) {
+        for (std::size_t kd = 0; kd < kTallyKinds; ++kd) {
             tally.ops[kd] += core.probe_counts[kd];
             core.probe_counts[kd] = 0;
         }
@@ -860,7 +772,7 @@ Machine::commitRun(Core &core, Cycles from, Cycles k)
             }
         }
         mem_ops = n[kLoad] + n[kStore];
-        for (std::size_t kd = 0; kd < kBatchKinds; ++kd) {
+        for (std::size_t kd = 0; kd < kTallyKinds; ++kd) {
             tally.ops[kd] += n[kd];
             core.probe_counts[kd] -= n[kd];
         }
@@ -900,15 +812,6 @@ Machine::runEventLoop()
             const Cycles t = ne[c];
             if (t >= horizon)
                 continue;
-            if (mem_batch_ok) {
-                // Single active core: no cross-core hazard exists, so
-                // ticking is eager — tickCore's batch path drains the
-                // whole local run in one pass with no probe/commit
-                // split.
-                horizon = t;
-                pick = static_cast<int>(c);
-                continue;
-            }
             // Fast path: the cached verified-local reach (clamped to
             // the preemption point) already covers the horizon.
             const Cycles r = std::min(re[c], qe[c]);
@@ -1074,7 +977,6 @@ Machine::consolidateToSingleCore()
         std::max(cores[0].busy_until, cycle + cfg.migration_cycles);
     chargeIdle(cfg.migration_cycles);
     active_cores = 1;
-    mem_batch_ok = true;
     events_dirty = true;
 }
 

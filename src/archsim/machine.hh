@@ -309,9 +309,6 @@ class Machine
     bool threadRunnable(const Thread &thread, Cycles now) const;
     bool refillOps(Thread &thread);
     void tickCore(Core &core, Cycles now);
-    Cycles tryBatch(Core &core, Thread &thread, Cycles limit,
-                    bool allow_mem);
-    Cycles batchLimit(const Core &core, Cycles now) const;
     bool streamCapable(const Core &core, Cycles now) const;
     // Out of line on purpose: most dispatch scans are served by the
     // cached reach, and with the probe inlined into the scan loop
@@ -365,7 +362,6 @@ class Machine
     Cycles dequeue_free_at = 0;         ///< dynamic-dequeue lock horizon
     std::size_t barrier_count = 0;
     int active_cores = 0;
-    bool mem_batch_ok = false;  ///< memory hits batchable (1 active core)
     bool events_dirty = false;  ///< a hook rewired cores mid-run
     unsigned line_shift = 6;            ///< log2(cfg.line_bytes)
 

@@ -301,12 +301,6 @@ struct CheckpointIO
             }
         }
         transfer(a, c.counters);
-        if constexpr (Ar::kReading) {
-            // The MRU shortcut is a pure hint; start it cold.
-            c.hint_set = 0;
-            c.hint_way = 0;
-            c.hint_line = ~std::uint64_t(0);
-        }
     }
 
     /** Reading rejects a capacity other than @p expect_capacity. */
@@ -596,7 +590,15 @@ struct CheckpointIO
                 m.active_cores > static_cast<int>(m.cores.size()))
                 corrupt("active core count out of range");
         }
-        a.boolean(m.mem_batch_ok);
+        // A single-core byte follows the count. It holds no state of
+        // its own, but the format keeps it, so it must agree.
+        bool single_core = m.active_cores == 1;
+        a.boolean(single_core);
+        if constexpr (Ar::kReading) {
+            if (single_core != (m.active_cores == 1))
+                corrupt("single-core flag disagrees with the active "
+                        "core count");
+        }
         transfer(a, m.cfg.energy);
         transfer(a, m.totals);
         const int nthreads = static_cast<int>(m.threads.size());

@@ -16,7 +16,7 @@ SprintGovernor::SprintGovernor(const GovernorConfig &config,
     peak_junction = package.junctionTemp();
 }
 
-GovernorAction
+SprintDecision
 SprintGovernor::onSample(Seconds dt, Joules energy)
 {
     SPRINT_ASSERT(dt > 0.0, "sample interval must be positive");
@@ -45,9 +45,9 @@ SprintGovernor::onSample(Seconds dt, Joules energy)
         if (exhausted) {
             signalled = true;
             time_since_signal = 0.0;
-            return GovernorAction::TerminateSprint;
+            return SprintDecision::StopSprint;
         }
-        return GovernorAction::Continue;
+        return SprintDecision::Continue;
     }
 
     // Already signalled: escalate to the hardware throttle if power
@@ -57,9 +57,9 @@ SprintGovernor::onSample(Seconds dt, Joules energy)
     if (!throttle_fired && time_since_signal > cfg.software_grace &&
         power > 1.5 * sustainable) {
         throttle_fired = true;
-        return GovernorAction::Throttle;
+        return SprintDecision::Throttle;
     }
-    return GovernorAction::Continue;
+    return SprintDecision::Continue;
 }
 
 } // namespace csprint

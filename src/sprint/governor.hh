@@ -31,12 +31,12 @@ struct GovernorConfig
     Seconds software_grace = 200e-6;
 };
 
-/** What the platform should do after a sample. */
-enum class GovernorAction
+/** What the platform should do after one energy sample. */
+enum class SprintDecision
 {
-    Continue,        ///< keep sprinting
-    TerminateSprint, ///< software: migrate to one core now
-    Throttle,        ///< hardware: clamp frequency (software missed)
+    Continue,   ///< keep the current configuration
+    StopSprint, ///< software: migrate to one core / drop the boost
+    Throttle,   ///< hardware: clamp frequency (software missed)
 };
 
 /**
@@ -52,7 +52,7 @@ class SprintGovernor
      * Fold one sample (energy @p energy over wall time @p dt) into the
      * tracker, advance the package thermal model, and decide.
      */
-    GovernorAction onSample(Seconds dt, Joules energy);
+    SprintDecision onSample(Seconds dt, Joules energy);
 
     /** Budget available at sprint start [J]. */
     Joules initialBudget() const { return budget_total; }
@@ -60,7 +60,7 @@ class SprintGovernor
     /** Budget still unspent (activity estimate) [J]. */
     Joules remainingBudget() const { return budget_remaining; }
 
-    /** True once TerminateSprint has been signalled. */
+    /** True once StopSprint has been signalled. */
     bool terminated() const { return signalled; }
 
     /** True once the hardware throttle fired. */

@@ -63,15 +63,7 @@ GovernorBackedPolicy::onSample(MobilePackageModel &package, Seconds dt,
     (void)package; // the governor holds the package reference
     SPRINT_ASSERT(governor.has_value(),
                   "onSample before beginTask armed the governor");
-    switch (governor->onSample(dt, energy)) {
-      case GovernorAction::Continue:
-        return SprintDecision::Continue;
-      case GovernorAction::TerminateSprint:
-        return SprintDecision::StopSprint;
-      case GovernorAction::Throttle:
-        return SprintDecision::Throttle;
-    }
-    SPRINT_PANIC("unknown governor action");
+    return governor->onSample(dt, energy);
 }
 
 GreedyActivityPolicy::GreedyActivityPolicy(GovernorConfig cfg)

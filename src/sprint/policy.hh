@@ -74,14 +74,6 @@ enum class ArrivalDecision
     Drop,    ///< reject the newcomer outright (counted, never run)
 };
 
-/** What the platform should do after one energy sample. */
-enum class SprintDecision
-{
-    Continue,   ///< keep the current configuration
-    StopSprint, ///< software: migrate to one core / drop the boost
-    Throttle,   ///< hardware: clamp frequency (software missed)
-};
-
 /** The concrete policies shipped with the library. */
 enum class SprintPolicyKind
 {

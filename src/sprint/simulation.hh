@@ -39,8 +39,8 @@ namespace csprint {
 
 /**
  * Default capacitance time scaling matching the scaled-down workload
- * inputs (see SprintConfig::scaledPackage and DESIGN.md,
- * Substitutions).
+ * inputs (see SprintConfig::scaledPackage and EXPERIMENTS.md,
+ * "Time scales").
  */
 constexpr double kDefaultTimeScale = 7e-4;
 
@@ -58,7 +58,7 @@ struct SprintConfig
                                            ///< the hardware throttle
     /**
      * Scale all thermal capacitances by @p time_scale to match the
-     * scaled-down workload inputs (see DESIGN.md, Substitutions; the
+     * scaled-down workload inputs (see EXPERIMENTS.md, "Time scales"; the
      * paper itself scales its PCM 100x for the same reason). Thermal
      * resistances are untouched, so TDP and steady state are
      * preserved while transients shrink by the same factor as the

@@ -5,7 +5,7 @@
  * Gaussian blobs, noise, and horizontally shifted stereo pairs). The
  * paper evaluates on camera images; these generators produce inputs
  * with comparable structure (edges, clusters, disparity) at
- * simulation-tractable sizes (see DESIGN.md, Substitutions).
+ * simulation-tractable sizes (see EXPERIMENTS.md, "Time scales").
  */
 
 #ifndef CSPRINT_WORKLOADS_IMAGE_HH

@@ -583,6 +583,17 @@ TEST(CheckpointRejection, ForeignQuantileIsCorrupt)
     }
 }
 
+/** The last machine suspended in @p ck's ready queue, or null. */
+const Machine *
+suspendedMachine(const ScenarioCheckpoint &ck)
+{
+    const Machine *machine = nullptr;
+    for (const auto &ex : ck.ready)
+        if (ex->machine)
+            machine = ex->machine.get();
+    return machine;
+}
+
 TEST(CheckpointRejection, OutOfRangeIntFieldsAreCorrupt)
 {
     // int fields travel as i64: a forged value an int cannot hold must
@@ -610,10 +621,7 @@ TEST(CheckpointRejection, OutOfRangeIntFieldsAreCorrupt)
     const ScenarioConfig preempt = preemptiveScenario(4);
     ScenarioCheckpoint mid = beginScenario(preempt);
     advanceScenario(preempt, mid, 2);
-    const Machine *machine = nullptr;
-    for (const auto &ex : mid.ready)
-        if (ex->machine)
-            machine = ex->machine.get();
+    const Machine *machine = suspendedMachine(mid);
     ASSERT_NE(machine, nullptr);
     const TechParams &tech = machine->config().energy.tech();
     BlobWriter energy;
@@ -626,6 +634,32 @@ TEST(CheckpointRejection, OutOfRangeIntFieldsAreCorrupt)
     at = offsetsOf(payload, energy);
     ASSERT_EQ(at.size(), 1u);
     expectForgeryCorrupt(preempt, payload, at[0], too_big);
+}
+
+TEST(CheckpointRejection, SingleCoreFlagMustMatchActiveCores)
+{
+    // A machine record keeps a single-core byte right after its active
+    // core count; it carries no state of its own, so a byte that
+    // disagrees with the count is a forgery.
+    const ScenarioConfig cfg = preemptiveScenario(4);
+    ScenarioCheckpoint mid = beginScenario(cfg);
+    advanceScenario(cfg, mid, 2);
+    const Machine *machine = suspendedMachine(mid);
+    ASSERT_NE(machine, nullptr);
+    ASSERT_GT(machine->activeCores(), 1);
+    const TechParams &tech = machine->config().energy.tech();
+    BlobWriter pattern;
+    pattern.i64(machine->activeCores());
+    pattern.boolean(false);
+    pattern.i64(tech.node_nm);
+    pattern.f64(tech.vdd);
+    const std::vector<std::uint8_t> payload = payloadOf(
+        serializeCheckpoint(cfg, mid), scenarioConfigDigest(cfg));
+    const std::vector<std::size_t> at = offsetsOf(payload, pattern);
+    ASSERT_EQ(at.size(), 1u);
+    BlobWriter single;
+    single.boolean(true);
+    expectForgeryCorrupt(cfg, payload, at[0] + 8, single);
 }
 
 /**

@@ -35,7 +35,7 @@ TEST(Governor, SustainedLoadNeverTriggers)
     const Watts p = 0.9 * gov.sustainablePower();
     for (int i = 0; i < 20000; ++i) {
         const auto action = gov.onSample(1e-3, p * 1e-3);
-        ASSERT_EQ(action, GovernorAction::Continue) << "sample " << i;
+        ASSERT_EQ(action, SprintDecision::Continue) << "sample " << i;
     }
     EXPECT_FALSE(gov.terminated());
     EXPECT_NEAR(gov.remainingBudget(), gov.initialBudget(), 1e-6);
@@ -46,12 +46,12 @@ TEST(Governor, SixteenWattSprintTriggersNearOneSecond)
     MobilePackageModel pkg(scaledParams());
     SprintGovernor gov(GovernorConfig{}, pkg);
     Seconds t = 0.0;
-    GovernorAction action = GovernorAction::Continue;
-    while (action == GovernorAction::Continue && t < 5.0) {
+    SprintDecision action = SprintDecision::Continue;
+    while (action == SprintDecision::Continue && t < 5.0) {
         action = gov.onSample(1e-3, 16.0 * 1e-3);
         t += 1e-3;
     }
-    EXPECT_EQ(action, GovernorAction::TerminateSprint);
+    EXPECT_EQ(action, SprintDecision::StopSprint);
     // ~17 J of budget at ~15 W above sustainable: about 1.1 s.
     EXPECT_GT(t, 0.6);
     EXPECT_LT(t, 2.0);
@@ -86,12 +86,12 @@ TEST(Governor, ThermometerModeTriggersNearLimit)
     cfg.temp_guard = 1.0;
     SprintGovernor gov(cfg, pkg);
     Seconds t = 0.0;
-    GovernorAction action = GovernorAction::Continue;
-    while (action == GovernorAction::Continue && t < 5.0) {
+    SprintDecision action = SprintDecision::Continue;
+    while (action == SprintDecision::Continue && t < 5.0) {
         action = gov.onSample(1e-3, 16.0 * 1e-3);
         t += 1e-3;
     }
-    EXPECT_EQ(action, GovernorAction::TerminateSprint);
+    EXPECT_EQ(action, SprintDecision::StopSprint);
     EXPECT_GE(pkg.junctionTemp(),
               pkg.params().t_junction_max - 2.0);
     EXPECT_LT(gov.peakJunction(), pkg.params().t_junction_max + 1.0);
@@ -109,7 +109,7 @@ TEST(Governor, ActivityAndThermometerAgreeRoughly)
         SprintGovernor gov(cfg, pkg);
         Seconds t = 0.0;
         while (t < 5.0) {
-            if (gov.onSample(1e-3, 16e-3) != GovernorAction::Continue)
+            if (gov.onSample(1e-3, 16e-3) != SprintDecision::Continue)
                 break;
             t += 1e-3;
         }
@@ -127,17 +127,17 @@ TEST(Governor, EscalatesToThrottleWhenSoftwareHangs)
     cfg.software_grace = 10e-3;
     SprintGovernor gov(cfg, pkg);
     // Sprint to exhaustion...
-    GovernorAction action = GovernorAction::Continue;
+    SprintDecision action = SprintDecision::Continue;
     Seconds t = 0.0;
-    while (action == GovernorAction::Continue && t < 5.0) {
+    while (action == SprintDecision::Continue && t < 5.0) {
         action = gov.onSample(1e-3, 16e-3);
         t += 1e-3;
     }
-    ASSERT_EQ(action, GovernorAction::TerminateSprint);
+    ASSERT_EQ(action, SprintDecision::StopSprint);
     // ...and keep burning 16 W as if the OS missed the signal.
     bool throttled = false;
     for (int i = 0; i < 200; ++i) {
-        if (gov.onSample(1e-3, 16e-3) == GovernorAction::Throttle) {
+        if (gov.onSample(1e-3, 16e-3) == SprintDecision::Throttle) {
             throttled = true;
             break;
         }
@@ -155,20 +155,20 @@ TEST(Governor, ThrottleWaitsOutTheFullGraceWindow)
     GovernorConfig cfg;
     cfg.software_grace = 50e-3;
     SprintGovernor gov(cfg, pkg);
-    GovernorAction action = GovernorAction::Continue;
+    SprintDecision action = SprintDecision::Continue;
     Seconds t = 0.0;
-    while (action == GovernorAction::Continue && t < 5.0) {
+    while (action == SprintDecision::Continue && t < 5.0) {
         action = gov.onSample(1e-3, 16e-3);
         t += 1e-3;
     }
-    ASSERT_EQ(action, GovernorAction::TerminateSprint);
+    ASSERT_EQ(action, SprintDecision::StopSprint);
 
     Seconds since_signal = 0.0;
     int throttles = 0;
     for (int i = 0; i < 200; ++i) {
-        const GovernorAction a = gov.onSample(1e-3, 16e-3);
+        const SprintDecision a = gov.onSample(1e-3, 16e-3);
         since_signal += 1e-3;
-        if (a == GovernorAction::Throttle) {
+        if (a == SprintDecision::Throttle) {
             ++throttles;
             EXPECT_GT(since_signal, cfg.software_grace);
         } else if (throttles == 0) {
@@ -187,16 +187,16 @@ TEST(Governor, NoThrottleWhenSoftwareComplies)
     GovernorConfig cfg;
     cfg.software_grace = 10e-3;
     SprintGovernor gov(cfg, pkg);
-    GovernorAction action = GovernorAction::Continue;
+    SprintDecision action = SprintDecision::Continue;
     Seconds t = 0.0;
-    while (action == GovernorAction::Continue && t < 5.0) {
+    while (action == SprintDecision::Continue && t < 5.0) {
         action = gov.onSample(1e-3, 16e-3);
         t += 1e-3;
     }
-    ASSERT_EQ(action, GovernorAction::TerminateSprint);
+    ASSERT_EQ(action, SprintDecision::StopSprint);
     // Software migrated: power falls to ~1 W.
     for (int i = 0; i < 500; ++i) {
-        EXPECT_NE(gov.onSample(1e-3, 1e-3), GovernorAction::Throttle);
+        EXPECT_NE(gov.onSample(1e-3, 1e-3), SprintDecision::Throttle);
     }
     EXPECT_FALSE(gov.throttled());
 }

@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -366,15 +367,16 @@ TEST(MachineDeterminism, ConsolidateToSingleCoreMidRun)
     expectLoopsAgree(make, cfgOf(16, 16), consolidatingHook(20e-6));
 }
 
-TEST(MachineDeterminism, SingleCoreSameLineRunsBatchExactly)
+TEST(MachineDeterminism, SingleCoreSameLineRunsProbeExactly)
 {
-    // The single-core batch path skips the L1 lookup of a memory op
-    // that repeats the last hit's (line, store) pair. Long same-line
-    // load and store runs exercise the skip; a store to a line just
-    // loaded clean needs an S->M upgrade and must still end the batch.
-    // Without a hook, batches run unclamped over whole chunks, whose
-    // 6000 FP ops overflow one field of the packed per-kind tally
-    // unless it is flushed every 4095 ops.
+    // With one core the stride probe skips the L1 lookup of a memory
+    // op that repeats the last verified (line, store) pair, and queues
+    // no hit entry for an op on the line before it. Long same-line
+    // load and store runs exercise both; a store to a line just loaded
+    // clean needs an S->M upgrade and must still end the run. Without
+    // a hook, a probe runs unclamped over whole chunks, whose 6000 FP
+    // ops overflow one field of the packed per-kind tally unless it is
+    // flushed every 4095 ops.
     auto make = [] {
         ParallelProgram prog("same_line");
         Phase p;
@@ -538,8 +540,12 @@ lruRoundsProgram(
 // The three LruRounds cases below each sweep kSeeds seeds: a wrong
 // touch shows only when a later round reaches the line it moved. With
 // eight seeds, a commit that skips one hit entry, or replays one
-// twice, fails at least one of the cases.
+// twice, fails at least one of the cases. The two cases without a
+// second core's coherence traffic also sweep the core count: one
+// core is the post-sprint single-core phase, which runs on the same
+// stride probe and commit.
 constexpr unsigned kSeeds = 8;
+constexpr int kCoreCounts[] = {1, 2};
 
 TEST(MachineDeterminism, SampleBoundarySplitsSameLineRun)
 {
@@ -549,25 +555,29 @@ TEST(MachineDeterminism, SampleBoundarySplitsSameLineRun)
     // new hit entry, so the commit after the boundary must count the
     // continuation as repeats of the line committed before it.
     constexpr int kRounds = 60;
-    for (unsigned seed = 1; seed <= kSeeds; ++seed) {
-        auto make = [seed] {
-            return lruRoundsProgram(
-                2, seed,
-                [seed](std::size_t t, LruRounds &r,
-                       std::vector<MicroOp> &ops) {
-                    for (int i = 0; i < kRounds; ++i)
-                        r.round(ops,
-                                130 + static_cast<int>(
-                                          (i * 37 + t * 11 + seed) % 220),
-                                false);
-                });
-        };
-        SCOPED_TRACE(seed);
-        const RunCapture ev =
-            expectLoopsAgree(make, cfgOf(2, 2), recordingHook);
-        for (const CacheStats &l1 : ev.l1)
-            EXPECT_EQ(l1.misses, 8u + kRounds);
-        EXPECT_GT(ev.samples.size(), 40u);
+    for (int cores : kCoreCounts) {
+        for (unsigned seed = 1; seed <= kSeeds; ++seed) {
+            auto make = [cores, seed] {
+                return lruRoundsProgram(
+                    cores, seed,
+                    [seed](std::size_t t, LruRounds &r,
+                           std::vector<MicroOp> &ops) {
+                        for (int i = 0; i < kRounds; ++i)
+                            r.round(ops,
+                                    130 + static_cast<int>(
+                                              (i * 37 + t * 11 + seed) %
+                                              220),
+                                    false);
+                    });
+            };
+            SCOPED_TRACE("cores " + std::to_string(cores) + ", seed " +
+                         std::to_string(seed));
+            const RunCapture ev = expectLoopsAgree(
+                make, cfgOf(cores, cores), recordingHook);
+            for (const CacheStats &l1 : ev.l1)
+                EXPECT_EQ(l1.misses, 8u + kRounds);
+            EXPECT_GT(ev.samples.size(), 40u);
+        }
     }
 }
 
@@ -623,27 +633,32 @@ TEST(MachineDeterminism, StoreAfterLoadsOfCleanLineEndsRun)
     // line of the loads before it; a line stored in an earlier round
     // is dirty, and the same store is a local hit with no new entry.
     constexpr int kRounds = 40;
-    for (unsigned seed = 1; seed <= kSeeds; ++seed) {
-        auto make = [seed] {
-            return lruRoundsProgram(
-                2, seed,
-                [seed](std::size_t t, LruRounds &r,
-                       std::vector<MicroOp> &ops) {
-                    for (int i = 0; i < kRounds; ++i)
-                        r.round(ops,
-                                40 + static_cast<int>(
-                                         (i * 13 + t * 7 + seed) % 90),
-                                true);
-                });
-        };
-        SCOPED_TRACE(seed);
-        const RunCapture ev =
-            expectLoopsAgree(make, cfgOf(2, 2), recordingHook);
-        for (const CacheStats &l1 : ev.l1) {
-            EXPECT_EQ(l1.misses, 8u + kRounds);
-            EXPECT_GT(l1.dirty_evictions, 0u);
+    for (int cores : kCoreCounts) {
+        for (unsigned seed = 1; seed <= kSeeds; ++seed) {
+            auto make = [cores, seed] {
+                return lruRoundsProgram(
+                    cores, seed,
+                    [seed](std::size_t t, LruRounds &r,
+                           std::vector<MicroOp> &ops) {
+                        for (int i = 0; i < kRounds; ++i)
+                            r.round(ops,
+                                    40 + static_cast<int>(
+                                             (i * 13 + t * 7 + seed) % 90),
+                                    true);
+                    });
+            };
+            SCOPED_TRACE("cores " + std::to_string(cores) + ", seed " +
+                         std::to_string(seed));
+            const RunCapture ev = expectLoopsAgree(
+                make, cfgOf(cores, cores), recordingHook);
+            for (const CacheStats &l1 : ev.l1) {
+                EXPECT_EQ(l1.misses, 8u + kRounds);
+                EXPECT_GT(l1.dirty_evictions, 0u);
+            }
+            // The fills, plus at least one S->M upgrade per core.
+            EXPECT_GT(ev.l2.hits + ev.l2.misses,
+                      static_cast<std::uint64_t>(cores) * (8u + kRounds));
         }
-        EXPECT_GT(ev.l2.hits + ev.l2.misses, 2u * (8u + kRounds));
     }
 }
 

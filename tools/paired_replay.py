@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Time two csbench binaries side by side on the fleet replay.
+"""Time two csbench binaries side by side on one machine-bound workload.
 
     tools/paired_replay.py BASE_CSBENCH NEW_CSBENCH [--pairs N] [--seed S]
+                           [--workload {fleet,sprint-train}]
 
-Each pair starts `csbench --workload fleet --mode replay` of both
-binaries at the same moment, each in its own scratch directory, and
-waits for both. The replay runs the first worker range serially in one
-process, so a pair needs two idle cores. Host-speed drift then slows
-both sides of a pair alike, where runs taken one after the other spread
-by 10-15% on a shared 4-vCPU host.
+Each pair starts one single-process run of both binaries at the same
+moment, each in its own scratch directory, and waits for both: for
+`fleet` (the default) `csbench --mode replay`, which runs the first
+worker range serially; for `sprint-train` `csbench --mode plain`, one
+train on one 16-core device, most of whose ops retire after the sprint
+in the single-core phase. A pair needs two idle cores. Host-speed drift
+then slows both sides of a pair alike, where runs taken one after the
+other spread by 10-15% on a shared 4-vCPU host.
 
 Prints each pair's wall times and the ratio NEW / BASE (below 1: NEW
 is faster), then the median and the min/max of the ratios. Exits
@@ -23,17 +26,20 @@ import subprocess
 import sys
 import tempfile
 
+# The single-process csbench mode each workload is timed in.
+MODES = {"fleet": "replay", "sprint-train": "plain"}
 
-def start(binary, seed, scratch):
-    """Start one replay; its process."""
+
+def start(binary, workload, seed, scratch):
+    """Start one run; its process."""
     return subprocess.Popen(
-        [binary, "--workload", "fleet", "--seed", str(seed),
-         "--mode", "replay", "--scratch", scratch],
+        [binary, "--workload", workload, "--seed", str(seed),
+         "--mode", MODES[workload], "--scratch", scratch],
         stdout=subprocess.PIPE, text=True)
 
 
 def finish(proc, binary):
-    """Wait for one replay; its JSON result."""
+    """Wait for one run; its JSON result."""
     out, _ = proc.communicate(timeout=600)
     lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -51,6 +57,7 @@ def main():
     ap.add_argument("new", help="csbench binary of the change")
     ap.add_argument("--pairs", type=int, default=6)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", choices=sorted(MODES), default="fleet")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -59,8 +66,8 @@ def main():
     for i in range(args.pairs):
         dirs = [tempfile.mkdtemp(prefix="paired-replay-") for _ in range(2)]
         try:
-            procs = [start(args.base, args.seed, dirs[0]),
-                     start(args.new, args.seed, dirs[1])]
+            procs = [start(args.base, args.workload, args.seed, dirs[0]),
+                     start(args.new, args.workload, args.seed, dirs[1])]
             base = finish(procs[0], args.base)
             new = finish(procs[1], args.new)
         finally:
