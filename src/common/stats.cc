@@ -209,23 +209,6 @@ P2Quantile::save(double *out) const
         *out++ = rate[i];
 }
 
-void
-P2Quantile::restore(const double *in)
-{
-    q_ = *in++;
-    n = static_cast<std::size_t>(*in++);
-    SPRINT_ASSERT(q_ > 0.0 && q_ < 1.0,
-                  "restored quantile must be in (0, 1)");
-    for (int i = 0; i < 5; ++i)
-        height[i] = *in++;
-    for (int i = 0; i < 5; ++i)
-        pos[i] = *in++;
-    for (int i = 0; i < 5; ++i)
-        desired[i] = *in++;
-    for (int i = 0; i < 5; ++i)
-        rate[i] = *in++;
-}
-
 double
 P2Quantile::value() const
 {

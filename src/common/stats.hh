@@ -60,14 +60,14 @@ class RunningStat
  * the markers move by piecewise-parabolic interpolation.
  *
  * Value-semantic (plain doubles), so an estimator can be snapshotted
- * into a checkpoint and resumed by copy.
+ * into a checkpoint (CheckpointIO) and resumed by copy.
  */
 class P2Quantile
 {
   public:
     /**
-     * Number of doubles save()/restore() exchange: the tracked
-     * quantile, the sample count, and the four marker arrays.
+     * Number of doubles save() writes: the tracked quantile, the
+     * sample count, and the four marker arrays.
      */
     static constexpr std::size_t kStateSize = 22;
 
@@ -101,13 +101,10 @@ class P2Quantile
     double quantile() const { return q_; }
 
     /**
-     * Dump the whole estimator into @p out (kStateSize doubles), for
-     * embedding into flat checkpoint vectors (SprintPolicy::saveState).
+     * Dump the whole estimator into @p out (kStateSize doubles), so a
+     * caller can compare or fingerprint estimators field by field.
      */
     void save(double *out) const;
-
-    /** Restore exactly what save() produced. */
-    void restore(const double *in);
 
   private:
     friend struct CheckpointIO;

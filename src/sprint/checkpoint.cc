@@ -190,10 +190,6 @@ struct CheckpointIO
     transfer(Ar &a, Io<Ar, SurrogateClassModel> m)
     {
         a.u64(m.n);
-        a.f64(m.service_mean);
-        a.f64(m.service_m2);
-        a.f64(m.energy_mean);
-        a.f64(m.energy_m2);
         a.f64(m.ewma_service);
         a.f64(m.ewma_energy);
         a.f64(m.ewma_sprint_time);
@@ -202,7 +198,6 @@ struct CheckpointIO
         a.f64(m.ewma_heat_energy);
         a.f64(m.exhausted_ewma);
         a.f64(m.throttled_ewma);
-        transfer(a, m.service_p95);
         a.u64(m.surrogate_runs);
         a.u64(m.audits);
         a.boolean(m.demoted);
@@ -864,6 +859,18 @@ struct CheckpointIO
         transfer(a, ck.arrivals);
         transfer(a, ck.thermal);
         a.vecF64(ck.policy_state);
+        if constexpr (Ar::kReading) {
+            // advanceScenario hands a non-empty state to the configured
+            // policy's restoreState, which asserts its length.
+            if (!ck.policy_state.empty()) {
+                const std::unique_ptr<SprintPolicy> policy =
+                    cfg.policy_factory ? cfg.policy_factory()
+                                       : makeSprintPolicy(cfg.policy);
+                if (ck.policy_state.size() != policy->saveState().size())
+                    corrupt("policy state length does not match the "
+                            "configured policy");
+            }
+        }
         a.f64(ck.now);
         a.f64(ck.busy);
         TaskTallies<int>::transfer(a, ck);
@@ -1134,20 +1141,11 @@ struct CheckpointIO
         d.f64(cfg.deadline_hi);
         d.f64(cfg.deadline_lo);
         d.f64(cfg.tail_rest);
-        d.i64(cfg.idle_trace_samples);
         d.i64(static_cast<int>(cfg.trace_mode));
         d.sz(cfg.trace_capacity);
         d.boolean(cfg.keep_task_results);
         d.i64(static_cast<int>(cfg.idle_model));
-        d.f64(cfg.idle_tolerance);
-        // Constant bytes stand where the format once hashed
-        // generic_dispatch and verify_pipeline_build (now in
-        // cfg.debug, which no digest covers), so stored checkpoints
-        // keep their digests.
-        d.boolean(false);
         d.boolean(cfg.pipeline_build);
-        d.boolean(false);
-        d.f64(cfg.policy.risk_quantile);
         d.i64(static_cast<int>(cfg.surrogate.tier));
         d.i64(cfg.surrogate.min_calibration);
         d.f64(cfg.surrogate.audit_period);

@@ -196,28 +196,11 @@ tardiness(Seconds finish, Seconds deadline)
 } // namespace
 
 QosPolicy::QosPolicy(double slack_factor, Seconds service_prior,
-                     GovernorConfig cfg, double risk_quantile)
+                     GovernorConfig cfg)
     : GovernorBackedPolicy(withActivityEstimate(cfg, true)),
-      slack(slack_factor), risk_aware(risk_quantile > 0.0),
-      est(service_prior, risk_aware ? risk_quantile : 0.95)
+      slack(slack_factor), est(service_prior)
 {
     SPRINT_ASSERT(slack > 0.0, "qos slack factor must be positive");
-    SPRINT_ASSERT(risk_quantile >= 0.0 && risk_quantile < 1.0,
-                  "risk quantile must be 0 (off) or in (0, 1)");
-}
-
-Seconds
-QosPolicy::priceIf(const TaskSnapshot &task, bool sprinted) const
-{
-    return risk_aware ? est.pessimisticIf(task, sprinted)
-                      : est.estimateIf(task, sprinted);
-}
-
-Seconds
-QosPolicy::priceRemaining(const TaskSnapshot &task) const
-{
-    return risk_aware ? est.pessimisticRemaining(task)
-                      : est.remaining(task);
 }
 
 ArrivalDecision
@@ -232,7 +215,7 @@ QosPolicy::onArrival(const MobilePackageModel &package, Seconds now,
         incoming.deadline == kNoDeadline)
         return ArrivalDecision::Queue;
     const Seconds wait =
-        priceRemaining(running) + priceIf(incoming, true);
+        est.remaining(running) + est.estimateIf(incoming, true);
     return now + slack * wait > incoming.deadline
                ? ArrivalDecision::Preempt
                : ArrivalDecision::Queue;
@@ -269,31 +252,12 @@ QosPolicy::restoreState(const std::vector<double> &state)
 
 ModelPredictivePolicy::ModelPredictivePolicy(double fraction,
                                              Seconds service_prior,
-                                             GovernorConfig cfg,
-                                             double risk_quantile)
+                                             GovernorConfig cfg)
     : GovernorBackedPolicy(withActivityEstimate(cfg, true)),
-      grant_fraction(fraction), risk_aware(risk_quantile > 0.0),
-      est(service_prior, risk_aware ? risk_quantile : 0.95)
+      grant_fraction(fraction), est(service_prior)
 {
     SPRINT_ASSERT(grant_fraction > 0.0 && grant_fraction <= 1.0,
                   "grant fraction must be in (0, 1]");
-    SPRINT_ASSERT(risk_quantile >= 0.0 && risk_quantile < 1.0,
-                  "risk quantile must be 0 (off) or in (0, 1)");
-}
-
-Seconds
-ModelPredictivePolicy::priceIf(const TaskSnapshot &task,
-                               bool sprinted) const
-{
-    return risk_aware ? est.pessimisticIf(task, sprinted)
-                      : est.estimateIf(task, sprinted);
-}
-
-Seconds
-ModelPredictivePolicy::priceRemaining(const TaskSnapshot &task) const
-{
-    return risk_aware ? est.pessimisticRemaining(task)
-                      : est.remaining(task);
 }
 
 Seconds
@@ -332,18 +296,18 @@ ModelPredictivePolicy::onArrival(const MobilePackageModel &package,
     if (est.estimateIf(incoming, true) <= 0.0)
         return ArrivalDecision::Queue;
 
-    const Seconds rem_run = priceRemaining(running);
+    const Seconds rem_run = est.remaining(running);
     const Seconds regrant = regrantDelay(package);
 
     // Order A — queue: the runner finishes first, the newcomer then
     // runs with whatever sprint capacity has recovered by that time.
     const Seconds fin_run_q = now + rem_run;
     const Seconds fin_inc_q =
-        fin_run_q + priceIf(incoming, regrant <= rem_run);
+        fin_run_q + est.estimateIf(incoming, regrant <= rem_run);
     // Order B — preempt: the newcomer runs now (sprinting only if the
     // budget allows it today), the runner's remainder follows.
     const Seconds fin_inc_p =
-        now + priceIf(incoming, regrant <= 0.0);
+        now + est.estimateIf(incoming, regrant <= 0.0);
     const Seconds fin_run_p = fin_inc_p + rem_run;
 
     const int met_q =
@@ -418,12 +382,11 @@ makeSprintPolicy(const SprintPolicyParams &params)
       case SprintPolicyKind::Qos:
         return std::make_unique<QosPolicy>(params.qos_slack,
                                            params.service_prior,
-                                           params.governor,
-                                           params.risk_quantile);
+                                           params.governor);
       case SprintPolicyKind::ModelPredictive:
         return std::make_unique<ModelPredictivePolicy>(
             params.resume_fraction, params.service_prior,
-            params.governor, params.risk_quantile);
+            params.governor);
     }
     SPRINT_PANIC("unknown policy kind");
 }

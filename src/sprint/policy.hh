@@ -20,13 +20,11 @@
 #ifndef CSPRINT_SPRINT_POLICY_HH
 #define CSPRINT_SPRINT_POLICY_HH
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "sprint/governor.hh"
 #include "thermal/package.hh"
@@ -121,16 +119,6 @@ struct SprintPolicyParams
      * then queue conservatively until they have learned one).
      */
     Seconds service_prior = 0.0;
-    /**
-     * Qos/ModelPredictive: 0 (the default) prices waiting time with
-     * the learned mean service — the classic behaviour, bit-identical
-     * to the pre-quantile policies. A value in (0, 1) prices it
-     * risk-aware instead: the estimator's streaming P² quantile of
-     * the class's service (never below the mean path), so a p95-aware
-     * policy preempts for a tight deadline that the mean would gamble
-     * on.
-     */
-    double risk_quantile = 0.0;
 };
 
 /**
@@ -138,30 +126,20 @@ struct SprintPolicyParams
  * from completed tasks, bucketed by (priority class, sprinted) — the
  * class split keeps a burst of short interactive tasks from
  * poisoning the remaining-work estimate of a long batch task. Each
- * cell tracks the running mean plus a streaming P² quantile (p95 by
- * default), so a policy can price waiting time risk-aware instead of
- * by the mean alone. An unobserved cell falls back to the same
- * class's other sprint state, then to the configured prior, then to
- * cross-class data: a prior outranks cross-class observations, so it
- * keeps authority over a class until that class itself has been
- * seen. Value semantics (checkpoints as a flat double vector).
+ * cell tracks the running mean. An unobserved cell falls back to the
+ * same class's other sprint state, then to the configured prior,
+ * then to cross-class data: a prior outranks cross-class
+ * observations, so it keeps authority over a class until that class
+ * itself has been seen. Value semantics (checkpoints as a flat
+ * double vector).
  */
 class ServiceEstimator
 {
   public:
     /** Number of checkpointed doubles (save()/restore()). */
-    static constexpr std::size_t kStateSize =
-        4 * (2 + P2Quantile::kStateSize);
+    static constexpr std::size_t kStateSize = 4 * 2;
 
-    explicit ServiceEstimator(Seconds prior = 0.0,
-                              double quantile = 0.95)
-        : prior_(prior)
-    {
-        for (int cls = 0; cls < 2; ++cls) {
-            for (int spr = 0; spr < 2; ++spr)
-                cells[cls][spr].q = P2Quantile(quantile);
-        }
-    }
+    explicit ServiceEstimator(Seconds prior = 0.0) : prior_(prior) {}
 
     /** Fold one completed task's observed service time in. */
     void
@@ -170,7 +148,6 @@ class ServiceEstimator
         Cell &cell = cells[clsOf(task)][task.sprint_granted ? 1 : 0];
         cell.sum += service;
         cell.n += 1.0;
-        cell.q.add(service);
     }
 
     /** Expected service of @p task's class if (not) sprinted. */
@@ -179,30 +156,6 @@ class ServiceEstimator
     {
         const Cell *cell = lookup(task, sprinted);
         return cell ? cell->mean() : prior_ > 0.0 ? prior_ : 0.0;
-    }
-
-    /**
-     * Streaming quantile of @p task's class if (not) sprinted, with
-     * the same fallback chain as estimateIf (the prior stands in when
-     * nothing relevant has been observed).
-     */
-    Seconds
-    quantileIf(const TaskSnapshot &task, bool sprinted) const
-    {
-        const Cell *cell = lookup(task, sprinted);
-        return cell ? cell->q.value() : prior_ > 0.0 ? prior_ : 0.0;
-    }
-
-    /**
-     * Risk-priced service: the tracked quantile of the class, never
-     * below the mean path (a quantile below the mean would make a
-     * "pessimistic" policy more optimistic than the classic one).
-     */
-    Seconds
-    pessimisticIf(const TaskSnapshot &task, bool sprinted) const
-    {
-        return std::max(estimateIf(task, sprinted),
-                        quantileIf(task, sprinted));
     }
 
     /** Expected total service of @p task as it is (or would be) run. */
@@ -220,29 +173,16 @@ class ServiceEstimator
         return rem > 0.0 ? rem : 0.0;
     }
 
-    /** Risk-priced service still owed to @p task (never negative). */
-    Seconds
-    pessimisticRemaining(const TaskSnapshot &task) const
-    {
-        const Seconds rem =
-            pessimisticIf(task, !task.started || task.sprint_granted) -
-            task.service;
-        return rem > 0.0 ? rem : 0.0;
-    }
-
     /** Flat checkpoint state (restore() accepts exactly this). */
     std::vector<double>
     save() const
     {
-        std::vector<double> state(kStateSize);
-        double *out = state.data();
-        for (int cls = 0; cls < 2; ++cls) {
-            for (int spr = 0; spr < 2; ++spr) {
-                const Cell &cell = cells[cls][spr];
-                *out++ = cell.sum;
-                *out++ = cell.n;
-                cell.q.save(out);
-                out += P2Quantile::kStateSize;
+        std::vector<double> state;
+        state.reserve(kStateSize);
+        for (const auto &row : cells) {
+            for (const Cell &cell : row) {
+                state.push_back(cell.sum);
+                state.push_back(cell.n);
             }
         }
         return state;
@@ -252,13 +192,10 @@ class ServiceEstimator
     void
     restore(const double *state)
     {
-        for (int cls = 0; cls < 2; ++cls) {
-            for (int spr = 0; spr < 2; ++spr) {
-                Cell &cell = cells[cls][spr];
+        for (auto &row : cells) {
+            for (Cell &cell : row) {
                 cell.sum = *state++;
                 cell.n = *state++;
-                cell.q.restore(state);
-                state += P2Quantile::kStateSize;
             }
         }
     }
@@ -268,7 +205,6 @@ class ServiceEstimator
     {
         double sum = 0.0;
         double n = 0.0;
-        P2Quantile q{0.95};
         Seconds mean() const { return sum / n; }
     };
 
@@ -575,8 +511,7 @@ class AdaptiveHeadroomPolicy : public GovernorBackedPolicy
 class QosPolicy : public GovernorBackedPolicy
 {
   public:
-    QosPolicy(double slack, Seconds service_prior, GovernorConfig cfg,
-              double risk_quantile = 0.0);
+    QosPolicy(double slack, Seconds service_prior, GovernorConfig cfg);
 
     const char *name() const override { return "qos"; }
     bool preemptive() const override { return true; }
@@ -597,14 +532,7 @@ class QosPolicy : public GovernorBackedPolicy
     void restoreState(const std::vector<double> &state) override;
 
   private:
-    /** Service-time price of @p task, mean or risk-quantile path. */
-    Seconds priceIf(const TaskSnapshot &task, bool sprinted) const;
-
-    /** Remaining-work price of @p task, mean or risk-quantile path. */
-    Seconds priceRemaining(const TaskSnapshot &task) const;
-
     double slack;
-    bool risk_aware;
     ServiceEstimator est;
 };
 
@@ -622,8 +550,7 @@ class ModelPredictivePolicy : public GovernorBackedPolicy
 {
   public:
     ModelPredictivePolicy(double grant_fraction, Seconds service_prior,
-                          GovernorConfig cfg,
-                          double risk_quantile = 0.0);
+                          GovernorConfig cfg);
 
     const char *name() const override { return "model-predictive"; }
     bool preemptive() const override { return true; }
@@ -647,14 +574,7 @@ class ModelPredictivePolicy : public GovernorBackedPolicy
     /** Forecast delay until a fresh sprint grant is possible. */
     Seconds regrantDelay(const MobilePackageModel &package) const;
 
-    /** Service-time price of @p task, mean or risk-quantile path. */
-    Seconds priceIf(const TaskSnapshot &task, bool sprinted) const;
-
-    /** Remaining-work price of @p task, mean or risk-quantile path. */
-    Seconds priceRemaining(const TaskSnapshot &task) const;
-
     double grant_fraction;
-    bool risk_aware;
     ServiceEstimator est;
     mutable Joules cold_budget = -1.0; ///< lazily computed from params
 };

@@ -285,6 +285,12 @@ consolidatedPlatform(const SprintConfig &platform)
 
 namespace {
 
+/** Trace samples recorded per idle gap between tasks. */
+constexpr int kIdleTraceSamples = 64;
+
+/** Endpoint tolerance of the quiescent idle path [°C]. */
+constexpr Celsius kIdleTolerance = 0.01;
+
 /**
  * Cool the package at zero die power, recording idle trace samples
  * and feeding the streaming aggregates. The idle model selects the
@@ -295,13 +301,13 @@ coolPackage(MobilePackageModel &package, ScenarioCheckpoint &ck,
             const ScenarioConfig &cfg, Seconds from, Seconds duration)
 {
     package.setDiePower(0.0);
-    const int n = std::max(1, cfg.idle_trace_samples);
+    const int n = kIdleTraceSamples;
     const Seconds h = duration / n;
     const bool quiescent = cfg.idle_model == IdleModel::Quiescent;
     ck.traces.reserveMore(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         if (quiescent)
-            SprintPolicy::advanceIdle(package, h, cfg.idle_tolerance);
+            SprintPolicy::advanceIdle(package, h, kIdleTolerance);
         else
             package.step(h);
         const Seconds t = from + static_cast<double>(i + 1) * h;
@@ -684,6 +690,69 @@ class ProgramPrebuilder
     bool pending = false;
 };
 
+/** The scalar outcome of one completed task, pumped or predicted. */
+struct TaskOutcome
+{
+    Seconds task_time = 0.0; ///< activation ramp + service
+    Joules energy = 0.0;
+    Seconds sprint_time = 0.0;
+    Joules sprint_energy = 0.0;
+    Celsius peak_junction = 0.0;
+    bool sprint_exhausted = false;
+    bool hardware_throttled = false;
+};
+
+/**
+ * Fold one completed task into the streaming aggregates, the deadline
+ * accounting and the policy's feedback: the one completion path of
+ * the exact pump and the surrogate alike. Under keep_task_results it
+ * appends the task's record and returns it for the caller to fill in
+ * its RunResult; otherwise it returns null and nothing is allocated.
+ */
+ScenarioTaskResult *
+completeTask(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
+             const MobilePackageModel &package, SprintPolicy &policy,
+             const ScenarioTaskExecution &ex, const TaskSnapshot &snap,
+             const TaskOutcome &out)
+{
+    if (ex.sprint_granted && out.sprint_exhausted)
+        ++ck.sprints_exhausted;
+    if (out.hardware_throttled)
+        ++ck.hardware_throttles;
+    ck.total_energy += out.energy;
+    ck.total_sprint_time += out.sprint_time;
+    ck.total_sprint_energy += out.sprint_energy;
+    ck.peak_junction = ck.tasks_completed == 0
+                           ? out.peak_junction
+                           : std::max(ck.peak_junction,
+                                      out.peak_junction);
+    const Seconds response = ck.now - ex.task.arrival;
+    ck.p50.add(response);
+    ck.p95.add(response);
+    const bool met = ex.task.deadline <= 0.0 ||
+                     ck.now <= ex.task.arrival + ex.task.deadline;
+    if (ex.task.deadline > 0.0)
+        ++(met ? ck.deadlines_met : ck.deadlines_missed);
+    policy.onTaskComplete(snap, out.task_time);
+    ++ck.tasks_completed;
+
+    if (!cfg.keep_task_results)
+        return nullptr;
+    ScenarioTaskResult &tr = ck.tasks.emplace_back();
+    tr.arrival = ex.task.arrival;
+    tr.start = ex.first_start;
+    tr.finish = ck.now;
+    tr.response = response;
+    tr.sprint_granted = ex.sprint_granted;
+    tr.melt_at_start = ex.melt_at_start;
+    tr.melt_at_end = package.meltFraction();
+    tr.priority = ex.task.priority;
+    tr.deadline = ex.task.deadline;
+    tr.deadline_met = met;
+    tr.preemptions = ex.preemptions;
+    return &tr;
+}
+
 /**
  * Execute one dispatched task from its calibrated class prediction
  * instead of a machine pump (the surrogate fast path): pay the
@@ -765,56 +834,32 @@ runSurrogateTask(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
     ck.busy += t - ck.now;
     ck.now = t;
 
-    // Fold, mirroring the exact completion path field for field.
-    if (ex.sprint_granted && pred.sprint_exhausted)
-        ++ck.sprints_exhausted;
-    if (pred.hardware_throttled)
-        ++ck.hardware_throttles;
-    ck.total_energy += pred.energy;
-    ck.total_sprint_time += sprint_t;
-    ck.total_sprint_energy += sprint_e;
-    ck.peak_junction = ck.tasks_completed == 0
-                           ? peak
-                           : std::max(ck.peak_junction, peak);
-    const Seconds response = ck.now - ex.task.arrival;
-    ck.p50.add(response);
-    ck.p95.add(response);
-    const bool met = ex.task.deadline <= 0.0 ||
-                     ck.now <= ex.task.arrival + ex.task.deadline;
-    if (ex.task.deadline > 0.0)
-        ++(met ? ck.deadlines_met : ck.deadlines_missed);
-    policy.onTaskComplete(snapshotOf(ex), ramp + service);
-    ++ck.tasks_completed;
-
-    if (cfg.keep_task_results) {
-        ScenarioTaskResult tr;
-        tr.arrival = ex.task.arrival;
-        tr.start = ex.first_start;
-        tr.finish = ck.now;
-        tr.response = response;
-        tr.sprint_granted = ex.sprint_granted;
-        tr.melt_at_start = ex.melt_at_start;
-        tr.melt_at_end = package.meltFraction();
-        tr.priority = ex.task.priority;
-        tr.deadline = ex.task.deadline;
-        tr.deadline_met = met;
-        tr.preemptions = ex.preemptions;
-        tr.run.program_name = "surrogate";
-        tr.run.sprint_cores = ex.run_cfg.sprint_cores;
-        tr.run.num_threads = ex.run_cfg.num_threads;
-        tr.run.dvfs_boost = ex.run_cfg.dvfs_boost;
-        tr.run.task_time = ramp + service;
-        tr.run.dynamic_energy = pred.energy;
-        tr.run.peak_junction = peak;
-        tr.run.final_melt_fraction = package.meltFraction();
-        tr.run.sprint_exhausted = pred.sprint_exhausted;
-        tr.run.hardware_throttled = pred.hardware_throttled;
-        tr.run.sprint_duration = sprint_t;
-        tr.run.sprint_energy = sprint_e;
-        tr.run.avg_power =
-            service > 0.0 ? pred.energy / service : 0.0;
-        ck.tasks.push_back(std::move(tr));
-    }
+    TaskOutcome out;
+    out.task_time = ramp + service;
+    out.energy = pred.energy;
+    out.sprint_time = sprint_t;
+    out.sprint_energy = sprint_e;
+    out.peak_junction = peak;
+    out.sprint_exhausted = pred.sprint_exhausted;
+    out.hardware_throttled = pred.hardware_throttled;
+    ScenarioTaskResult *tr = completeTask(cfg, ck, package, policy, ex,
+                                          snapshotOf(ex), out);
+    if (tr == nullptr)
+        return;
+    RunResult &run = tr->run;
+    run.program_name = "surrogate";
+    run.sprint_cores = ex.run_cfg.sprint_cores;
+    run.num_threads = ex.run_cfg.num_threads;
+    run.dvfs_boost = ex.run_cfg.dvfs_boost;
+    run.task_time = out.task_time;
+    run.dynamic_energy = out.energy;
+    run.peak_junction = out.peak_junction;
+    run.final_melt_fraction = tr->melt_at_end;
+    run.sprint_exhausted = out.sprint_exhausted;
+    run.hardware_throttled = out.hardware_throttled;
+    run.sprint_duration = out.sprint_time;
+    run.sprint_energy = out.sprint_energy;
+    run.avg_power = service > 0.0 ? out.energy / service : 0.0;
 }
 
 } // namespace
@@ -1087,45 +1132,18 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
             ck.surrogate.observeExact(key, ob);
         }
 
-        if (current->sprint_granted && run.sprint_exhausted)
-            ++ck.sprints_exhausted;
-        if (run.hardware_throttled)
-            ++ck.hardware_throttles;
-        ck.total_energy += run.dynamic_energy;
-        ck.total_sprint_time += run.sprint_duration;
-        ck.total_sprint_energy += run.sprint_energy;
-        ck.peak_junction = ck.tasks_completed == 0
-                               ? run.peak_junction
-                               : std::max(ck.peak_junction,
-                                          run.peak_junction);
-        const Seconds response = ck.now - current->task.arrival;
-        ck.p50.add(response);
-        ck.p95.add(response);
-        const bool met =
-            current->task.deadline <= 0.0 ||
-            ck.now <= current->task.arrival + current->task.deadline;
-        if (current->task.deadline > 0.0)
-            ++(met ? ck.deadlines_met : ck.deadlines_missed);
-        policy->onTaskComplete(done_snap, run.task_time);
-        ++ck.tasks_completed;
+        TaskOutcome out;
+        out.task_time = run.task_time;
+        out.energy = run.dynamic_energy;
+        out.sprint_time = run.sprint_duration;
+        out.sprint_energy = run.sprint_energy;
+        out.peak_junction = run.peak_junction;
+        out.sprint_exhausted = run.sprint_exhausted;
+        out.hardware_throttled = run.hardware_throttled;
+        if (ScenarioTaskResult *tr = completeTask(
+                cfg, ck, package, *policy, *current, done_snap, out))
+            tr->run = std::move(run);
         ++completed;
-
-        if (cfg.keep_task_results) {
-            ScenarioTaskResult tr;
-            tr.arrival = current->task.arrival;
-            tr.start = current->first_start;
-            tr.finish = ck.now;
-            tr.response = response;
-            tr.sprint_granted = current->sprint_granted;
-            tr.melt_at_start = current->melt_at_start;
-            tr.melt_at_end = package.meltFraction();
-            tr.priority = current->task.priority;
-            tr.deadline = current->task.deadline;
-            tr.deadline_met = met;
-            tr.preemptions = current->preemptions;
-            tr.run = std::move(run);
-            ck.tasks.push_back(std::move(tr));
-        }
         if (cfg.warm_caches) {
             prev_machine = std::move(current->machine);
             prev_program = std::move(current->program);

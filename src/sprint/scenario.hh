@@ -194,9 +194,6 @@ struct ScenarioConfig
     /** Extra cool-down recorded after the last task finishes. */
     Seconds tail_rest = 0.0;
 
-    /** Trace samples recorded per idle gap between tasks. */
-    int idle_trace_samples = 64;
-
     // --- Long-horizon fast-path knobs (defaults = classic engine) ---
 
     /** Trace storage policy for the full-timeline traces. */
@@ -215,9 +212,6 @@ struct ScenarioConfig
 
     /** Idle-gap integration path. */
     IdleModel idle_model = IdleModel::Exact;
-
-    /** Endpoint tolerance of the quiescent idle path [°C]. */
-    Celsius idle_tolerance = 0.01;
 
     // --- Build pipeline knob (default = classic) --------------------
 

@@ -42,14 +42,6 @@ SurrogateClassModel::observe(const SurrogateObservation &ob)
     ++n;
     const double dn = static_cast<double>(n);
 
-    // Long-run Welford moments.
-    const double ds = ob.service - service_mean;
-    service_mean += ds / dn;
-    service_m2 += ds * (ob.service - service_mean);
-    const double de = ob.energy - energy_mean;
-    energy_mean += de / dn;
-    energy_m2 += de * (ob.energy - energy_mean);
-
     // Drift-following prediction means: exact average while young,
     // EWMA once enough samples exist to damp the noise.
     const double a = std::max(1.0 / dn, kSurrogateAlpha);
@@ -63,8 +55,6 @@ SurrogateClassModel::observe(const SurrogateObservation &ob)
         a * ((ob.sprint_exhausted ? 1.0 : 0.0) - exhausted_ewma);
     throttled_ewma +=
         a * ((ob.hardware_throttled ? 1.0 : 0.0) - throttled_ewma);
-
-    service_p95.add(ob.service);
 }
 
 SurrogatePrediction
@@ -80,7 +70,6 @@ SurrogateClassModel::predict() const
     p.heat_energy = std::clamp(ewma_heat_energy, 0.0, p.energy);
     p.sprint_time = std::clamp(ewma_sprint_time, 0.0, p.heat_time);
     p.sprint_energy = std::clamp(ewma_sprint_energy, 0.0, p.heat_energy);
-    p.service_p95 = service_p95.value();
     p.sprint_exhausted = exhausted_ewma >= 0.5;
     p.hardware_throttled = throttled_ewma >= 0.5;
     return p;

@@ -7,9 +7,8 @@
  * A TaskSurrogate keeps one SurrogateClassModel per (kernel, input
  * size, sprint-mode) class. Every cycle-accurate pump the scenario
  * engine executes under a non-CycleAccurate tier feeds the class's
- * calibration: streaming mean/variance (Welford), drift-following
- * exponentially-weighted means used for prediction, and a P² p95 of
- * the service time as the confidence signal. A calibrated class
+ * calibration: drift-following exponentially-weighted means used for
+ * prediction. A calibrated class
  * predicts service time, dynamic energy, and a piecewise-constant
  * heat profile (an above-TDP sprint segment followed by a sustainable
  * tail) good enough to drive ThermalNetwork::step analytically —
@@ -36,7 +35,6 @@
 #include <map>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/units.hh"
 #include "workloads/workload.hh"
 
@@ -114,7 +112,6 @@ struct SurrogatePrediction
     Joules sprint_energy = 0.0;
     Seconds heat_time = 0.0;  ///< package-stepped time (<= service)
     Joules heat_energy = 0.0; ///< package-stepped energy (<= energy)
-    Seconds service_p95 = 0.0; ///< P² confidence signal
     bool sprint_exhausted = false;
     bool hardware_throttled = false;
 };
@@ -135,12 +132,6 @@ struct SurrogateClassModel
 {
     std::uint64_t n = 0; ///< exact observations folded in
 
-    // Long-run streaming moments (Welford), for confidence/reporting.
-    double service_mean = 0.0;
-    double service_m2 = 0.0;
-    double energy_mean = 0.0;
-    double energy_m2 = 0.0;
-
     // Drift-following prediction means (kSurrogateAlpha EWMA).
     double ewma_service = 0.0;
     double ewma_energy = 0.0;
@@ -150,8 +141,6 @@ struct SurrogateClassModel
     double ewma_heat_energy = 0.0;
     double exhausted_ewma = 0.0; ///< EWMA of the 0/1 exhausted flag
     double throttled_ewma = 0.0; ///< EWMA of the 0/1 throttled flag
-
-    P2Quantile service_p95{0.95};
 
     std::uint64_t surrogate_runs = 0; ///< tasks this class predicted
     std::uint64_t audits = 0;         ///< exact audits sampled

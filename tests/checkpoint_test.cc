@@ -304,9 +304,6 @@ TEST(CheckpointRejection, FidelityTierChangesTheDigest)
     v = cfg;
     v.surrogate.profile_samples = cfg.surrogate.profile_samples + 1;
     variants.push_back(v);
-    v = cfg;
-    v.policy.risk_quantile = 0.95;
-    variants.push_back(v);
 
     for (std::size_t i = 0; i < variants.size(); ++i) {
         SCOPED_TRACE("variant " + std::to_string(i));
@@ -529,25 +526,20 @@ TEST(CheckpointRejection, ForeignQuantileIsCorrupt)
 {
     // A re-sealed blob whose P² state tracks NaN (value() would convert
     // NaN to an integer rank) or another site's quantile must fail at
-    // every P² site: the p50 and p95 response estimators and a
-    // surrogate class model's service_p95.
+    // every P² site: the p50 and p95 response estimators.
     ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
                                       ArrivalPattern::BackToBack, 24);
-    cfg.surrogate.tier = FidelityTier::Auto;
-    cfg.surrogate.min_calibration = 4;
-    cfg.surrogate.audit_period = 4.0;
     cfg.trace_mode = TraceMode::Off;
     cfg.keep_task_results = false;
     ScenarioCheckpoint ck = beginScenario(cfg);
     advanceScenario(cfg, ck, 2);
     ASSERT_EQ(ck.p50.count(), 2u);
-    ASSERT_FALSE(ck.surrogate.classes().empty());
     const std::vector<std::uint8_t> payload = payloadOf(
         serializeCheckpoint(cfg, ck), scenarioConfigDigest(cfg));
     EXPECT_NO_THROW(deserializeCheckpoint(
         cfg, BlobContainer::seal(scenarioConfigDigest(cfg), payload)));
 
-    // p95's state directly follows p50's; the class models come later.
+    // p95's state directly follows p50's.
     const std::size_t state_bytes = 8 * P2Quantile::kStateSize;
     const std::vector<std::size_t> p95s =
         offsetsOf(payload, quantileHead(ck.p95));
@@ -556,22 +548,13 @@ TEST(CheckpointRejection, ForeignQuantileIsCorrupt)
         if (std::count(p95s.begin(), p95s.end(), at + state_bytes))
             p50 = at;
     ASSERT_LT(p50, payload.size());
-    const P2Quantile &model_p95 =
-        ck.surrogate.classes().begin()->second.service_p95;
-    std::size_t model = payload.size();
-    for (std::size_t at : offsetsOf(payload, quantileHead(model_p95)))
-        if (at > p50 + state_bytes && model == payload.size())
-            model = at;
-    ASSERT_LT(model, payload.size());
 
     const struct
     {
         const char *site;
         std::size_t at;
         double other;
-    } sites[] = {{"p50", p50, 0.95},
-                 {"p95", p50 + state_bytes, 0.5},
-                 {"service_p95", model, 0.5}};
+    } sites[] = {{"p50", p50, 0.95}, {"p95", p50 + state_bytes, 0.5}};
     for (const auto &site : sites) {
         for (double forged : {std::nan(""), site.other}) {
             SCOPED_TRACE(std::string(site.site) + " q = " +
@@ -579,6 +562,35 @@ TEST(CheckpointRejection, ForeignQuantileIsCorrupt)
             BlobWriter w;
             w.f64(forged);
             expectForgeryCorrupt(cfg, payload, site.at, w);
+        }
+    }
+}
+
+TEST(CheckpointRejection, PolicyStateOfWrongLengthIsCorrupt)
+{
+    // advanceScenario hands a non-empty policy state to the configured
+    // policy's restoreState, which asserts its length: a blob whose
+    // state has any other length must fail at decode, where a fleet
+    // worker can fall back to the predecessor checkpoint.
+    const ScenarioConfig cfg = preemptiveScenario(4);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 2);
+    ASSERT_EQ(ck.policy_state.size(), ServiceEstimator::kStateSize);
+    EXPECT_NO_THROW(deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck)));
+
+    const std::vector<double> saved = ck.policy_state;
+    ck.policy_state.clear();
+    EXPECT_NO_THROW(deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck)));
+    for (std::size_t len : {std::size_t{1}, saved.size() - 1,
+                            saved.size() + 1}) {
+        SCOPED_TRACE("length " + std::to_string(len));
+        ck.policy_state = saved;
+        ck.policy_state.resize(len, 1.0);
+        try {
+            deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
+            ADD_FAILURE() << "policy state decoded";
+        } catch (const CheckpointError &e) {
+            EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
         }
     }
 }
@@ -689,7 +701,7 @@ TEST(CheckpointFormat, PinnedBytes)
     // Byte-level pins of the checkpoint and fleet-spec formats: a
     // reordered, resized or dropped field changes these CRCs. Any such
     // change must bump BlobContainer::kVersion and re-record them.
-    ASSERT_EQ(BlobContainer::kVersion, 1u);
+    ASSERT_EQ(BlobContainer::kVersion, 2u);
 
     EXPECT_EQ(checkpointCrc(preemptiveScenario(4), 2,
                             [](const ScenarioCheckpoint &ck) {
@@ -698,7 +710,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                     suspended |= ex->machine != nullptr;
                                 EXPECT_TRUE(suspended);
                             }),
-              0x9935ae06u)
+              0x92ed56cdu)
         << "preempted mid-flight";
 
     ScenarioConfig warm = baseScenario(SprintPolicyKind::GreedyActivity,
@@ -708,7 +720,7 @@ TEST(CheckpointFormat, PinnedBytes)
                             [](const ScenarioCheckpoint &ck) {
                                 EXPECT_NE(ck.warm_machine, nullptr);
                             }),
-              0xb83a4470u)
+              0x3ed5362du)
         << "warm-cache husk";
 
     ScenarioConfig surrogate = baseScenario(
@@ -721,7 +733,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                 EXPECT_GT(ck.surrogate.surrogateTasks(),
                                           0u);
                             }),
-              0x39fc944bu)
+              0xa628b137u)
         << "calibrated surrogate";
 
     FleetSpec spec;
@@ -749,7 +761,7 @@ TEST(CheckpointFormat, PinnedBytes)
     opts.paranoia = true;
     const std::vector<std::uint8_t> blob =
         serializeFleetSpec(spec, plan, opts);
-    EXPECT_EQ(pinOf(blob), 0x1090b4e7u) << "fleet spec";
+    EXPECT_EQ(pinOf(blob), 0x4cfe0198u) << "fleet spec";
 }
 
 TEST(CheckpointValidation, RejectsTamperedState)

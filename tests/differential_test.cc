@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -423,6 +424,76 @@ TEST(Differential, AutoTierShardedBitExact)
     for (std::uint64_t shard : {1u, 7u, 64u}) {
         SCOPED_TRACE("shard=" + std::to_string(shard));
         EXPECT_EQ(firstDifference(whole, runScenarioSharded(cfg, shard)), "");
+    }
+}
+
+TEST(Differential, CompletionFoldMatchesTaskRecords)
+{
+    // Exact and surrogate tasks complete through one fold, so a
+    // tier-against-tier pair cannot see a fault in it: both sides
+    // carry it. Pair each tier's aggregates with an independent
+    // re-fold of its own retained task records instead, and its
+    // streaming P² quantiles with estimators fed those records'
+    // responses in completion order.
+    Rng rng(diffSeed() ^ 0xf01dcafeULL);
+    ScenarioConfig cfg = surrogateTrainScenario(200, rng.next());
+    cfg.trace_mode = TraceMode::Off;
+    cfg.surrogate.min_calibration = 8;
+    // Every other task gets the train's median response as its
+    // deadline, so both deadline tallies fill.
+    const Seconds deadline = runScenario(cfg).p50_response;
+    cfg.task_tuner = [deadline](ScenarioTask &task) {
+        task.deadline = task.seed % 2 ? deadline : 0.0;
+    };
+    for (FidelityTier tier :
+         {FidelityTier::CycleAccurate, FidelityTier::Surrogate}) {
+        cfg.surrogate.tier = tier;
+        SCOPED_TRACE(std::string("tier=") + fidelityTierName(tier) + " " +
+                     describe(cfg, 0));
+        const ScenarioResult r = runScenario(cfg);
+        ASSERT_FALSE(r.tasks.empty());
+        EXPECT_EQ(r.tasks.size(), r.tasks_completed);
+        if (tier == FidelityTier::Surrogate) {
+            EXPECT_GT(r.surrogate_tasks, r.tasks_completed / 2);
+        }
+
+        Joules energy = 0.0;
+        Seconds sprint_time = 0.0;
+        Joules sprint_energy = 0.0;
+        Celsius peak = r.tasks.front().run.peak_junction;
+        int exhausted = 0, throttles = 0, met = 0, missed = 0;
+        P2Quantile p50(0.50), p95(0.95);
+        for (const ScenarioTaskResult &t : r.tasks) {
+            energy += t.run.dynamic_energy;
+            sprint_time += t.run.sprint_duration;
+            sprint_energy += t.run.sprint_energy;
+            peak = std::max(peak, t.run.peak_junction);
+            exhausted += t.sprint_granted && t.run.sprint_exhausted;
+            throttles += t.run.hardware_throttled;
+            EXPECT_EQ(t.response, t.finish - t.arrival);
+            EXPECT_EQ(t.deadline_met, t.deadline <= 0.0 ||
+                                          t.finish <= t.arrival + t.deadline);
+            if (t.deadline > 0.0)
+                ++(t.deadline_met ? met : missed);
+            p50.add(t.response);
+            p95.add(t.response);
+        }
+        EXPECT_EQ(r.total_energy, energy);
+        EXPECT_EQ(r.total_sprint_time, sprint_time);
+        EXPECT_EQ(r.total_sprint_energy, sprint_energy);
+        EXPECT_EQ(r.peak_junction, peak);
+        EXPECT_EQ(r.sprints_exhausted, exhausted);
+        EXPECT_EQ(r.hardware_throttles, throttles);
+        EXPECT_EQ(r.deadlines_met, met);
+        EXPECT_EQ(r.deadlines_missed, missed);
+        EXPECT_GT(met, 0);
+        EXPECT_GT(missed, 0);
+
+        ScenarioConfig streaming = cfg;
+        streaming.keep_task_results = false;
+        const ScenarioResult lean = runScenario(streaming);
+        EXPECT_EQ(lean.p50_response, p50.value());
+        EXPECT_EQ(lean.p95_response, p95.value());
     }
 }
 

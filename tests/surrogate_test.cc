@@ -145,7 +145,6 @@ TEST(SurrogatePredict, TracksObservationsAndClamps)
     EXPECT_LE(p.sprint_energy, p.energy);
     EXPECT_TRUE(p.sprint_exhausted);
     EXPECT_FALSE(p.hardware_throttled);
-    EXPECT_GE(p.service_p95, 0.0);
 
     // EWMA follows a drift the long-run mean lags.
     for (int i = 0; i < 16; ++i)
@@ -154,53 +153,52 @@ TEST(SurrogatePredict, TracksObservationsAndClamps)
     EXPECT_NEAR(m.predict().energy, m.predict().service * 2.0, 1e-6);
 }
 
-TEST(P2QuantileState, SaveRestoreContinuesBitExactly)
+TEST(ServiceEstimatorState, FallbackChain)
 {
-    P2Quantile a(0.9);
-    for (int i = 0; i < 100; ++i)
-        a.add((i * 7919) % 101);
-
-    double state[P2Quantile::kStateSize];
-    a.save(state);
-    P2Quantile b;
-    b.restore(state);
-    EXPECT_EQ(a.value(), b.value());
-    EXPECT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.quantile(), b.quantile());
-    for (int i = 0; i < 50; ++i) {
-        a.add(i * 0.37);
-        b.add(i * 0.37);
-    }
-    EXPECT_EQ(a.value(), b.value());
-}
-
-TEST(ServiceEstimatorQuantiles, FallbackChainAndPessimism)
-{
-    ServiceEstimator est(/*prior=*/5e-3, /*quantile=*/0.95);
+    ServiceEstimator est(/*prior=*/5e-3);
     TaskSnapshot task;
     task.priority = 0;
 
-    // Nothing observed: both paths surface the prior.
-    EXPECT_EQ(est.quantileIf(task, true), 5e-3);
-    EXPECT_EQ(est.pessimisticIf(task, true), 5e-3);
+    // Nothing observed: the prior surfaces.
+    EXPECT_EQ(est.estimateIf(task, true), 5e-3);
+    EXPECT_EQ(est.estimateIf(task, false), 5e-3);
 
     // Populate the non-sprinted cell with a skewed sample set.
     TaskSnapshot done = task;
     done.started = true;
     done.sprint_granted = false;
-    for (int i = 0; i < 100; ++i)
-        est.add(done, i % 10 == 9 ? 50e-3 : 1e-3);
-
-    // The p95 path prices the tail the mean hides.
-    EXPECT_GT(est.quantileIf(task, false), est.estimateIf(task, false));
-    EXPECT_GE(est.pessimisticIf(task, false),
-              est.estimateIf(task, false));
+    double sum = 0.0;
+    for (int i = 0; i < 100; ++i) {
+        const double service = i % 10 == 9 ? 50e-3 : 1e-3;
+        est.add(done, service);
+        sum += service;
+    }
+    EXPECT_EQ(est.estimateIf(task, false), sum / 100.0);
     // The sprint column is empty: fallback reaches the same-class
     // other-sprint cell, not the prior.
-    EXPECT_EQ(est.quantileIf(task, true), est.quantileIf(task, false));
+    EXPECT_EQ(est.estimateIf(task, true), est.estimateIf(task, false));
+    // The other class is unobserved: the prior outranks cross-class
+    // data until that class itself has been seen.
+    TaskSnapshot hi;
+    hi.priority = 1;
+    EXPECT_EQ(est.estimateIf(hi, true), 5e-3);
+
+    // Without a prior, the chain reaches the other class's cells.
+    ServiceEstimator bare;
+    EXPECT_EQ(bare.estimateIf(hi, true), 0.0);
+    bare.add(done, 2e-3);
+    EXPECT_EQ(bare.estimateIf(hi, true), 2e-3);
+    EXPECT_EQ(bare.estimateIf(hi, false), 2e-3);
+
+    // Remaining work never goes negative.
+    TaskSnapshot running = done;
+    running.service = 1.5e-3;
+    EXPECT_EQ(bare.remaining(running), 2e-3 - 1.5e-3);
+    running.service = 3e-3;
+    EXPECT_EQ(bare.remaining(running), 0.0);
 }
 
-TEST(ServiceEstimatorQuantiles, SaveRestoreContinuesBitExactly)
+TEST(ServiceEstimatorState, SaveRestoreContinuesBitExactly)
 {
     ServiceEstimator a(2e-3);
     TaskSnapshot task;
@@ -215,20 +213,24 @@ TEST(ServiceEstimatorQuantiles, SaveRestoreContinuesBitExactly)
     ASSERT_EQ(state.size(), ServiceEstimator::kStateSize);
     ServiceEstimator b(2e-3);
     b.restore(state.data());
+    EXPECT_EQ(b.save(), state);
 
-    for (int pri : {0, 1}) {
-        for (bool spr : {false, true}) {
-            TaskSnapshot probe;
-            probe.priority = pri;
-            EXPECT_EQ(a.estimateIf(probe, spr), b.estimateIf(probe, spr));
-            EXPECT_EQ(a.quantileIf(probe, spr), b.quantileIf(probe, spr));
+    const auto expectSame = [&] {
+        for (int pri : {0, 1}) {
+            for (bool spr : {false, true}) {
+                TaskSnapshot probe;
+                probe.priority = pri;
+                EXPECT_EQ(a.estimateIf(probe, spr),
+                          b.estimateIf(probe, spr));
+            }
         }
-    }
+    };
+    expectSame();
     task.priority = 1;
     task.sprint_granted = true;
     a.add(task, 3e-4);
     b.add(task, 3e-4);
-    EXPECT_EQ(a.quantileIf(task, true), b.quantileIf(task, true));
+    expectSame();
 }
 
 } // namespace
