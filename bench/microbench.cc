@@ -234,6 +234,38 @@ BENCHMARK(BM_MachineRunFleetShape)
     ->ArgsProduct({{4, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * The post-sprint shape of csbench's sprint-train: sixteen threads of
+ * a size-A sobel (arg 0) or kmeans (1) that a 16-core machine
+ * consolidates onto core 0 at its first 1000-cycle sample, so nearly
+ * every op runs on the stride probe against one warm 32 KB 8-way L1
+ * whose hits spread over all ways. Items are retired ops.
+ */
+void
+BM_MachineRunSprintShape(benchmark::State &state)
+{
+    const KernelId kernel =
+        state.range(0) == 0 ? KernelId::Sobel : KernelId::Kmeans;
+    const ParallelProgram prog = buildKernelProgram(kernel, InputSize::A);
+    std::uint64_t ops = 0;
+    for (auto _ : state) {
+        Machine m(MachineConfig::paper16(), prog);
+        m.setSampleHook(
+            [](Machine &mm, Seconds, Joules) {
+                if (mm.activeCores() > 1)
+                    mm.consolidateToSingleCore();
+            },
+            1000);
+        m.run();
+        benchmark::DoNotOptimize(m.stats().cycles);
+        ops += m.stats().ops_retired;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+    state.SetLabel(kernelName(kernel));
+}
+BENCHMARK(BM_MachineRunSprintShape)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
+
 void
 BM_MachineSobel(benchmark::State &state)
 {

@@ -18,8 +18,9 @@
  * and accessIfPresent() is a hit-only probe that performs exactly the
  * recency, dirty-bit, and counter updates of a hitting access() and
  * touches nothing on a miss or an S->M upgrade. The machine's stride
- * probe, its hot path, looks hits up ahead of time through a read-only
- * HitProbe and later replays them with commitHits()/countHits().
+ * probe, its hot path, looks hits up ahead of time through a HitProbe,
+ * which changes no contents, and later replays them with
+ * commitHits()/countHits().
  */
 
 #ifndef CSPRINT_ARCHSIM_CACHE_HH
@@ -58,14 +59,21 @@ class Cache
     /**
      * Per-set packed metadata: `order` lists way indices as nibbles,
      * most-recently-used in bits [0, 4); `valid`/`dirty` are way
-     * bitmasks.
+     * bitmasks. `probe_way` is HitProbe::entry()'s way hint: the way
+     * its last scan of this set found, checked first on the next
+     * lookup. It is derived state, not contents: entry() checks the
+     * valid bit and the tag at the hinted way and scans on any
+     * mismatch, and a valid line sits in exactly one way, so a stale
+     * hint costs a scan and never changes a result. Nothing else
+     * reads it, checkpoints do not carry it (a restored set starts at
+     * way 0), and it stays below the associativity.
      */
     struct SetMeta
     {
         std::uint64_t order = 0;
         std::uint16_t valid = 0;
         std::uint16_t dirty = 0;
-        std::uint32_t pad = 0;
+        mutable std::uint32_t probe_way = 0;
     };
 
   public:
@@ -107,7 +115,8 @@ class Cache
      * keep them in registers (its own stores cannot make the compiler
      * reload them). Valid until this cache is mutated by a fill,
      * eviction, coherence action, or flush; presence and dirtiness do
-     * not depend on recency, so hits in between leave it valid.
+     * not depend on recency, so hits in between leave it valid. The
+     * only thing it writes is a set's way hint (SetMeta::probe_way).
      */
     class HitProbe
     {
@@ -116,22 +125,28 @@ class Cache
          * The hit entry (set << kWayBits | way) that commitHits()
          * replays for an access of @p line, when that access would be
          * a local one-cycle hit (present, and for a write already
-         * dirty); otherwise kMiss.
+         * dirty); otherwise kMiss. Checks the set's hinted way first:
+         * warm L1s spread hits over every way, where a scan's exit
+         * mispredicts.
          */
         std::uint32_t entry(std::uint64_t line, bool write) const
         {
             const std::uint64_t set = line & set_mask;
             const std::uint64_t *base = tags + set * ways;
             const SetMeta &m = meta[set];
-            for (unsigned w = 0; w < ways; ++w) {
-                if (base[w] == line && ((m.valid >> w) & 1u)) {
-                    if (write && !((m.dirty >> w) & 1u))
-                        return kMiss;
-                    return static_cast<std::uint32_t>(
-                        (set << kWayBits) | w);
+            unsigned w = m.probe_way;
+            if (base[w] != line || !((m.valid >> w) & 1u)) {
+                for (w = 0; w < ways; ++w) {
+                    if (base[w] == line && ((m.valid >> w) & 1u))
+                        break;
                 }
+                if (w == ways)
+                    return kMiss;
+                m.probe_way = w;
             }
-            return kMiss;
+            if (write && !((m.dirty >> w) & 1u))
+                return kMiss;
+            return static_cast<std::uint32_t>((set << kWayBits) | w);
         }
 
         /** entry()'s "not a local hit" result (no valid entry). */

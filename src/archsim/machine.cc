@@ -455,6 +455,14 @@ Machine::probeLocalRun(Core &core, const Thread &thread, Cycles cap)
     // inside a verified-local run. A store after loads of a clean
     // line changes the key, so its lookup still finds the upgrade.
     std::uint64_t memo_key = ~std::uint64_t(0);
+    // Behind it, a 16-entry table of the same mapping, direct-mapped
+    // by line & 15: stencils and sweeps come back to the lines they
+    // just left, and nothing mutates the L1 inside this call, so an
+    // entry found once stays the right one until the call returns.
+    constexpr std::size_t kLineMemo = 16;
+    std::array<std::uint64_t, kLineMemo> line_keys;
+    line_keys.fill(~std::uint64_t(0));
+    std::array<std::uint32_t, kLineMemo> line_entries{};
     while (p != goal) {
         const MicroOp *const stop =
             goal - p > static_cast<std::ptrdiff_t>(kTallyMaxRun)
@@ -470,12 +478,17 @@ Machine::probeLocalRun(Core &core, const Thread &thread, Cycles cap)
                 const std::uint64_t line = p->addr() >> shift;
                 const std::uint64_t key = (line << 1) | store;
                 if (key != memo_key) {
-                    const std::uint32_t entry = l1.entry(line, store);
-                    if (entry == Cache::HitProbe::kMiss)
-                        break;
+                    const std::size_t slot = line & (kLineMemo - 1);
+                    if (line_keys[slot] != key) {
+                        const std::uint32_t entry = l1.entry(line, store);
+                        if (entry == Cache::HitProbe::kMiss)
+                            break;
+                        line_keys[slot] = key;
+                        line_entries[slot] = entry;
+                    }
                     memo_key = key;
                     if (line != last_line) {
-                        *out++ = entry;
+                        *out++ = line_entries[slot];
                         last_line = line;
                     }
                 }

@@ -92,14 +92,16 @@ ChunkedOpStream::fill(MicroOp *out, std::size_t max)
 std::size_t
 ChunkedOpStream::fillInto(std::vector<MicroOp> &out)
 {
-    if (pos >= buffer.size() && !refill())
+    if (pos >= buffer.size()) {
+        // Drained: generate the next chunk straight into the caller's
+        // window, whose capacity outlives this stream, and leave the
+        // own buffer drained.
+        while (next_chunk < num_chunks) {
+            fn(next_chunk++, out);
+            if (!out.empty())
+                return out.size();
+        }
         return 0;
-    if (pos == 0) {
-        // Hand the whole chunk over without copying; the caller's
-        // storage becomes the next chunk's scratch buffer.
-        out.swap(buffer);
-        buffer.clear();
-        return out.size();
     }
     const std::size_t n = buffer.size() - pos;
     if (out.size() < n)

@@ -42,7 +42,7 @@ class OpStream
 
     /**
      * Bulk variant that may replace @p out's contents entirely
-     * (including swapping internal storage to avoid the copy);
+     * (including generating into it directly to avoid the copy);
      * returns how many ops are valid at out[0..n). Zero means
      * exhausted, as for fill(). The default resizes @p out to a
      * batch window and delegates to fill().
@@ -76,11 +76,13 @@ class ChunkedOpStream : public OpStream
   public:
     /** @param fn rebuilds the buffer for a chunk index. The callback
      *  owns the reset (clear() or resize()): on entry the vector
-     *  holds unspecified leftovers from an earlier chunk, so a
-     *  fixed-size generator can resize() once and overwrite in place
-     *  without paying a re-initialization per chunk. A callback that
-     *  neither clears nor writes re-emits the leftovers — always
-     *  reset first, even on chunks that produce no ops. */
+     *  holds unspecified leftovers from an earlier chunk (under
+     *  fillInto() it is the caller's window, so they can come from
+     *  another stream), so a fixed-size generator can resize() once
+     *  and overwrite in place without paying a re-initialization
+     *  per chunk. A callback that neither clears nor writes
+     *  re-emits the leftovers — always reset first, even on chunks
+     *  that produce no ops. */
     using ChunkFn = std::function<void(std::size_t chunk,
                                        std::vector<MicroOp> &out)>;
 

@@ -281,7 +281,7 @@ struct CheckpointIO
             a.u16(m.valid);
             a.u16(m.dirty);
             if constexpr (Ar::kReading) {
-                m.pad = 0;
+                m.probe_way = 0;
                 if ((m.valid & ~way_mask) != 0 || (m.dirty & ~m.valid) != 0)
                     corrupt("cache set " + std::to_string(s) +
                             " has invalid way masks");
@@ -635,9 +635,9 @@ struct CheckpointIO
             a.u64(n);
             if constexpr (Ar::kReading) {
                 // The window can exceed kOpBufferCap: a chunked
-                // stream's fillInto swaps whole chunks into the thread
-                // buffer. Bound it by the bytes actually present (8
-                // per op).
+                // stream's fillInto generates whole chunks into the
+                // thread buffer. Bound it by the bytes actually
+                // present (8 per op).
                 if (n > a.remaining() / 8)
                     corrupt("op window larger than the remaining bytes");
                 if (t.buf.size() < n)

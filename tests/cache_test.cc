@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <string>
+
 #include "archsim/cache.hh"
 
 namespace csprint {
@@ -118,6 +122,93 @@ TEST(Cache, ThrashingSweepAlwaysMisses)
         for (std::uint64_t l = 0; l < 17; ++l)
             c.access(l, false);
     EXPECT_EQ(c.stats().hits, 0u);
+}
+
+/**
+ * HitProbe::entry() recomputed by the way scan behind findSlot(),
+ * which knows nothing of the probe's way hint.
+ */
+std::uint32_t
+scannedEntry(const Cache &c, std::uint64_t line, bool write)
+{
+    const std::size_t slot = c.findSlot(line);
+    if (slot == Cache::kNoSlot || (write && !c.isDirty(line)))
+        return Cache::HitProbe::kMiss;
+    const std::size_t ways = static_cast<std::size_t>(c.associativity());
+    return static_cast<std::uint32_t>(((slot / ways) << Cache::kWayBits) |
+                                      (slot % ways));
+}
+
+/** Probe every line of [0, @p lines) both ways against the scan. */
+void
+expectProbeMatchesScan(const Cache &c, std::uint64_t lines)
+{
+    for (std::uint64_t line = 0; line < lines; ++line) {
+        for (bool write : {false, true}) {
+            ASSERT_EQ(c.hitProbe().entry(line, write),
+                      scannedEntry(c, line, write))
+                << "line " << line << (write ? " store" : " load");
+        }
+    }
+}
+
+TEST(CacheHitProbe, StaleHintOnInvalidatedWayWithMatchingTag)
+{
+    // Fill four ways of one set, let the probe hint line 3's way, then
+    // invalidate it and refill it into way 0: way 3 keeps tag 3 with
+    // its valid bit clear, and the hint still points there.
+    Cache c(4 * 64, 4, 64);  // one set
+    for (std::uint64_t line = 0; line < 4; ++line)
+        c.access(line, true);
+    ASSERT_EQ(c.hitProbe().entry(3, false), 3u);
+    c.invalidate(3);
+    EXPECT_EQ(c.hitProbe().entry(3, false), Cache::HitProbe::kMiss);
+    c.invalidate(0);
+    c.access(3, false);
+    ASSERT_EQ(c.findSlot(3), 0u);
+    EXPECT_EQ(c.hitProbe().entry(3, false), 0u);
+    EXPECT_EQ(c.hitProbe().entry(3, true), Cache::HitProbe::kMiss);
+    expectProbeMatchesScan(c, 8);
+}
+
+TEST(CacheHitProbe, HintedEntryEqualsScanUnderRandomTraffic)
+{
+    // Four sets of 1 to 16 ways over a pool of three lines per way
+    // and set, so fills evict, invalidations leave stale tags behind
+    // and refills move lines between ways; after every step each
+    // line's probe, load and store alike, must equal the scan.
+    for (int ways = 1; ways <= 16; ++ways) {
+        SCOPED_TRACE("ways " + std::to_string(ways));
+        Cache c(4 * 64 * static_cast<std::size_t>(ways), ways, 64);
+        const std::uint64_t pool = 3 * 4 * static_cast<std::uint64_t>(ways);
+        std::mt19937_64 rng(1000 + static_cast<unsigned>(ways));
+        for (int step = 0; step < 400; ++step) {
+            const std::uint64_t line = rng() % pool;
+            switch (rng() % 16) {
+            case 0:
+                c.invalidate(line);
+                break;
+            case 1:
+            case 2:
+                c.markClean(line);
+                break;
+            case 3:
+                if (rng() % 8 == 0)
+                    c.flush();
+                break;
+            case 4:
+            case 5:
+                c.accessIfPresent(line, rng() % 2 == 0);
+                break;
+            default:
+                c.access(line, rng() % 3 == 0);
+                break;
+            }
+            expectProbeMatchesScan(c, pool);
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
 
 } // namespace

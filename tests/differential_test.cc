@@ -30,12 +30,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/args.hh"
 #include "common/rng.hh"
+#include "diff_seed.hh"
 #include "fresh_dir.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
@@ -46,18 +45,6 @@
 
 namespace csprint {
 namespace {
-
-/** CI-rotated master seed; log it so failures are reproducible. */
-std::uint64_t
-diffSeed()
-{
-    static const std::uint64_t seed = [] {
-        const std::uint64_t s = envSeed("CSPRINT_DIFF_SEED", 20260730ULL);
-        std::cout << "[ diff-seed ] CSPRINT_DIFF_SEED=" << s << "\n";
-        return s;
-    }();
-    return seed;
-}
 
 /** Draw one random scenario configuration. */
 ScenarioConfig

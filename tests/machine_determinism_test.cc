@@ -22,7 +22,10 @@
 
 #include "archsim/machine.hh"
 #include "archsim/program.hh"
+#include "diff_seed.hh"
+#include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
+#include "sprint/scenario.hh"
 #include "workloads/workload.hh"
 
 namespace csprint {
@@ -778,6 +781,94 @@ TEST(MachineDeterminism, KernelProgramsMatchOnAllKernels)
         SCOPED_TRACE(kernelName(id));
         expectLoopsAgree(make, cfgOf(16, 16), recordingHook);
     }
+}
+
+/**
+ * A 2 KB 4-way L1 (8 sets): every kernel's working set conflicts in
+ * it, so lines move between ways between probes and the stride
+ * probe's way hints and line memo go stale all the time.
+ */
+MachineConfig
+tinyL1(MachineConfig cfg)
+{
+    cfg.l1_bytes = 2 * 1024;
+    cfg.l1_assoc = 4;
+    return cfg;
+}
+
+TEST(MachineDeterminism, TinyL1ConflictsMatchAtEveryCoreCount)
+{
+    // Sixteen threads of two seed-rotated kernels on each of 1, 2, 4
+    // and 16 cores: multiplexed, partly and fully spread.
+    const std::vector<KernelId> &kernels = allKernels();
+    const std::uint64_t seed = diffSeed();
+    std::uint64_t turn = 0;
+    for (int cores : {1, 2, 4, 16}) {
+        for (int k = 0; k < 2; ++k) {
+            const KernelId id = kernels[(seed + turn++) % kernels.size()];
+            auto make = [id, seed] {
+                return buildKernelProgram(id, InputSize::A, seed);
+            };
+            SCOPED_TRACE(kernelName(id) + " on " + std::to_string(cores) +
+                         " cores, seed " + std::to_string(seed));
+            const RunCapture ev = expectLoopsAgree(
+                make, tinyL1(cfgOf(cores, 16)), recordingHook);
+            std::uint64_t evictions = 0;
+            for (const CacheStats &l1 : ev.l1)
+                evictions += l1.evictions;
+            EXPECT_GT(evictions, 0u);
+        }
+    }
+}
+
+TEST(MachineDeterminism, TinyL1SuspendedMachineResumesFromBytes)
+{
+    // A preemptive train on the tiny L1: a heavy task is suspended
+    // mid-run, and the checkpoint goes through its bytes after every
+    // task. The restored machines start every set's way hint at way
+    // 0, and the run must still equal the uninterrupted one and the
+    // reference loop bit for bit.
+    ScenarioConfig cfg;
+    cfg.platform = SprintConfig::parallelSprint(16, kFullPcm);
+    cfg.platform.machine = tinyL1(cfg.platform.machine);
+    cfg.policy.kind = SprintPolicyKind::Qos;
+    cfg.policy.pacing_period = 2.5e-3;
+    cfg.policy.service_prior = 2e-3;
+    cfg.policy.qos_slack = 1.5;
+    cfg.pattern = ArrivalPattern::Periodic;
+    cfg.num_tasks = 4;
+    cfg.period = 2e-4;
+    const std::vector<KernelId> &kernels = allKernels();
+    cfg.kernel = kernels[diffSeed() % kernels.size()];
+    cfg.size = InputSize::A;
+    cfg.seed = diffSeed();
+    cfg.task_tuner = [seed = cfg.seed](ScenarioTask &task) {
+        const bool heavy = task.seed == seed;
+        task.priority = heavy ? 0 : 1;
+        task.size = heavy ? InputSize::C : InputSize::A;
+        task.deadline = heavy ? 0.0 : 2e-3;
+    };
+    SCOPED_TRACE(kernelName(cfg.kernel) + ", seed " +
+                 std::to_string(cfg.seed));
+
+    const ScenarioResult direct = runScenario(cfg);
+    ASSERT_GT(direct.preemptions, 0);
+
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    bool suspended = false;
+    for (bool done = ck.done; !done;) {
+        done = advanceScenario(cfg, ck, 1);
+        for (const auto &ex : ck.ready)
+            suspended = suspended || (ex->machine && ex->machine->suspended());
+        ck = deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
+    }
+    EXPECT_TRUE(suspended) << "no checkpoint carried a suspended machine";
+    EXPECT_EQ(firstDifference(direct, finishScenario(cfg, std::move(ck))),
+              "");
+
+    ScenarioConfig ref = cfg;
+    ref.platform.machine.loop = MachineLoop::Reference;
+    EXPECT_EQ(firstDifference(direct, runScenario(ref)), "");
 }
 
 TEST(MachineDeterminism, ManyCoreSparseMatchesFullMap)

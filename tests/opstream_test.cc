@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "archsim/op.hh"
 #include "archsim/opstream.hh"
 #include "archsim/program.hh"
@@ -148,8 +151,9 @@ TEST(OpStreamFill, ChunkedBulkHandsOutWholeChunks)
     }
     EXPECT_EQ(i, got.size());
 
-    // fillInto() hands over whole chunks (possibly by swapping
-    // storage) and reports exhaustion with zero.
+    // fillInto() hands over whole chunks (possibly generated
+    // straight into the caller's window) and reports exhaustion
+    // with zero.
     ChunkedOpStream s2 = make();
     std::vector<MicroOp> window;
     std::size_t total = 0;
@@ -158,6 +162,58 @@ TEST(OpStreamFill, ChunkedBulkHandsOutWholeChunks)
         total += n;
     }
     EXPECT_EQ(total, 5u + 6u + 7u);
+}
+
+TEST(OpStreamFill, ChunkedFillIntoServesTheOpsOfNext)
+{
+    // Chunk sizes 0..6 (empty chunks included) of distinct ops, and a
+    // callback that resets only by resize() and overwrite, so a
+    // leftover anywhere in the window would show.
+    auto make = [] {
+        return ChunkedOpStream(
+            12, [](std::size_t chunk, std::vector<MicroOp> &out) {
+                out.resize((chunk * 5) % 7);
+                for (std::size_t i = 0; i < out.size(); ++i)
+                    out[i] = MicroOp::store(chunk * 1000 + 8 * i);
+            });
+    };
+    std::vector<std::uint64_t> want;
+    ChunkedOpStream ref = make();
+    MicroOp op;
+    while (ref.next(op))
+        want.push_back(op.bits);
+    ASSERT_GT(want.size(), 30u);
+
+    // Serve every op through fillInto(), from a window that starts out
+    // holding another stream's ops; then again after a few next()
+    // calls, so the first fillInto() copies the own buffer's
+    // remainder and the rest generate into the window; then
+    // alternating next() with fillInto().
+    for (int skip : {0, 2, -1}) {
+        SCOPED_TRACE(skip);
+        ChunkedOpStream s = make();
+        std::vector<MicroOp> window(40, MicroOp::load(0xdead));
+        std::vector<std::uint64_t> got;
+        for (int i = 0; i < skip && s.next(op); ++i)
+            got.push_back(op.bits);
+        for (int round = 0;; ++round) {
+            if (skip < 0 && round % 2 == 1) {
+                if (!s.next(op))
+                    break;
+                got.push_back(op.bits);
+                continue;
+            }
+            const std::size_t n = s.fillInto(window);
+            if (n == 0)
+                break;
+            ASSERT_GE(window.size(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                got.push_back(window[i].bits);
+        }
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(s.fillInto(window), 0u);  // stays exhausted
+        EXPECT_FALSE(s.next(op));
+    }
 }
 
 TEST(OpStreamFill, DefaultFillIntoUsesNext)
