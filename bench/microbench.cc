@@ -372,8 +372,8 @@ BM_PreemptResume(benchmark::State &state)
                                           double) {
                              return ++samples % every == 0;
                          });
-        const RunResult r = samplePumpObserved(*machine, cfg, package,
-                                               policy, suspender);
+        const RunResult r =
+            samplePump(*machine, cfg, package, policy, suspender);
         benchmark::DoNotOptimize(r.task_time);
     }
 }

@@ -58,11 +58,10 @@ pumpOnce(int suspend_every)
     if (suspend_every <= 0)
         return samplePump(*machine, cfg, package, policy);
     int samples = 0;
-    return samplePumpObserved(*machine, cfg, package, policy,
-                              [&](Seconds, Celsius, Watts, double) {
-                                  return ++samples % suspend_every ==
-                                         0;
-                              });
+    return samplePump(*machine, cfg, package, policy,
+                      [&](Seconds, Celsius, Watts, double) {
+                          return ++samples % suspend_every == 0;
+                      });
 }
 
 /**

@@ -64,7 +64,12 @@ parityPointDifference(Grams pcm)
         buildKernelProgram(KernelId::Sobel, InputSize::B, 42);
     const RunResult direct =
         runSprint(prog, SprintConfig::parallelSprint(16, pcm));
-    return firstDifference(s.tasks.at(0).run, direct);
+    // The task record carries no samples; the timeline holds them.
+    RunResult run = s.tasks.at(0).run;
+    run.junction_trace = s.junction_trace;
+    run.power_trace = s.power_trace;
+    run.melt_trace = s.melt_trace;
+    return firstDifference(run, direct);
 }
 
 /** The burst-train showcase: melt/refreeze cycles on a 15 mg point. */

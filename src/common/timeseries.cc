@@ -23,17 +23,6 @@ TimeSeries::reserve(std::size_t n)
     values.reserve(n);
 }
 
-void
-TimeSeries::append(const TimeSeries &src)
-{
-    if (src.times.empty())
-        return;
-    SPRINT_ASSERT(times.empty() || src.times.front() >= times.back(),
-                  "appended series starts before this one ends");
-    times.insert(times.end(), src.times.begin(), src.times.end());
-    values.insert(values.end(), src.values.begin(), src.values.end());
-}
-
 double
 TimeSeries::back() const
 {

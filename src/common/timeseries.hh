@@ -24,13 +24,6 @@ class TimeSeries
     /** Pre-size the storage for @p n total samples. */
     void reserve(std::size_t n);
 
-    /**
-     * Bulk-append every sample of @p src; @p src's first time must not
-     * precede this series' last time. One ordering check at the seam
-     * replaces the per-sample check of repeated add() calls.
-     */
-    void append(const TimeSeries &src);
-
     /** Number of samples. */
     std::size_t size() const { return times.size(); }
 

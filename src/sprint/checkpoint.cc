@@ -772,9 +772,6 @@ struct CheckpointIO
         a.f64(rr.avg_power);
         a.f64(rr.sampled_time);
         a.f64(rr.sampled_energy);
-        transfer(a, rr.junction_trace);
-        transfer(a, rr.power_trace);
-        transfer(a, rr.melt_trace);
         transfer(a, rr.machine);
     }
 
@@ -810,9 +807,6 @@ struct CheckpointIO
         a.boolean(p.sprint_exhausted);
         a.boolean(p.hardware_throttled);
         a.boolean(p.policy_throttled);
-        transfer(a, p.junction_trace);
-        transfer(a, p.power_trace);
-        transfer(a, p.melt_trace);
     }
 
     template <typename Ar>

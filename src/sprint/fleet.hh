@@ -47,6 +47,8 @@
  * differ only in how the bytes reach it, so the bit-parity gate
  * compares transport, not reduction; tests/fleet_test.cc checks the
  * reducer itself against a fold of per-device runScenario results.
+ * The merged quantiles depend on the worker count (ROADMAP, "Fleet
+ * quantiles that do not depend on how the fleet is split").
  *
  * The parent's per-device state is O(1) in both transports: a
  * FleetDeviceOutcome is a completion flag and a digest. A device's
@@ -158,8 +160,8 @@ std::vector<std::pair<int, int>> fleetShardRanges(int num_devices,
  * maxima, and streaming P² response quantiles. fold* on one range,
  * merge ranges in range order; counters and maxima merge exactly, the
  * quantile merge is deterministic (equal inputs and order give
- * bit-equal state) and order-insensitive within an estimator
- * tolerance.
+ * bit-equal state) but not split-invariant: fleet_report --devices 64
+ * reads p95 0.58, 1.31 and 2.32 ms at 1, 2 and 4 workers.
  */
 struct FleetAggregates : TaskTallies<std::uint64_t>
 {

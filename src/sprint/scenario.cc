@@ -217,32 +217,6 @@ ScenarioTraceSink::add(double t, double junction, double power,
 }
 
 void
-ScenarioTraceSink::append(const TimeSeries &junction,
-                          const TimeSeries &power,
-                          const TimeSeries &melt)
-{
-    SPRINT_ASSERT(junction.size() == power.size() &&
-                      junction.size() == melt.size(),
-                  "per-task traces must be sampled in lockstep");
-    switch (mode_) {
-      case TraceMode::Full:
-        junction_.append(junction);
-        power_.append(power);
-        melt_.append(melt);
-        break;
-      case TraceMode::DecimatedRing:
-        for (std::size_t i = 0; i < junction.size(); ++i) {
-            junction_ring_.add(junction.timeAt(i), junction.valueAt(i));
-            power_ring_.add(power.timeAt(i), power.valueAt(i));
-            melt_ring_.add(melt.timeAt(i), melt.valueAt(i));
-        }
-        break;
-      case TraceMode::Off:
-        break;
-    }
-}
-
-void
 ScenarioTraceSink::exportTo(ScenarioResult &out)
 {
     switch (mode_) {
@@ -1042,8 +1016,10 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
             ck.busy += current->run_cfg.activation_ramp;
             current->pump.ramp_time += current->run_cfg.activation_ramp;
             current->pump.elapsed = ck.now;
+            // A suspended task has taken at least one sample, so zero
+            // sampled time marks the first dispatch.
             current->pump.peak_junction =
-                current->pump.junction_trace.empty()
+                current->pump.sampled_time == 0.0
                     ? package.junctionTemp()
                     : std::max(current->pump.peak_junction,
                                package.junctionTemp());

@@ -332,7 +332,7 @@ struct ScenarioTaskResult
     Seconds deadline = 0.0;    ///< relative to arrival; 0 = none
     bool deadline_met = true;  ///< vacuously true without a deadline
     int preemptions = 0;       ///< times this task was suspended
-    RunResult run;          ///< the full coupled-run result
+    RunResult run;          ///< the coupled-run result, minus traces
 };
 
 /** Aggregate outcome of one scenario (the tallies are inherited). */
@@ -384,7 +384,7 @@ std::string firstDifference(const ScenarioResult &a,
 
 /**
  * The full-timeline trace recorder behind ScenarioConfig::trace_mode:
- * Full appends every sample (bulk-appending whole per-task traces),
+ * Full appends every sample the engine's pump observer sees,
  * DecimatedRing records into three bounded DecimatingTrace buffers,
  * Off stores nothing.
  */
@@ -402,10 +402,6 @@ class ScenarioTraceSink
     /** Record one (junction, power, melt) sample at time @p t. */
     void add(double t, double junction, double power, double melt);
 
-    /** Bulk-append one task's traces (sizes must match). */
-    void append(const TimeSeries &junction, const TimeSeries &power,
-                const TimeSeries &melt);
-
     /** Move the recorded traces into @p out. */
     void exportTo(ScenarioResult &out);
 
@@ -422,7 +418,7 @@ class ScenarioTraceSink
  * been dispatched, its live machine, program, and accumulated pump
  * state. A preempted task is exactly this struct parked in the ready
  * queue — the machine holds the architectural progress (op cursors,
- * caches, directory), the pump state the trace/energy accumulators —
+ * caches, directory), the pump state the energy accumulators —
  * and resuming is another pumpTaskSlice over the same pair. Live
  * machines make a checkpoint carrying executions in-process only
  * (like the warm-restart chain).

@@ -122,13 +122,10 @@ pumpTaskSlice(Machine &machine, const SprintConfig &cfg,
         [&, observe](Machine &m, Seconds dt, Joules energy) {
             st.elapsed += dt;
             const Watts power = energy / dt;
-            // Traces record the pre-sample thermal state; the policy
+            // The observer sees the pre-sample thermal state; the policy
             // advances the package below (see policy.hh's contract).
             const Celsius junction = package.junctionTemp();
             const double melt = package.meltFraction();
-            st.junction_trace.add(st.elapsed, junction);
-            st.power_trace.add(st.elapsed, power);
-            st.melt_trace.add(st.elapsed, melt);
             if (power > sustainable) {
                 st.above_tdp_time += dt;
                 st.above_tdp_energy += energy;
@@ -214,36 +211,36 @@ finalizePump(PumpState &&st, Machine &machine, const SprintConfig &cfg,
     }
     result.hardware_throttled =
         st.hardware_throttled || st.policy_throttled;
-    result.junction_trace = std::move(st.junction_trace);
-    result.power_trace = std::move(st.power_trace);
-    result.melt_trace = std::move(st.melt_trace);
     return result;
-}
-
-RunResult
-samplePumpObserved(Machine &machine, const SprintConfig &cfg,
-                   MobilePackageModel &package, SprintPolicy &policy,
-                   const PumpObserver &observe, Seconds start_time)
-{
-    PumpState st;
-    st.elapsed = start_time + cfg.activation_ramp;
-    st.ramp_time = cfg.activation_ramp;
-    st.peak_junction = package.junctionTemp();
-    do {
-        pumpTaskSlice(machine, cfg, package, policy, st, observe);
-        // suspended() distinguishes an observer pause (resume and
-        // carry on) from completion or an abort() (stop either way).
-    } while (machine.suspended());
-    return finalizePump(std::move(st), machine, cfg, package);
 }
 
 RunResult
 samplePump(Machine &machine, const SprintConfig &cfg,
            MobilePackageModel &package, SprintPolicy &policy,
-           Seconds start_time)
+           const PumpObserver &observe)
 {
-    return samplePumpObserved(machine, cfg, package, policy, nullptr,
-                              start_time);
+    PumpState st;
+    st.elapsed = cfg.activation_ramp;
+    st.ramp_time = cfg.activation_ramp;
+    st.peak_junction = package.junctionTemp();
+    TimeSeries junction_trace, power_trace, melt_trace;
+    const PumpObserver record = [&](Seconds t, Celsius junction,
+                                    Watts power, double melt) {
+        junction_trace.add(t, junction);
+        power_trace.add(t, power);
+        melt_trace.add(t, melt);
+        return observe && observe(t, junction, power, melt);
+    };
+    do {
+        pumpTaskSlice(machine, cfg, package, policy, st, record);
+        // suspended() distinguishes an observer pause (resume and
+        // carry on) from completion or an abort() (stop either way).
+    } while (machine.suspended());
+    RunResult result = finalizePump(std::move(st), machine, cfg, package);
+    result.junction_trace = std::move(junction_trace);
+    result.power_trace = std::move(power_trace);
+    result.melt_trace = std::move(melt_trace);
+    return result;
 }
 
 RunResult

@@ -118,6 +118,7 @@ struct RunResult
     Seconds sampled_time = 0.0;
     Joules sampled_energy = 0.0;
 
+    // Empty in a Scenario task record: the timeline holds its samples.
     TimeSeries junction_trace;     ///< sampled junction temperature
     TimeSeries power_trace;        ///< sampled die power
     TimeSeries melt_trace;         ///< sampled PCM melt fraction
@@ -142,10 +143,12 @@ std::unique_ptr<Machine> prepareMachine(const ParallelProgram &program,
 /**
  * Per-sample scenario tap for preemptive timelines: invoked once per
  * energy sample, after the policy has consumed it, with the absolute
- * sample time and the pre-sample trace values the pump recorded.
- * Return true to suspend the machine at this sample boundary
- * (Machine::suspend); the task continues on a later pumpTaskSlice
- * call. A null observer is the classic uninterruptible run.
+ * sample time and the pre-sample thermal state. It is the only way a
+ * sample leaves the pump: samplePump records RunResult traces through
+ * it, the Scenario engine its timeline. Return true to suspend the
+ * machine at this sample boundary (Machine::suspend); the task
+ * continues on a later pumpTaskSlice call. A null observer is the
+ * classic uninterruptible run.
  */
 using PumpObserver = std::function<bool(Seconds t, Celsius junction,
                                         Watts power, double melt)>;
@@ -154,7 +157,7 @@ using PumpObserver = std::function<bool(Seconds t, Celsius junction,
  * Accumulated pump state of one coupled task, possibly spanning
  * several suspend/resume slices. Everything here is value state; the
  * machine itself carries the architectural half of the checkpoint.
- * samplePump() is exactly one slice over a fresh state followed by
+ * samplePump() runs slices over a fresh state, then
  * finalizePump(), so the sliced path and the classic path are the
  * same code — a run whose observer never suspends is bit-identical
  * to one with no observer at all.
@@ -171,9 +174,6 @@ struct PumpState
     bool sprint_exhausted = false;
     bool hardware_throttled = false;
     bool policy_throttled = false;
-    TimeSeries junction_trace;
-    TimeSeries power_trace;
-    TimeSeries melt_trace;
 };
 
 /**
@@ -198,27 +198,19 @@ RunResult finalizePump(PumpState &&st, Machine &machine,
                        MobilePackageModel &package);
 
 /**
- * samplePump with a per-sample observer: drives the task to
- * completion, transparently resuming across any suspensions the
- * observer requests (the test/bench harness for forced
- * suspend/resume cadences — the Scenario engine runs its own slice
- * loop so it can reschedule between slices). Caller contract is
- * samplePump's; an observer that never suspends yields the classic
- * run bit-for-bit.
- */
-RunResult samplePumpObserved(Machine &machine, const SprintConfig &cfg,
-                             MobilePackageModel &package,
-                             SprintPolicy &policy,
-                             const PumpObserver &observe,
-                             Seconds start_time = 0.0);
-
-/**
  * Drive @p machine to completion against @p package under @p policy:
- * install the per-1000-cycle sample hook, record traces (sample times
- * offset by @p start_time for multi-task timelines), and apply policy
+ * install the per-1000-cycle sample hook, record the RunResult traces
+ * through the observer handed to pumpTaskSlice, and apply policy
  * decisions to the machine (migration to core 0, boost drop, or the
  * hardware frequency throttle; a fault-injected config leaves
  * StopSprint unapplied so the throttle path is exercised).
+ *
+ * @p observe, when set, sees every sample after it is recorded; the
+ * run transparently resumes across any suspension it requests (the
+ * test/bench harness for forced suspend/resume cadences — the
+ * Scenario engine runs its own slice loop so it can reschedule
+ * between slices). An observer that never suspends yields the
+ * unobserved run bit-for-bit.
  *
  * The caller owns the package lifecycle: apply the activation ramp
  * (package.step(cfg.activation_ramp)) and policy.beginTask() before
@@ -226,7 +218,7 @@ RunResult samplePumpObserved(Machine &machine, const SprintConfig &cfg,
  */
 RunResult samplePump(Machine &machine, const SprintConfig &cfg,
                      MobilePackageModel &package, SprintPolicy &policy,
-                     Seconds start_time = 0.0);
+                     const PumpObserver &observe = nullptr);
 
 /**
  * Run @p program on the platform described by @p cfg.

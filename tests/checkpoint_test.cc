@@ -701,7 +701,7 @@ TEST(CheckpointFormat, PinnedBytes)
     // Byte-level pins of the checkpoint and fleet-spec formats: a
     // reordered, resized or dropped field changes these CRCs. Any such
     // change must bump BlobContainer::kVersion and re-record them.
-    ASSERT_EQ(BlobContainer::kVersion, 2u);
+    ASSERT_EQ(BlobContainer::kVersion, 3u);
 
     EXPECT_EQ(checkpointCrc(preemptiveScenario(4), 2,
                             [](const ScenarioCheckpoint &ck) {
@@ -710,7 +710,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                     suspended |= ex->machine != nullptr;
                                 EXPECT_TRUE(suspended);
                             }),
-              0x92ed56cdu)
+              0x064eca08u)
         << "preempted mid-flight";
 
     ScenarioConfig warm = baseScenario(SprintPolicyKind::GreedyActivity,
@@ -720,7 +720,7 @@ TEST(CheckpointFormat, PinnedBytes)
                             [](const ScenarioCheckpoint &ck) {
                                 EXPECT_NE(ck.warm_machine, nullptr);
                             }),
-              0x3ed5362du)
+              0xc3630804u)
         << "warm-cache husk";
 
     ScenarioConfig surrogate = baseScenario(
@@ -733,7 +733,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                 EXPECT_GT(ck.surrogate.surrogateTasks(),
                                           0u);
                             }),
-              0xa628b137u)
+              0x835f25e2u)
         << "calibrated surrogate";
 
     FleetSpec spec;
@@ -761,7 +761,33 @@ TEST(CheckpointFormat, PinnedBytes)
     opts.paranoia = true;
     const std::vector<std::uint8_t> blob =
         serializeFleetSpec(spec, plan, opts);
-    EXPECT_EQ(pinOf(blob), 0x4cfe0198u) << "fleet spec";
+    EXPECT_EQ(pinOf(blob), 0xce0b6f72u) << "fleet spec";
+}
+
+TEST(CheckpointFormat, TaskRecordsCarryNoSamples)
+{
+    // With the timeline trace off, nothing in a checkpoint grows with
+    // a task's sample count: a retained task record is fixed-size, so
+    // a train of size-C tasks (many more samples each) checkpoints to
+    // exactly as many bytes as the same train of size-A tasks.
+    ScenarioConfig small = baseScenario(SprintPolicyKind::GreedyActivity,
+                                        ArrivalPattern::Periodic, 3);
+    small.trace_mode = TraceMode::Off;
+    ScenarioConfig large = small;
+    large.size = InputSize::C;
+    std::size_t bytes[2] = {};
+    Cycles cycles[2] = {};
+    for (int i = 0; i < 2; ++i) {
+        const ScenarioConfig &cfg = i == 0 ? small : large;
+        ScenarioCheckpoint ck = beginScenario(cfg);
+        EXPECT_TRUE(advanceScenario(cfg, ck, 3));
+        ASSERT_EQ(ck.tasks.size(), 3u);
+        for (const ScenarioTaskResult &t : ck.tasks)
+            cycles[i] += t.run.machine.cycles;
+        bytes[i] = serializeCheckpoint(cfg, ck).size();
+    }
+    EXPECT_GT(cycles[1], 10 * cycles[0]);
+    EXPECT_EQ(bytes[0], bytes[1]);
 }
 
 TEST(CheckpointValidation, RejectsTamperedState)

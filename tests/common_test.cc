@@ -136,33 +136,6 @@ TEST(TimeSeries, DecimateKeepsEndpoints)
     EXPECT_DOUBLE_EQ(d.timeAt(d.size() - 1), 1000.0);
 }
 
-TEST(TimeSeries, BulkAppendMatchesPerSampleAdds)
-{
-    TimeSeries a, b, chunk;
-    for (int i = 0; i < 10; ++i) {
-        a.add(i, 2.0 * i);
-        b.add(i, 2.0 * i);
-    }
-    for (int i = 10; i < 25; ++i) {
-        chunk.add(i, 2.0 * i);
-        b.add(i, 2.0 * i);
-    }
-    a.reserve(a.size() + chunk.size());
-    a.append(chunk);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_DOUBLE_EQ(a.timeAt(i), b.timeAt(i));
-        EXPECT_DOUBLE_EQ(a.valueAt(i), b.valueAt(i));
-    }
-    // Appending an empty series is a no-op.
-    a.append(TimeSeries());
-    EXPECT_EQ(a.size(), b.size());
-    // Appending into an empty series copies it.
-    TimeSeries c;
-    c.append(chunk);
-    EXPECT_EQ(c.size(), chunk.size());
-}
-
 TEST(DecimatingTrace, StoresEverythingUnderCapacity)
 {
     DecimatingTrace rec(16);

@@ -3,8 +3,9 @@
  * Unit and property tests for the fleet driver's deterministic
  * foundations (sprint/fleet.hh): FleetSpec sampling reproducible from
  * (seed, device index) alone, shard-range construction, mergeable
- * aggregates (exact counters, deterministic P² quantile merge that is
- * order-insensitive within an estimator tolerance), spec wire
+ * aggregates (exact counters, deterministic P² quantile merge; the
+ * merged quantiles still depend on the worker count, see fleet.hh),
+ * spec wire
  * round-trips, firstDifference naming every aggregate field,
  * every-truncation, bit-flip and type-bound sweeps over the spec and
  * pipe frame decoders, a small in-process fleet sanity run, both

@@ -9,7 +9,9 @@
  *    preempted work resumes from its live machine; a dropped arrival
  *    leaves the package and timeline exactly as if it never arrived
  *    (the abort == deny thermal contract); a preempted-then-resumed
- *    task never responds faster than it would uninterrupted.
+ *    task never responds faster than it would uninterrupted, keeps
+ *    the peak junction of its earlier slices, and leaves every one of
+ *    its samples on the timeline.
  *  - Checkpointing: a shard boundary cut between a preemption and the
  *    resume carries the suspended task's full progress (the
  *    mid-queue checkpoint semantics pinned bit-for-bit).
@@ -49,7 +51,7 @@ pumpWithSuspends(MachineLoop loop, int suspend_every)
         return samplePump(*machine, cfg, package, policy);
 
     int samples = 0;
-    const RunResult result = samplePumpObserved(
+    const RunResult result = samplePump(
         *machine, cfg, package, policy,
         [&](Seconds, Celsius, Watts, double) {
             return ++samples % suspend_every == 0;
@@ -283,6 +285,92 @@ TEST(ScenarioPreemption, ShardCutBetweenPreemptionAndResume)
                   "")
             << "shard " << shard;
     }
+}
+
+/**
+ * Greedy behaviour that sprints only the first task, preempts the
+ * runner for every mid-task arrival, and counts the samples it folds.
+ */
+class PreemptForArrivalsPolicy : public GreedyActivityPolicy
+{
+  public:
+    PreemptForArrivalsPolicy(const GovernorConfig &gov, int *samples)
+        : GreedyActivityPolicy(gov), samples_(samples)
+    {
+    }
+
+    bool preemptive() const override { return true; }
+
+    bool
+    wantSprint(const MobilePackageModel &) override
+    {
+        const bool first = !granted_;
+        granted_ = true;
+        return first;
+    }
+
+    SprintDecision
+    onSample(MobilePackageModel &package, Seconds dt,
+             Joules energy) override
+    {
+        ++*samples_;
+        return GreedyActivityPolicy::onSample(package, dt, energy);
+    }
+
+    ArrivalDecision
+    onArrival(const MobilePackageModel &, Seconds, const TaskSnapshot &,
+              const TaskSnapshot &) override
+    {
+        return ArrivalDecision::Preempt;
+    }
+
+  private:
+    int *samples_;
+    bool granted_ = false;
+};
+
+TEST(ScenarioPreemption, ResumedTaskKeepsEverySampleAndItsPeak)
+{
+    // A heavy sprinted task exhausts its small PCM budget, drops to
+    // one core, and is then preempted by an unsprinted short task:
+    // its hottest samples all precede the preemption. The resumed
+    // task's peak junction must still cover them, and the timeline
+    // (no idle gap anywhere) holds exactly one sample per sample the
+    // policy folded — the preempting sample included.
+    ScenarioConfig cfg;
+    cfg.platform = SprintConfig::parallelSprint(16, kSmallPcm);
+    cfg.pattern = ArrivalPattern::Periodic;
+    cfg.num_tasks = 2;
+    cfg.period = 1e-3;  // well after the budget is exhausted
+    cfg.kernel = KernelId::Sobel;
+    cfg.size = InputSize::A;
+    cfg.seed = 42;
+    cfg.task_tuner = [seed = cfg.seed](ScenarioTask &task) {
+        if (task.seed == seed)
+            task.size = InputSize::C;
+    };
+    int samples = 0;
+    cfg.policy_factory = [gov = cfg.platform.governor, &samples]() {
+        return std::make_unique<PreemptForArrivalsPolicy>(gov, &samples);
+    };
+
+    const ScenarioResult s = runScenario(cfg);
+    ASSERT_EQ(s.tasks.size(), 2u);
+    const ScenarioTaskResult &heavy = s.tasks.back();
+    ASSERT_EQ(heavy.arrival, 0.0);
+    ASSERT_EQ(heavy.preemptions, 1);
+    EXPECT_TRUE(heavy.run.sprint_exhausted);
+    EXPECT_EQ(s.junction_trace.size(), static_cast<std::size_t>(samples));
+
+    // Junction peaks of the timeline before and after the preemption.
+    Celsius before = 0.0, after = 0.0;
+    for (std::size_t i = 0; i < s.junction_trace.size(); ++i) {
+        Celsius &peak =
+            s.junction_trace.timeAt(i) < cfg.period ? before : after;
+        peak = std::max(peak, s.junction_trace.valueAt(i));
+    }
+    EXPECT_GT(before, after + 1.0);
+    EXPECT_GE(heavy.run.peak_junction, before);
 }
 
 TEST(QosPolicyUnit, ArrivalDecisions)
