@@ -763,14 +763,10 @@ kernelSuite(ExperimentRunner &pool, Detail &d)
             const ParallelProgram prog =
                 buildKernelProgram(id, InputSize::B, 42);
             std::vector<double> mix(kNumOpKinds + 1, 0.0);
-            for (const auto &phase : prog.phases()) {
-                for (std::size_t task = 0; task < phase.num_tasks; ++task) {
-                    auto s = phase.make_task(task);
-                    MicroOp op;
-                    while (s->next(op))
-                        ++mix[static_cast<std::size_t>(op.kind())];
-                }
-            }
+            forEachOp(prog, [&](const Phase &, std::size_t,
+                                const MicroOp &op) {
+                ++mix[static_cast<std::size_t>(op.kind())];
+            });
             mix.back() = static_cast<double>(prog.phases().size());
             return mix;
         });

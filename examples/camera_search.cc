@@ -10,10 +10,12 @@
  *   ./camera_search --photos 4 --gap 5
  */
 
+#include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "common/args.hh"
-#include "common/table.hh"
 #include "sprint/experiment.hh"
 #include "sprint/simulation.hh"
 #include "workloads/feature.hh"
@@ -37,9 +39,10 @@ main(int argc, char **argv)
         SprintConfig::parallelSprint(cores, kFullPcm);
     const SprintConfig base_cfg = SprintConfig::baseline();
 
-    Table t("per-photo responsiveness");
-    t.setHeader({"photo", "keypoints", "sprint (ms)", "1-core (ms)",
-                 "speedup", "cooldown need (ms)", "ready for next?"});
+    const char *header = "photo  keypoints  sprint (ms)  1-core (ms)  "
+                         "speedup  cooldown need (ms)  ready for next?";
+    std::printf("== per-photo responsiveness ==\n%s\n%s\n", header,
+                std::string(std::strlen(header), '-').c_str());
 
     for (int p = 0; p < photos; ++p) {
         FeatureConfig fcfg =
@@ -54,16 +57,12 @@ main(int argc, char **argv)
         // cooldown fits inside the user's think time.
         const bool ready = sprint.cooldown_estimate < gap;
 
-        t.startRow();
-        t.cell(static_cast<long long>(p + 1));
-        t.cell(static_cast<long long>(ref.keypoints.size()));
-        t.cell(sprint.task_time * 1e3, 2);
-        t.cell(base.task_time * 1e3, 2);
-        t.cell(base.task_time / sprint.task_time, 2);
-        t.cell(sprint.cooldown_estimate * 1e3, 1);
-        t.cell(ready ? "yes" : "NO (pace sprints)");
+        std::printf("%-5d  %-9zu  %-11.2f  %-11.2f  %-7.2f  %-18.1f  %s\n",
+                    p + 1, ref.keypoints.size(), sprint.task_time * 1e3,
+                    base.task_time * 1e3, base.task_time / sprint.task_time,
+                    sprint.cooldown_estimate * 1e3,
+                    ready ? "yes" : "NO (pace sprints)");
     }
-    t.print(std::cout);
 
     std::cout << "\nSprinting turns a sluggish feature-extraction "
                  "pass into a sub-interactive burst;\nthe cooldown "

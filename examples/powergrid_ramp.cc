@@ -7,10 +7,12 @@
  *   ./powergrid_ramp --cores 16 --tolerance 0.02
  */
 
+#include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "common/args.hh"
-#include "common/table.hh"
 #include "powergrid/pdn.hh"
 
 using namespace csprint;
@@ -29,9 +31,10 @@ main(int argc, char **argv)
               << " cores, +/-" << tol * 100.0 << "% tolerance on "
               << params.vdd << " V\n\n";
 
-    Table t("ramp sweep");
-    t.setHeader({"ramp (us)", "min V", "undershoot (mV)",
-                 "within tolerance?"});
+    const char *header =
+        "ramp (us)  min V   undershoot (mV)  within tolerance?";
+    std::printf("== ramp sweep ==\n%s\n%s\n", header,
+                std::string(std::strlen(header), '-').c_str());
 
     const Seconds t0 = 5e-6;
     Seconds best_ramp = -1.0;
@@ -47,15 +50,12 @@ main(int argc, char **argv)
             pdn.simulate(window, 2e-9, window / 300.0);
         const SupplyMetrics m =
             computeSupplyMetrics(trace, params.vdd, tol, t0);
-        t.startRow();
-        t.cell(ramp_us, 2);
-        t.cell(m.min_voltage, 4);
-        t.cell((params.vdd - m.min_voltage) * 1e3, 1);
-        t.cell(m.within_tolerance ? "yes" : "NO");
+        std::printf("%-9.2f  %-6.4f  %-15.1f  %s\n", ramp_us,
+                    m.min_voltage, (params.vdd - m.min_voltage) * 1e3,
+                    m.within_tolerance ? "yes" : "NO");
         if (m.within_tolerance && best_ramp < 0.0)
             best_ramp = ramp_us * 1e-6;
     }
-    t.print(std::cout);
 
     if (best_ramp >= 0.0) {
         std::cout << "\nshortest in-tolerance ramp in this sweep: "

@@ -6,11 +6,13 @@
  *   ./quickstart --kernel sobel --size B --cores 16
  */
 
+#include <cstdio>
+#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "common/args.hh"
 #include "common/logging.hh"
-#include "common/table.hh"
 #include "sprint/experiment.hh"
 #include "sprint/simulation.hh"
 #include "workloads/workload.hh"
@@ -73,27 +75,22 @@ main(int argc, char **argv)
     const RunResult dvfs = runSprint(
         program, SprintConfig::dvfsSprint(kPowerHeadroom, kFullPcm));
 
-    Table t("execution modes");
-    t.setHeader({"mode", "response time (ms)", "speedup",
-                 "energy (mJ)", "peak Tj (C)", "exhausted?"});
+    const char *header = "mode                response time (ms)  speedup  "
+                         "energy (mJ)  peak Tj (C)  exhausted?";
+    std::printf("== execution modes ==\n%s\n%s\n", header,
+                std::string(std::strlen(header), '-').c_str());
     auto row = [&](const char *mode, const RunResult &r) {
-        t.startRow();
-        t.cell(mode);
-        t.cell(r.task_time * 1e3, 3);
-        t.cell(base.task_time / r.task_time, 2);
-        t.cell(r.dynamic_energy * 1e3, 3);
-        t.cell(r.peak_junction, 1);
-        t.cell(r.sprint_exhausted ? "yes" : "no");
+        std::printf("%-18s  %-18.3f  %-7.2f  %-11.3f  %-11.1f  %s\n",
+                    mode, r.task_time * 1e3, base.task_time / r.task_time,
+                    r.dynamic_energy * 1e3, r.peak_junction,
+                    r.sprint_exhausted ? "yes" : "no");
     };
     row("sustained (1 core)", base);
     row("parallel sprint", par);
     row("DVFS sprint", dvfs);
-    t.print(std::cout);
 
-    std::cout << "\nsprint duration "
-              << Table::formatNumber(par.sprint_duration * 1e3, 3)
-              << " ms; estimated cooldown before the next sprint "
-              << Table::formatNumber(par.cooldown_estimate * 1e3, 1)
-              << " ms\n";
+    std::printf("\nsprint duration %.3f ms; estimated cooldown before the "
+                "next sprint %.1f ms\n",
+                par.sprint_duration * 1e3, par.cooldown_estimate * 1e3);
     return 0;
 }

@@ -10,12 +10,14 @@
  *   ./thermal_explorer --power 16
  */
 
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common/args.hh"
-#include "common/table.hh"
 #include "sprint/runner.hh"
 #include "thermal/package.hh"
 #include "thermal/transients.hh"
@@ -40,6 +42,14 @@ struct MeltRow
     Watts max_sprint_power = 0.0;
     Seconds time_to_limit = 0.0;
 };
+
+/** Print a table's title, its column @p header and an underline. */
+void
+printHeader(const char *title, const char *header)
+{
+    std::printf("== %s ==\n%s\n%s\n", title, header,
+                std::string(std::strlen(header), '-').c_str());
+}
 
 } // namespace
 
@@ -78,20 +88,15 @@ main(int argc, char **argv)
     }
     const std::vector<MassRow> mass_rows = runner.map(mass_jobs);
 
-    Table mass_sweep("PCM mass sweep (melt point 60 C)");
-    mass_sweep.setHeader({"PCM mass (mg)", "budget (J)",
-                          "sprint duration (s)", "plateau (s)",
-                          "cooldown to +5C (s)"});
+    printHeader("PCM mass sweep (melt point 60 C)",
+                "PCM mass (mg)  budget (J)  sprint duration (s)  "
+                "plateau (s)  cooldown to +5C (s)");
     for (std::size_t i = 0; i < masses_mg.size(); ++i) {
         const MassRow &row = mass_rows[i];
-        mass_sweep.startRow();
-        mass_sweep.cell(masses_mg[i], 0);
-        mass_sweep.cell(row.budget, 1);
-        mass_sweep.cell(row.time_to_limit, 2);
-        mass_sweep.cell(row.plateau, 2);
-        mass_sweep.cell(row.cooldown, 1);
+        std::printf("%-13.0f  %-10.1f  %-19.2f  %-11.2f  %.1f\n",
+                    masses_mg[i], row.budget, row.time_to_limit,
+                    row.plateau, row.cooldown);
     }
-    mass_sweep.print(std::cout);
 
     std::cout << "\n";
     const std::vector<double> melts = {40.0, 50.0, 60.0, 65.0};
@@ -112,19 +117,15 @@ main(int argc, char **argv)
     }
     const std::vector<MeltRow> melt_rows = runner.map(melt_jobs);
 
-    Table melt_sweep("melt-point sweep (150 mg PCM)");
-    melt_sweep.setHeader({"melt point (C)", "sustainable TDP (W)",
-                          "max sprint power (W)",
-                          "sprint duration (s)"});
+    printHeader("melt-point sweep (150 mg PCM)",
+                "melt point (C)  sustainable TDP (W)  "
+                "max sprint power (W)  sprint duration (s)");
     for (std::size_t i = 0; i < melts.size(); ++i) {
         const MeltRow &row = melt_rows[i];
-        melt_sweep.startRow();
-        melt_sweep.cell(melts[i], 0);
-        melt_sweep.cell(row.sustainable_tdp, 2);
-        melt_sweep.cell(row.max_sprint_power, 1);
-        melt_sweep.cell(row.time_to_limit, 2);
+        std::printf("%-14.0f  %-19.2f  %-20.1f  %.2f\n", melts[i],
+                    row.sustainable_tdp, row.max_sprint_power,
+                    row.time_to_limit);
     }
-    melt_sweep.print(std::cout);
 
     std::cout << "\nHigher melt points raise the sustainable budget "
                  "and accelerate cooling (larger\ngradient to "

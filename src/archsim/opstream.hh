@@ -5,9 +5,11 @@
  * kernels generate one natural unit of work at a time (an image row, a
  * batch of points) without storing whole-task traces in memory.
  *
- * Streams expose two pull interfaces: the per-op next() and the bulk
- * fill(), which hands the machine whole runs of ops at once so the
- * simulation hot path never round-trips through a virtual call per op.
+ * Streams have one pull method, fillInto(), which hands the caller a
+ * whole run of ops in a window the caller owns, so the simulation hot
+ * path never round-trips through a virtual call per op. A chunked
+ * stream generates each chunk straight into that window and keeps no
+ * buffer of its own.
  */
 
 #ifndef CSPRINT_ARCHSIM_OPSTREAM_HH
@@ -28,36 +30,26 @@ class OpStream
   public:
     virtual ~OpStream() = default;
 
-    /** Produce the next op; false when the stream is exhausted. */
-    virtual bool next(MicroOp &op) = 0;
-
     /**
-     * Copy up to @p max ops into @p out and return how many were
-     * written. A return of zero means the stream is exhausted — a
-     * stream must never return zero while ops remain. The default
-     * implementation loops over next(); concrete streams override it
-     * to hand out whole chunks per call.
+     * Hand out the next run of ops: the stream may resize or overwrite
+     * @p out entirely, and returns how many ops are valid at
+     * out[0..n). A return of zero means the stream is exhausted — a
+     * stream must never return zero while ops remain.
      */
-    virtual std::size_t fill(MicroOp *out, std::size_t max);
-
-    /**
-     * Bulk variant that may replace @p out's contents entirely
-     * (including generating into it directly to avoid the copy);
-     * returns how many ops are valid at out[0..n). Zero means
-     * exhausted, as for fill(). The default resizes @p out to a
-     * batch window and delegates to fill().
-     */
-    virtual std::size_t fillInto(std::vector<MicroOp> &out);
+    virtual std::size_t fillInto(std::vector<MicroOp> &out) = 0;
 };
 
-/** A stream backed by a pre-built vector of ops (tests, tiny tasks). */
+/**
+ * A stream backed by a pre-built vector of ops (tests, tiny tasks).
+ * fillInto() grows the window to at least 1024 ops and copies as many
+ * of the remaining ops as it holds.
+ */
 class VectorOpStream : public OpStream
 {
   public:
     explicit VectorOpStream(std::vector<MicroOp> ops);
 
-    bool next(MicroOp &op) override;
-    std::size_t fill(MicroOp *out, std::size_t max) override;
+    std::size_t fillInto(std::vector<MicroOp> &out) override;
 
   private:
     friend struct CheckpointIO;
@@ -67,41 +59,34 @@ class VectorOpStream : public OpStream
 };
 
 /**
- * A stream generated chunk by chunk: the callback fills a buffer with
- * the ops of chunk @p i (for example one image row); the stream drains
- * the buffer and then requests the next chunk.
+ * A stream generated chunk by chunk: each fillInto() has the callback
+ * write the ops of the next non-empty chunk (for example one image
+ * row) into the caller's window.
  */
 class ChunkedOpStream : public OpStream
 {
   public:
-    /** @param fn rebuilds the buffer for a chunk index. The callback
-     *  owns the reset (clear() or resize()): on entry the vector
-     *  holds unspecified leftovers from an earlier chunk (under
-     *  fillInto() it is the caller's window, so they can come from
-     *  another stream), so a fixed-size generator can resize() once
-     *  and overwrite in place without paying a re-initialization
-     *  per chunk. A callback that neither clears nor writes
-     *  re-emits the leftovers — always reset first, even on chunks
-     *  that produce no ops. */
+    /** @param fn writes the ops of chunk @p chunk into @p out, which
+     *  is the caller's window: on entry it holds unspecified
+     *  leftovers (an earlier chunk, or another stream's ops). The
+     *  callback owns the reset (clear() or resize()), so a fixed-size
+     *  generator can resize() once and overwrite in place without
+     *  paying a re-initialization per chunk. A callback that neither
+     *  clears nor writes re-emits the leftovers — always reset first,
+     *  even on chunks that produce no ops. */
     using ChunkFn = std::function<void(std::size_t chunk,
                                        std::vector<MicroOp> &out)>;
 
     ChunkedOpStream(std::size_t num_chunks, ChunkFn fn);
 
-    bool next(MicroOp &op) override;
-    std::size_t fill(MicroOp *out, std::size_t max) override;
     std::size_t fillInto(std::vector<MicroOp> &out) override;
 
   private:
     friend struct CheckpointIO;
 
-    bool refill();
-
     std::size_t num_chunks;
     std::size_t next_chunk = 0;
     ChunkFn fn;
-    std::vector<MicroOp> buffer;
-    std::size_t pos = 0;
 };
 
 } // namespace csprint

@@ -60,6 +60,26 @@ class ParallelProgram
 };
 
 /**
+ * Materialize every task of @p program in order, phase by phase, and
+ * call fn(phase, task, op) for each op its stream hands out.
+ */
+template <typename Fn>
+void
+forEachOp(const ParallelProgram &program, Fn &&fn)
+{
+    std::vector<MicroOp> window;
+    for (const Phase &phase : program.phases()) {
+        for (std::size_t task = 0; task < phase.num_tasks; ++task) {
+            const std::unique_ptr<OpStream> stream = phase.make_task(task);
+            while (const std::size_t n = stream->fillInto(window)) {
+                for (std::size_t i = 0; i < n; ++i)
+                    fn(phase, task, window[i]);
+            }
+        }
+    }
+}
+
+/**
  * Bump allocator handing out disjoint, line-aligned address ranges for
  * workload buffers so distinct data structures never false-share.
  */

@@ -131,6 +131,9 @@ struct CheckpointIO
         if constexpr (Ar::kReading) {
             if (dt.cap < 2 || dt.stride_ == 0)
                 corrupt("decimating trace with degenerate capacity/stride");
+            if (dt.ts.size() > dt.cap)
+                corrupt("decimating trace holds more samples than its "
+                        "capacity");
         }
     }
 
@@ -140,22 +143,48 @@ struct CheckpointIO
     {
         a.f64(mc.rise_);
         a.f64(mc.fall_);
+        if constexpr (Ar::kReading) {
+            // The engine counts with the constant default thresholds.
+            const MeltCycleCounter engine;
+            if (mc.rise_ != engine.rise_ || mc.fall_ != engine.fall_)
+                corrupt("melt-cycle thresholds differ from the engine's");
+        }
         a.boolean(mc.molten_);
         a.narrowInt(mc.cycles_, "melt cycle count");
     }
 
     template <typename Ar>
     static void
-    transfer(Ar &a, Io<Ar, ScenarioTraceSink> sink)
+    transfer(Ar &a, const ScenarioConfig &cfg,
+             Io<Ar, ScenarioTraceSink> sink)
     {
         a.template enumAs<std::uint8_t>(sink.mode_, TraceMode::Off,
                                         "trace-sink mode");
+        if constexpr (Ar::kReading) {
+            if (sink.mode_ != cfg.trace_mode)
+                corrupt("trace-sink mode differs from the config's");
+        }
         transfer(a, sink.junction_);
         transfer(a, sink.power_);
         transfer(a, sink.melt_);
         transfer(a, sink.junction_ring_);
         transfer(a, sink.power_ring_);
         transfer(a, sink.melt_ring_);
+        if constexpr (Ar::kReading) {
+            // beginScenario sizes the rings from the config in ring
+            // mode and leaves them default-built otherwise.
+            const std::size_t cap =
+                sink.mode_ == TraceMode::DecimatedRing
+                    ? DecimatingTrace(cfg.trace_capacity).cap
+                    : DecimatingTrace().cap;
+            for (const DecimatingTrace *ring :
+                 {&sink.junction_ring_, &sink.power_ring_,
+                  &sink.melt_ring_}) {
+                if (ring->cap != cap)
+                    corrupt("trace ring capacity differs from the "
+                            "config's");
+            }
+        }
     }
 
     // ----- thermal / arrivals ---------------------------------------
@@ -473,9 +502,9 @@ struct CheckpointIO
 
     /**
      * A thread's op stream: a type tag and a cursor. Writing accepts
-     * only the two built-in stream types, a chunked one drained to a
-     * bulk-refill boundary. Reading rebuilds task @p task's stream
-     * from @p phase's factory and checks the tag against its type.
+     * only the two built-in stream types. Reading rebuilds task
+     * @p task's stream from @p phase's factory and checks the tag
+     * against its type.
      */
     template <typename Ar>
     static void
@@ -491,10 +520,6 @@ struct CheckpointIO
         auto *c = dynamic_cast<ChunkedOpStream *>(s.get());
         std::uint8_t type = v ? 0 : 1;
         if constexpr (!Ar::kReading) {
-            if (c && c->pos < c->buffer.size())
-                unsupported("chunked op stream holds an undrained "
-                            "buffer (machine not at a bulk-refill "
-                            "boundary)");
             if (!v && !c)
                 unsupported("custom OpStream type cannot be checkpointed");
         }
@@ -528,10 +553,9 @@ struct CheckpointIO
             // generator closures reach the state they held at the
             // snapshot; the machine's pending ops live in the
             // thread's buffered window, not here.
+            std::vector<MicroOp> scratch;
             for (std::size_t i = 0; i < next; ++i)
-                c->fn(i, c->buffer);
-            c->buffer.clear();
-            c->pos = 0;
+                c->fn(i, scratch);
             c->next_chunk = next;
         }
     }
@@ -827,17 +851,14 @@ struct CheckpointIO
             return;
         if constexpr (Ar::kReading) {
             // A suspended execution rebuilds its program and machine
-            // from the config's factories (the same three lines the
-            // engine's dispatch path runs), then overwrites the
-            // machine's architectural state from the blob.
+            // the way the engine's dispatch path builds them, then
+            // overwrites the machine's architectural state from the
+            // blob.
             ex.run_cfg = ex.sprint_granted
                              ? cfg.platform
                              : consolidatedPlatform(cfg.platform);
             ex.program = std::make_unique<ParallelProgram>(
-                cfg.program_factory
-                    ? cfg.program_factory(ex.task)
-                    : buildKernelProgram(ex.task.kernel, ex.task.size,
-                                         ex.task.seed));
+                buildTaskProgram(cfg, ex.task));
             ex.machine = prepareMachine(*ex.program, ex.run_cfg);
         }
         transfer(a, *ex.machine, ex.program.get());
@@ -872,7 +893,7 @@ struct CheckpointIO
         transfer(a, ck.p50);
         transfer(a, ck.p95);
         transfer(a, ck.melt_cycles);
-        transfer(a, ck.traces);
+        transfer(a, cfg, ck.traces);
         transfer(a, ck.surrogate);
         a.vec(ck.tasks, 1, [](Ar &a2, auto &t) { transfer(a2, t); });
         a.boolean(ck.have_peek);

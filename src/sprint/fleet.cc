@@ -277,8 +277,10 @@ fleetDeviceConfig(const FleetSpec &spec, int device)
     cfg.deadline_hi = cls.deadline_hi;
     cfg.deadline_lo = cls.deadline_lo;
     cfg.tail_rest = cls.tail_rest;
-    // The fleet quantiles fold per-task response times.
+    // The fleet quantiles fold per-task response times; no fold reads
+    // the timeline traces, so devices record none.
     cfg.keep_task_results = true;
+    cfg.trace_mode = TraceMode::Off;
     return cfg;
 }
 

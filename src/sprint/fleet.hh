@@ -133,7 +133,8 @@ void validateFleetSpec(const FleetSpec &spec);
  * can rebuild any device's configuration without coordination — this
  * is what lets a respawned worker resume a device it never saw.
  * keep_task_results is forced on (the fleet quantiles fold per-task
- * response times).
+ * response times) and trace_mode off (no fold reads the timeline
+ * traces, so device checkpoints carry none).
  */
 ScenarioConfig fleetDeviceConfig(const FleetSpec &spec, int device);
 
@@ -254,7 +255,7 @@ struct FleetOptions
 
 /**
  * What became of one device of a fleet run: a flag and a digest, so
- * the parent's memory does not grow with the device's traces. The
+ * the parent's memory does not grow with the device's results. The
  * device's result lives in the store (loadFleetDeviceResult).
  */
 struct FleetDeviceOutcome

@@ -257,6 +257,14 @@ consolidatedPlatform(const SprintConfig &platform)
     return cfg;
 }
 
+ParallelProgram
+buildTaskProgram(const ScenarioConfig &cfg, const ScenarioTask &task)
+{
+    return cfg.program_factory
+               ? cfg.program_factory(task)
+               : buildKernelProgram(task.kernel, task.size, task.seed);
+}
+
 namespace {
 
 /** Trace samples recorded per idle gap between tasks. */
@@ -584,15 +592,6 @@ class ReadyQueue
     std::size_t head_ = 0;       ///< slots below are all dispatched
 };
 
-/** The serial program build the engine has always performed. */
-ParallelProgram
-buildProgram(const ScenarioConfig &cfg, const ScenarioTask &task)
-{
-    return cfg.program_factory
-               ? cfg.program_factory(task)
-               : buildKernelProgram(task.kernel, task.size, task.seed);
-}
-
 /** Tasks match on every field the program build can observe. */
 bool
 sameTask(const ScenarioTask &a, const ScenarioTask &b)
@@ -625,8 +624,9 @@ class ProgramPrebuilder
             return;
         cancel();
         task_for = task;
-        building = std::async(std::launch::async,
-                              [this] { return buildProgram(cfg, task_for); });
+        building = std::async(std::launch::async, [this] {
+            return buildTaskProgram(cfg, task_for);
+        });
         pending = true;
     }
 
@@ -966,10 +966,10 @@ advanceScenario(const ScenarioConfig &cfg, ScenarioCheckpoint &ck,
                 current->program = prebuild.take(current->task);
                 if (!current->program) {
                     current->program = std::make_unique<ParallelProgram>(
-                        buildProgram(cfg, current->task));
+                        buildTaskProgram(cfg, current->task));
                 } else if (cfg.debug.verify_pipeline_build) {
                     const ParallelProgram serial =
-                        buildProgram(cfg, current->task);
+                        buildTaskProgram(cfg, current->task);
                     SPRINT_ASSERT(
                         programDigest(*current->program) ==
                             programDigest(serial),

@@ -515,6 +515,14 @@ struct ScenarioCheckpoint : TaskTallies<int>
  */
 SprintConfig consolidatedPlatform(const SprintConfig &platform);
 
+/**
+ * The program @p task runs: cfg.program_factory's, else the task's
+ * Table-1 kernel. The engine's dispatch path and the checkpoint
+ * decoder's rebuild of a suspended task both build through this.
+ */
+ParallelProgram buildTaskProgram(const ScenarioConfig &cfg,
+                                 const ScenarioTask &task);
+
 /** Validate @p cfg and open a checkpoint at the start of its timeline. */
 ScenarioCheckpoint beginScenario(const ScenarioConfig &cfg);
 

@@ -146,14 +146,9 @@ std::uint64_t
 countProgramOps(const ParallelProgram &program)
 {
     std::uint64_t total = 0;
-    for (const auto &phase : program.phases()) {
-        for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-            auto stream = phase.make_task(t);
-            MicroOp op;
-            while (stream->next(op))
-                ++total;
-        }
-    }
+    forEachOp(program, [&](const Phase &, std::size_t, const MicroOp &) {
+        ++total;
+    });
     return total;
 }
 
@@ -192,13 +187,10 @@ programDigest(const ParallelProgram &program)
         fnv1a(h, phase.name);
         fnv1a(h, static_cast<std::uint64_t>(phase.kind));
         fnv1a(h, static_cast<std::uint64_t>(phase.num_tasks));
-        for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-            auto stream = phase.make_task(t);
-            MicroOp op;
-            while (stream->next(op))
-                fnv1a(h, op.bits);
-        }
     }
+    forEachOp(program, [&](const Phase &, std::size_t, const MicroOp &op) {
+        fnv1a(h, op.bits);
+    });
     return h;
 }
 

@@ -595,6 +595,83 @@ TEST(CheckpointRejection, PolicyStateOfWrongLengthIsCorrupt)
     }
 }
 
+TEST(CheckpointRejection, TraceSettingsMustMatchTheConfig)
+{
+    // The trace sink's mode and its rings' capacity are fixed by the
+    // config, the melt-cycle thresholds by the engine: a re-sealed
+    // blob carrying others must not decode (a Full-mode timeline
+    // resumed as a ring would keep every sample past the ring's
+    // bound).
+    ScenarioConfig full = baseScenario(SprintPolicyKind::GreedyActivity,
+                                       ArrivalPattern::Periodic, 2);
+    full.keep_task_results = false;
+    ScenarioConfig ring = full;
+    ring.trace_mode = TraceMode::DecimatedRing;
+    ring.trace_capacity = 64;
+    ScenarioConfig wide = ring;
+    wide.trace_capacity = 4096;
+    auto payloadAfterOneTask = [](const ScenarioConfig &cfg) {
+        ScenarioCheckpoint ck = beginScenario(cfg);
+        advanceScenario(cfg, ck, 1);
+        return payloadOf(serializeCheckpoint(cfg, ck),
+                         scenarioConfigDigest(cfg));
+    };
+    auto expectCorrupt = [](const ScenarioConfig &cfg,
+                            const std::vector<std::uint8_t> &payload,
+                            const std::string &why) {
+        try {
+            deserializeCheckpoint(
+                cfg, BlobContainer::seal(scenarioConfigDigest(cfg), payload));
+            ADD_FAILURE() << why << ": decoded";
+        } catch (const CheckpointError &e) {
+            EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
+            EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+                << e.what();
+        }
+    };
+    const std::vector<std::uint8_t> full_payload = payloadAfterOneTask(full);
+    const std::vector<std::uint8_t> wide_payload = payloadAfterOneTask(wide);
+    for (const auto &[cfg, payload] :
+         {std::pair{&full, &full_payload}, std::pair{&wide, &wide_payload}})
+        EXPECT_NO_THROW(deserializeCheckpoint(
+            *cfg,
+            BlobContainer::seal(scenarioConfigDigest(*cfg), *payload)));
+
+    expectCorrupt(ring, full_payload, "trace-sink mode");
+    expectCorrupt(ring, wide_payload, "ring capacity");
+
+    // The wide rings (stride 1, fewer than 4096 samples) relabelled as
+    // 64-slot rings hold more samples than they can.
+    BlobWriter wide_head;
+    wide_head.u64(4096);
+    wide_head.u64(1);
+    const std::vector<std::size_t> rings = offsetsOf(wide_payload, wide_head);
+    ASSERT_EQ(rings.size(), 3u);
+    std::vector<std::uint8_t> relabelled = wide_payload;
+    BlobWriter narrow;
+    narrow.u64(64);
+    for (std::size_t at : rings)
+        std::copy(narrow.buffer().begin(), narrow.buffer().end(),
+                  relabelled.begin() + static_cast<std::ptrdiff_t>(at));
+    expectCorrupt(ring, relabelled, "more samples than its capacity");
+
+    // The melt counter's (rise, fall) thresholds.
+    BlobWriter thresholds;
+    thresholds.f64(0.25);
+    thresholds.f64(0.05);
+    const std::vector<std::size_t> melt = offsetsOf(full_payload, thresholds);
+    ASSERT_EQ(melt.size(), 1u);
+    for (const auto &[at, forged] :
+         {std::pair{melt[0], 0.5}, std::pair{melt[0] + 8, 0.01},
+          std::pair{melt[0], std::nan("")}}) {
+        SCOPED_TRACE("offset " + std::to_string(at - melt[0]) + " = " +
+                     std::to_string(forged));
+        BlobWriter w;
+        w.f64(forged);
+        expectForgeryCorrupt(full, full_payload, at, w);
+    }
+}
+
 /** The last machine suspended in @p ck's ready queue, or null. */
 const Machine *
 suspendedMachine(const ScenarioCheckpoint &ck)

@@ -13,7 +13,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "../bench/report.hh"
@@ -22,7 +21,6 @@
 #include "common/blob.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "common/table.hh"
 #include "common/timeseries.hh"
 #include "common/units.hh"
 
@@ -224,26 +222,6 @@ TEST(P2Quantile, MonotoneRampStaysOrdered)
     EXPECT_NEAR(p50.value(), 500.0, 25.0);
     EXPECT_NEAR(p95.value(), 950.0, 25.0);
     EXPECT_LT(p50.value(), p95.value());
-}
-
-TEST(Table, AlignsAndCounts)
-{
-    Table t("demo");
-    t.setHeader({"name", "value"});
-    t.startRow();
-    t.cell("alpha");
-    t.cell(1.5, 2);
-    t.startRow();
-    t.cell("beta");
-    t.cell(static_cast<long long>(42));
-    EXPECT_EQ(t.rowCount(), 2u);
-    std::ostringstream oss;
-    t.print(oss);
-    const std::string text = oss.str();
-    EXPECT_NE(text.find("demo"), std::string::npos);
-    EXPECT_NE(text.find("alpha"), std::string::npos);
-    EXPECT_NE(text.find("1.50"), std::string::npos);
-    EXPECT_NE(text.find("42"), std::string::npos);
 }
 
 TEST(Rng, DeterministicForSeed)

@@ -666,8 +666,12 @@ TEST(FleetMultiProcess, StoredDeviceResultsMatchInProcess)
         }
 
         // Full results live in the store and read back bit-equal.
+        // No fold reads the timeline traces, so devices record none.
         const ScenarioResult a = loadFleetDeviceResult(spec, ip_dir, dev);
         EXPECT_GT(a.tasks_completed, 0u);
+        EXPECT_EQ(a.junction_trace.size(), 0u);
+        EXPECT_EQ(a.power_trace.size(), 0u);
+        EXPECT_EQ(a.melt_trace.size(), 0u);
         EXPECT_EQ(firstDifference(
                       a, loadFleetDeviceResult(spec, mp_dir, dev)),
                   "");

@@ -28,26 +28,68 @@ TEST(MicroOp, FactoryHelpers)
     EXPECT_EQ(MicroOp::lockRelease(3).kind(), OpKind::LockRelease);
 }
 
+/** Every op @p s hands out through fillInto(), in order. */
+std::vector<std::uint64_t>
+drain(OpStream &s, std::vector<MicroOp> &window)
+{
+    std::vector<std::uint64_t> got;
+    while (const std::size_t n = s.fillInto(window)) {
+        EXPECT_GE(window.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            got.push_back(window[i].bits);
+    }
+    return got;
+}
+
+std::vector<std::uint64_t>
+drain(OpStream &s)
+{
+    std::vector<MicroOp> window;
+    return drain(s, window);
+}
+
 TEST(VectorOpStream, DrainsInOrder)
 {
     VectorOpStream s({MicroOp::intAlu(), MicroOp::load(64),
                       MicroOp::store(128)});
-    MicroOp op;
-    ASSERT_TRUE(s.next(op));
-    EXPECT_EQ(op.kind(), OpKind::IntAlu);
-    ASSERT_TRUE(s.next(op));
-    EXPECT_EQ(op.addr(), 64u);
-    ASSERT_TRUE(s.next(op));
-    EXPECT_EQ(op.addr(), 128u);
-    EXPECT_FALSE(s.next(op));
-    EXPECT_FALSE(s.next(op));  // stays exhausted
+    std::vector<MicroOp> window;
+    EXPECT_EQ(drain(s, window),
+              (std::vector<std::uint64_t>{MicroOp::intAlu().bits,
+                                          MicroOp::load(64).bits,
+                                          MicroOp::store(128).bits}));
+    EXPECT_EQ(s.fillInto(window), 0u);  // stays exhausted
 }
 
 TEST(VectorOpStream, EmptyIsImmediatelyExhausted)
 {
     VectorOpStream s({});
-    MicroOp op;
-    EXPECT_FALSE(s.next(op));
+    std::vector<MicroOp> window;
+    EXPECT_EQ(s.fillInto(window), 0u);
+}
+
+TEST(VectorOpStream, FillsWindowsOfAtLeast1024Ops)
+{
+    // The window grows to 1024 ops and never shrinks: a small window
+    // is filled 1024 at a time, a larger one (left by a chunked
+    // stream) to its own size. These are the machine's op windows,
+    // whose pending part a checkpoint stores.
+    std::vector<MicroOp> ref;
+    for (int i = 0; i < 2500; ++i)
+        ref.push_back(MicroOp::load(64 * i));
+    VectorOpStream s(ref);
+    std::vector<MicroOp> window(3, MicroOp::intAlu());
+    EXPECT_EQ(s.fillInto(window), 1024u);
+    EXPECT_EQ(window.size(), 1024u);
+    window.resize(1300);
+    EXPECT_EQ(s.fillInto(window), 1300u);
+    EXPECT_EQ(s.fillInto(window), 2500u - 1024u - 1300u);
+    EXPECT_EQ(s.fillInto(window), 0u);
+
+    VectorOpStream again(ref);
+    std::vector<std::uint64_t> want;
+    for (const MicroOp &op : ref)
+        want.push_back(op.bits);
+    EXPECT_EQ(drain(again), want);
 }
 
 TEST(ChunkedOpStream, GeneratesAllChunks)
@@ -58,15 +100,9 @@ TEST(ChunkedOpStream, GeneratesAllChunks)
         for (std::size_t i = 0; i <= chunk; ++i)
             out.push_back(MicroOp::load(chunk * 100 + i));
     });
-    MicroOp op;
-    std::size_t count = 0;
-    std::uint64_t last = 0;
-    while (s.next(op)) {
-        ++count;
-        last = op.addr();
-    }
-    EXPECT_EQ(count, 1u + 2u + 3u + 4u);
-    EXPECT_EQ(last, 303u);
+    const std::vector<std::uint64_t> got = drain(s);
+    ASSERT_EQ(got.size(), 1u + 2u + 3u + 4u);
+    EXPECT_EQ(got.back(), MicroOp::load(303).bits);
 }
 
 TEST(ChunkedOpStream, SkipsEmptyChunks)
@@ -79,18 +115,16 @@ TEST(ChunkedOpStream, SkipsEmptyChunks)
         if (chunk % 2 == 1)
             out.push_back(MicroOp::intAlu());
     });
-    MicroOp op;
-    std::size_t count = 0;
-    while (s.next(op))
-        ++count;
-    EXPECT_EQ(count, 2u);
+    EXPECT_EQ(drain(s).size(), 2u);
 }
 
 TEST(ChunkedOpStream, AllChunksEmpty)
 {
-    ChunkedOpStream s(8, [](std::size_t, std::vector<MicroOp> &) {});
-    MicroOp op;
-    EXPECT_FALSE(s.next(op));
+    ChunkedOpStream s(8, [](std::size_t, std::vector<MicroOp> &out) {
+        out.clear();
+    });
+    std::vector<MicroOp> window(5, MicroOp::intAlu());
+    EXPECT_EQ(s.fillInto(window), 0u);
 }
 
 TEST(ChunkedOpStream, ZeroChunks)
@@ -99,72 +133,27 @@ TEST(ChunkedOpStream, ZeroChunks)
         out.clear();
         out.push_back(MicroOp::intAlu());
     });
-    MicroOp op;
-    EXPECT_FALSE(s.next(op));
-}
-
-TEST(OpStreamFill, VectorBulkMatchesNextOrder)
-{
-    std::vector<MicroOp> ref;
-    for (int i = 0; i < 257; ++i)
-        ref.push_back(MicroOp::load(64 * i));
-    VectorOpStream a(ref);
-    VectorOpStream b(ref);
-    std::vector<MicroOp> got;
-    MicroOp buf[100];
-    std::size_t n;
-    while ((n = a.fill(buf, 100)) > 0)
-        got.insert(got.end(), buf, buf + n);
-    ASSERT_EQ(got.size(), ref.size());
-    MicroOp op;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_TRUE(b.next(op));
-        EXPECT_EQ(got[i].bits, op.bits);
-    }
-    EXPECT_FALSE(b.next(op));
-    EXPECT_EQ(a.fill(buf, 100), 0u);  // stays exhausted
-}
-
-TEST(OpStreamFill, ChunkedBulkHandsOutWholeChunks)
-{
-    auto make = [] {
-        return ChunkedOpStream(
-            3, [](std::size_t chunk, std::vector<MicroOp> &out) {
-                out.clear();
-                for (std::size_t i = 0; i < 5 + chunk; ++i)
-                    out.push_back(MicroOp::load(chunk * 1000 + i));
-            });
-    };
-    // fill() never returns zero while ops remain, and preserves order.
-    ChunkedOpStream s = make();
-    ChunkedOpStream r = make();
-    MicroOp buf[4];
-    std::vector<MicroOp> got;
-    std::size_t n;
-    while ((n = s.fill(buf, 4)) > 0)
-        got.insert(got.end(), buf, buf + n);
-    MicroOp op;
-    std::size_t i = 0;
-    while (r.next(op)) {
-        ASSERT_LT(i, got.size());
-        EXPECT_EQ(got[i++].bits, op.bits);
-    }
-    EXPECT_EQ(i, got.size());
-
-    // fillInto() hands over whole chunks (possibly generated
-    // straight into the caller's window) and reports exhaustion
-    // with zero.
-    ChunkedOpStream s2 = make();
     std::vector<MicroOp> window;
-    std::size_t total = 0;
-    while ((n = s2.fillInto(window)) > 0) {
-        ASSERT_GE(window.size(), n);
-        total += n;
-    }
-    EXPECT_EQ(total, 5u + 6u + 7u);
+    EXPECT_EQ(s.fillInto(window), 0u);
 }
 
-TEST(OpStreamFill, ChunkedFillIntoServesTheOpsOfNext)
+TEST(ChunkedOpStream, HandsOutWholeChunks)
+{
+    ChunkedOpStream s(
+        3, [](std::size_t chunk, std::vector<MicroOp> &out) {
+            out.clear();
+            for (std::size_t i = 0; i < 5 + chunk; ++i)
+                out.push_back(MicroOp::load(chunk * 1000 + i));
+        });
+    std::vector<MicroOp> window;
+    for (std::size_t chunk = 0; chunk < 3; ++chunk) {
+        ASSERT_EQ(s.fillInto(window), 5 + chunk);
+        EXPECT_EQ(window[0].addr(), chunk * 1000);
+    }
+    EXPECT_EQ(s.fillInto(window), 0u);
+}
+
+TEST(ChunkedOpStream, IgnoresTheWindowsLeftovers)
 {
     // Chunk sizes 0..6 (empty chunks included) of distinct ops, and a
     // callback that resets only by resize() and overwrite, so a
@@ -178,65 +167,20 @@ TEST(OpStreamFill, ChunkedFillIntoServesTheOpsOfNext)
             });
     };
     std::vector<std::uint64_t> want;
-    ChunkedOpStream ref = make();
-    MicroOp op;
-    while (ref.next(op))
-        want.push_back(op.bits);
+    for (std::size_t chunk = 0; chunk < 12; ++chunk) {
+        for (std::size_t i = 0; i < (chunk * 5) % 7; ++i)
+            want.push_back(MicroOp::store(chunk * 1000 + 8 * i).bits);
+    }
     ASSERT_GT(want.size(), 30u);
 
-    // Serve every op through fillInto(), from a window that starts out
-    // holding another stream's ops; then again after a few next()
-    // calls, so the first fillInto() copies the own buffer's
-    // remainder and the rest generate into the window; then
-    // alternating next() with fillInto().
-    for (int skip : {0, 2, -1}) {
-        SCOPED_TRACE(skip);
-        ChunkedOpStream s = make();
-        std::vector<MicroOp> window(40, MicroOp::load(0xdead));
-        std::vector<std::uint64_t> got;
-        for (int i = 0; i < skip && s.next(op); ++i)
-            got.push_back(op.bits);
-        for (int round = 0;; ++round) {
-            if (skip < 0 && round % 2 == 1) {
-                if (!s.next(op))
-                    break;
-                got.push_back(op.bits);
-                continue;
-            }
-            const std::size_t n = s.fillInto(window);
-            if (n == 0)
-                break;
-            ASSERT_GE(window.size(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                got.push_back(window[i].bits);
-        }
-        EXPECT_EQ(got, want);
-        EXPECT_EQ(s.fillInto(window), 0u);  // stays exhausted
-        EXPECT_FALSE(s.next(op));
-    }
-}
-
-TEST(OpStreamFill, DefaultFillIntoUsesNext)
-{
-    // A stream that only implements next() still works through the
-    // bulk interface.
-    class CountingStream : public OpStream
-    {
-      public:
-        bool next(MicroOp &op) override
-        {
-            if (left == 0)
-                return false;
-            --left;
-            op = MicroOp::intAlu();
-            return true;
-        }
-        int left = 10;
-    };
-    CountingStream s;
-    std::vector<MicroOp> window;
-    EXPECT_EQ(s.fillInto(window), 10u);
-    EXPECT_EQ(s.fillInto(window), 0u);
+    // From an empty window, and from one that starts out holding
+    // another stream's ops.
+    ChunkedOpStream fresh = make();
+    EXPECT_EQ(drain(fresh), want);
+    ChunkedOpStream s = make();
+    std::vector<MicroOp> window(40, MicroOp::load(0xdead));
+    EXPECT_EQ(drain(s, window), want);
+    EXPECT_EQ(s.fillInto(window), 0u);  // stays exhausted
 }
 
 TEST(AddressAllocator, DisjointLineAlignedRanges)

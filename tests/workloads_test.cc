@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "workloads/disparity.hh"
 #include "workloads/feature.hh"
@@ -243,14 +245,9 @@ TEST(Programs, SobelOpMixMatchesStencil)
     const SobelConfig cfg;
     const ParallelProgram prog = sobelProgram(cfg);
     std::map<OpKind, std::uint64_t> mix;
-    for (const auto &phase : prog.phases()) {
-        for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-            auto s = phase.make_task(t);
-            MicroOp op;
-            while (s->next(op))
-                ++mix[op.kind()];
-        }
-    }
+    forEachOp(prog, [&](const Phase &, std::size_t, const MicroOp &op) {
+        ++mix[op.kind()];
+    });
     const std::uint64_t pixels = cfg.width * cfg.height;
     EXPECT_EQ(mix[OpKind::Load], pixels * 8);   // 8 neighbours
     EXPECT_EQ(mix[OpKind::Store], pixels);      // 1 output
@@ -265,18 +262,13 @@ TEST(Programs, KmeansHasLockProtectedReduction)
     cfg.num_points = 1024;
     const ParallelProgram prog = kmeansProgram(cfg);
     std::uint64_t acquires = 0, releases = 0;
+    forEachOp(prog, [&](const Phase &, std::size_t, const MicroOp &op) {
+        acquires += op.kind() == OpKind::LockAcquire;
+        releases += op.kind() == OpKind::LockRelease;
+    });
     bool has_serial = false;
-    for (const auto &phase : prog.phases()) {
+    for (const auto &phase : prog.phases())
         has_serial |= phase.kind == PhaseKind::Serial;
-        for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-            auto s = phase.make_task(t);
-            MicroOp op;
-            while (s->next(op)) {
-                acquires += op.kind() == OpKind::LockAcquire;
-                releases += op.kind() == OpKind::LockRelease;
-            }
-        }
-    }
     EXPECT_GT(acquires, 0u);
     EXPECT_EQ(acquires, releases);
     EXPECT_TRUE(has_serial);  // the re-centering phases
@@ -287,19 +279,9 @@ TEST(Programs, TextureHasSerialFractionUnderTenPercent)
     const TextureConfig cfg;
     const ParallelProgram prog = textureProgram(cfg);
     std::uint64_t serial_ops = 0, parallel_ops = 0;
-    for (const auto &phase : prog.phases()) {
-        std::uint64_t ops = 0;
-        for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-            auto s = phase.make_task(t);
-            MicroOp op;
-            while (s->next(op))
-                ++ops;
-        }
-        if (phase.kind == PhaseKind::Serial)
-            serial_ops += ops;
-        else
-            parallel_ops += ops;
-    }
+    forEachOp(prog, [&](const Phase &phase, std::size_t, const MicroOp &) {
+        ++(phase.kind == PhaseKind::Serial ? serial_ops : parallel_ops);
+    });
     const double frac =
         static_cast<double>(serial_ops) / (serial_ops + parallel_ops);
     EXPECT_GT(frac, 0.005);  // a real Amdahl term...
@@ -313,17 +295,13 @@ TEST(Programs, SegmentTasksAreImbalanced)
     ASSERT_EQ(prog.phases().size(), 1u);
     const Phase &phase = prog.phases()[0];
     EXPECT_EQ(phase.kind, PhaseKind::ParallelDynamic);
-    std::uint64_t min_ops = ~0ULL, max_ops = 0;
-    for (std::size_t t = 0; t < phase.num_tasks; ++t) {
-        auto s = phase.make_task(t);
-        MicroOp op;
-        std::uint64_t ops = 0;
-        while (s->next(op))
-            ++ops;
-        min_ops = std::min(min_ops, ops);
-        max_ops = std::max(max_ops, ops);
-    }
-    EXPECT_GT(max_ops, min_ops * 3 / 2);  // data-dependent weights
+    std::vector<std::uint64_t> ops(phase.num_tasks, 0);
+    forEachOp(prog, [&](const Phase &, std::size_t task, const MicroOp &) {
+        ++ops[task];
+    });
+    const auto [min_ops, max_ops] = std::minmax_element(ops.begin(),
+                                                        ops.end());
+    EXPECT_GT(*max_ops, *min_ops * 3 / 2);  // data-dependent weights
 }
 
 TEST(Programs, FeatureDescriptorTasksMatchKeypoints)
