@@ -366,7 +366,7 @@ void writeFileAtomic(const std::string &path, const void *data,
 struct BlobContainer
 {
     static constexpr std::uint32_t kMagic = 0x4b435343u; // "CSCK"
-    static constexpr std::uint32_t kVersion = 3;
+    static constexpr std::uint32_t kVersion = 4;
 
     /** Wrap @p payload in the magic/version/digest/CRC frame. */
     static std::vector<std::uint8_t>

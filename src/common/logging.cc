@@ -25,10 +25,4 @@ warnImpl(const char *file, int line, const std::string &msg)
     std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file, line);
 }
 
-void
-inform(const std::string &msg)
-{
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace csprint

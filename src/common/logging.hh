@@ -27,9 +27,6 @@ namespace csprint {
 /** Print a non-fatal warning to stderr. */
 void warnImpl(const char *file, int line, const std::string &msg);
 
-/** Print an informational message to stderr. */
-void inform(const std::string &msg);
-
 namespace detail {
 
 /** Fold any set of streamable arguments into one string. */

@@ -144,8 +144,8 @@ TimeSeries::decimate(std::size_t max_points) const
 DecimatingTrace::DecimatingTrace(std::size_t capacity)
     : cap(capacity < 2 ? 2 : capacity)
 {
-    // Storage is reserved on first use: default-constructed recorders
-    // (e.g. in a trace sink running in full-trace mode) cost nothing.
+    // A ring reserves its capacity on its first stored sample, so
+    // building one allocates nothing.
 }
 
 void
@@ -154,7 +154,7 @@ DecimatingTrace::add(double t, double v)
     const std::size_t idx = offered_++;
     if (idx != next_store_)
         return;
-    if (ts.size() == 0)
+    if (ts.size() == 0 && cap != kUnbounded)
         ts.reserve(cap);
     if (ts.size() == cap) {
         // Compact: keep every other stored sample, so the retained
@@ -173,6 +173,12 @@ DecimatingTrace::add(double t, double v)
     }
     ts.add(t, v);
     next_store_ = idx + stride_;
+}
+
+void
+DecimatingTrace::reserveMore(std::size_t n)
+{
+    ts.reserve(std::min(cap, ts.size() + n));
 }
 
 TimeSeries

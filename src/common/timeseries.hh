@@ -9,6 +9,7 @@
 #define CSPRINT_COMMON_TIMESERIES_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -92,16 +93,23 @@ class TimeSeries
  * sample is dropped and the recording stride doubles, so the retained
  * samples always cover the whole offered timeline at uniform (power-of-
  * two) decimation — a "decimated ring" rather than a most-recent ring.
- * Memory is O(capacity) regardless of stream length.
+ * Memory is O(capacity) regardless of stream length. A recorder built
+ * with kUnbounded never fills, so it keeps every sample at stride 1.
  */
 class DecimatingTrace
 {
   public:
+    /** The capacity of a recorder that never decimates. */
+    static constexpr std::size_t kUnbounded = SIZE_MAX;
+
     /** Record into a buffer of at most @p capacity samples (>= 2). */
-    explicit DecimatingTrace(std::size_t capacity = 4096);
+    explicit DecimatingTrace(std::size_t capacity);
 
     /** Offer one sample; stored iff it lands on the current stride. */
     void add(double t, double v);
+
+    /** Pre-size for @p n more samples, never past the capacity. */
+    void reserveMore(std::size_t n);
 
     /** Samples offered so far (stored or skipped). */
     std::size_t offered() const { return offered_; }

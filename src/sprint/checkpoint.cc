@@ -46,29 +46,15 @@ invariant(const std::string &what)
  * function per record, run by BlobWriter to dump private state and by
  * BlobReader to overwrite it field for field (see common/blob.hh).
  * Reads operate on objects already constructed from the
- * ScenarioConfig (so geometry and derived caches come from the config,
- * not the blob) and validate every index and mask that could otherwise
+ * ScenarioConfig, so the blob holds no value the config fixes: array
+ * sizes (threads, cores, caches, directory, memory channels), the
+ * trace channels and their capacity come from the rebuilt objects.
+ * Reads validate every index, mask and cursor that could otherwise
  * be walked into undefined behaviour; those checks sit under
  * `if constexpr (Ar::kReading)` and cost a save nothing.
  */
 struct CheckpointIO
 {
-    /**
-     * Transfer count @p n, the live object's: the writer records it,
-     * the reader rejects a blob that disagrees with the configuration.
-     */
-    template <typename Ar>
-    static void
-    count(Ar &a, std::size_t n, const char *what)
-    {
-        std::uint64_t v = n;
-        a.u64(v);
-        if constexpr (Ar::kReading) {
-            if (v != n)
-                corrupt(what);
-        }
-    }
-
     // ----- common/ ---------------------------------------------------
 
     template <typename Ar>
@@ -119,18 +105,27 @@ struct CheckpointIO
         }
     }
 
+    /**
+     * A trace channel, its capacity taken from the config. A channel
+     * that never decimates has stored every sample it was offered, so
+     * its samples are its whole state.
+     */
     template <typename Ar>
     static void
     transfer(Ar &a, Io<Ar, DecimatingTrace> dt)
     {
         transfer(a, dt.ts);
-        a.u64(dt.cap);
+        if (dt.cap == DecimatingTrace::kUnbounded) {
+            if constexpr (Ar::kReading)
+                dt.next_store_ = dt.offered_ = dt.ts.size();
+            return;
+        }
         a.u64(dt.stride_);
         a.u64(dt.next_store_);
         a.u64(dt.offered_);
         if constexpr (Ar::kReading) {
-            if (dt.cap < 2 || dt.stride_ == 0)
-                corrupt("decimating trace with degenerate capacity/stride");
+            if (dt.stride_ == 0)
+                corrupt("decimating trace with a zero stride");
             if (dt.ts.size() > dt.cap)
                 corrupt("decimating trace holds more samples than its "
                         "capacity");
@@ -141,66 +136,32 @@ struct CheckpointIO
     static void
     transfer(Ar &a, Io<Ar, MeltCycleCounter> mc)
     {
-        a.f64(mc.rise_);
-        a.f64(mc.fall_);
-        if constexpr (Ar::kReading) {
-            // The engine counts with the constant default thresholds.
-            const MeltCycleCounter engine;
-            if (mc.rise_ != engine.rise_ || mc.fall_ != engine.fall_)
-                corrupt("melt-cycle thresholds differ from the engine's");
-        }
         a.boolean(mc.molten_);
         a.narrowInt(mc.cycles_, "melt cycle count");
     }
 
+    /** The channels cfg.trace_mode records: none under Off. */
     template <typename Ar>
     static void
     transfer(Ar &a, const ScenarioConfig &cfg,
              Io<Ar, ScenarioTraceSink> sink)
     {
-        a.template enumAs<std::uint8_t>(sink.mode_, TraceMode::Off,
-                                        "trace-sink mode");
-        if constexpr (Ar::kReading) {
-            if (sink.mode_ != cfg.trace_mode)
-                corrupt("trace-sink mode differs from the config's");
-        }
-        transfer(a, sink.junction_);
-        transfer(a, sink.power_);
-        transfer(a, sink.melt_);
-        transfer(a, sink.junction_ring_);
-        transfer(a, sink.power_ring_);
-        transfer(a, sink.melt_ring_);
-        if constexpr (Ar::kReading) {
-            // beginScenario sizes the rings from the config in ring
-            // mode and leaves them default-built otherwise.
-            const std::size_t cap =
-                sink.mode_ == TraceMode::DecimatedRing
-                    ? DecimatingTrace(cfg.trace_capacity).cap
-                    : DecimatingTrace().cap;
-            for (const DecimatingTrace *ring :
-                 {&sink.junction_ring_, &sink.power_ring_,
-                  &sink.melt_ring_}) {
-                if (ring->cap != cap)
-                    corrupt("trace ring capacity differs from the "
-                            "config's");
-            }
-        }
+        if constexpr (Ar::kReading)
+            sink.configure(cfg.trace_mode, cfg.trace_capacity);
+        for (auto &channel : sink.channels_)
+            transfer(a, channel);
     }
 
     // ----- thermal / arrivals ---------------------------------------
 
+    /** A package snapshot, at the configured package's node count. */
     template <typename Ar>
     static void
     transfer(Ar &a, Io<Ar, ThermalNetworkState> st)
     {
-        a.vecF64(st.temps);
-        a.vecF64(st.melt_fractions);
-        a.vecF64(st.injected);
-        if constexpr (Ar::kReading) {
-            if (st.melt_fractions.size() != st.temps.size() ||
-                st.injected.size() != st.temps.size())
-                corrupt("thermal snapshot with mismatched node counts");
-        }
+        for (auto *nodes : {&st.temps, &st.melt_fractions, &st.injected})
+            for (auto &v : *nodes)
+                a.f64(v);
     }
 
     template <typename Ar>
@@ -279,31 +240,15 @@ struct CheckpointIO
         a.u64(st.invalidations);
     }
 
+    /** A cache's contents, at the geometry of the configured cache. */
     template <typename Ar>
     static void
     transfer(Ar &a, Io<Ar, Cache> c)
     {
-        std::size_t sets = c.sets;
-        int ways = c.ways;
-        a.u64(sets);
-        a.narrowInt(ways, "cache ways");
-        if constexpr (Ar::kReading) {
-            if (sets != c.sets || ways != c.ways)
-                corrupt("cache geometry differs from the configuration");
-        }
-        a.vecU64(c.tags);
-        if constexpr (Ar::kReading) {
-            if (c.tags.size() != sets * static_cast<std::size_t>(ways))
-                corrupt("cache tag array size mismatch");
-        }
-        std::size_t nmeta = c.meta.size();
-        a.sz(nmeta);
-        if constexpr (Ar::kReading) {
-            if (nmeta != sets)
-                corrupt("cache metadata size mismatch");
-        }
+        for (auto &tag : c.tags)
+            a.u64(tag);
         const std::uint16_t way_mask = static_cast<std::uint16_t>(
-            ways >= 16 ? 0xFFFFu : ((1u << ways) - 1u));
+            c.ways >= 16 ? 0xFFFFu : ((1u << c.ways) - 1u));
         for (std::size_t s = 0; s < c.meta.size(); ++s) {
             auto &m = c.meta[s];
             a.u64(m.order);
@@ -327,21 +272,18 @@ struct CheckpointIO
         transfer(a, c.counters);
     }
 
-    /** Reading rejects a capacity other than @p expect_capacity. */
+    /** A core set's members; its capacity is the configured one. */
     template <typename Ar>
     static void
-    transfer(Ar &a, Io<Ar, CoreSet> s, int expect_capacity)
+    transfer(Ar &a, Io<Ar, CoreSet> s)
     {
-        std::int64_t cap = s.capacity();
+        const std::int64_t cap = s.capacity();
         std::int64_t n = s.count();
-        a.i64(cap);
         a.i64(n);
         if constexpr (Ar::kReading) {
-            if (cap != expect_capacity)
-                corrupt("core-set capacity differs from the configuration");
             if (n < 0 || n > cap)
                 corrupt("core-set member count out of range");
-            s.resize(expect_capacity);
+            s.clear();
             std::int64_t prev = -1;
             for (std::int64_t i = 0; i < n; ++i) {
                 std::int64_t c = 0;
@@ -375,12 +317,6 @@ struct CheckpointIO
     transfer(Ar &a, Io<Ar, SharedL2> l2)
     {
         transfer(a, l2.tags);
-        std::size_t nd = l2.dir.size();
-        a.sz(nd);
-        if constexpr (Ar::kReading) {
-            if (nd != l2.dir.size())
-                corrupt("directory size differs from the tag store");
-        }
         for (auto &e : l2.dir) {
             for (auto &p : e.ptr)
                 a.i16(p);
@@ -440,7 +376,7 @@ struct CheckpointIO
                     corrupt("recycled overflow block index out of range");
             }
         }
-        transfer(a, l2.l1_mutations, l2.num_cores);
+        transfer(a, l2.l1_mutations);
         transfer(a, l2.counters);
     }
 
@@ -453,13 +389,8 @@ struct CheckpointIO
             if (!(mem.mult > 0.0) || !std::isfinite(mem.mult))
                 corrupt("memory frequency multiplier not positive");
         }
-        a.vecF64(mem.next_free);
-        if constexpr (Ar::kReading) {
-            if (mem.next_free.size() !=
-                static_cast<std::size_t>(mem.cfg.channels))
-                corrupt("memory channel count differs from the "
-                        "configuration");
-        }
+        for (auto &t : mem.next_free)
+            a.f64(t);
         a.u64(mem.counters.reads);
         a.u64(mem.counters.writebacks);
         a.u64(mem.counters.queued_cycles);
@@ -609,15 +540,6 @@ struct CheckpointIO
                 m.active_cores > static_cast<int>(m.cores.size()))
                 corrupt("active core count out of range");
         }
-        // A single-core byte follows the count. It holds no state of
-        // its own, but the format keeps it, so it must agree.
-        bool single_core = m.active_cores == 1;
-        a.boolean(single_core);
-        if constexpr (Ar::kReading) {
-            if (single_core != (m.active_cores == 1))
-                corrupt("single-core flag disagrees with the active "
-                        "core count");
-        }
         transfer(a, m.cfg.energy);
         transfer(a, m.totals);
         const int nthreads = static_cast<int>(m.threads.size());
@@ -628,8 +550,6 @@ struct CheckpointIO
                     corrupt("lock holder out of range");
             }
         });
-        count(a, m.threads.size(),
-              "thread count differs from the configuration");
         for (auto &t : m.threads) {
             // A thread parked at a barrier may still hold the stream
             // of its last task; enterPhase resets it before it is
@@ -672,8 +592,6 @@ struct CheckpointIO
             for (std::size_t i = t.buf_pos; i < t.buf_len; ++i)
                 a.u64(t.buf[i].bits);
         }
-        count(a, m.cores.size(),
-              "core count differs from the configuration");
         for (auto &c : m.cores) {
             a.boolean(c.active);
             a.vec(c.run_queue, 8, [nthreads](Ar &a2, auto &v) {
@@ -698,10 +616,8 @@ struct CheckpointIO
             a.boolean(c.idle_repeat);
             a.u64(c.idle_from);
         }
-        count(a, m.next_event.size(), "next-event array size mismatch");
         for (auto &ev : m.next_event)
             a.u64(ev);
-        count(a, m.l1s.size(), "L1 count differs from the configuration");
         for (auto &c : m.l1s)
             transfer(a, c);
         transfer(a, *m.l2);
@@ -752,8 +668,6 @@ struct CheckpointIO
         }
         Io<Ar, Machine> m = *ck.warm_machine;
         a.u64(m.cycle);
-        count(a, m.l1s.size(),
-              "warm husk L1 count differs from the configuration");
         for (auto &c : m.l1s)
             transfer(a, c);
         transfer(a, *m.l2);
@@ -872,6 +786,9 @@ struct CheckpointIO
     {
         a.boolean(ck.done);
         transfer(a, ck.arrivals);
+        if constexpr (Ar::kReading)
+            ck.thermal =
+                MobilePackageModel(cfg.platform.package).saveState();
         transfer(a, ck.thermal);
         a.vecF64(ck.policy_state);
         if constexpr (Ar::kReading) {
@@ -1160,7 +1077,6 @@ struct CheckpointIO
         d.sz(cfg.trace_capacity);
         d.boolean(cfg.keep_task_results);
         d.i64(static_cast<int>(cfg.idle_model));
-        d.boolean(cfg.pipeline_build);
         d.i64(static_cast<int>(cfg.surrogate.tier));
         d.i64(cfg.surrogate.min_calibration);
         d.f64(cfg.surrogate.audit_period);

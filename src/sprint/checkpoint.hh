@@ -43,9 +43,10 @@ namespace csprint {
  * produced it. Callback members (program_factory, task_tuner,
  * policy_factory) contribute presence only: the engine requires them
  * to be pure functions, so equal configs with equal callbacks replay
- * identically. The test knobs in ScenarioConfig::debug do not alter
- * the trajectory and are not covered, so a checkpoint can move to a
- * run with different debug settings.
+ * identically. pipeline_build and the test knobs in
+ * ScenarioConfig::debug do not alter the trajectory and are not
+ * covered, so a checkpoint can move to a run with other settings of
+ * them.
  */
 std::uint32_t scenarioConfigDigest(const ScenarioConfig &cfg);
 
@@ -64,8 +65,8 @@ serializeCheckpoint(const ScenarioConfig &cfg,
 /**
  * Reconstruct the checkpoint @p blob carries. The result continues
  * under advanceScenario bit-identically to the in-process original
- * (machines are rebuilt from @p cfg's factories and their
- * architectural state overwritten field for field). Throws
+ * (machines and trace channels are rebuilt from @p cfg, at the sizes
+ * it fixes, and their state overwritten field for field). Throws
  * CheckpointError on any malformed input: wrong magic or version, a
  * digest from a different configuration, truncation, checksum
  * mismatch, or structurally inconsistent contents.

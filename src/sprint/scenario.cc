@@ -149,90 +149,52 @@ makeWorkloadMixFactory(std::vector<WorkloadMixEntry> mix)
     };
 }
 
-MeltCycleCounter::MeltCycleCounter(double rise, double fall)
-    : rise_(rise), fall_(fall)
-{
-    SPRINT_ASSERT(fall < rise, "hysteresis thresholds inverted");
-}
-
 void
 MeltCycleCounter::add(double melt)
 {
-    if (!molten_ && melt >= rise_) {
+    if (!molten_ && melt >= kRise) {
         molten_ = true;
-    } else if (molten_ && melt <= fall_) {
+    } else if (molten_ && melt <= kFall) {
         molten_ = false;
         ++cycles_;
     }
 }
 
-int
-countMeltRefreezeCycles(const TimeSeries &melt, double rise, double fall)
-{
-    MeltCycleCounter counter(rise, fall);
-    for (std::size_t i = 0; i < melt.size(); ++i)
-        counter.add(melt.valueAt(i));
-    return counter.cycles();
-}
-
 void
 ScenarioTraceSink::configure(TraceMode mode, std::size_t capacity)
 {
-    mode_ = mode;
-    if (mode_ == TraceMode::DecimatedRing) {
-        junction_ring_ = DecimatingTrace(capacity);
-        power_ring_ = DecimatingTrace(capacity);
-        melt_ring_ = DecimatingTrace(capacity);
-    }
+    channels_.clear();
+    if (mode == TraceMode::Off)
+        return;
+    channels_.assign(kChannels,
+                     DecimatingTrace(mode == TraceMode::Full
+                                         ? DecimatingTrace::kUnbounded
+                                         : capacity));
 }
 
 void
 ScenarioTraceSink::reserveMore(std::size_t n)
 {
-    if (mode_ != TraceMode::Full)
-        return;
-    junction_.reserve(junction_.size() + n);
-    power_.reserve(power_.size() + n);
-    melt_.reserve(melt_.size() + n);
+    for (DecimatingTrace &channel : channels_)
+        channel.reserveMore(n);
 }
 
 void
 ScenarioTraceSink::add(double t, double junction, double power,
                        double melt)
 {
-    switch (mode_) {
-      case TraceMode::Full:
-        junction_.add(t, junction);
-        power_.add(t, power);
-        melt_.add(t, melt);
-        break;
-      case TraceMode::DecimatedRing:
-        junction_ring_.add(t, junction);
-        power_ring_.add(t, power);
-        melt_ring_.add(t, melt);
-        break;
-      case TraceMode::Off:
-        break;
-    }
+    const double v[kChannels] = {junction, power, melt};
+    for (std::size_t c = 0; c < channels_.size(); ++c)
+        channels_[c].add(t, v[c]);
 }
 
 void
 ScenarioTraceSink::exportTo(ScenarioResult &out)
 {
-    switch (mode_) {
-      case TraceMode::Full:
-        out.junction_trace = std::move(junction_);
-        out.power_trace = std::move(power_);
-        out.melt_trace = std::move(melt_);
-        break;
-      case TraceMode::DecimatedRing:
-        out.junction_trace = junction_ring_.take();
-        out.power_trace = power_ring_.take();
-        out.melt_trace = melt_ring_.take();
-        break;
-      case TraceMode::Off:
-        break;
-    }
+    TimeSeries *const traces[kChannels] = {
+        &out.junction_trace, &out.power_trace, &out.melt_trace};
+    for (std::size_t c = 0; c < channels_.size(); ++c)
+        *traces[c] = channels_[c].take();
 }
 
 /** The platform with the sprint configuration withheld. */

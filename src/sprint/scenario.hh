@@ -222,7 +222,9 @@ struct ScenarioConfig
      * be a pure, thread-safe function of the task it receives (the
      * stock factories are); a prebuilt program is used only when the
      * dispatched task is exactly the one it was built for, so a
-     * mispredicted dispatch just falls back to the serial build.
+     * mispredicted dispatch just falls back to the serial build. The
+     * trajectory is the same either way and no checkpoint holds a
+     * prebuild, so scenarioConfigDigest leaves it out.
      */
     bool pipeline_build = false;
 
@@ -287,13 +289,15 @@ makeWorkloadMixFactory(std::vector<WorkloadMixEntry> mix);
 
 /**
  * Streaming melt/refreeze hysteresis counter: a cycle completes when
- * the melt fraction rises to >= rise and later falls to <= fall.
- * Value-semantic, so it checkpoints by copy.
+ * the melt fraction rises to >= kRise and later falls to <= kFall.
+ * The thresholds are engine constants, so a checkpoint carries only
+ * the phase and the count.
  */
 class MeltCycleCounter
 {
   public:
-    explicit MeltCycleCounter(double rise = 0.25, double fall = 0.05);
+    static constexpr double kRise = 0.25; ///< melt that starts a cycle
+    static constexpr double kFall = 0.05; ///< melt that ends it
 
     /** Fold one melt-fraction sample in. */
     void add(double melt);
@@ -304,19 +308,9 @@ class MeltCycleCounter
   private:
     friend struct CheckpointIO;
 
-    double rise_;
-    double fall_;
     bool molten_ = false;
     int cycles_ = 0;
 };
-
-/**
- * Count melt/refreeze cycles in @p melt with hysteresis: a cycle
- * completes when the series rises to >= @p rise and later falls to
- * <= @p fall.
- */
-int countMeltRefreezeCycles(const TimeSeries &melt, double rise = 0.25,
-                            double fall = 0.05);
 
 /** Per-task outcome on the scenario timeline. */
 struct ScenarioTaskResult
@@ -384,19 +378,18 @@ std::string firstDifference(const ScenarioResult &a,
 
 /**
  * The full-timeline trace recorder behind ScenarioConfig::trace_mode:
- * Full appends every sample the engine's pump observer sees,
- * DecimatedRing records into three bounded DecimatingTrace buffers,
- * Off stores nothing.
+ * one DecimatingTrace per channel (junction, power, melt) that never
+ * decimates under Full and holds at most trace_capacity samples under
+ * DecimatedRing; Off keeps no channel at all. Every sample the
+ * engine's pump observer sees is offered to each channel.
  */
 class ScenarioTraceSink
 {
   public:
-    ScenarioTraceSink() = default;
-
-    /** Select the mode; must precede the first sample. */
+    /** Build the channels @p mode records; must precede the first sample. */
     void configure(TraceMode mode, std::size_t capacity);
 
-    /** Pre-size for @p n more samples (Full mode; no-op otherwise). */
+    /** Pre-size each channel for @p n more samples. */
     void reserveMore(std::size_t n);
 
     /** Record one (junction, power, melt) sample at time @p t. */
@@ -408,9 +401,10 @@ class ScenarioTraceSink
   private:
     friend struct CheckpointIO;
 
-    TraceMode mode_ = TraceMode::Full;
-    TimeSeries junction_, power_, melt_;           ///< Full
-    DecimatingTrace junction_ring_, power_ring_, melt_ring_;
+    static constexpr std::size_t kChannels = 3;
+
+    /** Junction, power and melt, in that order; empty under Off. */
+    std::vector<DecimatingTrace> channels_;
 };
 
 /**

@@ -8,10 +8,12 @@
  * matches the uninterrupted run bit-for-bit; every single-byte
  * truncation prefix and sampled bit flip fails with a typed
  * CheckpointError (never UB), and so does a re-sealed blob with an
- * out-of-range counter or int field or a foreign P² quantile; fixed
- * checkpoints and a fixed fleet spec serialize to pinned CRCs; every
- * tally round-trips and firstDifference names each one; the debug
- * knobs leave the digest alone and a
+ * out-of-range counter or int field, a foreign P² quantile, or a ring
+ * holding more samples than the config's capacity; fixed checkpoints
+ * (one with a vector stream suspended mid-window) and a fixed fleet
+ * spec serialize to pinned CRCs; every tally round-trips and
+ * firstDifference names each one; the program build pipeline and the
+ * debug knobs leave the digest alone and a
  * checkpoint resumes under either setting; the deserialized Poisson
  * arrival cursor continues the exact stream; and CheckpointStore
  * survives a corrupt newest checkpoint via its retained predecessor,
@@ -84,6 +86,41 @@ preemptiveScenario(int tasks)
             task.size = InputSize::A;
             task.deadline = 2e-3;
         }
+    };
+    return cfg;
+}
+
+/** Ops in a size-C task of vectorScenario; the others take 1500. */
+constexpr std::size_t kLongVectorTask = 1000000;
+
+/**
+ * preemptiveScenario on one-thread VectorOpStream programs: the heavy
+ * task's stream spans many of the machine's 1024-op windows, so it is
+ * preempted part-way through a window.
+ */
+ScenarioConfig
+vectorScenario(int tasks)
+{
+    ScenarioConfig cfg = preemptiveScenario(tasks);
+    cfg.program_factory = [](const ScenarioTask &task) {
+        const std::size_t n =
+            task.size == InputSize::C ? kLongVectorTask : 1500;
+        const std::uint64_t base = 0x10000000ULL + (task.seed % 16) * 4096;
+        Phase phase;
+        phase.name = "work";
+        phase.num_tasks = 1;
+        phase.make_task = [n, base](std::size_t) {
+            std::vector<MicroOp> ops;
+            ops.reserve(n);
+            for (std::size_t i = 0; i < n; ++i)
+                ops.push_back(i % 4 == 0
+                                  ? MicroOp::load(base + (i % 64) * 64)
+                                  : MicroOp::intAlu());
+            return std::make_unique<VectorOpStream>(std::move(ops));
+        };
+        ParallelProgram prog("vector");
+        prog.addPhase(std::move(phase));
+        return prog;
     };
     return cfg;
 }
@@ -173,6 +210,11 @@ TEST(CheckpointRoundTrip, DecimatedRingTraces)
     cfg.trace_mode = TraceMode::DecimatedRing;
     cfg.trace_capacity = 64;
     roundTripAndFinish(cfg, 2);
+}
+
+TEST(CheckpointRoundTrip, VectorStreamSuspendedMidWindow)
+{
+    roundTripAndFinish(vectorScenario(4), 2);
 }
 
 TEST(CheckpointRoundTrip, ResumeFromBytesAtEveryBoundary)
@@ -332,10 +374,19 @@ TEST(CheckpointRoundTrip, SurrogateCalibrationMidStream)
     roundTripAndFinish(cfg, 10);
 }
 
-/** Each test knob of ScenarioConfig::debug, by name. */
-const std::pair<const char *, bool ScenarioDebugKnobs::*> kDebugKnobs[] = {
-    {"generic_dispatch", &ScenarioDebugKnobs::generic_dispatch},
-    {"verify_pipeline_build", &ScenarioDebugKnobs::verify_pipeline_build},
+/**
+ * Each knob that leaves the trajectory alone, by name: the program
+ * build pipeline and the test knobs of ScenarioConfig::debug.
+ */
+const std::pair<const char *, bool &(*)(ScenarioConfig &)> kDebugKnobs[] = {
+    {"pipeline_build",
+     [](ScenarioConfig &c) -> bool & { return c.pipeline_build; }},
+    {"generic_dispatch",
+     [](ScenarioConfig &c) -> bool & { return c.debug.generic_dispatch; }},
+    {"verify_pipeline_build",
+     [](ScenarioConfig &c) -> bool & {
+         return c.debug.verify_pipeline_build;
+     }},
 };
 
 TEST(CheckpointRejection, DebugKnobsDoNotChangeTheDigest)
@@ -344,7 +395,7 @@ TEST(CheckpointRejection, DebugKnobsDoNotChangeTheDigest)
                                       ArrivalPattern::Periodic, 3);
     for (const auto &[name, knob] : kDebugKnobs) {
         ScenarioConfig tweaked = cfg;
-        tweaked.debug.*knob = !(cfg.debug.*knob);
+        knob(tweaked) = !knob(cfg);
         EXPECT_EQ(scenarioConfigDigest(cfg), scenarioConfigDigest(tweaked))
             << name;
     }
@@ -356,10 +407,9 @@ TEST(CheckpointRoundTrip, ResumesUnderFlippedDebugKnobs)
     // one knob setting and finish it under the other, both ways: the
     // result must equal the uninterrupted run bit for bit.
     ScenarioConfig plain = preemptiveScenario(4);
-    plain.pipeline_build = true;
     ScenarioConfig flipped = plain;
     for (const auto &[name, knob] : kDebugKnobs)
-        flipped.debug.*knob = true;
+        knob(flipped) = true;
     const ScenarioResult whole = runScenario(plain);
     for (const auto &[from, to] :
          {std::pair{&plain, &flipped}, std::pair{&flipped, &plain}}) {
@@ -595,80 +645,32 @@ TEST(CheckpointRejection, PolicyStateOfWrongLengthIsCorrupt)
     }
 }
 
-TEST(CheckpointRejection, TraceSettingsMustMatchTheConfig)
+TEST(CheckpointRejection, RingOverTheConfigsCapacityIsCorrupt)
 {
-    // The trace sink's mode and its rings' capacity are fixed by the
-    // config, the melt-cycle thresholds by the engine: a re-sealed
-    // blob carrying others must not decode (a Full-mode timeline
-    // resumed as a ring would keep every sample past the ring's
-    // bound).
-    ScenarioConfig full = baseScenario(SprintPolicyKind::GreedyActivity,
+    // A ring's capacity comes from the config, not the blob: 4096-slot
+    // rings (stride 1, more than 64 samples after one task) re-sealed
+    // under a 64-slot config hold more samples than their capacity.
+    ScenarioConfig ring = baseScenario(SprintPolicyKind::GreedyActivity,
                                        ArrivalPattern::Periodic, 2);
-    full.keep_task_results = false;
-    ScenarioConfig ring = full;
+    ring.keep_task_results = false;
     ring.trace_mode = TraceMode::DecimatedRing;
     ring.trace_capacity = 64;
     ScenarioConfig wide = ring;
     wide.trace_capacity = 4096;
-    auto payloadAfterOneTask = [](const ScenarioConfig &cfg) {
-        ScenarioCheckpoint ck = beginScenario(cfg);
-        advanceScenario(cfg, ck, 1);
-        return payloadOf(serializeCheckpoint(cfg, ck),
-                         scenarioConfigDigest(cfg));
-    };
-    auto expectCorrupt = [](const ScenarioConfig &cfg,
-                            const std::vector<std::uint8_t> &payload,
-                            const std::string &why) {
-        try {
-            deserializeCheckpoint(
-                cfg, BlobContainer::seal(scenarioConfigDigest(cfg), payload));
-            ADD_FAILURE() << why << ": decoded";
-        } catch (const CheckpointError &e) {
-            EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
-            EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
-                << e.what();
-        }
-    };
-    const std::vector<std::uint8_t> full_payload = payloadAfterOneTask(full);
-    const std::vector<std::uint8_t> wide_payload = payloadAfterOneTask(wide);
-    for (const auto &[cfg, payload] :
-         {std::pair{&full, &full_payload}, std::pair{&wide, &wide_payload}})
-        EXPECT_NO_THROW(deserializeCheckpoint(
-            *cfg,
-            BlobContainer::seal(scenarioConfigDigest(*cfg), *payload)));
-
-    expectCorrupt(ring, full_payload, "trace-sink mode");
-    expectCorrupt(ring, wide_payload, "ring capacity");
-
-    // The wide rings (stride 1, fewer than 4096 samples) relabelled as
-    // 64-slot rings hold more samples than they can.
-    BlobWriter wide_head;
-    wide_head.u64(4096);
-    wide_head.u64(1);
-    const std::vector<std::size_t> rings = offsetsOf(wide_payload, wide_head);
-    ASSERT_EQ(rings.size(), 3u);
-    std::vector<std::uint8_t> relabelled = wide_payload;
-    BlobWriter narrow;
-    narrow.u64(64);
-    for (std::size_t at : rings)
-        std::copy(narrow.buffer().begin(), narrow.buffer().end(),
-                  relabelled.begin() + static_cast<std::ptrdiff_t>(at));
-    expectCorrupt(ring, relabelled, "more samples than its capacity");
-
-    // The melt counter's (rise, fall) thresholds.
-    BlobWriter thresholds;
-    thresholds.f64(0.25);
-    thresholds.f64(0.05);
-    const std::vector<std::size_t> melt = offsetsOf(full_payload, thresholds);
-    ASSERT_EQ(melt.size(), 1u);
-    for (const auto &[at, forged] :
-         {std::pair{melt[0], 0.5}, std::pair{melt[0] + 8, 0.01},
-          std::pair{melt[0], std::nan("")}}) {
-        SCOPED_TRACE("offset " + std::to_string(at - melt[0]) + " = " +
-                     std::to_string(forged));
-        BlobWriter w;
-        w.f64(forged);
-        expectForgeryCorrupt(full, full_payload, at, w);
+    ScenarioCheckpoint ck = beginScenario(wide);
+    advanceScenario(wide, ck, 1);
+    const std::vector<std::uint8_t> payload = payloadOf(
+        serializeCheckpoint(wide, ck), scenarioConfigDigest(wide));
+    try {
+        deserializeCheckpoint(
+            ring, BlobContainer::seal(scenarioConfigDigest(ring), payload));
+        ADD_FAILURE() << "a 4096-slot ring decoded as a 64-slot one";
+    } catch (const CheckpointError &e) {
+        EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
+        EXPECT_NE(std::string(e.what()).find("more samples than its "
+                                             "capacity"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
@@ -725,32 +727,6 @@ TEST(CheckpointRejection, OutOfRangeIntFieldsAreCorrupt)
     expectForgeryCorrupt(preempt, payload, at[0], too_big);
 }
 
-TEST(CheckpointRejection, SingleCoreFlagMustMatchActiveCores)
-{
-    // A machine record keeps a single-core byte right after its active
-    // core count; it carries no state of its own, so a byte that
-    // disagrees with the count is a forgery.
-    const ScenarioConfig cfg = preemptiveScenario(4);
-    ScenarioCheckpoint mid = beginScenario(cfg);
-    advanceScenario(cfg, mid, 2);
-    const Machine *machine = suspendedMachine(mid);
-    ASSERT_NE(machine, nullptr);
-    ASSERT_GT(machine->activeCores(), 1);
-    const TechParams &tech = machine->config().energy.tech();
-    BlobWriter pattern;
-    pattern.i64(machine->activeCores());
-    pattern.boolean(false);
-    pattern.i64(tech.node_nm);
-    pattern.f64(tech.vdd);
-    const std::vector<std::uint8_t> payload = payloadOf(
-        serializeCheckpoint(cfg, mid), scenarioConfigDigest(cfg));
-    const std::vector<std::size_t> at = offsetsOf(payload, pattern);
-    ASSERT_EQ(at.size(), 1u);
-    BlobWriter single;
-    single.boolean(true);
-    expectForgeryCorrupt(cfg, payload, at[0] + 8, single);
-}
-
 /**
  * CRC32 of sealed @p blob up to its trailing payload CRC. The CRC of
  * the whole blob would pin only lengths: a message followed by its own
@@ -778,7 +754,7 @@ TEST(CheckpointFormat, PinnedBytes)
     // Byte-level pins of the checkpoint and fleet-spec formats: a
     // reordered, resized or dropped field changes these CRCs. Any such
     // change must bump BlobContainer::kVersion and re-record them.
-    ASSERT_EQ(BlobContainer::kVersion, 3u);
+    ASSERT_EQ(BlobContainer::kVersion, 4u);
 
     EXPECT_EQ(checkpointCrc(preemptiveScenario(4), 2,
                             [](const ScenarioCheckpoint &ck) {
@@ -787,7 +763,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                     suspended |= ex->machine != nullptr;
                                 EXPECT_TRUE(suspended);
                             }),
-              0x064eca08u)
+              0x5ad33171u)
         << "preempted mid-flight";
 
     ScenarioConfig warm = baseScenario(SprintPolicyKind::GreedyActivity,
@@ -797,7 +773,7 @@ TEST(CheckpointFormat, PinnedBytes)
                             [](const ScenarioCheckpoint &ck) {
                                 EXPECT_NE(ck.warm_machine, nullptr);
                             }),
-              0xc3630804u)
+              0x52b5bb50u)
         << "warm-cache husk";
 
     ScenarioConfig surrogate = baseScenario(
@@ -810,8 +786,24 @@ TEST(CheckpointFormat, PinnedBytes)
                                 EXPECT_GT(ck.surrogate.surrogateTasks(),
                                           0u);
                             }),
-              0x835f25e2u)
+              0xeb1715f0u)
         << "calibrated surrogate";
+
+    // The suspended task's one thread has retired part of a window, so
+    // the blob holds the window's unretired ops and the stream cursor
+    // past it: both move with the size of the windows fillInto fills.
+    EXPECT_EQ(checkpointCrc(vectorScenario(4), 2,
+                            [](const ScenarioCheckpoint &ck) {
+                                const Machine *m = suspendedMachine(ck);
+                                ASSERT_NE(m, nullptr);
+                                const std::uint64_t retired =
+                                    m->stats().ops_retired;
+                                EXPECT_LT(retired, kLongVectorTask);
+                                EXPECT_GT(retired, 1024u);
+                                EXPECT_NE(retired % 1024, 0u);
+                            }),
+              0x29353f8eu)
+        << "vector stream suspended mid-window";
 
     FleetSpec spec;
     spec.seed = 11;
@@ -838,7 +830,7 @@ TEST(CheckpointFormat, PinnedBytes)
     opts.paranoia = true;
     const std::vector<std::uint8_t> blob =
         serializeFleetSpec(spec, plan, opts);
-    EXPECT_EQ(pinOf(blob), 0xce0b6f72u) << "fleet spec";
+    EXPECT_EQ(pinOf(blob), 0xf4236b66u) << "fleet spec";
 }
 
 TEST(CheckpointFormat, TaskRecordsCarryNoSamples)

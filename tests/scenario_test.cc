@@ -99,19 +99,23 @@ TEST(Arrivals, BackToBackQueuesEverything)
         EXPECT_DOUBLE_EQ(task.arrival, 0.0);
 }
 
+/** The melt/refreeze cycles MeltCycleCounter counts over @p melt. */
+int
+meltCycles(std::initializer_list<double> melt)
+{
+    MeltCycleCounter counter;
+    for (double m : melt)
+        counter.add(m);
+    return counter.cycles();
+}
+
 TEST(MeltCycles, HysteresisCounting)
 {
-    TimeSeries melt;
-    const double wave[] = {0.0, 0.3, 0.6, 0.04, 0.5, 0.2,
-                           0.02, 0.9, 0.5, 0.3};
-    for (std::size_t i = 0; i < sizeof(wave) / sizeof(wave[0]); ++i)
-        melt.add(static_cast<double>(i), wave[i]);
     // Rises at 0.3, falls at 0.04; rises at 0.5, falls at 0.02;
     // rises at 0.9 but never refreezes: two complete cycles.
-    EXPECT_EQ(countMeltRefreezeCycles(melt), 2);
-    // Tighter rise threshold: only the 0.9 peak melts, refreezing
-    // once at the trailing 0.3.
-    EXPECT_EQ(countMeltRefreezeCycles(melt, 0.85, 0.4), 1);
+    EXPECT_EQ(meltCycles({0.0, 0.3, 0.6, 0.04, 0.5, 0.2, 0.02, 0.9, 0.5,
+                          0.3}),
+              2);
 }
 
 TEST(Scenario, GreedySingleTaskMatchesRunSprintExactly)
@@ -338,31 +342,21 @@ TEST(Arrivals, CursorMatchesMaterializedTimeline)
 
 TEST(MeltCycles, EmptySeriesHasNoCycles)
 {
-    EXPECT_EQ(countMeltRefreezeCycles(TimeSeries()), 0);
+    EXPECT_EQ(meltCycles({}), 0);
 }
 
 TEST(MeltCycles, SeriesStartingMolten)
 {
     // A series that opens above the rise threshold arms the counter
     // on its first sample; the first refreeze completes a cycle.
-    TimeSeries melt;
-    melt.add(0.0, 1.0);
-    melt.add(1.0, 0.5);
-    melt.add(2.0, 0.01);
-    EXPECT_EQ(countMeltRefreezeCycles(melt), 1);
+    EXPECT_EQ(meltCycles({1.0, 0.5, 0.01}), 1);
 
     // Starting molten and never refreezing is zero cycles.
-    TimeSeries stuck;
-    stuck.add(0.0, 1.0);
-    stuck.add(1.0, 0.9);
-    EXPECT_EQ(countMeltRefreezeCycles(stuck), 0);
+    EXPECT_EQ(meltCycles({1.0, 0.9}), 0);
 
     // Starting exactly at the fall threshold while armed refreezes
     // immediately on the next below-threshold sample.
-    TimeSeries edge;
-    edge.add(0.0, 0.25);
-    edge.add(1.0, 0.05);
-    EXPECT_EQ(countMeltRefreezeCycles(edge), 1);
+    EXPECT_EQ(meltCycles({0.25, 0.05}), 1);
 }
 
 TEST(Scenario, TraceModesPreserveAggregates)
