@@ -41,7 +41,6 @@ class CoreSet
     }
 
     void add(int c) { words[idx(c)] |= bit(c); }
-    void remove(int c) { words[idx(c)] &= ~bit(c); }
     bool contains(int c) const { return (words[idx(c)] & bit(c)) != 0; }
 
     bool empty() const

@@ -106,7 +106,7 @@ class SharedL2
     void writebackFromL1(std::uint64_t line, int from, Cycles now);
 
     /**
-     * Deactivate every core in @p drop (capacity numCores()) in one
+     * Deactivate every core in @p drop (capacity: the configured core count) in one
      * directory pass: each dropped core's L1 copies are invalidated
      * (a dirty copy marks the L2 line dirty), the core leaves every
      * sharer set and dirty-owner field, it is recorded as an L1
@@ -146,9 +146,6 @@ class SharedL2
 
     /** Configuration in use. */
     const L2Config &config() const { return cfg; }
-
-    /** Core count the directory was sized for. */
-    int numCores() const { return num_cores; }
 
     /** Sharer count of @p line's entry (0 when absent); test hook. */
     int sharerCount(std::uint64_t line) const;

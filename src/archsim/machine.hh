@@ -180,9 +180,6 @@ class Machine
     /** Number of currently active cores. */
     int activeCores() const { return active_cores; }
 
-    /** Current frequency multiplier. */
-    double frequencyMult() const { return freq_mult; }
-
     // --- Introspection ---
 
     const MachineStats &stats() const { return totals; }

@@ -6,32 +6,6 @@
 
 namespace csprint {
 
-const char *
-CheckpointError::kindName(Kind kind)
-{
-    switch (kind) {
-    case Kind::BadMagic:
-        return "bad_magic";
-    case Kind::BadVersion:
-        return "bad_version";
-    case Kind::BadDigest:
-        return "bad_digest";
-    case Kind::Truncated:
-        return "truncated";
-    case Kind::BadChecksum:
-        return "bad_checksum";
-    case Kind::Corrupt:
-        return "corrupt";
-    case Kind::Unsupported:
-        return "unsupported";
-    case Kind::Io:
-        return "io";
-    case Kind::Invariant:
-        return "invariant";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /**

@@ -67,9 +67,6 @@ class CheckpointError : public std::runtime_error
 
     Kind kind() const { return kind_; }
 
-    /** Stable name for the kind ("truncated", "bad_checksum", ...). */
-    static const char *kindName(Kind kind);
-
   private:
     Kind kind_;
 };
@@ -366,7 +363,7 @@ void writeFileAtomic(const std::string &path, const void *data,
 struct BlobContainer
 {
     static constexpr std::uint32_t kMagic = 0x4b435343u; // "CSCK"
-    static constexpr std::uint32_t kVersion = 4;
+    static constexpr std::uint32_t kVersion = 5;
 
     /** Wrap @p payload in the magic/version/digest/CRC frame. */
     static std::vector<std::uint8_t>

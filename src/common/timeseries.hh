@@ -77,9 +77,6 @@ class TimeSeries
     /** Direct access to sample times. */
     const std::vector<double> &timeData() const { return times; }
 
-    /** Direct access to sample values. */
-    const std::vector<double> &valueData() const { return values; }
-
   private:
     friend struct CheckpointIO;
 

@@ -34,15 +34,6 @@ using Cycles = std::uint64_t;  ///< clock cycles at a core's frequency
 
 namespace units {
 
-constexpr double kilo = 1e3;
-constexpr double mega = 1e6;
-constexpr double giga = 1e9;
-constexpr double milli = 1e-3;
-constexpr double micro = 1e-6;
-constexpr double nano = 1e-9;
-constexpr double pico = 1e-12;
-constexpr double femto = 1e-15;
-
 /** Absolute-zero offset for Celsius <-> Kelvin conversion. */
 constexpr double zeroCelsiusInKelvin = 273.15;
 

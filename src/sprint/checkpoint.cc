@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -93,6 +94,7 @@ struct CheckpointIO
             a.f64(v);
     }
 
+    /** Reading rejects sample times that ever decrease (or NaN). */
     template <typename Ar>
     static void
     transfer(Ar &a, Io<Ar, TimeSeries> ts)
@@ -102,13 +104,21 @@ struct CheckpointIO
         if constexpr (Ar::kReading) {
             if (ts.times.size() != ts.values.size())
                 corrupt("time series with mismatched time/value lengths");
+            for (std::size_t i = 0; i < ts.times.size(); ++i)
+                if (std::isnan(ts.times[i]) ||
+                    (i > 0 && ts.times[i] < ts.times[i - 1]))
+                    corrupt("time series sampled out of order");
         }
     }
 
     /**
      * A trace channel, its capacity taken from the config. A channel
      * that never decimates has stored every sample it was offered, so
-     * its samples are its whole state.
+     * its samples are its whole state. A ring stores the offered
+     * indices {0, stride, 2 stride, ...} (add() keeps next_store_ at
+     * stride × size, compaction included), so next_store_ is rebuilt,
+     * and the offered count must lie in (next_store_ - stride,
+     * next_store_].
      */
     template <typename Ar>
     static void
@@ -121,14 +131,21 @@ struct CheckpointIO
             return;
         }
         a.u64(dt.stride_);
-        a.u64(dt.next_store_);
         a.u64(dt.offered_);
         if constexpr (Ar::kReading) {
+            const std::size_t n = dt.ts.size();
             if (dt.stride_ == 0)
                 corrupt("decimating trace with a zero stride");
-            if (dt.ts.size() > dt.cap)
+            if (n > dt.cap)
                 corrupt("decimating trace holds more samples than its "
                         "capacity");
+            if (n > 0 && dt.stride_ > SIZE_MAX / n)
+                corrupt("decimating trace stride overflows its index");
+            dt.next_store_ = dt.stride_ * n;
+            if (dt.offered_ > dt.next_store_ ||
+                dt.next_store_ - dt.offered_ >= dt.stride_)
+                corrupt("decimating trace's offered count is off its "
+                        "stride grid");
         }
     }
 
@@ -140,16 +157,34 @@ struct CheckpointIO
         a.narrowInt(mc.cycles_, "melt cycle count");
     }
 
-    /** The channels cfg.trace_mode records: none under Off. */
+    /**
+     * The channels cfg.trace_mode records: none under Off. Reading
+     * rejects a channel that ends past the clock @p now by more than
+     * rounding, as TimeSeries::add would abort on the engine's next
+     * sample: a pump slice's times are a running sum from the clock,
+     * each sum rounding by at most an ulp of @p now, so one ulp per
+     * offered sample, plus 16 for the clock's own sums.
+     */
     template <typename Ar>
     static void
-    transfer(Ar &a, const ScenarioConfig &cfg,
+    transfer(Ar &a, const ScenarioConfig &cfg, Seconds now,
              Io<Ar, ScenarioTraceSink> sink)
     {
         if constexpr (Ar::kReading)
             sink.configure(cfg.trace_mode, cfg.trace_capacity);
-        for (auto &channel : sink.channels_)
+        for (auto &channel : sink.channels_) {
             transfer(a, channel);
+            if constexpr (Ar::kReading) {
+                const TimeSeries &ts = channel.series();
+                const double ulps =
+                    static_cast<double>(channel.offered()) + 16.0;
+                if (!ts.empty() &&
+                    !(ts.timeAt(ts.size() - 1) - now <=
+                      ulps * (std::nextafter(now, INFINITY) - now)))
+                    corrupt("trace sample time past the checkpoint's "
+                            "clock");
+            }
+        }
     }
 
     // ----- thermal / arrivals ---------------------------------------
@@ -810,7 +845,7 @@ struct CheckpointIO
         transfer(a, ck.p50);
         transfer(a, ck.p95);
         transfer(a, ck.melt_cycles);
-        transfer(a, cfg, ck.traces);
+        transfer(a, cfg, ck.now, ck.traces);
         transfer(a, ck.surrogate);
         a.vec(ck.tasks, 1, [](Ar &a2, auto &t) { transfer(a2, t); });
         a.boolean(ck.have_peek);
@@ -1052,7 +1087,6 @@ struct CheckpointIO
         d.i64(static_cast<int>(cfg.policy.kind));
         digestGovernor(d, cfg.policy.governor);
         d.f64(cfg.policy.pacing_period);
-        d.f64(cfg.policy.resume_fraction);
         d.f64(cfg.policy.qos_slack);
         d.f64(cfg.policy.service_prior);
         d.i64(static_cast<int>(cfg.pattern));

@@ -13,14 +13,8 @@ sprintPolicyKindName(SprintPolicyKind kind)
     switch (kind) {
       case SprintPolicyKind::GreedyActivity:
         return "greedy";
-      case SprintPolicyKind::Thermometer:
-        return "thermometer";
       case SprintPolicyKind::DutyCycle:
         return "duty-cycle";
-      case SprintPolicyKind::AdaptiveHeadroom:
-        return "adaptive-headroom";
-      case SprintPolicyKind::NeverSprint:
-        return "never";
       case SprintPolicyKind::Qos:
         return "qos";
       case SprintPolicyKind::ModelPredictive:
@@ -34,30 +28,15 @@ allSprintPolicyKinds()
 {
     static const std::vector<SprintPolicyKind> kinds = {
         SprintPolicyKind::GreedyActivity,
-        SprintPolicyKind::Thermometer,
         SprintPolicyKind::DutyCycle,
-        SprintPolicyKind::AdaptiveHeadroom,
-        SprintPolicyKind::NeverSprint,
         SprintPolicyKind::Qos,
         SprintPolicyKind::ModelPredictive,
     };
     return kinds;
 }
 
-namespace {
-
-/** Governor config with the estimate mode pinned by the policy. */
-GovernorConfig
-withActivityEstimate(GovernorConfig cfg, bool activity)
-{
-    cfg.use_activity_estimate = activity;
-    return cfg;
-}
-
-} // namespace
-
 SprintDecision
-GovernorBackedPolicy::onSample(MobilePackageModel &package, Seconds dt,
+GreedyActivityPolicy::onSample(MobilePackageModel &package, Seconds dt,
                                Joules energy)
 {
     (void)package; // the governor holds the package reference
@@ -66,19 +45,8 @@ GovernorBackedPolicy::onSample(MobilePackageModel &package, Seconds dt,
     return governor->onSample(dt, energy);
 }
 
-GreedyActivityPolicy::GreedyActivityPolicy(GovernorConfig cfg)
-    : GovernorBackedPolicy(withActivityEstimate(cfg, true))
-{
-}
-
-ThermometerPolicy::ThermometerPolicy(GovernorConfig cfg)
-    : GovernorBackedPolicy(withActivityEstimate(cfg, false))
-{
-}
-
 DutyCyclePolicy::DutyCyclePolicy(Seconds pacing_period, GovernorConfig cfg)
-    : GovernorBackedPolicy(withActivityEstimate(cfg, true)),
-      period(pacing_period)
+    : GreedyActivityPolicy(cfg), period(pacing_period)
 {
     SPRINT_ASSERT(period > 0.0, "duty-cycle policy needs a period");
 }
@@ -86,7 +54,7 @@ DutyCyclePolicy::DutyCyclePolicy(Seconds pacing_period, GovernorConfig cfg)
 void
 DutyCyclePolicy::beginTask(MobilePackageModel &package)
 {
-    GovernorBackedPolicy::beginTask(package);
+    GreedyActivityPolicy::beginTask(package);
     // The package can shed sustainable-TDP joules per second; one
     // pacing period's worth is the above-envelope energy this task may
     // spend without stealing from the next arrival (the
@@ -103,7 +71,7 @@ DutyCyclePolicy::onSample(MobilePackageModel &package, Seconds dt,
                           Joules energy)
 {
     const SprintDecision safety =
-        GovernorBackedPolicy::onSample(package, dt, energy);
+        GreedyActivityPolicy::onSample(package, dt, energy);
 
     const Watts power = energy / dt;
     if (power > governor->sustainablePower()) {
@@ -121,39 +89,6 @@ DutyCyclePolicy::onSample(MobilePackageModel &package, Seconds dt,
         return SprintDecision::StopSprint;
     }
     return SprintDecision::Continue;
-}
-
-AdaptiveHeadroomPolicy::AdaptiveHeadroomPolicy(double fraction,
-                                               GovernorConfig cfg)
-    : GovernorBackedPolicy(withActivityEstimate(cfg, true)),
-      resume_fraction(fraction)
-{
-    SPRINT_ASSERT(resume_fraction > 0.0 && resume_fraction <= 1.0,
-                  "resume fraction must be in (0, 1]");
-}
-
-bool
-AdaptiveHeadroomPolicy::wantSprint(const MobilePackageModel &package)
-{
-    if (cold_budget < 0.0)
-        cold_budget =
-            MobilePackageModel(package.params()).sprintEnergyBudget();
-    return package.sprintEnergyBudget() >=
-           resume_fraction * cold_budget;
-}
-
-std::vector<double>
-AdaptiveHeadroomPolicy::saveState() const
-{
-    return {cold_budget};
-}
-
-void
-AdaptiveHeadroomPolicy::restoreState(const std::vector<double> &state)
-{
-    SPRINT_ASSERT(state.size() == 1,
-                  "adaptive-headroom state is one double");
-    cold_budget = state[0];
 }
 
 namespace {
@@ -197,8 +132,7 @@ tardiness(Seconds finish, Seconds deadline)
 
 QosPolicy::QosPolicy(double slack_factor, Seconds service_prior,
                      GovernorConfig cfg)
-    : GovernorBackedPolicy(withActivityEstimate(cfg, true)),
-      slack(slack_factor), est(service_prior)
+    : GreedyActivityPolicy(cfg), slack(slack_factor), est(service_prior)
 {
     SPRINT_ASSERT(slack > 0.0, "qos slack factor must be positive");
 }
@@ -250,14 +184,10 @@ QosPolicy::restoreState(const std::vector<double> &state)
     est.restore(state.data());
 }
 
-ModelPredictivePolicy::ModelPredictivePolicy(double fraction,
-                                             Seconds service_prior,
+ModelPredictivePolicy::ModelPredictivePolicy(Seconds service_prior,
                                              GovernorConfig cfg)
-    : GovernorBackedPolicy(withActivityEstimate(cfg, true)),
-      grant_fraction(fraction), est(service_prior)
+    : GreedyActivityPolicy(cfg), est(service_prior)
 {
-    SPRINT_ASSERT(grant_fraction > 0.0 && grant_fraction <= 1.0,
-                  "grant fraction must be in (0, 1]");
 }
 
 Seconds
@@ -267,7 +197,7 @@ ModelPredictivePolicy::regrantDelay(
     if (cold_budget < 0.0)
         cold_budget =
             MobilePackageModel(package.params()).sprintEnergyBudget();
-    if (package.sprintEnergyBudget() >= grant_fraction * cold_budget)
+    if (package.sprintEnergyBudget() >= kGrantFraction * cold_budget)
         return 0.0;
     // Section 4.5's cooldown approximation seeds the search horizon
     // (how long a full-budget sprint would take to pay back); the
@@ -282,7 +212,7 @@ ModelPredictivePolicy::regrantDelay(
         4.0 * package.approxCooldown(sprint_est, sprint_power);
     MobilePackageModel scratch(package.params());
     scratch.restoreState(package.saveState());
-    return timeToBudgetFraction(scratch, grant_fraction, horizon,
+    return timeToBudgetFraction(scratch, kGrantFraction, horizon,
                                 horizon / 64.0);
 }
 
@@ -369,24 +299,16 @@ makeSprintPolicy(const SprintPolicyParams &params)
     switch (params.kind) {
       case SprintPolicyKind::GreedyActivity:
         return std::make_unique<GreedyActivityPolicy>(params.governor);
-      case SprintPolicyKind::Thermometer:
-        return std::make_unique<ThermometerPolicy>(params.governor);
       case SprintPolicyKind::DutyCycle:
         return std::make_unique<DutyCyclePolicy>(params.pacing_period,
                                                  params.governor);
-      case SprintPolicyKind::AdaptiveHeadroom:
-        return std::make_unique<AdaptiveHeadroomPolicy>(
-            params.resume_fraction, params.governor);
-      case SprintPolicyKind::NeverSprint:
-        return std::make_unique<NeverSprintPolicy>();
       case SprintPolicyKind::Qos:
         return std::make_unique<QosPolicy>(params.qos_slack,
                                            params.service_prior,
                                            params.governor);
       case SprintPolicyKind::ModelPredictive:
         return std::make_unique<ModelPredictivePolicy>(
-            params.resume_fraction, params.service_prior,
-            params.governor);
+            params.service_prior, params.governor);
     }
     SPRINT_PANIC("unknown policy kind");
 }

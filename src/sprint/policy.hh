@@ -7,14 +7,20 @@
  * (simulation.cc's samplePump and the Scenario engine) stays a pure
  * mechanism that executes decisions.
  *
+ * Four policies ship (SprintPolicyKind): greedy activity-budget
+ * sprinting, sprint-and-rest duty-cycle pacing, and the preemptive qos
+ * and model-predictive schedulers. All four run a SprintGovernor per
+ * task; whether it stops on the activity-estimated budget or on the
+ * junction thermometer is the governor's mode
+ * (GovernorConfig::use_activity_estimate), not a policy kind.
+ *
  * Contract: onSample() must advance the package thermal model by
- * exactly @p dt at the sampled power (the governor-backed policies do
- * this through SprintGovernor::onSample; others use the
- * advancePackage() helper). The engine reads the package only after
- * onSample() returns, so the policy is the single writer of thermal
- * state during a task. Between tasks the Scenario engine cools the
- * package itself; beginTask() is the policy's hook to re-anchor any
- * budget snapshot against the live (possibly still-warm) package.
+ * exactly @p dt at the sampled power (the shipped policies do this
+ * through SprintGovernor::onSample). The engine reads the package only
+ * after onSample() returns, so the policy is the single writer of
+ * thermal state during a task. Between tasks the Scenario engine cools
+ * the package itself; beginTask() is the policy's hook to re-anchor
+ * any budget snapshot against the live (possibly still-warm) package.
  */
 
 #ifndef CSPRINT_SPRINT_POLICY_HH
@@ -75,13 +81,10 @@ enum class ArrivalDecision
 /** The concrete policies shipped with the library. */
 enum class SprintPolicyKind
 {
-    GreedyActivity,   ///< activity-budget governor (seed behaviour)
-    Thermometer,      ///< ground-truth junction-temperature governor
-    DutyCycle,        ///< sprint-and-rest paced (Section 3 live)
-    AdaptiveHeadroom, ///< re-sprint only after budget recovery
-    NeverSprint,      ///< non-sprinting baseline
-    Qos,              ///< deadline-driven priority preemption
-    ModelPredictive,  ///< forecast-based preempt-vs-finish decisions
+    GreedyActivity,  ///< sprint until the governor stops (seed behaviour)
+    DutyCycle,       ///< sprint-and-rest paced (Section 3 live)
+    Qos,             ///< deadline-driven priority preemption
+    ModelPredictive, ///< forecast-based preempt-vs-finish decisions
 };
 
 /** Stable lowercase name for reports and bench JSON keys. */
@@ -91,7 +94,7 @@ const char *sprintPolicyKindName(SprintPolicyKind kind);
 struct SprintPolicyParams
 {
     SprintPolicyKind kind = SprintPolicyKind::GreedyActivity;
-    /** Tuning for the governor behind every thermally-safe policy. */
+    /** Tuning (and stop mode) of the governor behind every policy. */
     GovernorConfig governor;
     /**
      * DutyCycle: the expected task inter-arrival period (in the same
@@ -99,14 +102,6 @@ struct SprintPolicyParams
      * amortized over. Must be positive for that kind.
      */
     Seconds pacing_period = 0.0;
-    /**
-     * AdaptiveHeadroom: fraction of the cold-start sprint budget that
-     * must have recovered (budgetAfterRest-style, read off the live
-     * package) before a new task is granted a sprint. ModelPredictive
-     * reuses it as the budget-recovery fraction its forecasts treat
-     * as "a fresh sprint grant is available again".
-     */
-    double resume_fraction = 0.5;
     /**
      * Qos: safety factor on the deadline-risk forecast — preempt when
      * now + qos_slack * (runner's remaining work + the newcomer's own
@@ -243,8 +238,8 @@ class ServiceEstimator
 /**
  * Decision logic for one platform. Policies are stateful per task;
  * the Scenario engine reuses one policy instance across a whole task
- * timeline (beginTask re-arms it), so cross-task state — duty-cycle
- * pacing debt, headroom thresholds — lives here too.
+ * timeline (beginTask re-arms it), so cross-task state — learned
+ * service times, the cold-start budget — lives here too.
  */
 class SprintPolicy
 {
@@ -365,44 +360,26 @@ class SprintPolicy
     {
         (void)state;
     }
-
-    /**
-     * Idle-gap advance: zero die power through the quiescent
-     * super-stepper (ThermalNetwork::advanceQuiescent). The Scenario
-     * engine's fast idle path (coolPackage under
-     * IdleModel::Quiescent) routes through this; tolerance per
-     * PERF.md, "Long-horizon scenarios".
-     */
-    static void
-    advanceIdle(MobilePackageModel &package, Seconds dt,
-                Celsius tol = 0.01)
-    {
-        package.setDiePower(0.0);
-        package.stepQuiescent(dt, tol);
-    }
-
-  protected:
-    /** Default thermal advance for policies without a governor. */
-    static void
-    advancePackage(MobilePackageModel &package, Seconds dt, Joules energy)
-    {
-        package.setDiePower(energy / dt);
-        package.step(dt);
-    }
 };
 
 /**
- * Shared plumbing for policies that delegate thermal tracking and the
- * grace-window -> hardware-throttle escalation to a SprintGovernor
- * (re-armed against the live package at each beginTask).
+ * Today's hard-wired behaviour as a policy: sprint immediately, let a
+ * SprintGovernor (re-armed against the live package at each
+ * beginTask) stop the sprint at its margin and escalate to the
+ * throttle past the grace window. Bit-for-bit identical to the seed
+ * runSprint when driven through samplePump. The other shipped
+ * policies build on it and keep its governor as their thermal-safety
+ * net.
  */
-class GovernorBackedPolicy : public SprintPolicy
+class GreedyActivityPolicy : public SprintPolicy
 {
   public:
-    explicit GovernorBackedPolicy(const GovernorConfig &cfg)
+    explicit GreedyActivityPolicy(const GovernorConfig &cfg = GovernorConfig())
         : gov_cfg(cfg)
     {
     }
+
+    const char *name() const override { return "greedy"; }
 
     void beginTask(MobilePackageModel &package) override
     {
@@ -412,35 +389,9 @@ class GovernorBackedPolicy : public SprintPolicy
     SprintDecision onSample(MobilePackageModel &package, Seconds dt,
                             Joules energy) override;
 
-    /** The live governor; valid after beginTask(). */
-    const SprintGovernor &currentGovernor() const { return *governor; }
-
   protected:
     GovernorConfig gov_cfg;
     std::optional<SprintGovernor> governor;
-};
-
-/**
- * Today's hard-wired behaviour as a policy: sprint immediately, track
- * the activity-based energy budget, stop at the margin, escalate to
- * the throttle past the grace window. Bit-for-bit identical to the
- * seed runSprint when driven through samplePump.
- */
-class GreedyActivityPolicy : public GovernorBackedPolicy
-{
-  public:
-    explicit GreedyActivityPolicy(GovernorConfig cfg = GovernorConfig());
-
-    const char *name() const override { return "greedy"; }
-};
-
-/** Ground-truth variant: terminate on measured junction temperature. */
-class ThermometerPolicy : public GovernorBackedPolicy
-{
-  public:
-    explicit ThermometerPolicy(GovernorConfig cfg = GovernorConfig());
-
-    const char *name() const override { return "thermometer"; }
 };
 
 /**
@@ -452,7 +403,7 @@ class ThermometerPolicy : public GovernorBackedPolicy
  * on the first task. The governor still runs underneath as the
  * thermal-safety net (its stop and throttle take precedence).
  */
-class DutyCyclePolicy : public GovernorBackedPolicy
+class DutyCyclePolicy : public GreedyActivityPolicy
 {
   public:
     DutyCyclePolicy(Seconds pacing_period, GovernorConfig cfg);
@@ -476,29 +427,6 @@ class DutyCyclePolicy : public GovernorBackedPolicy
 };
 
 /**
- * Budget-recovery gate: a task is granted a sprint only when the live
- * package's sprint budget (the budgetAfterRest() quantity, read off
- * the real thermal state) has recovered past a fraction of the
- * cold-start budget; granted sprints then run greedily.
- */
-class AdaptiveHeadroomPolicy : public GovernorBackedPolicy
-{
-  public:
-    AdaptiveHeadroomPolicy(double resume_fraction, GovernorConfig cfg);
-
-    const char *name() const override { return "adaptive-headroom"; }
-
-    bool wantSprint(const MobilePackageModel &package) override;
-
-    std::vector<double> saveState() const override;
-    void restoreState(const std::vector<double> &state) override;
-
-  private:
-    double resume_fraction;
-    Joules cold_budget = -1.0; ///< lazily computed from params
-};
-
-/**
  * QoS-aware preemption (the paper's Section 5 responsiveness
  * discussion made operational): deadline-driven grants that preempt
  * low-priority work when a newcomer's deadline is at risk. The risk
@@ -508,7 +436,7 @@ class AdaptiveHeadroomPolicy : public GovernorBackedPolicy
  * priority-major, earliest-deadline-first within a priority class.
  * Thermal safety still comes from the governor underneath.
  */
-class QosPolicy : public GovernorBackedPolicy
+class QosPolicy : public GreedyActivityPolicy
 {
   public:
     QosPolicy(double slack, Seconds service_prior, GovernorConfig cfg);
@@ -546,11 +474,10 @@ class QosPolicy : public GovernorBackedPolicy
  * at the consolidated estimate — then picks the order that meets more
  * deadlines (summed tardiness breaks ties; a full tie queues).
  */
-class ModelPredictivePolicy : public GovernorBackedPolicy
+class ModelPredictivePolicy : public GreedyActivityPolicy
 {
   public:
-    ModelPredictivePolicy(double grant_fraction, Seconds service_prior,
-                          GovernorConfig cfg);
+    ModelPredictivePolicy(Seconds service_prior, GovernorConfig cfg);
 
     const char *name() const override { return "model-predictive"; }
     bool preemptive() const override { return true; }
@@ -571,32 +498,18 @@ class ModelPredictivePolicy : public GovernorBackedPolicy
     void restoreState(const std::vector<double> &state) override;
 
   private:
+    /**
+     * Fraction of the cold-start sprint budget that must have
+     * recovered before the forecasts count a fresh sprint grant as
+     * available again.
+     */
+    static constexpr double kGrantFraction = 0.5;
+
     /** Forecast delay until a fresh sprint grant is possible. */
     Seconds regrantDelay(const MobilePackageModel &package) const;
 
-    double grant_fraction;
     ServiceEstimator est;
     mutable Joules cold_budget = -1.0; ///< lazily computed from params
-};
-
-/** Non-sprinting baseline: every task runs consolidated. */
-class NeverSprintPolicy : public SprintPolicy
-{
-  public:
-    const char *name() const override { return "never"; }
-
-    bool wantSprint(const MobilePackageModel &package) override
-    {
-        (void)package;
-        return false;
-    }
-
-    SprintDecision onSample(MobilePackageModel &package, Seconds dt,
-                            Joules energy) override
-    {
-        advancePackage(package, dt, energy);
-        return SprintDecision::Continue;
-    }
 };
 
 /** Build the policy @p params describes. */

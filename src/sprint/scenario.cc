@@ -251,7 +251,7 @@ coolPackage(MobilePackageModel &package, ScenarioCheckpoint &ck,
     ck.traces.reserveMore(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
         if (quiescent)
-            SprintPolicy::advanceIdle(package, h, kIdleTolerance);
+            package.stepQuiescent(h, kIdleTolerance);
         else
             package.step(h);
         const Seconds t = from + static_cast<double>(i + 1) * h;

@@ -254,17 +254,13 @@ runSprint(const ParallelProgram &program, const SprintConfig &cfg)
     // power-gated) but delays the start of useful computation.
     package.step(cfg.activation_ramp);
 
-    // The seed decision logic as a policy: activity budget by
-    // default, thermometer ground truth when the governor config asks
-    // for it.
-    std::unique_ptr<SprintPolicy> policy;
-    if (cfg.governor.use_activity_estimate)
-        policy = std::make_unique<GreedyActivityPolicy>(cfg.governor);
-    else
-        policy = std::make_unique<ThermometerPolicy>(cfg.governor);
-    policy->beginTask(package);
+    // The seed decision logic as a policy: the governor stops on the
+    // activity budget by default, on the junction thermometer when
+    // its config asks for it.
+    GreedyActivityPolicy policy(cfg.governor);
+    policy.beginTask(package);
 
-    RunResult result = samplePump(*machine, cfg, package, *policy);
+    RunResult result = samplePump(*machine, cfg, package, policy);
     result.program_name = program.name();
     return result;
 }

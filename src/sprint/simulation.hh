@@ -11,7 +11,7 @@
  * persistent package: prepareMachine() builds the machine from the
  * validated SprintConfig, samplePump() drives it to completion under a
  * policy, and runSprint() is the classic one-shot composition (cold
- * package, greedy/thermometer policy per the GovernorConfig).
+ * package, greedy policy, its governor in the GovernorConfig's mode).
  *
  * Sample boundaries are scheduler events of the machine's event-driven
  * loop (see PERF.md, "The machine hot path"): the machine stops at
@@ -226,11 +226,12 @@ RunResult samplePump(Machine &machine, const SprintConfig &cfg,
  * The machine starts with cold L1s and with cores enabled only after
  * the activation ramp (its duration is added to the task time, per
  * paper Section 5.3). The package starts cold; the policy is the
- * greedy activity-budget policy (or the thermometer ground truth when
- * cfg.governor.use_activity_estimate is false), reproducing the seed
- * behaviour: on exhaustion all threads migrate to core 0 (or, for a
- * DVFS sprint, the boost is dropped); if configured to model a hung
- * OS, the hardware throttle path is exercised instead.
+ * greedy policy, whose governor stops on the activity budget (or on
+ * the junction thermometer when cfg.governor.use_activity_estimate is
+ * false), reproducing the seed behaviour: on exhaustion all threads
+ * migrate to core 0 (or, for a DVFS sprint, the boost is dropped); if
+ * configured to model a hung OS, the hardware throttle path is
+ * exercised instead.
  */
 RunResult runSprint(const ParallelProgram &program,
                     const SprintConfig &cfg);

@@ -182,13 +182,6 @@ ThermalNetwork::meltFraction(ThermalNodeId node) const
     return melt_fraction_[node];
 }
 
-bool
-ThermalNetwork::isPcmNode(ThermalNodeId node) const
-{
-    SPRINT_ASSERT(node < temp_.size(), "node out of range");
-    return has_pcm_[node] != 0;
-}
-
 const std::string &
 ThermalNetwork::name(ThermalNodeId node) const
 {

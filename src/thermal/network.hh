@@ -115,9 +115,6 @@ class ThermalNetwork
     /** Ambient temperature. */
     Celsius ambient() const { return ambient_temp; }
 
-    /** Change the ambient temperature. */
-    void setAmbient(Celsius t) { ambient_temp = t; }
-
     /** Select the integration scheme used by step(). */
     void setIntegrator(ThermalIntegrator integrator)
     {
@@ -168,9 +165,6 @@ class ThermalNetwork
 
     /** Melt fraction in [0,1] of a PCM node (0 for plain nodes). */
     double meltFraction(ThermalNodeId node) const;
-
-    /** True when @p node carries a PCM. */
-    bool isPcmNode(ThermalNodeId node) const;
 
     /** Name given to @p node at creation. */
     const std::string &name(ThermalNodeId node) const;

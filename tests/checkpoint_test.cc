@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -37,6 +38,7 @@
 
 #include <sys/resource.h>
 
+#include "budget_gate_policy.hh"
 #include "fresh_dir.hh"
 #include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
@@ -125,6 +127,19 @@ vectorScenario(int tasks)
     return cfg;
 }
 
+/** The kind of CheckpointError @p f throws, or nothing. */
+template <typename F>
+std::optional<CheckpointError::Kind>
+errorKind(F &&f)
+{
+    try {
+        f();
+    } catch (const CheckpointError &e) {
+        return e.kind();
+    }
+    return std::nullopt;
+}
+
 /**
  * The core property: advance to a boundary, serialize, deserialize,
  * serialize again (bytes identical), then drive the original and the
@@ -164,11 +179,32 @@ TEST(CheckpointRoundTrip, GreedyPeriodic)
     roundTripAndFinish(cfg, 2);
 }
 
+/** The last machine suspended in @p ck's ready queue, or null. */
+const Machine *
+suspendedMachine(const ScenarioCheckpoint &ck)
+{
+    const Machine *machine = nullptr;
+    for (const auto &ex : ck.ready)
+        if (ex->machine)
+            machine = ex->machine.get();
+    return machine;
+}
+
 TEST(CheckpointRoundTrip, PreemptiveMidFlight)
 {
     // After two completed short tasks the heavy task sits suspended
     // in the ready queue: the blob carries a live mid-task machine.
+    // Behind a closed budget gate that task runs consolidated, and the
+    // reader must rebuild its one-core machine, not the sprint one.
     ScenarioConfig cfg = preemptiveScenario(4);
+    roundTripAndFinish(cfg, 2);
+    cfg.policy_factory =
+        budgetGate<QosPolicy>(2.0, cfg.policy.qos_slack,
+                              cfg.policy.service_prior, cfg.policy.governor);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 2);
+    ASSERT_NE(suspendedMachine(ck), nullptr);
+    EXPECT_EQ(suspendedMachine(ck)->config().num_cores, 1);
     roundTripAndFinish(cfg, 2);
 }
 
@@ -312,12 +348,8 @@ TEST(CheckpointRejection, WrongConfigurationDigest)
     ScenarioConfig other = cfg;
     other.seed = cfg.seed + 1;
     ASSERT_NE(scenarioConfigDigest(cfg), scenarioConfigDigest(other));
-    try {
-        deserializeCheckpoint(other, blob);
-        FAIL() << "a checkpoint from another configuration loaded";
-    } catch (const CheckpointError &e) {
-        EXPECT_EQ(e.kind(), CheckpointError::Kind::BadDigest);
-    }
+    EXPECT_EQ(errorKind([&] { deserializeCheckpoint(other, blob); }),
+              CheckpointError::Kind::BadDigest);
 }
 
 TEST(CheckpointRejection, FidelityTierChangesTheDigest)
@@ -351,12 +383,9 @@ TEST(CheckpointRejection, FidelityTierChangesTheDigest)
         SCOPED_TRACE("variant " + std::to_string(i));
         EXPECT_NE(scenarioConfigDigest(cfg),
                   scenarioConfigDigest(variants[i]));
-        try {
-            deserializeCheckpoint(variants[i], blob);
-            FAIL() << "a checkpoint crossed a fidelity-knob change";
-        } catch (const CheckpointError &e) {
-            EXPECT_EQ(e.kind(), CheckpointError::Kind::BadDigest);
-        }
+        EXPECT_EQ(
+            errorKind([&] { deserializeCheckpoint(variants[i], blob); }),
+            CheckpointError::Kind::BadDigest);
     }
 }
 
@@ -483,6 +512,40 @@ payloadOf(const std::vector<std::uint8_t> &blob, std::uint32_t digest)
     return payload;
 }
 
+/** Offsets at which @p pattern's bytes occur in @p payload. */
+std::vector<std::size_t>
+offsetsOf(const std::vector<std::uint8_t> &payload, const BlobWriter &pattern)
+{
+    std::vector<std::size_t> at;
+    const auto &p = pattern.buffer();
+    for (auto it = std::search(payload.begin(), payload.end(), p.begin(),
+                               p.end());
+         it != payload.end();
+         it = std::search(it + 1, payload.end(), p.begin(), p.end()))
+        at.push_back(static_cast<std::size_t>(it - payload.begin()));
+    return at;
+}
+
+/**
+ * Overwrite @p payload at @p at with @p forged, re-seal it, and expect
+ * deserialization to fail with Kind::Corrupt.
+ */
+void
+expectForgeryCorrupt(const ScenarioConfig &cfg,
+                     std::vector<std::uint8_t> payload, std::size_t at,
+                     const BlobWriter &forged)
+{
+    std::copy(forged.buffer().begin(), forged.buffer().end(),
+              payload.begin() + static_cast<std::ptrdiff_t>(at));
+    EXPECT_EQ(errorKind([&] {
+                  deserializeCheckpoint(
+                      cfg,
+                      BlobContainer::seal(scenarioConfigDigest(cfg), payload));
+              }),
+              CheckpointError::Kind::Corrupt)
+        << "forged field at offset " << at;
+}
+
 TEST(CheckpointRejection, OutOfRangeCountersAreCorrupt)
 {
     // A forged counter in a correctly re-sealed blob passes the CRC;
@@ -513,53 +576,12 @@ TEST(CheckpointRejection, OutOfRangeCountersAreCorrupt)
                  {std::int64_t{-1}, std::int64_t{INT_MAX} + 1}) {
                 BlobWriter w;
                 w.i64(forged);
-                std::vector<std::uint8_t> bad = payload;
-                std::copy(w.buffer().begin(), w.buffer().end(),
-                          bad.begin() + (at - payload.begin()));
-                try {
-                    deserializeCheckpoint(cfg,
-                                          BlobContainer::seal(digest, bad));
-                    ADD_FAILURE() << "counter " << forged << " decoded";
-                } catch (const CheckpointError &e) {
-                    EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
-                }
+                expectForgeryCorrupt(
+                    cfg, payload,
+                    static_cast<std::size_t>(at - payload.begin()), w);
             }
         }
     });
-}
-
-/** Offsets at which @p pattern's bytes occur in @p payload. */
-std::vector<std::size_t>
-offsetsOf(const std::vector<std::uint8_t> &payload, const BlobWriter &pattern)
-{
-    std::vector<std::size_t> at;
-    const auto &p = pattern.buffer();
-    for (auto it = std::search(payload.begin(), payload.end(), p.begin(),
-                               p.end());
-         it != payload.end();
-         it = std::search(it + 1, payload.end(), p.begin(), p.end()))
-        at.push_back(static_cast<std::size_t>(it - payload.begin()));
-    return at;
-}
-
-/**
- * Overwrite @p payload at @p at with @p forged, re-seal it, and expect
- * deserialization to fail with Kind::Corrupt.
- */
-void
-expectForgeryCorrupt(const ScenarioConfig &cfg,
-                     std::vector<std::uint8_t> payload, std::size_t at,
-                     const BlobWriter &forged)
-{
-    std::copy(forged.buffer().begin(), forged.buffer().end(),
-              payload.begin() + static_cast<std::ptrdiff_t>(at));
-    try {
-        deserializeCheckpoint(
-            cfg, BlobContainer::seal(scenarioConfigDigest(cfg), payload));
-        ADD_FAILURE() << "forged field at offset " << at << " decoded";
-    } catch (const CheckpointError &e) {
-        EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
-    }
 }
 
 /** The leading (quantile, count) bytes of @p q's serialized state. */
@@ -636,53 +658,112 @@ TEST(CheckpointRejection, PolicyStateOfWrongLengthIsCorrupt)
         SCOPED_TRACE("length " + std::to_string(len));
         ck.policy_state = saved;
         ck.policy_state.resize(len, 1.0);
-        try {
-            deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
-            ADD_FAILURE() << "policy state decoded";
-        } catch (const CheckpointError &e) {
-            EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt);
-        }
+        EXPECT_EQ(errorKind([&] {
+                      deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
+                  }),
+                  CheckpointError::Kind::Corrupt);
     }
 }
 
-TEST(CheckpointRejection, RingOverTheConfigsCapacityIsCorrupt)
+/** The junction trace of @p cfg's first task, every sample kept. */
+TimeSeries
+firstTaskJunctionTrace(ScenarioConfig cfg)
 {
-    // A ring's capacity comes from the config, not the blob: 4096-slot
-    // rings (stride 1, more than 64 samples after one task) re-sealed
-    // under a 64-slot config hold more samples than their capacity.
-    ScenarioConfig ring = baseScenario(SprintPolicyKind::GreedyActivity,
-                                       ArrivalPattern::Periodic, 2);
-    ring.keep_task_results = false;
-    ring.trace_mode = TraceMode::DecimatedRing;
-    ring.trace_capacity = 64;
-    ScenarioConfig wide = ring;
-    wide.trace_capacity = 4096;
-    ScenarioCheckpoint ck = beginScenario(wide);
-    advanceScenario(wide, ck, 1);
+    cfg.num_tasks = 1;
+    cfg.trace_mode = TraceMode::Full;
+    return runScenario(cfg).junction_trace;
+}
+
+TEST(CheckpointRejection, TraceOutOfOrderOrPastTheClockIsCorrupt)
+{
+    // A 3-task TraceMode::Full run cut after task 1. A trace whose
+    // times decrease, or whose last time lies past the clock by more
+    // than the decoder's rounding allowance, would abort the next
+    // advanceScenario in TimeSeries::add: the decoder rejects it.
+    const ScenarioConfig cfg = baseScenario(
+        SprintPolicyKind::GreedyActivity, ArrivalPattern::Periodic, 3);
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 1);
+    const std::uint32_t digest = scenarioConfigDigest(cfg);
+    const std::vector<std::uint8_t> payload =
+        payloadOf(serializeCheckpoint(cfg, ck), digest);
+    const TimeSeries junction = firstTaskJunctionTrace(cfg);
+    BlobWriter times;
+    times.vecF64(junction.timeData());
+    const std::vector<std::size_t> at = offsetsOf(payload, times);
+    ASSERT_EQ(at.size(), 3u); // junction, power, melt share their times
+    const auto last = static_cast<std::ptrdiff_t>(at[0] + times.size() - 8);
+
+    // Decode with the last sample time forged to @p t and run the rest
+    // of the timeline as a resuming worker would.
+    const auto resume = [&](double t) {
+        std::vector<std::uint8_t> forged = payload;
+        BlobWriter w;
+        w.f64(t);
+        std::copy(w.buffer().begin(), w.buffer().end(),
+                  forged.begin() + last);
+        return errorKind([&] {
+            ScenarioCheckpoint resumed = deserializeCheckpoint(
+                cfg, BlobContainer::seal(digest, forged));
+            EXPECT_TRUE(advanceScenario(cfg, resumed, 10));
+        });
+    };
+    // The allowance: one ulp of the clock per offered sample, plus 16.
+    const double ulp = std::nextafter(ck.now, 1.0) - ck.now;
+    const double edge =
+        ck.now + static_cast<double>(junction.size() + 16) * ulp;
+    for (double t : {0.0, std::nan(""), edge + ulp, 1.0})
+        EXPECT_EQ(resume(t), CheckpointError::Kind::Corrupt) << t;
+    EXPECT_EQ(resume(edge), std::nullopt);
+}
+
+TEST(CheckpointRejection, RingStateOffItsConfigIsCorrupt)
+{
+    // A ring stores the offered indices {0, stride, 2 stride, ...}, at
+    // most the config's capacity of them. More samples than that, an
+    // offered count outside (next - stride, next] for next = stride x
+    // size, or a stride that overflows that index are corrupt.
+    ScenarioConfig cfg = baseScenario(SprintPolicyKind::GreedyActivity,
+                                      ArrivalPattern::Periodic, 3);
+    cfg.trace_mode = TraceMode::DecimatedRing;
+    cfg.trace_capacity = 8;
+    ScenarioCheckpoint ck = beginScenario(cfg);
+    advanceScenario(cfg, ck, 1);
     const std::vector<std::uint8_t> payload = payloadOf(
-        serializeCheckpoint(wide, ck), scenarioConfigDigest(wide));
-    try {
-        deserializeCheckpoint(
-            ring, BlobContainer::seal(scenarioConfigDigest(ring), payload));
-        ADD_FAILURE() << "a 4096-slot ring decoded as a 64-slot one";
-    } catch (const CheckpointError &e) {
-        EXPECT_EQ(e.kind(), CheckpointError::Kind::Corrupt) << e.what();
-        EXPECT_NE(std::string(e.what()).find("more samples than its "
-                                             "capacity"),
-                  std::string::npos)
-            << e.what();
-    }
-}
+        serializeCheckpoint(cfg, ck), scenarioConfigDigest(cfg));
+    ScenarioConfig narrow = cfg;
+    narrow.trace_capacity = 4;
+    EXPECT_EQ(errorKind([&] {
+                  deserializeCheckpoint(
+                      narrow, BlobContainer::seal(
+                                  scenarioConfigDigest(narrow), payload));
+              }),
+              CheckpointError::Kind::Corrupt);
 
-/** The last machine suspended in @p ck's ready queue, or null. */
-const Machine *
-suspendedMachine(const ScenarioCheckpoint &ck)
-{
-    const Machine *machine = nullptr;
-    for (const auto &ex : ck.ready)
-        if (ex->machine)
-            machine = ex->machine.get();
-    return machine;
+    // Offer a twin ring as many samples.
+    DecimatingTrace twin(cfg.trace_capacity);
+    for (std::size_t i = 0; i < firstTaskJunctionTrace(cfg).size(); ++i)
+        twin.add(static_cast<double>(i), 0.0);
+    const std::uint64_t stride = twin.stride();
+    ASSERT_GT(stride, 1u);
+    BlobWriter head;
+    head.u64(stride);
+    head.u64(twin.offered());
+    const std::vector<std::size_t> at = offsetsOf(payload, head);
+    ASSERT_EQ(at.size(), 3u);
+
+    const std::uint64_t next = stride * twin.series().size();
+    for (const auto &[s, o] :
+         {std::pair<std::uint64_t, std::uint64_t>{stride, next + 1},
+          {stride, next - stride},
+          {std::uint64_t{1} << 63, twin.offered()}}) {
+        SCOPED_TRACE("stride " + std::to_string(s) + " offered " +
+                     std::to_string(o));
+        BlobWriter w;
+        w.u64(s);
+        w.u64(o);
+        expectForgeryCorrupt(cfg, payload, at[0], w);
+    }
 }
 
 TEST(CheckpointRejection, OutOfRangeIntFieldsAreCorrupt)
@@ -754,7 +835,7 @@ TEST(CheckpointFormat, PinnedBytes)
     // Byte-level pins of the checkpoint and fleet-spec formats: a
     // reordered, resized or dropped field changes these CRCs. Any such
     // change must bump BlobContainer::kVersion and re-record them.
-    ASSERT_EQ(BlobContainer::kVersion, 4u);
+    ASSERT_EQ(BlobContainer::kVersion, 5u);
 
     EXPECT_EQ(checkpointCrc(preemptiveScenario(4), 2,
                             [](const ScenarioCheckpoint &ck) {
@@ -763,7 +844,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                     suspended |= ex->machine != nullptr;
                                 EXPECT_TRUE(suspended);
                             }),
-              0x5ad33171u)
+              0x82c03483u)
         << "preempted mid-flight";
 
     ScenarioConfig warm = baseScenario(SprintPolicyKind::GreedyActivity,
@@ -773,7 +854,7 @@ TEST(CheckpointFormat, PinnedBytes)
                             [](const ScenarioCheckpoint &ck) {
                                 EXPECT_NE(ck.warm_machine, nullptr);
                             }),
-              0x52b5bb50u)
+              0x735e9c35u)
         << "warm-cache husk";
 
     ScenarioConfig surrogate = baseScenario(
@@ -786,7 +867,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                 EXPECT_GT(ck.surrogate.surrogateTasks(),
                                           0u);
                             }),
-              0xeb1715f0u)
+              0x9d23d0c5u)
         << "calibrated surrogate";
 
     // The suspended task's one thread has retired part of a window, so
@@ -802,7 +883,7 @@ TEST(CheckpointFormat, PinnedBytes)
                                 EXPECT_GT(retired, 1024u);
                                 EXPECT_NE(retired % 1024, 0u);
                             }),
-              0x29353f8eu)
+              0xe784c82bu)
         << "vector stream suspended mid-window";
 
     FleetSpec spec;
@@ -830,7 +911,14 @@ TEST(CheckpointFormat, PinnedBytes)
     opts.paranoia = true;
     const std::vector<std::uint8_t> blob =
         serializeFleetSpec(spec, plan, opts);
-    EXPECT_EQ(pinOf(blob), 0xf4236b66u) << "fleet spec";
+    EXPECT_EQ(pinOf(blob), 0x6ebee1b6u) << "fleet spec";
+
+    // Version 5 renumbered SprintPolicyKind, so a version-4 spec's
+    // policy byte means another kind: the reader refuses the blob.
+    std::vector<std::uint8_t> v4 = blob;
+    v4[4] = 4; // the little-endian u32 version after the magic
+    EXPECT_EQ(errorKind([&] { deserializeFleetSpec(v4, spec, plan, opts); }),
+              CheckpointError::Kind::BadVersion);
 }
 
 TEST(CheckpointFormat, TaskRecordsCarryNoSamples)
@@ -975,12 +1063,8 @@ TEST(CheckpointStoreTest, SecondWriterOnSameShardIsLockedOut)
 
     {
         CheckpointStore second(dir);
-        try {
-            second.save(0, 2, {9, 9});
-            FAIL() << "conflicting writer acquired shard 0";
-        } catch (const CheckpointError &e) {
-            EXPECT_EQ(e.kind(), CheckpointError::Kind::Io);
-        }
+        EXPECT_EQ(errorKind([&] { second.save(0, 2, {9, 9}); }),
+                  CheckpointError::Kind::Io);
         // A different shard is a different lock: unaffected.
         EXPECT_NO_THROW(second.save(1, 1, {4, 4}));
     }

@@ -8,7 +8,10 @@
  *
  *  - MachineLoop::EventDriven vs MachineLoop::Reference (the seed's
  *    cycle-by-cycle scheduler) through whole scenario timelines;
- *  - runScenarioSharded vs the unsharded engine;
+ *  - runScenarioSharded, and the same cuts through checkpoint bytes,
+ *    vs the unsharded engine;
+ *  - a test-local gate that denies every sprint vs the stock policy
+ *    on the consolidated platform the engine runs denied tasks on;
  *  - streaming aggregates (keep_task_results = false, traces off) vs
  *    the full-trace engine;
  *  - the streaming arrival cursor vs the materialized timeline;
@@ -33,9 +36,11 @@
 #include <string>
 #include <vector>
 
+#include "budget_gate_policy.hh"
 #include "common/rng.hh"
 #include "diff_seed.hh"
 #include "fresh_dir.hh"
+#include "sprint/checkpoint.hh"
 #include "sprint/experiment.hh"
 #include "sprint/fleet.hh"
 #include "sprint/scenario.hh"
@@ -53,11 +58,19 @@ randomScenario(Rng &rng)
     ScenarioConfig cfg;
     cfg.platform = SprintConfig::parallelSprint(
         16, rng.uniform() < 0.5 ? kSmallPcm : 0.015);
+    // The four stock kinds, and greedy behind the test-local budget
+    // gate, so denied (consolidated) tasks cross every pair.
     const auto &kinds = allSprintPolicyKinds();
-    cfg.policy.kind = kinds[rng.uniformInt(kinds.size())];
+    const std::size_t kind = rng.uniformInt(kinds.size() + 1);
+    cfg.policy.kind = kind < kinds.size() ? kinds[kind]
+                                          : SprintPolicyKind::GreedyActivity;
     cfg.policy.pacing_period = 2.5e-3;
     cfg.policy.service_prior = rng.uniform(5e-4, 2e-3);
     cfg.policy.qos_slack = rng.uniform(0.5, 2.0);
+    // One draw in seven stops sprints on the junction thermometer.
+    cfg.policy.governor.use_activity_estimate = rng.uniformInt(7) != 0;
+    if (kind == kinds.size())
+        cfg.policy_factory = budgetGate(0.8, cfg.policy.governor);
     const auto &patterns = allArrivalPatterns();
     cfg.pattern = patterns[rng.uniformInt(patterns.size())];
     cfg.num_tasks = 3 + static_cast<int>(rng.uniformInt(3));
@@ -87,8 +100,10 @@ std::string
 describe(const ScenarioConfig &cfg, int index)
 {
     return "scenario " + std::to_string(index) + ": policy=" +
-           sprintPolicyKindName(cfg.policy.kind) + " pattern=" +
-           arrivalPatternName(cfg.pattern) + " kernel=" +
+           (cfg.policy_factory ? "budget-gate/" : "") +
+           sprintPolicyKindName(cfg.policy.kind) +
+           (cfg.policy.governor.use_activity_estimate ? "" : "/thermometer") +
+           " pattern=" + arrivalPatternName(cfg.pattern) + " kernel=" +
            kernelName(cfg.kernel) + " tasks=" +
            std::to_string(cfg.num_tasks) + " seed=" +
            std::to_string(cfg.seed) +
@@ -122,6 +137,35 @@ TEST(Differential, ShardedMatchesUnsharded)
                 runScenarioSharded(cfg, shard);
             EXPECT_EQ(firstDifference(whole, sharded), "");
         }
+        // The same two-task cuts, each crossing checkpoint bytes.
+        ScenarioCheckpoint ck = beginScenario(cfg);
+        while (!advanceScenario(cfg, ck, 2))
+            ck = deserializeCheckpoint(cfg, serializeCheckpoint(cfg, ck));
+        EXPECT_EQ(firstDifference(whole, finishScenario(cfg, std::move(ck))),
+                  "");
+    }
+}
+
+TEST(Differential, DeniedTasksRunTheConsolidatedPlatform)
+{
+    // Greedy behind a gate that denies every sprint vs greedy on the
+    // platform the engine runs denied tasks on: the same run, but for
+    // the grant tallies (every task denied) and flags.
+    Rng rng(diffSeed() ^ 0xde7eca57ULL);
+    for (int i = 0; i < 4; ++i) {
+        ScenarioConfig cfg = randomScenario(rng);
+        cfg.policy.kind = SprintPolicyKind::GreedyActivity;
+        cfg.policy_factory = budgetGate(2.0, cfg.policy.governor);
+        SCOPED_TRACE(describe(cfg, i));
+        ScenarioConfig one = cfg;
+        one.policy_factory = nullptr;
+        one.platform = consolidatedPlatform(cfg.platform);
+        ScenarioResult ref = runScenario(one);
+        std::swap(ref.sprints_granted, ref.sprints_denied);
+        ref.sprints_exhausted = 0;
+        for (ScenarioTaskResult &t : ref.tasks)
+            t.sprint_granted = false;
+        EXPECT_EQ(firstDifference(runScenario(cfg), ref), "");
     }
 }
 
@@ -196,6 +240,7 @@ TEST(Differential, HeapDispatchMatchesGenericScan)
         ScenarioConfig cfg = randomScenario(rng);
         cfg.policy.kind = i % 2 == 0 ? SprintPolicyKind::Qos
                                      : SprintPolicyKind::ModelPredictive;
+        cfg.policy_factory = nullptr;
         if (i < 2)
             cfg.pattern = ArrivalPattern::BackToBack;
         cfg.num_tasks = 8;

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the pluggable sprint policies: factory coverage, parity
- * of the governor-backed policies with the raw SprintGovernor, the
- * grace-window -> hardware-throttle escalation through the policy
- * layer, duty-cycle pacing, and the adaptive-headroom grant gate.
+ * of the greedy policy with the raw SprintGovernor (in both of its
+ * stop modes), the grace-window -> hardware-throttle escalation
+ * through the policy layer, duty-cycle pacing, and the test-local
+ * budget gate that drives the engine's sprint denials.
  */
 
 #include <gtest/gtest.h>
 
+#include "budget_gate_policy.hh"
 #include "sprint/pacing.hh"
 #include "sprint/policy.hh"
 #include "thermal/package.hh"
@@ -82,7 +84,9 @@ TEST(Policy, GreedyStopsNearOneSecondAtSixteenWatts)
 TEST(Policy, ThermometerStopsBelowJunctionLimit)
 {
     MobilePackageModel pkg(fullScaleParams());
-    ThermometerPolicy policy;
+    GovernorConfig thermometer;
+    thermometer.use_activity_estimate = false;
+    GreedyActivityPolicy policy(thermometer);
     SprintDecision last;
     sampleUntilStop(policy, pkg, 16.0, last);
     EXPECT_EQ(last, SprintDecision::StopSprint);
@@ -175,10 +179,10 @@ TEST(Policy, DutyCycleSafetyNetStillStops)
     EXPECT_LT(t, 2.0);
 }
 
-TEST(Policy, AdaptiveHeadroomGateTracksBudgetRecovery)
+TEST(Policy, BudgetGateTracksBudgetRecovery)
 {
     MobilePackageModel pkg(fullScaleParams());
-    AdaptiveHeadroomPolicy policy(0.5, GovernorConfig{});
+    BudgetGatePolicy<> policy(0.5);
     // Cold package: granted.
     EXPECT_TRUE(policy.wantSprint(pkg));
 
@@ -193,22 +197,6 @@ TEST(Policy, AdaptiveHeadroomGateTracksBudgetRecovery)
     // gate must agree.
     timeToBudgetFraction(pkg, 0.55, 120.0);
     EXPECT_TRUE(policy.wantSprint(pkg));
-}
-
-TEST(Policy, NeverSprintAdvancesThermalState)
-{
-    MobilePackageModel pkg(fullScaleParams());
-    NeverSprintPolicy policy;
-    EXPECT_FALSE(policy.wantSprint(pkg));
-    policy.beginTask(pkg);
-    const Celsius before = pkg.junctionTemp();
-    for (int i = 0; i < 1000; ++i) {
-        EXPECT_EQ(policy.onSample(pkg, 1e-3, 1e-3),
-                  SprintDecision::Continue);
-    }
-    // The package heated under the 1 W samples: the policy honours
-    // the advance-the-package contract.
-    EXPECT_GT(pkg.junctionTemp(), before + 1.0);
 }
 
 } // namespace

@@ -464,7 +464,7 @@ TEST(ModelPredictiveUnit, PreemptsWhenMoreDeadlinesAreMet)
 {
     MobilePackageModel pkg(MobilePackageParams::phonePcm());
     pkg.reset();
-    ModelPredictivePolicy policy(0.5, 0.0, GovernorConfig());
+    ModelPredictivePolicy policy(0.0, GovernorConfig());
 
     TaskSnapshot running;  // no deadline of its own
     running.started = true;

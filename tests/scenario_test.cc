@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "budget_gate_policy.hh"
 #include "sprint/experiment.hh"
 #include "sprint/pacing.hh"
 #include "sprint/scenario.hh"
@@ -202,31 +203,15 @@ TEST(Scenario, QueueingNeverStartsBeforeArrivalOrPredecessor)
     EXPECT_GE(s.p95_response, s.p50_response);
 }
 
-TEST(Scenario, NeverSprintPolicyDeniesEverything)
+TEST(Scenario, BudgetGateDeniesWhileDrained)
 {
+    // A saturating train drains the budget; the gate must deny
+    // re-sprints until recovery, so a back-to-back train has both
+    // grants and denials.
     ScenarioConfig cfg =
-        smallScenario(SprintPolicyKind::NeverSprint,
-                      ArrivalPattern::Periodic, 3);
-    const ScenarioResult s = runScenario(cfg);
-    EXPECT_EQ(s.sprints_granted, 0);
-    EXPECT_EQ(s.sprints_denied, 3);
-    for (const auto &tr : s.tasks) {
-        EXPECT_EQ(tr.run.sprint_cores, 1);
-        EXPECT_FALSE(tr.run.sprint_exhausted);
-    }
-    // One core at ~1 W never approaches the melt point.
-    EXPECT_LT(s.peak_junction, cfg.platform.package.pcm_melt_temp);
-}
-
-TEST(Scenario, AdaptiveHeadroomDeniesWhileDrained)
-{
-    // A saturating train drains the budget; the adaptive gate must
-    // deny re-sprints until recovery, so a back-to-back train has
-    // both grants and denials.
-    ScenarioConfig cfg =
-        smallScenario(SprintPolicyKind::AdaptiveHeadroom,
+        smallScenario(SprintPolicyKind::GreedyActivity,
                       ArrivalPattern::BackToBack, 6);
-    cfg.policy.resume_fraction = 0.8;
+    cfg.policy_factory = budgetGate(0.8, cfg.policy.governor);
     const ScenarioResult s = runScenario(cfg);
     EXPECT_GE(s.sprints_granted, 1);
     EXPECT_GE(s.sprints_denied, 1);
@@ -432,12 +417,13 @@ TEST(Scenario, ShardedRunMatchesUnshardedBitForBit)
     // exactly — every aggregate, every per-task machine stat, every
     // trace sample — including across warm-cache chains.
     ScenarioConfig cfg =
-        smallScenario(SprintPolicyKind::AdaptiveHeadroom,
+        smallScenario(SprintPolicyKind::GreedyActivity,
                       ArrivalPattern::Bursty, 6);
-    cfg.policy.resume_fraction = 0.8;
+    cfg.policy_factory = budgetGate(0.8, cfg.policy.governor);
     cfg.warm_caches = true;
     cfg.tail_rest = 1e-3;
     const ScenarioResult u = runScenario(cfg);
+    EXPECT_GE(u.sprints_denied, 1); // denied tasks cross the cuts too
     for (std::uint64_t shard : {1u, 2u, 4u}) {
         EXPECT_EQ(firstDifference(u, runScenarioSharded(cfg, shard)), "")
             << "shard " << shard;
@@ -494,8 +480,9 @@ TEST(Scenario, ProgramFactoryOverridesKernelPrograms)
     // task metadata still comes from the timeline.
     int calls = 0;
     ScenarioConfig cfg =
-        smallScenario(SprintPolicyKind::NeverSprint,
+        smallScenario(SprintPolicyKind::GreedyActivity,
                       ArrivalPattern::BackToBack, 3);
+    cfg.policy_factory = budgetGate(2.0, cfg.policy.governor);
     cfg.program_factory = [&calls](const ScenarioTask &task) {
         ++calls;
         return buildKernelProgram(KernelId::Kmeans, InputSize::A,
